@@ -1,95 +1,29 @@
-//! The `paper` and `tune` passes in process: the campaign runner's build
-//! phase and per-point loop, re-stated over public APIs so that each
-//! layer call can be timed from outside. The rendered report must equal
-//! the `ovlsim campaign run` report byte for byte, which checks that this
-//! loop does the same work as the CLI.
+//! The `paper` and `tune` passes in process. The campaign itself runs
+//! through `run_campaign_with`, the runner `ovlsim campaign run` uses, with
+//! the timing pipeline decorator in place of the bare session, so the
+//! trace, transform, index and compile spans are the runner's own calls.
+//! The runner's replays cannot be timed from outside, so the replay phase
+//! afterwards replays every point of `CampaignSpec::expand()` again, each
+//! replay a span. The rendered report must equal the `ovlsim campaign run`
+//! report byte for byte.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use ovlsim_apps::registry::AppOverrides;
-use ovlsim_apps::ProblemClass;
-use ovlsim_core::{Platform, TraceSet};
-use ovlsim_lab::campaign::RowTune;
-use ovlsim_lab::{
-    run_tune_threaded, ArtifactPipeline, CampaignReport, CampaignRow, CampaignSpec, EngineInput,
-    LabError, TuneOptions,
-};
-use ovlsim_tracer::{OverlapMode, TraceBundle};
+use ovlsim_core::Platform;
+use ovlsim_lab::{run_campaign_with, ArtifactPipeline, CampaignSpec, EngineInput, LabError};
+use ovlsim_session::Session;
 
 use crate::pipeline::Traced;
 use crate::spans::Recorder;
 
-struct Input {
-    engine: EngineInput,
-    records: u64,
-}
-
-struct Group {
-    orig: Input,
-    ovl: Input,
-}
-
-/// The artifacts of every app × class × mode group, as
-/// `run_campaign_with` builds them before its first replay.
-pub struct Artifacts {
-    groups: HashMap<(String, ProblemClass, String), Group>,
-    bundles: HashMap<(String, ProblemClass), Arc<TraceBundle>>,
-}
-
-fn overrides(spec: &CampaignSpec) -> AppOverrides {
-    AppOverrides {
-        ranks: spec.ranks,
-        iterations: spec.iterations,
-    }
-}
-
-/// Builds every group's artifacts (trace, transform, index, compile).
-pub fn build(p: &dyn ArtifactPipeline, spec: &CampaignSpec) -> Result<Artifacts, LabError> {
-    let overrides = overrides(spec);
-    let mut groups = HashMap::new();
-    let mut bundles = HashMap::new();
-    for app in &spec.apps {
-        for &class in &spec.classes {
-            let mut bundle: Option<Arc<TraceBundle>> = None;
-            if spec.tune {
-                bundle = Some(p.bundle(app, class, overrides)?);
-            }
-            let mut variant_of = |mode: Option<OverlapMode>| -> Result<Arc<TraceSet>, LabError> {
-                if let Some(trace) = p.load_variant(app, class, overrides, mode) {
-                    return Ok(trace);
-                }
-                let bundle = match &bundle {
-                    Some(b) => b,
-                    None => bundle.insert(p.bundle(app, class, overrides)?),
-                };
-                p.variant(bundle, mode)
-            };
-            for &mode in &spec.modes {
-                let ovl = variant_of(Some(mode))?;
-                let orig = variant_of(None)?;
-                let input = |ts: Arc<TraceSet>| -> Result<Input, LabError> {
-                    let records = ts.total_records() as u64;
-                    Ok(Input {
-                        engine: EngineInput::build(p, ts, &spec.engines, false)?,
-                        records,
-                    })
-                };
-                groups.insert(
-                    (app.clone(), class, mode.label()),
-                    Group {
-                        orig: input(orig)?,
-                        ovl: input(ovl)?,
-                    },
-                );
-            }
-            if let Some(b) = bundle {
-                bundles.insert((app.clone(), class), b);
-            }
-        }
-    }
-    Ok(Artifacts { groups, bundles })
+/// `spec` without its bandwidth points: the runner builds every group's
+/// artifacts (trace, transform, index, compile) and replays nothing.
+pub fn build_only(spec: &CampaignSpec) -> CampaignSpec {
+    let mut spec = spec.clone();
+    spec.bandwidths.clear();
+    spec
 }
 
 /// Runs `f` over `items` on up to `threads` workers (an atomic cursor,
@@ -97,30 +31,25 @@ pub fn build(p: &dyn ArtifactPipeline, spec: &CampaignSpec) -> Result<Artifacts,
 pub fn par_map<T: Sync, R: Send>(
     items: &[T],
     threads: usize,
-    rec: &Recorder,
     f: impl Fn(&T) -> R + Sync,
 ) -> Vec<R> {
     let threads = threads.min(items.len()).max(1);
     if threads == 1 {
         return items.iter().map(f).collect();
     }
-    let parent = rec.current();
     let next = AtomicUsize::new(0);
     let mut out: Vec<(usize, R)> = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
-                    rec.adopt(parent);
                     let mut part = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= items.len() {
-                            break;
+                            break part;
                         }
                         part.push((i, f(&items[i])));
                     }
-                    rec.leave();
-                    part
                 })
             })
             .collect();
@@ -133,94 +62,75 @@ pub fn par_map<T: Sync, R: Send>(
     out.into_iter().map(|(_, r)| r).collect()
 }
 
-/// One cold campaign pass on a fresh session; returns the report JSON.
+/// One cold campaign pass; returns the report JSON.
 pub fn run(p: &Traced<'_>, spec: &CampaignSpec, threads: usize) -> Result<String, String> {
-    if spec.attribution || spec.force_engine.is_some() {
-        return Err("attribution columns and forced engines are not benchmarked".into());
-    }
     let rec = p.rec;
-    let art = build(p, spec).map_err(|e| e.to_string())?;
-    let points = spec.expand();
+    let report = rec
+        .span(
+            "lab.campaign",
+            || run_campaign_with(p, spec, threads),
+            |_| 0,
+        )
+        .map_err(|e| e.to_string())?;
+    Ok(rec.span("lab.report", || report.to_json(), |s| s.len() as u64))
+}
+
+/// The campaign's original and overlapped replays again, one span each,
+/// over the artifacts `run` left in `session` (every lookup is a hit).
+pub fn replays(
+    session: &Session,
+    rec: &Recorder,
+    spec: &CampaignSpec,
+    threads: usize,
+) -> Result<(), String> {
+    let overrides = AppOverrides {
+        ranks: spec.ranks,
+        iterations: spec.iterations,
+    };
+    let mut groups = HashMap::new();
+    for app in &spec.apps {
+        for &class in &spec.classes {
+            let bundle = session
+                .bundle(app, class, overrides)
+                .map_err(|e| e.to_string())?;
+            for &mode in &spec.modes {
+                let mut inputs = Vec::new();
+                for variant in [None, Some(mode)] {
+                    let trace = session
+                        .variant(&bundle, variant)
+                        .map_err(|e| e.to_string())?;
+                    let records = trace.total_records() as u64;
+                    let input = EngineInput::build(session, trace, &spec.engines, false)
+                        .map_err(|e| e.to_string())?;
+                    inputs.push((input, records));
+                }
+                groups.insert((app.clone(), class, mode.label()), inputs);
+            }
+        }
+    }
     let base = Platform::builder()
         .latency(spec.latency)
         .intra_node_bandwidth(spec.intra_bandwidth)
         .build();
-    // The tuner's own fan-out runs inline inside a parallel campaign, as
-    // it does under `run_campaign_with`.
-    let tune_threads = if threads.min(points.len()) > 1 {
-        1
-    } else {
-        threads
-    };
-    let rows = par_map(
-        &points,
-        threads,
-        rec,
-        |point| -> Result<CampaignRow, LabError> {
-            let group = &art.groups[&(point.app.clone(), point.class, point.mode.clone())];
-            let mut platform = base
-                .with_bandwidth(point.bandwidth)
-                .with_ranks_per_node(point.ranks_per_node);
-            let model = spec.perturbation_at(point.noise_level);
-            if !model.is_identity() {
-                platform = platform.with_perturbation(model);
-            }
-            let replay = |input: &Input| {
-                rec.span(
-                    "dimemas.replay",
-                    || input.engine.replay(point.engine, &platform),
-                    |_| input.records,
-                )
-            };
-            let orig = replay(&group.orig)?;
-            let ovl = replay(&group.ovl)?;
-            let tuned = if spec.tune {
-                let bundle = &art.bundles[&(point.app.clone(), point.class)];
-                let opts = TuneOptions {
-                    budget: spec.tune_budget,
-                    seed: spec.tune_seed,
-                    engine: point.engine,
-                };
-                let report = rec.span(
-                    "lab.tune",
-                    || run_tune_threaded(p, bundle, &platform, &opts, tune_threads),
-                    |_| opts.budget as u64,
-                )?;
-                Some(RowTune {
-                    tuned: report.best,
-                    plan: report
-                        .best_plan
-                        .as_ref()
-                        .map_or_else(|| "n/a".to_string(), |plan| plan.render()),
-                })
-            } else {
-                None
-            };
-            Ok(CampaignRow {
-                app: point.app.clone(),
-                class: point.class,
-                mode: point.mode.clone(),
-                engine: point.engine,
-                ranks_per_node: point.ranks_per_node,
-                noise_level: point.noise_level,
-                bandwidth: point.bandwidth,
-                original: orig.total_time(),
-                overlapped: ovl.total_time(),
-                comm_fraction: orig.comm_fraction(),
-                attribution: None,
-                tuned,
-            })
-        },
-    );
-    let report = CampaignReport {
-        campaign: spec.name.clone(),
-        attribution: false,
-        perturbed: spec.perturbed(),
-        tuned: spec.tune,
-        rows: rows
-            .into_iter()
-            .collect::<Result<_, _>>()
-            .map_err(|e: LabError| e.to_string())?,
-    };
-    Ok(rec.span("lab.report", || report.to_json(), |s| s.len() as u64))
+    let points = spec.expand();
+    par_map(&points, threads, |point| -> Result<(), LabError> {
+        let mut platform = base
+            .with_bandwidth(point.bandwidth)
+            .with_ranks_per_node(point.ranks_per_node);
+        let model = spec.perturbation_at(point.noise_level);
+        if !model.is_identity() {
+            platform = platform.with_perturbation(model);
+        }
+        for (input, records) in &groups[&(point.app.clone(), point.class, point.mode.clone())] {
+            rec.span(
+                "dimemas.replay",
+                || input.replay(point.engine, &platform),
+                |_| *records,
+            )?;
+        }
+        Ok(())
+    })
+    .into_iter()
+    .collect::<Result<(), LabError>>()
+    .map_err(|e| e.to_string())
 }

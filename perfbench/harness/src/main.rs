@@ -2,9 +2,11 @@
 //!
 //! ```text
 //! perfbench-harness setup <spec>
-//!     time the artifact build phase of <spec> on a fresh session
+//!     time the campaign runner's artifact build phase of <spec> on a
+//!     fresh session
 //! perfbench-harness campaign <spec> <traced 0|1> <report-out> <spans-out>
-//!     one cold campaign pass; writes the report (and the spans if traced)
+//!     one cold campaign pass, then its replay phase; writes the report
+//!     (and the spans if traced)
 //! perfbench-harness serve <corpus> <cache-dir> <traced 0|1> <answers-out> <spans-out> <clients>
 //!     the warm-up lines of <corpus>, then the rest over <clients> workers;
 //!     writes the answers as a JSON array of strings (and the spans if
@@ -24,7 +26,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use ovlsim_lab::{configured_threads, CampaignSpec};
+use ovlsim_lab::{configured_threads, run_campaign_with, CampaignSpec};
 use ovlsim_session::{Json, Session};
 
 use pipeline::Traced;
@@ -61,7 +63,8 @@ fn session_json(session: &Session) -> String {
 }
 
 fn cmd_setup(spec: &str) -> Result<String, String> {
-    let spec = load_spec(spec)?;
+    let spec = campaign::build_only(&load_spec(spec)?);
+    let threads = configured_threads().map_err(|e| e.to_string())?;
     let rec = Recorder::new(false);
     let start = Instant::now();
     let session = Session::new().map_err(|e| e.to_string())?;
@@ -69,7 +72,7 @@ fn cmd_setup(spec: &str) -> Result<String, String> {
         session: &session,
         rec: &rec,
     };
-    std::hint::black_box(campaign::build(&p, &spec).map_err(|e| e.to_string())?);
+    std::hint::black_box(run_campaign_with(&p, &spec, threads).map_err(|e| e.to_string())?);
     Ok(format!("{{\"setup_s\":{}}}", start.elapsed().as_secs_f64()))
 }
 
@@ -88,13 +91,13 @@ fn cmd_campaign(
         session: &session,
         rec: &rec,
     };
-    let report = rec.span(
-        "bench.campaign",
-        || campaign::run(&p, &spec, threads),
-        |_| 0,
-    )?;
+    let report = rec.root("bench.campaign", || campaign::run(&p, &spec, threads))?;
     let wall = start.elapsed().as_secs_f64();
+    // Counters of the campaign alone: the replay phase only hits.
     let stats = session_json(&session);
+    rec.root("bench.replay", || {
+        campaign::replays(&session, &rec, &spec, threads)
+    })?;
     write(report_out, &report)?;
     write(spans_out, &spans::to_json(&rec.into_spans()))?;
     Ok(format!(
@@ -148,27 +151,23 @@ fn cmd_serve(
         )
     };
     let start = Instant::now();
-    let warm_answers: Vec<_> = rec.span("bench.warmup", || warm.iter().map(one).collect(), |_| 0);
+    let warm_answers: Vec<_> = rec.root("bench.warmup", || warm.iter().map(one).collect());
     let warm_s = start.elapsed().as_secs_f64();
     let start = Instant::now();
     // Closed-loop workers over one shared cursor, like the HTTP clients.
     let next = AtomicUsize::new(0);
-    let answers = rec.span(
-        "bench.pass",
-        || {
-            campaign::par_map(&vec![(); clients], clients, &rec, |_| {
-                let mut mine = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= timed.len() {
-                        break mine;
-                    }
-                    mine.push((i, one(&timed[i])));
+    let answers = rec.root("bench.pass", || {
+        campaign::par_map(&vec![(); clients], clients, |_| {
+            let mut mine = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= timed.len() {
+                    break mine;
                 }
-            })
-        },
-        |_| 0,
-    );
+                mine.push((i, one(&timed[i])));
+            }
+        })
+    });
     let wall = start.elapsed().as_secs_f64();
     let mut answers: Vec<_> = answers.into_iter().flatten().collect();
     answers.sort_by_key(|(i, _)| *i);

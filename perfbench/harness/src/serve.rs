@@ -12,6 +12,7 @@ use ovlsim_lab::{
 use ovlsim_session::{Json, PlatformSpec, ReplayResponse, Session, SweepResponse, TraceSource};
 
 use crate::pipeline::Traced;
+use crate::spans::Recorder;
 
 fn field<'j>(j: &'j Json, key: &str) -> Result<&'j Json, String> {
     j.get(key).ok_or_else(|| format!("request lacks `{key}`"))
@@ -77,10 +78,14 @@ fn platform(body: &Json) -> Result<ovlsim_core::Platform, String> {
     .map_err(|e| e.to_string())
 }
 
+/// Renders an answer inside a `lab.report` span.
+fn render(rec: &Recorder, f: impl FnOnce() -> String) -> String {
+    rec.span("lab.report", f, |s| s.len() as u64)
+}
+
 /// Answers one request of `route` with the bytes the server would send.
 pub fn answer(p: &Traced<'_>, route: &str, body: &Json, threads: usize) -> Result<String, String> {
     let rec = p.rec;
-    let render = |s: String| rec.span("lab.report", || s, |s| s.len() as u64);
     match route {
         "/replay" => {
             let trace = source(p, field(body, "source")?)?;
@@ -95,15 +100,15 @@ pub fn answer(p: &Traced<'_>, route: &str, body: &Json, threads: usize) -> Resul
                     |_| records,
                 )
                 .map_err(|e| e.to_string())?;
-            Ok(render(
+            Ok(render(rec, || {
                 ReplayResponse {
                     trace: trace.name().to_string(),
                     total: result.total_time(),
                     comm_fraction: result.comm_fraction(),
                     rank_finish: result.rank_finish().to_vec(),
                 }
-                .to_json(),
-            ))
+                .to_json()
+            }))
         }
         "/analyze" => {
             let trace = source(p, field(body, "source")?)?;
@@ -116,7 +121,7 @@ pub fn answer(p: &Traced<'_>, route: &str, body: &Json, threads: usize) -> Resul
                     |_| trace.total_records() as u64,
                 )
                 .map_err(|e| e.to_string())?;
-            Ok(render(attr.to_json()))
+            Ok(render(rec, || attr.to_json()))
         }
         "/sweep" => {
             let orig = source(p, field(body, "original")?)?;
@@ -150,7 +155,7 @@ pub fn answer(p: &Traced<'_>, route: &str, body: &Json, threads: usize) -> Resul
                     |_| records * bandwidths.len() as u64,
                 )
                 .map_err(|e| e.to_string())?;
-            Ok(render(SweepResponse { points }.to_json()))
+            Ok(render(rec, || SweepResponse { points }.to_json()))
         }
         other => Err(format!("route `{other}` is not in the mix")),
     }

@@ -5,7 +5,9 @@
 //! work it did (records or bytes). Spans stay in memory and are written
 //! out when the pass ends. With recording off, [`Recorder::span`] only
 //! runs its closure, which is what the untraced pass uses to measure the
-//! recording overhead.
+//! recording overhead. A span recorded on a thread with no span of its own
+//! open (a worker of the crates' thread pools or of the harness) is a
+//! child of the open [`Recorder::root`] span.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -45,6 +47,8 @@ pub struct Recorder {
     on: bool,
     epoch: Instant,
     next_id: AtomicU32,
+    /// Id of the open root span (0 when none).
+    root: AtomicU32,
     spans: Mutex<Vec<Span>>,
 }
 
@@ -54,6 +58,7 @@ impl Recorder {
             on,
             epoch: Instant::now(),
             next_id: AtomicU32::new(1),
+            root: AtomicU32::new(0),
             spans: Mutex::new(Vec::new()),
         }
     }
@@ -75,7 +80,10 @@ impl Recorder {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let parent = OPEN.with(|o| {
             let mut o = o.borrow_mut();
-            let parent = o.last().copied().unwrap_or(0);
+            let parent = o
+                .last()
+                .copied()
+                .unwrap_or_else(|| self.root.load(Ordering::Relaxed));
             o.push(id);
             parent
         });
@@ -96,24 +104,21 @@ impl Recorder {
         out
     }
 
-    /// The innermost open span on this thread (0 when none), for handing
-    /// to worker threads as their parent.
-    pub fn current(&self) -> u32 {
-        OPEN.with(|o| o.borrow().last().copied().unwrap_or(0))
-    }
-
-    /// Makes `parent` the enclosing span of everything this (worker)
-    /// thread records until the matching [`Recorder::leave`].
-    pub fn adopt(&self, parent: u32) {
-        if self.on {
-            OPEN.with(|o| o.borrow_mut().push(parent));
-        }
-    }
-
-    pub fn leave(&self) {
-        if self.on {
-            OPEN.with(|o| o.borrow_mut().pop());
-        }
+    /// Runs `f` inside a span named `name` that adopts the spans of every
+    /// thread with none of its own open, for the benchmark's `bench.*`
+    /// roots.
+    pub fn root<T>(&self, name: &'static str, f: impl FnOnce() -> T) -> T {
+        self.span(
+            name,
+            || {
+                let id = OPEN.with(|o| o.borrow().last().copied().unwrap_or(0));
+                let outer = self.root.swap(id, Ordering::Relaxed);
+                let out = f();
+                self.root.store(outer, Ordering::Relaxed);
+                out
+            },
+            |_| 0,
+        )
     }
 
     pub fn into_spans(self) -> Vec<Span> {

@@ -1,7 +1,7 @@
 """The `serve` workload: a seeded request mix against `ovlsim serve`.
 
 Each pass spawns a fresh server over a fresh `--cache-dir`, fills its cache
-with a warm-up (the generated sources and the analyze traces), then sends
+with a warm-up (each cached, analyze and sweep body once), then sends
 the timed requests from closed-loop clients and shuts the server down.
 Every pass sends the same bodies, so its answers must repeat byte for byte.
 """
@@ -9,7 +9,6 @@ Every pass sends the same bodies, so its answers must repeat byte for byte.
 import json
 import random
 import re
-import shutil
 import statistics
 import threading
 import time
@@ -18,10 +17,6 @@ import procs
 import stats
 
 APPS = ["nas-bt", "nas-cg", "pop", "alya", "specfem", "sweep3d"]
-# Sweeps are the slowest kind and set p99: all of them over one app, so
-# that p99 falls inside one population of equal requests, not on the few
-# slowest of a mixture.
-SWEEP_APPS = ["nas-bt"]
 # Closed-loop clients (at most `nproc`). One: a second Python client on a
 # two-CPU host contends with the server it measures.
 CLIENTS = 1
@@ -31,19 +26,13 @@ GEN_RANKS, GEN_ITERS = 16, 2
 # Inline traces: small enough that parse/decode and compile weigh against
 # the replay itself.
 INLINE_RANKS, INLINE_ITERS = 4, 2
-# Cached replays use the original traces of the apps whose replays take
-# about the same time (pop's takes twice as long).
-CACHED_APPS = ["nas-bt", "nas-cg", "alya", "specfem", "sweep3d"]
-# Requests of each kind per timed pass: 1000 in all, so p99 has ten
-# samples beyond it. Sorted by latency the kinds form blocks (cached
-# replay < analyze < inline dim < inline ovlb < sweep). The cached replays
-# are the majority, so the median sits well inside their block, and p99
-# inside the sweeps: a percentile on the border between two kinds jumps
-# from one to the other with small changes in host speed. Inline replays
-# write to the disk cache, whose latency drifts with the state of the
-# host's file system, so they are kept out of the median.
-MIX = {"replay_cached": 700, "analyze": 75, "replay_dim": 75, "replay_ovlb": 75, "sweep": 75}
-SMOKE_MIX = {"replay_cached": 8, "replay_dim": 4, "replay_ovlb": 4, "analyze": 4, "sweep": 4}
+# Requests of each kind per timed pass, 1000 in all so that p99 has ten
+# samples beyond it. There is no record of real traffic to weigh the kinds
+# by, so the four request types (cached replay, inline replay, analyze,
+# sweep) weigh the same, the inline replays split evenly between `dim`
+# text and `ovlb_hex`, and every type cycles through every app.
+MIX = {"replay_cached": 250, "replay_dim": 125, "replay_ovlb": 125, "analyze": 250, "sweep": 250}
+SMOKE_MIX = {"replay_cached": 4, "replay_dim": 2, "replay_ovlb": 2, "analyze": 4, "sweep": 4}
 
 
 # Bandwidth of the inline and analyze requests (the CLI's default).
@@ -78,20 +67,24 @@ class Corpus:
         # traces' contents and the order of the requests.
         cached = [
             {"source": generated(app, "original"), "bandwidth": bw, "latency_us": 5}
-            for app in CACHED_APPS for bw in (100000000, 1000000000)
+            for app in APPS for bw in (100000000, 1000000000)
         ]
         for body in cached:
             self.warm.append(("replay_cached", body))
 
+        # Analyze the generated sources; the CLI analyzes the same trace
+        # written out by `trace gen`.
         analyze = []
         for app in APPS:
             bw = BANDWIDTH
-            body = {"source": {"dim": base[app]}, "bandwidth": bw, "latency_us": 5}
+            body = {"source": generated(app, "original"), "bandwidth": bw, "latency_us": 5}
             analyze.append(body)
             self.warm.append(("analyze", body))
-            out = d / f"analysis-{app}"
-            self.cli(["analyze", str(d / f"{app}.original.dim"), str(bw), "5", "--out", str(out)])
-            name = re.search(r"(?m)^name (\S+)", base[app]).group(1)
+            prefix, out = d / f"gen-{app}", d / f"analysis-{app}"
+            self.cli(["trace", "gen", app, str(prefix), "S", str(GEN_RANKS), str(GEN_ITERS)])
+            dim = d / f"gen-{app}.original.dim"
+            self.cli(["analyze", str(dim), str(bw), "5", "--out", str(out)])
+            name = re.search(r"(?m)^name (\S+)", dim.read_text()).group(1)
             self.expected[self.key(body)] = (out / f"{name}.analysis.json").read_bytes()
 
         sweeps = [
@@ -101,7 +94,7 @@ class Corpus:
                 "bandwidths": [10000000, 100000000, 1000000000, 10000000000],
                 "latency_us": 5,
             }
-            for app in SWEEP_APPS
+            for app in APPS
         ]
         for body in sweeps:
             self.warm.append(("sweep", body))
@@ -204,8 +197,11 @@ class Serve:
 
     def one_pass(self):
         """Spawn, warm up, send the timed mix, stop. Returns the pass record."""
+        # A fresh cache directory per pass, deleted with the work directory
+        # when the run ends: deleting hundreds of cache files between passes
+        # slowed the next passes' cache writes by up to 2x on an ext4 host
+        # that discards freed blocks online.
         cache = self.ctx.work / f"cache-{self.passes}"
-        shutil.rmtree(cache, ignore_errors=True)
         self.passes += 1
         problems = []
         t0 = time.perf_counter()
@@ -240,7 +236,6 @@ class Serve:
             threads_end, vm_hwm = server.proc_status()
         finally:
             fin = server.stop()
-        shutil.rmtree(cache, ignore_errors=True)
         if not fin.ok:
             problems.append(f"serve exited {fin.code}: {fin.err[-400:]!r}")
         for (kind, body), (status, answer, _) in zip(self.corpus.timed, results):
@@ -298,47 +293,51 @@ class Serve:
              str(answers), str(spans_file), str(CLIENTS)],
             self.ctx.root, self.ctx.env, 150.0,
         )
-        shutil.rmtree(cache, ignore_errors=True)
         if not fin.ok:
             raise RuntimeError(f"harness serve failed: {fin.err[-400:]!r}")
         return json.loads(fin.out), [a.encode() for a in json.loads(answers.read_text())], spans_file
 
     def traced(self, log):
-        """One HTTP pass for the route and process numbers, then in-process
-        passes of the same bodies: one untraced, two traced."""
-        http = self.one_pass()
-        problems = list(http["problems"])
+        """HTTP passes for the route and process numbers, alternating with
+        in-process passes of the same bodies, untraced and traced, so all
+        three see the same noise."""
         corpus_file = self.ctx.work / "corpus.jsonl"
         self.corpus.write_jsonl(corpus_file)
-        untraced, answers, _ = self.harness_pass(corpus_file, False)
-        runs = []
+        problems, https, untraced, runs = [], [], [], []
         for _ in range(2):
-            info, answers, spans_file = self.harness_pass(corpus_file, True)
-            if answers != http["answers"]:
-                problems.append("in-process answers differ from the server's")
-            runs.append((info, json.loads(spans_file.read_text())))
+            http = self.one_pass()
+            problems += http["problems"]
+            https.append(http)
+            for traced in (False, True):
+                info, answers, spans_file = self.harness_pass(corpus_file, traced)
+                if answers != http["answers"]:
+                    problems.append("in-process answers differ from the server's")
+                if traced:
+                    runs.append((info, json.loads(spans_file.read_text())))
+                else:
+                    untraced.append(info["wall_s"])
         extra = {}
         for kind in KINDS:
-            mine = [r for (k, _), r in zip(self.corpus.timed, http["results"]) if k == kind]
-            extra[f"session.serve.{kind}.requests"] = (len(mine), "count")
-            extra[f"session.serve.{kind}.non_200"] = (sum(r[0] != 200 for r in mine), "count")
-            extra[f"session.serve.{kind}.p50_ms"] = (statistics.median(r[2] for r in mine) * 1e3, "ms")
+            mine = [r[2] for http in https
+                    for (k, _), r in zip(self.corpus.timed, http["results"]) if k == kind]
+            extra[f"session.serve.{kind}.p50_ms"] = (statistics.median(mine) * 1e3, "ms")
+        # Counters repeat across passes (checked by `one_pass`).
         for shelf in ("traces", "indexes", "programs"):
             c = http["counters"]["cache"][shelf]
             extra[f"session.store.{shelf}.hits"] = (c["hits"], "count")
             extra[f"session.store.{shelf}.builds"] = (c["builds"], "count")
             total = c["hits"] + c["loads"] + c["builds"]
             extra[f"session.store.{shelf}.hit_ratio"] = (c["hits"] / total if total else 0.0, "ratio")
-        for key in ("stores", "loads", "quarantined"):
-            extra[f"session.disk.{key}"] = (http["counters"]["disk"][key], "count")
-        extra["session.serve.threads_end"] = (http["threads_end"], "count")
-        extra["session.serve.vm_hwm_mb"] = (http["vm_hwm_mb"], "MB")
+        # A fresh cache directory per pass: nothing is loaded or quarantined.
+        extra["session.disk.stores"] = (http["counters"]["disk"]["stores"], "count")
+        extra["session.serve.threads_end"] = (max(h["threads_end"] for h in https), "count")
+        extra["session.serve.vm_hwm_mb"] = (statistics.median(h["vm_hwm_mb"] for h in https), "MB")
         return {
-            "e2e_wall_s": http["wall_s"],
-            "untraced_wall_s": untraced["wall_s"],
+            "e2e_wall_s": statistics.median(h["wall_s"] for h in https),
+            "untraced_wall_s": statistics.median(untraced),
             "runs": runs,
-            "root": "bench.pass",
+            "roots": ["bench.pass"],
             "problems": problems,
-            "attempted": len(http["results"]) + 3,
+            "attempted": sum(len(h["results"]) for h in https) + 4,
             "extra": extra,
         }

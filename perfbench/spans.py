@@ -1,10 +1,16 @@
 """Per-layer numbers from the spans the in-process harness records.
 
 A span row is `[name, start_ns, end_ns, id, parent, thread, work]`. Names
-starting with `bench.` are the benchmark's own roots, not layers.
+starting with `bench.` are the benchmark's own roots, not layers. A coordinator
+is a layer that mostly waits on the layers it calls, often on other
+threads: it owns only the instants when no other layer runs.
 """
 
 from collections import defaultdict
+
+# `run_campaign_with`: its self time is the per-point loop, whose workers
+# the spans of the tuner's pipeline calls run on.
+COORDINATORS = ("lab.campaign",)
 
 
 def self_segments(spans):
@@ -43,8 +49,9 @@ def close(stack, pieces):
 def wall_shares(pieces):
     """Wall time per span name. At each instant the layer pieces running
     share that instant equally, so the layer shares add up to the wall time
-    some layer was running. A `bench.` root gets only the instants when no
-    layer runs: while its workers are busy it is waiting on them."""
+    some layer was running. A coordinator gets only the instants when no other
+    layer runs, and a `bench.` root only those when no layer or coordinator
+    runs: while its workers are busy it is waiting on them."""
     events = []
     for start, end, span in pieces:
         events.append((start, 1, span[0]))
@@ -56,8 +63,10 @@ def wall_shares(pieces):
     for t, kind, name in events:
         if last is not None and t > last:
             running = {n: k for n, k in active.items() if k}
-            layer = {n: k for n, k in running.items() if not n.startswith("bench.")}
-            owners = layer or running
+            layer = {n: k for n, k in running.items()
+                     if not n.startswith("bench.") and n not in COORDINATORS}
+            coordinator = {n: k for n, k in running.items() if n in COORDINATORS}
+            owners = layer or coordinator or running
             total = sum(owners.values())
             for n, k in owners.items():
                 shares[n] += (t - last) * k / total / 1e9

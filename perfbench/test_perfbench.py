@@ -120,6 +120,19 @@ class SpanTest(unittest.TestCase):
         self.assertAlmostEqual(layers["lab.attribution"]["wall_s"], 1.0)
         self.assertAlmostEqual(covered, 4.0)
 
+    def test_a_coordinator_owns_only_the_instants_no_other_layer_runs(self):
+        # The campaign runner waits 4 s on a worker that compiles for 1 s.
+        rows = [
+            span("bench.campaign", 0, 5, 1),
+            span("lab.campaign", 0, 4, 2, parent=1),
+            span("core.compile", 1, 2, 3, parent=1, thread=2),
+        ]
+        layers, wall, covered = spans.layers(rows, "bench.campaign")
+        self.assertAlmostEqual(layers["lab.campaign"]["wall_s"], 3.0)
+        self.assertAlmostEqual(layers["core.compile"]["wall_s"], 1.0)
+        self.assertAlmostEqual(covered, 4.0)
+        self.assertAlmostEqual(wall, 5.0)
+
     def test_only_spans_under_the_named_root_count(self):
         rows = [
             span("bench.warmup", 0, 2, 1),
@@ -177,6 +190,7 @@ class SmokeTest(unittest.TestCase):
         metrics = self.run_bench("paper", 1)
         names = {m["name"]: m["unit"] for m in self.bench["per_layer"]}
         self.assertEqual({k: v["unit"] for k, v in metrics.items()}, names)
+        self.assertEqual([k for k, v in metrics.items() if not v["value"] > 0], [])
 
 
 if __name__ == "__main__":
