@@ -102,10 +102,14 @@ SERVING = re.compile(rb"serving on http://127\.0\.0\.1:(\d+)")
 
 
 class Server:
-    """One `ovlsim serve` process, from spawn to a confirmed exit."""
+    """One `ovlsim serve` process, from spawn to a confirmed exit; with a
+    disk cache when `cache_dir` is given."""
 
     def __init__(self, binary, cache_dir, cwd, env, deadline_s=30.0):
-        self.child = Child([binary, "serve", "--port", "0", "--cache-dir", cache_dir], cwd, env)
+        argv = [binary, "serve", "--port", "0"]
+        if cache_dir is not None:
+            argv += ["--cache-dir", cache_dir]
+        self.child = Child(argv, cwd, env)
         self.port = None
         end = time.monotonic() + deadline_s
         while self.port is None:

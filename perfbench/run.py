@@ -34,7 +34,7 @@ import serve
 import spans
 
 WORKLOADS = ["paper", "tune", "serve"]
-DEFAULT_SEED = batch.GOLDEN_SEED
+DEFAULT_SEED = 7
 
 E2E_UNITS = {
     "wall_s": "s",
@@ -213,7 +213,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", choices=WORKLOADS, required=True)
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
     ap.add_argument("--smoke", action="store_true", help="tiny inputs, for the benchmark's tests")
     args = ap.parse_args()
