@@ -19,11 +19,12 @@
 //!   different schedule a really-noisy machine simulates,
 //! * replay throughput on an intra-node-heavy scenario (the same trace
 //!   packed 4 ranks per node under a constrained bus), so the node-aware
-//!   routing path is tracked by every snapshot — prepared and compiled,
-//! * fast-forward replay throughput on a contention-heavy NAS-BT corpus
-//!   (196 ranks, capacity-1 links), clean and perturbed, asserted
-//!   bit-identical to the compiled engine and reported as a speedup over
-//!   it — the number `ci/check_snapshot.py` gates,
+//!   routing path and the compiled executor's global pump are tracked by
+//!   every snapshot — prepared and compiled,
+//! * compiled replay throughput on a contention-heavy NAS-BT corpus (196
+//!   ranks, capacity-1 links), clean and perturbed, asserted bit-identical
+//!   to the naive and prepared engines and reported as a speedup over the
+//!   prepared engine — the number `ci/check_snapshot.py` floors,
 //! * wall-clock of a multi-point bandwidth sweep at 1/2/4 worker threads
 //!   and the resulting scaling factors, with a byte-identity check between
 //!   the sequential and parallel results.
@@ -201,52 +202,63 @@ fn main() {
         std::hint::black_box(sim_mc.run_compiled(&program).expect("replays"));
     });
 
-    // Fast-forward engine: the per-node waiter queues only pay off where
-    // the compiled engine's full-FIFO rescans hurt, so the corpus is a
-    // contention-heavy NAS-BT (196 ranks on capacity-1 links piles the
-    // waiter queues deep). Bit-identity against the compiled engine is
-    // asserted clean and perturbed before anything is timed, and the two
-    // engines are timed in interleaved best-of-3 pairs (like the hot-path
-    // gate) so shared-runner noise cannot flake the ratio.
-    let ff_app = NasBt::builder()
+    // Contention corpus: the compiled executor's per-node waiter queues
+    // and window fast-forwarding pay off where full-FIFO rescans hurt, so
+    // the corpus is a contention-heavy NAS-BT (196 ranks on capacity-1
+    // links piles the waiter queues deep). Bit-identity against the naive
+    // and prepared engines is asserted clean and perturbed before
+    // anything is timed, and compiled and prepared are timed in
+    // interleaved best-of-3 pairs (like the hot-path gate) so
+    // shared-runner noise cannot flake the ratio.
+    let cont_app = NasBt::builder()
         .ranks(196)
         .iterations(1)
         .build()
         .expect("valid NAS-BT");
-    let ff_bundle = TracingSession::new(&ff_app)
+    let cont_bundle = TracingSession::new(&cont_app)
         .policy(ChunkingPolicy::fixed_count(16).with_min_chunk_bytes(512))
         .run()
         .expect("traces");
-    let ff_trace: &TraceSet = &ff_bundle.overlapped_linear();
-    let ff_records = ff_trace.total_records() as f64;
-    let ff_index = TraceIndex::build(ff_trace).expect("valid trace");
-    let ff_program = CompiledTrace::compile(ff_trace, &ff_index).expect("compiles");
-    assert_eq!(
-        sim.run_fastforward(&ff_program).expect("replays"),
-        sim.run_compiled(&ff_program).expect("replays"),
-        "fastforward replay diverged from the compiled engine"
-    );
-    let ff_perturbed = Simulator::new(perturbed.clone());
-    assert_eq!(
-        ff_perturbed.run_fastforward(&ff_program).expect("replays"),
-        ff_perturbed.run_compiled(&ff_program).expect("replays"),
-        "perturbed fastforward replay diverged from the compiled engine"
-    );
-    let mut ff_s = f64::INFINITY;
-    let mut ff_compiled_s = f64::INFINITY;
+    let cont_trace: &TraceSet = &cont_bundle.overlapped_linear();
+    let cont_records = cont_trace.total_records() as f64;
+    let cont_index = TraceIndex::build(cont_trace).expect("valid trace");
+    let cont_program = CompiledTrace::compile(cont_trace, &cont_index).expect("compiles");
+    let cont_perturbed = Simulator::new(perturbed.clone());
+    for (sim, platform, what) in [
+        (&sim, &platform, "clean"),
+        (&cont_perturbed, &perturbed, "perturbed"),
+    ] {
+        let compiled = sim.run_compiled(&cont_program).expect("replays");
+        assert_eq!(
+            compiled,
+            replay_naive(platform, cont_trace).expect("replays"),
+            "{what} contention replay diverged from the naive oracle"
+        );
+        assert_eq!(
+            compiled,
+            sim.run_prepared(cont_trace, &cont_index).expect("replays"),
+            "{what} contention replay diverged from the prepared engine"
+        );
+    }
+    let mut cont_s = f64::INFINITY;
+    let mut cont_prepared_s = f64::INFINITY;
     for _ in 0..3 {
-        ff_compiled_s = ff_compiled_s.min(time_call(|| {
-            std::hint::black_box(sim.run_compiled(&ff_program).expect("replays"));
+        cont_prepared_s = cont_prepared_s.min(time_call(|| {
+            std::hint::black_box(sim.run_prepared(cont_trace, &cont_index).expect("replays"));
         }));
-        ff_s = ff_s.min(time_call(|| {
-            std::hint::black_box(sim.run_fastforward(&ff_program).expect("replays"));
+        cont_s = cont_s.min(time_call(|| {
+            std::hint::black_box(sim.run_compiled(&cont_program).expect("replays"));
         }));
     }
-    let ff_perturbed_s = time_call(|| {
-        std::hint::black_box(ff_perturbed.run_fastforward(&ff_program).expect("replays"));
+    let cont_perturbed_s = time_call(|| {
+        std::hint::black_box(cont_perturbed.run_compiled(&cont_program).expect("replays"));
     });
-    let ff_perturbed_compiled_s = time_call(|| {
-        std::hint::black_box(ff_perturbed.run_compiled(&ff_program).expect("replays"));
+    let cont_perturbed_prepared_s = time_call(|| {
+        std::hint::black_box(
+            cont_perturbed
+                .run_prepared(cont_trace, &cont_index)
+                .expect("replays"),
+        );
     });
 
     // Session-layer cache overhead: replaying through a warmed
@@ -371,8 +383,8 @@ fn main() {
     let sp_mc_prepared_vs_naive = multicore_naive_s / multicore_prepared_s;
     let sp_mc_compiled_vs_prepared = multicore_prepared_s / multicore_compiled_s;
     let perturbed_overhead = perturbed_compiled_s / compiled_s;
-    let sp_ff_vs_compiled = ff_compiled_s / ff_s;
-    let sp_ff_perturbed_vs_compiled = ff_perturbed_compiled_s / ff_perturbed_s;
+    let sp_contention_vs_prepared = cont_prepared_s / cont_s;
+    let sp_contention_perturbed_vs_prepared = cont_perturbed_prepared_s / cont_perturbed_s;
 
     // Sanity gate: every ratio the snapshot publishes must be a real,
     // positive number. A NaN/∞/0 here means a timer returned zero or an
@@ -385,10 +397,10 @@ fn main() {
         ("compiled_vs_prepared", sp_compiled_vs_prepared),
         ("multicore_prepared_vs_naive", sp_mc_prepared_vs_naive),
         ("multicore_compiled_vs_prepared", sp_mc_compiled_vs_prepared),
-        ("fastforward_vs_compiled", sp_ff_vs_compiled),
+        ("contention_vs_prepared", sp_contention_vs_prepared),
         (
-            "fastforward_perturbed_vs_compiled",
-            sp_ff_perturbed_vs_compiled,
+            "contention_perturbed_vs_prepared",
+            sp_contention_perturbed_vs_prepared,
         ),
     ];
     for (what, value) in speedups {
@@ -525,33 +537,37 @@ fn main() {
         sp_mc_prepared_vs_naive
     );
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"replay_fastforward\": {{");
-    let _ = writeln!(json, "    \"corpus_ranks\": {},", ff_trace.rank_count());
+    let _ = writeln!(json, "  \"replay_contention\": {{");
+    let _ = writeln!(json, "    \"corpus_ranks\": {},", cont_trace.rank_count());
     let _ = writeln!(
         json,
         "    \"corpus_records\": {},",
-        ff_trace.total_records()
-    );
-    let _ = writeln!(json, "    \"records_per_sec\": {:.0},", ff_records / ff_s);
-    let _ = writeln!(
-        json,
-        "    \"compiled_records_per_sec\": {:.0},",
-        ff_records / ff_compiled_s
+        cont_trace.total_records()
     );
     let _ = writeln!(
         json,
-        "    \"speedup_vs_compiled\": {:.2},",
-        sp_ff_vs_compiled
+        "    \"records_per_sec\": {:.0},",
+        cont_records / cont_s
+    );
+    let _ = writeln!(
+        json,
+        "    \"prepared_records_per_sec\": {:.0},",
+        cont_records / cont_prepared_s
+    );
+    let _ = writeln!(
+        json,
+        "    \"speedup_vs_prepared\": {:.2},",
+        sp_contention_vs_prepared
     );
     let _ = writeln!(
         json,
         "    \"perturbed_records_per_sec\": {:.0},",
-        ff_records / ff_perturbed_s
+        cont_records / cont_perturbed_s
     );
     let _ = writeln!(
         json,
-        "    \"perturbed_speedup_vs_compiled\": {:.2}",
-        sp_ff_perturbed_vs_compiled
+        "    \"perturbed_speedup_vs_prepared\": {:.2}",
+        sp_contention_perturbed_vs_prepared
     );
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"session_cache\": {{");

@@ -1,61 +1,27 @@
-//! Executor for compiled trace programs ([`CompiledTrace`]).
+//! Entry points for compiled trace programs ([`CompiledTrace`]).
 //!
-//! This is the fastest replay path: it walks the flat struct-of-arrays
-//! instruction streams produced by [`CompiledTrace::compile`] — one-byte
-//! opcodes, dense operand columns, pre-converted burst durations and
-//! pre-resolved request slots — instead of decoding [`ovlsim_core::Record`]
-//! enums and scanning request tables per event. Results are bit-identical
-//! to [`crate::naive::replay_naive`] and [`crate::Simulator::run`]; the
+//! [`Simulator::run_compiled`] is the cheapest replay path: it executes
+//! the flat struct-of-arrays program produced by
+//! [`CompiledTrace::compile`] — one-byte opcodes, dense operand columns,
+//! pre-converted burst durations and pre-resolved request slots — instead
+//! of decoding [`ovlsim_core::Record`] enums and scanning request tables
+//! per event. The executor behind both entry points lives in
+//! `fastforward.rs`. Results are bit-identical to
+//! [`crate::naive::replay_naive`] and [`crate::Simulator::run`]; the
 //! differential property tests in `tests/props.rs` enforce it.
-//!
-//! Beyond the program format, the executor shaves per-event overhead the
-//! record-walking engines pay:
-//!
-//! * it is generic over the observer, so the common unobserved run
-//!   monomorphizes against [`NullObserver`] and every timeline callback
-//!   compiles to nothing (the other engines pay a virtual call each),
-//! * platform scalars (eager threshold, overheads, the three possible
-//!   flight delays) are hoisted out of the loop once per run,
-//! * wire transmission times are memoized per distinct `(domain, bytes)`
-//!   pair — chunked traces reuse a handful of message sizes thousands of
-//!   times, and the memo returns the identical rounded [`Time`],
-//! * network pump rescans reuse scratch buffers instead of allocating a
-//!   queue and a result vector per pump
-//!   ([`Network::start_eligible_into`]).
-//!
-//! # Coalesced burst runs and exact tie-breaking
-//!
-//! The event queue delivers same-time events FIFO in schedule order, and
-//! that order is observable: transfers that become ready at the same
-//! instant contend for finite buses/links in FIFO order. Naively replacing
-//! a run of K bursts with one end-of-run resume would move that resume's
-//! position in the FIFO and could flip such ties. The executor therefore
-//! *jumps* a coalesced run (or a prefix of it) in a single event **only
-//! when the event queue proves no other event fires before the jump's
-//! end** — in that window the rest of the machine is provably idle, so
-//! eliding the intermediate resumes is unobservable. Otherwise it falls
-//! back to stepping one sub-burst per event, exactly like the uncompiled
-//! engines. Either way the arithmetic is identical: durations are summed
-//! per sub-burst through the same `scale_f64` rounding the other engines
-//! apply.
 
-use std::collections::VecDeque;
+use ovlsim_core::CompiledTrace;
 
-use ovlsim_core::{CollectiveOp, CompiledTrace, Platform, Rank, RecordKind, Tag, Time};
-use ovlsim_engine::EventQueue;
-
-use crate::collective::CollectiveTracker;
 use crate::error::SimError;
-use crate::network::{LinkPerturb, Network, TransferId};
-use crate::observer::{DepEdge, NullObserver, ProcState, ReplayObserver, WaitCause};
+use crate::fastforward::execute;
+use crate::observer::{NullObserver, ReplayObserver};
 use crate::replay::{ReplayResult, Simulator};
-use crate::reqs::{ReqGroup, ReqState};
 
 impl Simulator {
     /// Replays a compiled trace program, the cheapest per-sweep-point
     /// entry. The result is bit-identical to [`Simulator::run`] on the
     /// source trace; only the per-point record decoding, request-table
-    /// scanning and (where provably safe) per-burst event traffic are
+    /// scanning and (where provably safe) per-event queue traffic are
     /// gone. Compile once with [`CompiledTrace::compile`] and share
     /// `&CompiledTrace` across parallel sweep points.
     ///
@@ -63,7 +29,7 @@ impl Simulator {
     ///
     /// Returns [`SimError::Deadlock`] if replay stalls.
     pub fn run_compiled(&self, prog: &CompiledTrace) -> Result<ReplayResult, SimError> {
-        CompiledState::new(self.platform(), prog).run(&mut NullObserver)
+        execute(self.platform(), prog, &mut NullObserver)
     }
 
     /// [`Simulator::run_compiled`] with timeline observation. The program
@@ -84,1152 +50,18 @@ impl Simulator {
         if prog.coalesced() {
             return Err(SimError::CoalescedObservation);
         }
-        CompiledState::new(self.platform(), prog).run(observer)
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    Resume(usize),
-    TransferSent(TransferId),
-    TransferDone(TransferId),
-    /// Re-attempt a transfer held back by a transient link outage
-    /// (faulty platforms only; never scheduled on a clean run).
-    TransferRetry(TransferId),
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SenderKind {
-    Fire,
-    Blocking,
-    /// Rendezvous isend: complete this pre-resolved slot at completion.
-    Request(u32),
-}
-
-#[derive(Debug)]
-struct Transfer {
-    from: Rank,
-    to: Rank,
-    bytes: u64,
-    tag: Tag,
-    rendezvous: bool,
-    intra: bool,
-    sender_kind: SenderKind,
-    recv: Option<usize>,
-    enqueued: bool,
-    started_at: Option<Time>,
-    arrived: Option<Time>,
-    /// Dense channel id, for wait attribution.
-    chan: u32,
-    /// Sender's clock when the send instruction was executed.
-    posted_at: Time,
-    /// When the transfer entered a finite-resource queue (`None` if it
-    /// never queued).
-    queued_at: Option<Time>,
-    /// When the transfer became ready to move data.
-    ready_at: Time,
-    /// Flight-latency jitter drawn at creation time (zero on clean runs).
-    jitter: Time,
-    /// End of the link outage that held this transfer back, if any.
-    outage_until: Option<Time>,
-}
-
-#[derive(Debug)]
-struct RecvPost {
-    rank: usize,
-    /// Pre-resolved request slot for irecvs; `None` for blocking receives.
-    slot: Option<u32>,
-    from: Rank,
-    tag: Tag,
-    transfer: Option<TransferId>,
-    done: Option<Time>,
-}
-
-#[derive(Debug, Default)]
-struct Channel {
-    unmatched_sends: VecDeque<TransferId>,
-    unmatched_recvs: VecDeque<usize>,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Blocker {
-    Recv(usize),
-    SendDone(TransferId),
-    /// Remaining request *slots* of a wait-set.
-    Reqs(ReqGroup),
-    Collective(usize),
-}
-
-/// Which wait cause a blocked window is charged to (see `emit_blocked`).
-#[derive(Debug, Clone, Copy)]
-enum BlockKind {
-    Recv,
-    Send,
-    Wait,
-}
-
-#[derive(Debug)]
-struct Proc {
-    cursor: usize,
-    clock: Time,
-    blocked: Option<Blocker>,
-    block_start: Time,
-    coll_seq: usize,
-    /// Flat request-state table indexed by pre-resolved slot. Entries are
-    /// overwritten on post, so no per-wait cleanup is needed.
-    slots: Vec<ReqState>,
-    compute: Time,
-    finished: Option<Time>,
-    overhead_paid: bool,
-    /// Cursor into the rank's burst-duration arena (program order).
-    burst_pos: usize,
-    /// Sub-bursts left in the burst run currently being executed; while
-    /// non-zero, resumes continue the run instead of decoding the stream.
-    bursts_left: u32,
-    /// Cursor into the rank's `WaitAll` slot arena (program order).
-    wait_pos: usize,
-}
-
-/// One rank's stream slices, resolved once so the hot loop never chases
-/// back through the [`CompiledTrace`] accessors.
-#[derive(Clone, Copy)]
-struct Stream<'a> {
-    ops: &'a [RecordKind],
-    a: &'a [u32],
-    b: &'a [u32],
-    payload: &'a [u64],
-    burst_ps: &'a [u64],
-    wait_slots: &'a [u32],
-}
-
-/// Memo of rounded wire transmission times per distinct byte count. The
-/// list stays tiny for chunked traces (a handful of distinct sizes); it is
-/// capped so a pathological all-distinct trace degrades to computing, not
-/// to a quadratic scan.
-#[derive(Debug, Default)]
-struct XmitMemo {
-    entries: Vec<(u64, Time)>,
-}
-
-const XMIT_MEMO_CAP: usize = 64;
-
-impl XmitMemo {
-    #[inline]
-    fn get(&mut self, bytes: u64, compute: impl Fn(u64) -> Time) -> Time {
-        if let Some(&(_, t)) = self.entries.iter().find(|(b, _)| *b == bytes) {
-            return t;
-        }
-        let t = compute(bytes);
-        if self.entries.len() < XMIT_MEMO_CAP {
-            self.entries.push((bytes, t));
-        }
-        t
-    }
-}
-
-struct CompiledState<'a> {
-    platform: &'a Platform,
-    prog: &'a CompiledTrace,
-    streams: Vec<Stream<'a>>,
-    /// Per-channel routing decision (true = both endpoints share a node),
-    /// derived once per run from the program's channel endpoints.
-    intra_chan: Vec<bool>,
-    /// Hoisted burst scale factor (`1 / cpu_ratio`), identical to the
-    /// value the uncompiled engines recompute per burst.
-    inv_cpu_ratio: f64,
-    /// True when the platform's perturbation model stretches compute
-    /// bursts (noise, stragglers or heterogeneous nodes).
-    compute_perturbed: bool,
-    /// True when the model draws per-burst OS noise (the only compute
-    /// effect that needs a hash per sub-burst).
-    noise_on: bool,
-    /// Per-rank burst prefactor (cpu ratio x node speed x straggler),
-    /// hoisted out of the event loop; empty on clean runs. The values are
-    /// exactly `PerturbationModel::burst_prefactor`, so per-burst rounding
-    /// stays bit-identical to the uncompiled engines.
-    burst_pre: Vec<f64>,
-    /// Per-channel link-degradation stretch factor, hoisted once per run
-    /// (`PerturbationModel::link_factor` is stable per directed rank
-    /// pair); empty when degradation is off.
-    chan_stretch: Vec<f64>,
-    /// Link-level perturbations (degradation, jitter, faults); shared
-    /// logic with the uncompiled engines so factors match bit-exactly.
-    link: LinkPerturb,
-    /// Per-channel send sequence numbers feeding jitter draws; empty when
-    /// the model has no link effects.
-    send_seq: Vec<u64>,
-    // Platform scalars hoisted out of the event loop (all values the
-    // other engines re-derive per event).
-    eager_threshold: u64,
-    send_overhead: Time,
-    recv_overhead: Time,
-    flight_eager: Time,
-    flight_rendezvous: Time,
-    flight_intra: Time,
-    xmit_inter: XmitMemo,
-    xmit_intra: XmitMemo,
-    queue: EventQueue<Event>,
-    procs: Vec<Proc>,
-    transfers: Vec<Transfer>,
-    recv_posts: Vec<RecvPost>,
-    channels: Vec<Channel>,
-    network: Network,
-    /// Reused result buffer for network pumps.
-    started_scratch: Vec<TransferId>,
-    collectives: CollectiveTracker,
-    p2p_messages: u64,
-    p2p_bytes: u64,
-}
-
-impl<'a> CompiledState<'a> {
-    fn new(platform: &'a Platform, prog: &'a CompiledTrace) -> Self {
-        let n = prog.rank_count();
-        let model = platform.perturbation();
-        let inv_cpu_ratio = 1.0 / platform.cpu_ratio();
-        let compute_perturbed = model.has_compute_effects();
-        let burst_pre = if compute_perturbed {
-            (0..n as u32)
-                .map(|r| model.burst_prefactor(inv_cpu_ratio, r, platform.node_of(r)))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let chan_stretch = if model.link_degradation() > 0.0 {
-            prog.channels()
-                .iter()
-                .map(|c| model.link_factor(c.src.get(), c.dst.get()))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        CompiledState {
-            platform,
-            prog,
-            streams: (0..n)
-                .map(|r| {
-                    let rp = prog.rank(r);
-                    Stream {
-                        ops: rp.ops(),
-                        a: rp.a(),
-                        b: rp.b(),
-                        payload: rp.payload(),
-                        burst_ps: rp.burst_ps(),
-                        wait_slots: rp.wait_slots(),
-                    }
-                })
-                .collect(),
-            intra_chan: prog
-                .channels()
-                .iter()
-                .map(|c| platform.node_of(c.src.get()) == platform.node_of(c.dst.get()))
-                .collect(),
-            inv_cpu_ratio,
-            compute_perturbed,
-            noise_on: model.noise_level() > 0.0,
-            burst_pre,
-            chan_stretch,
-            link: LinkPerturb::new(platform),
-            send_seq: if platform.perturbation().has_link_effects() {
-                vec![0; prog.channels().len()]
-            } else {
-                Vec::new()
-            },
-            eager_threshold: platform.eager_threshold(),
-            send_overhead: platform.send_overhead(),
-            recv_overhead: platform.recv_overhead(),
-            flight_eager: platform.latency(),
-            flight_rendezvous: platform.latency() + platform.rendezvous_latency(),
-            flight_intra: platform.intra_node_latency(),
-            xmit_inter: XmitMemo::default(),
-            xmit_intra: XmitMemo::default(),
-            queue: EventQueue::new(),
-            procs: (0..n)
-                .map(|r| Proc {
-                    cursor: 0,
-                    clock: Time::ZERO,
-                    blocked: None,
-                    block_start: Time::ZERO,
-                    coll_seq: 0,
-                    slots: vec![ReqState::InFlight; prog.rank(r).slot_count() as usize],
-                    compute: Time::ZERO,
-                    finished: None,
-                    overhead_paid: false,
-                    burst_pos: 0,
-                    bursts_left: 0,
-                    wait_pos: 0,
-                })
-                .collect(),
-            transfers: Vec::new(),
-            recv_posts: Vec::new(),
-            channels: (0..prog.channels().len())
-                .map(|_| Channel::default())
-                .collect(),
-            network: Network::new(platform, n),
-            started_scratch: Vec::new(),
-            collectives: CollectiveTracker::new(n),
-            p2p_messages: 0,
-            p2p_bytes: 0,
-        }
-    }
-
-    fn run<O: ReplayObserver + ?Sized>(
-        &mut self,
-        observer: &mut O,
-    ) -> Result<ReplayResult, SimError> {
-        for r in 0..self.procs.len() {
-            self.queue.schedule(Time::ZERO, Event::Resume(r));
-        }
-        while let Some((t, ev)) = self.queue.pop() {
-            match ev {
-                Event::Resume(r) => {
-                    if self.procs[r].bursts_left > 0 {
-                        self.burst_step(r, observer);
-                    } else {
-                        self.step(r, observer);
-                    }
-                }
-                Event::TransferSent(id) => self.transfer_sent(id, t, observer),
-                Event::TransferDone(id) => self.transfer_done(id, t, observer),
-                Event::TransferRetry(id) => self.launch_transfer(id, t),
-            }
-        }
-        let blocked: Vec<(Rank, String)> = self
-            .procs
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.finished.is_none())
-            .map(|(r, p)| (Rank::new(r as u32), self.describe_blocker(p)))
-            .collect();
-        if !blocked.is_empty() {
-            let at = self
-                .procs
-                .iter()
-                .map(|p| p.clock)
-                .max()
-                .unwrap_or(Time::ZERO);
-            return Err(SimError::Deadlock { at, blocked });
-        }
-        let rank_finish: Vec<Time> = self
-            .procs
-            .iter()
-            .map(|p| p.finished.expect("all finished"))
-            .collect();
-        let total_time = rank_finish.iter().copied().max().unwrap_or(Time::ZERO);
-        Ok(ReplayResult {
-            name: self.prog.name().to_string(),
-            total_time,
-            rank_compute: self.procs.iter().map(|p| p.compute).collect(),
-            rank_finish,
-            p2p_messages: self.p2p_messages,
-            p2p_bytes: self.p2p_bytes,
-            collective_count: self.collectives.instance_count() as u64,
-            mean_busy_buses: self.network.mean_busy_buses(total_time),
-            peak_busy_buses: self.network.peak_busy_buses(),
-            peak_waiting_transfers: self.network.peak_waiting(),
-        })
-    }
-
-    fn describe_blocker(&self, p: &Proc) -> String {
-        match &p.blocked {
-            None => "runnable but starved (internal error)".to_string(),
-            Some(Blocker::Recv(pid)) => {
-                let post = &self.recv_posts[*pid];
-                format!("blocked in recv from {} {}", post.from, post.tag)
-            }
-            Some(Blocker::SendDone(tid)) => {
-                let t = &self.transfers[*tid];
-                format!("blocked in rendezvous send to {} {}", t.to, t.tag)
-            }
-            Some(Blocker::Reqs(reqs)) => format!("blocked waiting {} requests", reqs.len()),
-            Some(Blocker::Collective(seq)) => format!("blocked in collective #{seq}"),
-        }
-    }
-
-    /// Memoized wire occupancy time of a transfer (exactly
-    /// `bandwidth.transfer_time(bytes)` of the relevant domain). Link
-    /// degradation stretches the *rounded* memoized base by the channel's
-    /// hoisted `link_factor` — the same evaluation order as the uncompiled
-    /// engines — so the memo stays valid under perturbation. Intra-node
-    /// transfers are exempt from all link perturbations.
-    #[inline]
-    fn transmission_time(&mut self, intra: bool, bytes: u64, chan: u32) -> Time {
-        if intra {
-            let bw = self.platform.intra_node_bandwidth();
-            self.xmit_intra.get(bytes, |b| bw.transfer_time(b))
-        } else {
-            let bw = self.platform.bandwidth();
-            let base = self.xmit_inter.get(bytes, |b| bw.transfer_time(b));
-            if self.chan_stretch.is_empty() {
-                base
-            } else {
-                base.scale_f64(self.chan_stretch[chan as usize])
-            }
-        }
-    }
-
-    /// Duration of the sub-burst at arena index `idx` of rank `r`. Clean
-    /// runs scale by `1 / cpu_ratio` exactly as before; perturbed runs
-    /// apply the full per-burst factor keyed on the arena index, which
-    /// equals the uncompiled engines' per-rank burst ordinal (the arena
-    /// holds one entry per original burst record, in program order).
-    #[inline]
-    fn sub_burst(&self, r: usize, idx: usize, ps: u64) -> Time {
-        let base = Time::from_ps(ps);
-        if !self.compute_perturbed {
-            return base.scale_f64(self.inv_cpu_ratio);
-        }
-        // `burst_pre[r] * noise_factor` is exactly `burst_factor` with the
-        // rank-constant part hoisted (same multiply order, bit-identical
-        // rounding to the uncompiled engines).
-        let pre = self.burst_pre[r];
-        if self.noise_on {
-            let noise = self
-                .platform
-                .perturbation()
-                .noise_factor(r as u32, idx as u64);
-            base.scale_f64(pre * noise)
-        } else {
-            base.scale_f64(pre)
-        }
-    }
-
-    #[inline]
-    fn flight_time(&self, intra: bool, rendezvous: bool) -> Time {
-        if intra {
-            self.flight_intra
-        } else if rendezvous {
-            self.flight_rendezvous
-        } else {
-            self.flight_eager
-        }
-    }
-
-    fn pump_network(&mut self, now: Time) {
-        let mut started = std::mem::take(&mut self.started_scratch);
-        {
-            let transfers = &self.transfers;
-            self.network.start_eligible_into(
-                now,
-                |id| (transfers[id].from, transfers[id].to),
-                &mut started,
-            );
-        }
-        for &tid in &started {
-            self.transfers[tid].started_at = Some(now);
-            let (intra, bytes, chan) = {
-                let t = &self.transfers[tid];
-                (t.intra, t.bytes, t.chan)
-            };
-            let dur = self.transmission_time(intra, bytes, chan);
-            self.queue.schedule(now + dur, Event::TransferSent(tid));
-        }
-        self.started_scratch = started;
-    }
-
-    fn pump_intra(&mut self, now: Time) {
-        if !self.network.intra_limited() {
-            return;
-        }
-        let mut started = std::mem::take(&mut self.started_scratch);
-        {
-            let transfers = &self.transfers;
-            let platform = self.platform;
-            self.network.start_eligible_intra_into(
-                now,
-                |id| platform.node_of(transfers[id].from.get()) as usize,
-                &mut started,
-            );
-        }
-        for &tid in &started {
-            self.transfers[tid].started_at = Some(now);
-            let (intra, bytes, chan) = {
-                let t = &self.transfers[tid];
-                (t.intra, t.bytes, t.chan)
-            };
-            let dur = self.transmission_time(intra, bytes, chan);
-            self.queue.schedule(now + dur, Event::TransferSent(tid));
-        }
-        self.started_scratch = started;
-    }
-
-    /// Executes (part of) the burst run at the rank's burst cursor,
-    /// scheduling exactly one resume. Greedily absorbs the longest prefix
-    /// of remaining sub-bursts whose end the event queue proves
-    /// undisturbed (nothing else fires before it), and always consumes at
-    /// least one sub-burst — which is precisely the uncompiled engines'
-    /// one-event-per-burst behaviour, so the fallback is tie-exact.
-    fn burst_step<O: ReplayObserver + ?Sized>(&mut self, r: usize, observer: &mut O) {
-        let now = self.procs[r].clock;
-        let left = self.procs[r].bursts_left as usize;
-        let pos = self.procs[r].burst_pos;
-        debug_assert!(left > 0);
-        let arena = &self.streams[r].burst_ps[pos..pos + left];
-        let peek = self.queue.peek_time();
-        // First sub-burst is unconditional (matches the naive engines).
-        let mut total = self.sub_burst(r, pos, arena[0]);
-        let mut end = now + total;
-        let mut consumed = 1;
-        while consumed < left {
-            let dur = self.sub_burst(r, pos + consumed, arena[consumed]);
-            let next_end = end + dur;
-            // Absorbing the next sub-burst is unobservable iff no other
-            // event fires before its end. `t > now` guards zero-length
-            // runs: a pending same-instant event would interleave with the
-            // chain in the uncompiled engines, so the chain must yield.
-            let quiet = match peek {
-                None => true,
-                Some(t) => t >= next_end && t > now,
-            };
-            if !quiet {
-                break;
-            }
-            total += dur;
-            end = next_end;
-            consumed += 1;
-        }
-        observer.interval(Rank::new(r as u32), now, end, ProcState::Compute);
-        if end > now {
-            observer.attributed(Rank::new(r as u32), now, end, WaitCause::Compute, None);
-        }
-        let p = &mut self.procs[r];
-        p.compute += total;
-        p.clock = end;
-        p.burst_pos += consumed;
-        p.bursts_left -= consumed as u32;
-        self.queue.schedule(end, Event::Resume(r));
-    }
-
-    /// Executes instructions of rank `r` until it blocks, yields, or
-    /// finishes.
-    fn step<O: ReplayObserver + ?Sized>(&mut self, r: usize, observer: &mut O) {
-        debug_assert!(self.procs[r].blocked.is_none(), "stepping a blocked rank");
-        let stream = self.streams[r];
-        loop {
-            let cursor = self.procs[r].cursor;
-            if cursor >= stream.ops.len() {
-                let at = self.procs[r].clock;
-                self.procs[r].finished = Some(at);
-                observer.finished(Rank::new(r as u32), at);
-                return;
-            }
-            let now = self.procs[r].clock;
-            match stream.ops[cursor] {
-                RecordKind::Burst => {
-                    let p = &mut self.procs[r];
-                    p.bursts_left = stream.a[cursor];
-                    p.cursor += 1;
-                    self.burst_step(r, observer);
-                    return;
-                }
-                RecordKind::Marker => {
-                    observer.marker(Rank::new(r as u32), now, stream.a[cursor]);
-                    self.procs[r].cursor += 1;
-                }
-                RecordKind::Send => {
-                    if self.charge_send_overhead(r, now, observer) {
-                        return;
-                    }
-                    let bytes = stream.payload[cursor];
-                    let rendezvous = bytes > self.eager_threshold;
-                    let kind = if rendezvous {
-                        SenderKind::Blocking
-                    } else {
-                        SenderKind::Fire
-                    };
-                    let chan = stream.a[cursor];
-                    let tid = self.create_transfer(r, chan, bytes, kind, now);
-                    self.post_send(tid, chan, now);
-                    self.procs[r].cursor += 1;
-                    if rendezvous {
-                        let p = &mut self.procs[r];
-                        p.blocked = Some(Blocker::SendDone(tid));
-                        p.block_start = now;
-                        return;
-                    }
-                }
-                RecordKind::ISend => {
-                    if self.charge_send_overhead(r, now, observer) {
-                        return;
-                    }
-                    let bytes = stream.payload[cursor];
-                    let rendezvous = bytes > self.eager_threshold;
-                    let slot = stream.b[cursor];
-                    let kind = if rendezvous {
-                        SenderKind::Request(slot)
-                    } else {
-                        SenderKind::Fire
-                    };
-                    let chan = stream.a[cursor];
-                    let tid = self.create_transfer(r, chan, bytes, kind, now);
-                    self.procs[r].slots[slot as usize] = if rendezvous {
-                        ReqState::InFlight
-                    } else {
-                        // Eager isend: the buffer is copied out immediately.
-                        ReqState::Done { at: now, tid }
-                    };
-                    self.post_send(tid, chan, now);
-                    self.procs[r].cursor += 1;
-                }
-                RecordKind::Recv => {
-                    let pid = self.post_recv(r, None, stream.a[cursor], now);
-                    self.procs[r].cursor += 1;
-                    match self.recv_posts[pid].done {
-                        Some(done) => {
-                            debug_assert!(done >= now);
-                            if done > now {
-                                let tid = self.recv_posts[pid]
-                                    .transfer
-                                    .expect("completed receives are matched");
-                                self.emit_blocked(observer, r, now, done, BlockKind::Recv, tid);
-                                self.procs[r].clock = done;
-                                self.queue.schedule(done, Event::Resume(r));
-                                return;
-                            }
-                        }
-                        None => {
-                            let p = &mut self.procs[r];
-                            p.blocked = Some(Blocker::Recv(pid));
-                            p.block_start = now;
-                            return;
-                        }
-                    }
-                }
-                RecordKind::IRecv => {
-                    let slot = stream.b[cursor];
-                    let pid = self.post_recv(r, Some(slot), stream.a[cursor], now);
-                    self.procs[r].slots[slot as usize] = match self.recv_posts[pid].done {
-                        Some(done) => ReqState::Done {
-                            at: done,
-                            tid: self.recv_posts[pid]
-                                .transfer
-                                .expect("completed receives are matched"),
-                        },
-                        None => ReqState::InFlight,
-                    };
-                    self.procs[r].cursor += 1;
-                }
-                RecordKind::Wait => {
-                    let slot = stream.a[cursor];
-                    if self.enter_wait(r, Slots::One(slot), now, observer) {
-                        return;
-                    }
-                }
-                RecordKind::WaitAll => {
-                    let len = stream.a[cursor] as usize;
-                    let start = self.procs[r].wait_pos;
-                    self.procs[r].wait_pos += len;
-                    if self.enter_wait(r, Slots::Arena(start, len), now, observer) {
-                        return;
-                    }
-                }
-                op => {
-                    let coll = collective_of(op);
-                    let bytes = stream.payload[cursor];
-                    let seq = self.procs[r].coll_seq;
-                    self.procs[r].coll_seq += 1;
-                    self.procs[r].cursor += 1;
-                    match self
-                        .collectives
-                        .arrive(seq, coll, bytes, now, self.platform)
-                    {
-                        Some(done) => {
-                            let release = DepEdge {
-                                rank: Rank::new(r as u32),
-                                at: now,
-                            };
-                            for (q, proc) in self.procs.iter_mut().enumerate() {
-                                if proc.blocked == Some(Blocker::Collective(seq)) {
-                                    observer.interval(
-                                        Rank::new(q as u32),
-                                        proc.block_start,
-                                        done,
-                                        ProcState::Collective,
-                                    );
-                                    if done > proc.block_start {
-                                        observer.attributed(
-                                            Rank::new(q as u32),
-                                            proc.block_start,
-                                            done,
-                                            WaitCause::Collective { seq: seq as u32 },
-                                            Some(release),
-                                        );
-                                    }
-                                    proc.blocked = None;
-                                    proc.clock = done;
-                                    self.queue.schedule(done, Event::Resume(q));
-                                }
-                            }
-                            observer.interval(
-                                Rank::new(r as u32),
-                                now,
-                                done,
-                                ProcState::Collective,
-                            );
-                            if done > now {
-                                observer.attributed(
-                                    Rank::new(r as u32),
-                                    now,
-                                    done,
-                                    WaitCause::Collective { seq: seq as u32 },
-                                    None,
-                                );
-                            }
-                            self.procs[r].clock = done;
-                            self.queue.schedule(done, Event::Resume(r));
-                            return;
-                        }
-                        None => {
-                            let p = &mut self.procs[r];
-                            p.blocked = Some(Blocker::Collective(seq));
-                            p.block_start = now;
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Processes a wait over pre-resolved slots. Returns true if the rank
-    /// blocked or yielded (caller must return).
-    fn enter_wait<O: ReplayObserver + ?Sized>(
-        &mut self,
-        r: usize,
-        slots: Slots,
-        now: Time,
-        observer: &mut O,
-    ) -> bool {
-        let mut remaining = ReqGroup::new();
-        let mut latest = now;
-        // Transfer of the last-completing slot: the whole wait interval is
-        // attributed to its channel (the "last unblocker").
-        let mut latest_tid: Option<TransferId> = None;
-        let one;
-        let wait_slots: &[u32] = match slots {
-            Slots::One(s) => {
-                one = [s];
-                &one
-            }
-            Slots::Arena(start, len) => &self.streams[r].wait_slots[start..start + len],
-        };
-        let p = &mut self.procs[r];
-        for &slot in wait_slots {
-            match p.slots[slot as usize] {
-                ReqState::Done { at, tid } => {
-                    if at > latest {
-                        latest = at;
-                        latest_tid = Some(tid);
-                    }
-                }
-                ReqState::InFlight => remaining.push(slot),
-            }
-        }
-        p.cursor += 1;
-        if remaining.is_empty() {
-            if latest > now {
-                observer.interval(Rank::new(r as u32), now, latest, ProcState::WaitRequest);
-                let tid = latest_tid.expect("a request completed after now");
-                self.emit_blocked(observer, r, now, latest, BlockKind::Wait, tid);
-                self.procs[r].clock = latest;
-                self.queue.schedule(latest, Event::Resume(r));
-                return true;
-            }
-            false
-        } else {
-            p.blocked = Some(Blocker::Reqs(remaining));
-            p.block_start = now;
-            true
-        }
-    }
-
-    fn charge_send_overhead<O: ReplayObserver + ?Sized>(
-        &mut self,
-        r: usize,
-        now: Time,
-        observer: &mut O,
-    ) -> bool {
-        let overhead = self.send_overhead;
-        if overhead.is_zero() {
-            return false;
-        }
-        let p = &mut self.procs[r];
-        if p.overhead_paid {
-            p.overhead_paid = false;
-            return false;
-        }
-        p.overhead_paid = true;
-        p.clock = now + overhead;
-        let at = p.clock;
-        observer.attributed(Rank::new(r as u32), now, at, WaitCause::SendOverhead, None);
-        self.queue.schedule(at, Event::Resume(r));
-        true
-    }
-
-    /// The cross-rank dependency that released rank `r` from an interval
-    /// gated by transfer `tid` (None when the interval was self-paced).
-    fn blocked_edge(&self, r: usize, start: Time, tid: TransferId) -> Option<DepEdge> {
-        let t = &self.transfers[tid];
-        if t.from.index() == r {
-            (t.ready_at > t.posted_at).then_some(DepEdge {
-                rank: t.to,
-                at: t.ready_at,
-            })
-        } else {
-            match t.arrived {
-                Some(a) if a <= start => None,
-                _ => Some(DepEdge {
-                    rank: t.from,
-                    at: t.posted_at,
-                }),
-            }
-        }
-    }
-
-    /// Emits the attributed intervals of a blocked window `[start, end)`
-    /// on rank `r` gated by transfer `tid` (identical decomposition to the
-    /// uncompiled engine's `emit_blocked`).
-    fn emit_blocked<O: ReplayObserver + ?Sized>(
-        &self,
-        observer: &mut O,
-        r: usize,
-        start: Time,
-        end: Time,
-        kind: BlockKind,
-        tid: TransferId,
-    ) {
-        if end <= start {
-            return;
-        }
-        let t = &self.transfers[tid];
-        let chan = t.chan;
-        let cause = match kind {
-            BlockKind::Recv => WaitCause::BlockedRecv { chan },
-            BlockKind::Send => WaitCause::BlockedSend { chan },
-            BlockKind::Wait => WaitCause::BlockedWait { chan },
-        };
-        let edge = self.blocked_edge(r, start, tid);
-        let rank = Rank::new(r as u32);
-        let (os, oe) = match t.outage_until {
-            Some(up) => (t.ready_at.max(start), up.min(end)),
-            None => (start, start),
-        };
-        let (qs, qe) = match (t.queued_at, t.started_at) {
-            (Some(q), Some(s)) => (q.max(start), s.min(end)),
-            _ => (end, end),
-        };
-        let down = WaitCause::LinkDown { chan };
-        let contended = WaitCause::Contended {
-            chan,
-            intra: t.intra,
-        };
-        let mut segs = [(start, start, cause); 5];
-        let mut n = 0;
-        let mut cur = start;
-        if oe > os {
-            if os > cur {
-                segs[n] = (cur, os, cause);
-                n += 1;
-            }
-            segs[n] = (os.max(cur), oe, down);
-            n += 1;
-            cur = oe;
-        }
-        if qe > qs && qe > cur {
-            if qs > cur {
-                segs[n] = (cur, qs, cause);
-                n += 1;
-            }
-            segs[n] = (qs.max(cur), qe, contended);
-            n += 1;
-            cur = qe;
-        }
-        if end > cur {
-            segs[n] = (cur, end, cause);
-            n += 1;
-        }
-        for (i, &(s, e, c)) in segs[..n].iter().enumerate() {
-            let eg = if i + 1 == n { edge } else { None };
-            observer.attributed(rank, s, e, c, eg);
-        }
-    }
-
-    fn create_transfer(
-        &mut self,
-        from: usize,
-        chan: u32,
-        bytes: u64,
-        sender_kind: SenderKind,
-        now: Time,
-    ) -> TransferId {
-        let tid = self.transfers.len();
-        let (to, tag) = {
-            let e = &self.prog.channels()[chan as usize];
-            (e.dst, e.tag)
-        };
-        let intra = self.intra_chan[chan as usize];
-        let rendezvous = sender_kind != SenderKind::Fire;
-        let jitter = if intra || self.send_seq.is_empty() {
-            Time::ZERO
-        } else {
-            let seq = self.send_seq[chan as usize];
-            self.send_seq[chan as usize] += 1;
-            self.link.jitter(Rank::new(from as u32), to, tag, seq)
-        };
-        self.transfers.push(Transfer {
-            from: Rank::new(from as u32),
-            to,
-            bytes,
-            tag,
-            rendezvous,
-            intra,
-            sender_kind,
-            recv: None,
-            enqueued: false,
-            started_at: None,
-            arrived: None,
-            chan,
-            posted_at: now,
-            queued_at: None,
-            ready_at: now,
-            jitter,
-            outage_until: None,
-        });
-        self.p2p_messages += 1;
-        self.p2p_bytes += bytes;
-        tid
-    }
-
-    fn post_send(&mut self, tid: TransferId, channel: u32, now: Time) {
-        let ch = &mut self.channels[channel as usize];
-        let matched = match ch.unmatched_recvs.pop_front() {
-            Some(pid) => {
-                self.transfers[tid].recv = Some(pid);
-                self.recv_posts[pid].transfer = Some(tid);
-                true
-            }
-            None => {
-                ch.unmatched_sends.push_back(tid);
-                false
-            }
-        };
-        let ready = !self.transfers[tid].rendezvous || matched;
-        if ready {
-            self.start_transfer(tid, now);
-        }
-    }
-
-    fn start_transfer(&mut self, tid: TransferId, now: Time) {
-        debug_assert!(!self.transfers[tid].enqueued);
-        self.transfers[tid].enqueued = true;
-        self.transfers[tid].ready_at = now;
-        if !self.transfers[tid].intra {
-            let (from, to) = (self.transfers[tid].from, self.transfers[tid].to);
-            if let Some(up) = self.link.outage_end(from, to, now) {
-                self.transfers[tid].outage_until = Some(up);
-                self.queue.schedule(up, Event::TransferRetry(tid));
-                return;
-            }
-        }
-        self.launch_transfer(tid, now);
-    }
-
-    /// Enters a ready transfer into its transport domain (the tail of
-    /// `start_transfer`, split out so link-outage retries re-enter here).
-    fn launch_transfer(&mut self, tid: TransferId, now: Time) {
-        if self.transfers[tid].intra {
-            if self.network.intra_limited() {
-                self.transfers[tid].queued_at = Some(now);
-                self.network.enqueue_intra(tid, now);
-                self.pump_intra(now);
-            } else {
-                self.transfers[tid].started_at = Some(now);
-                let (bytes, chan) = {
-                    let t = &self.transfers[tid];
-                    (t.bytes, t.chan)
-                };
-                let dur = self.transmission_time(true, bytes, chan);
-                self.queue.schedule(now + dur, Event::TransferSent(tid));
-            }
-        } else {
-            self.transfers[tid].queued_at = Some(now);
-            self.network.enqueue(tid, now);
-            self.pump_network(now);
-        }
-    }
-
-    fn post_recv(&mut self, r: usize, slot: Option<u32>, channel: u32, now: Time) -> usize {
-        let pid = self.recv_posts.len();
-        let endpoints = &self.prog.channels()[channel as usize];
-        self.recv_posts.push(RecvPost {
-            rank: r,
-            slot,
-            from: endpoints.src,
-            tag: endpoints.tag,
-            transfer: None,
-            done: None,
-        });
-        let ch = &mut self.channels[channel as usize];
-        let matched = match ch.unmatched_sends.pop_front() {
-            Some(tid) => Some(tid),
-            None => {
-                ch.unmatched_recvs.push_back(pid);
-                None
-            }
-        };
-        if let Some(tid) = matched {
-            self.transfers[tid].recv = Some(pid);
-            self.recv_posts[pid].transfer = Some(tid);
-            if self.transfers[tid].arrived.is_some() {
-                self.recv_posts[pid].done = Some(now + self.recv_overhead);
-            } else if !self.transfers[tid].enqueued {
-                self.start_transfer(tid, now);
-            }
-        }
-        pid
-    }
-
-    fn complete_request<O: ReplayObserver + ?Sized>(
-        &mut self,
-        r: usize,
-        slot: u32,
-        at: Time,
-        tid: TransferId,
-        observer: &mut O,
-    ) {
-        let proc = &mut self.procs[r];
-        let unblock = match &mut proc.blocked {
-            Some(Blocker::Reqs(set)) if set.contains(slot) => {
-                set.remove(slot);
-                set.is_empty()
-            }
-            _ => {
-                proc.slots[slot as usize] = ReqState::Done { at, tid };
-                false
-            }
-        };
-        if unblock {
-            let start = self.procs[r].block_start;
-            observer.interval(Rank::new(r as u32), start, at, ProcState::WaitRequest);
-            self.emit_blocked(observer, r, start, at, BlockKind::Wait, tid);
-            let p = &mut self.procs[r];
-            p.blocked = None;
-            p.clock = at;
-            self.queue.schedule(at, Event::Resume(r));
-        }
-    }
-
-    fn transfer_sent<O: ReplayObserver + ?Sized>(
-        &mut self,
-        tid: TransferId,
-        at: Time,
-        observer: &mut O,
-    ) {
-        let (from, to, sender_kind, intra, rendezvous, jitter) = {
-            let t = &self.transfers[tid];
-            (t.from, t.to, t.sender_kind, t.intra, t.rendezvous, t.jitter)
-        };
-        if !intra {
-            self.network.release(from, to, at);
-        } else if self.network.intra_limited() {
-            self.network
-                .release_intra(self.platform.node_of(from.get()) as usize);
-        }
-
-        match sender_kind {
-            SenderKind::Fire => {}
-            SenderKind::Blocking => {
-                let s = from.index();
-                debug_assert_eq!(self.procs[s].blocked, Some(Blocker::SendDone(tid)));
-                let start = self.procs[s].block_start;
-                observer.interval(from, start, at, ProcState::WaitSend);
-                self.emit_blocked(observer, s, start, at, BlockKind::Send, tid);
-                let p = &mut self.procs[s];
-                p.blocked = None;
-                p.clock = at;
-                self.queue.schedule(at, Event::Resume(s));
-            }
-            SenderKind::Request(slot) => {
-                self.complete_request(from.index(), slot, at, tid, observer);
-            }
-        }
-
-        let flight = self.flight_time(intra, rendezvous) + jitter;
-        self.queue.schedule(at + flight, Event::TransferDone(tid));
-        // Only the freed domain can have newly eligible transfers.
-        if intra {
-            self.pump_intra(at);
-        } else {
-            self.pump_network(at);
-        }
-    }
-
-    fn transfer_done<O: ReplayObserver + ?Sized>(
-        &mut self,
-        tid: TransferId,
-        at: Time,
-        observer: &mut O,
-    ) {
-        let (from, to, bytes, tag, started, recv) = {
-            let t = &self.transfers[tid];
-            (
-                t.from,
-                t.to,
-                t.bytes,
-                t.tag,
-                t.started_at.expect("done transfers started"),
-                t.recv,
-            )
-        };
-        self.transfers[tid].arrived = Some(at);
-        observer.message(from, to, started, at, bytes, tag);
-
-        if let Some(pid) = recv {
-            let done = at + self.recv_overhead;
-            self.recv_posts[pid].done = Some(done);
-            let r = self.recv_posts[pid].rank;
-            match self.recv_posts[pid].slot {
-                None => {
-                    debug_assert_eq!(self.procs[r].blocked, Some(Blocker::Recv(pid)));
-                    let start = self.procs[r].block_start;
-                    observer.interval(Rank::new(r as u32), start, done, ProcState::WaitRecv);
-                    self.emit_blocked(observer, r, start, done, BlockKind::Recv, tid);
-                    let p = &mut self.procs[r];
-                    p.blocked = None;
-                    p.clock = done;
-                    self.queue.schedule(done, Event::Resume(r));
-                }
-                Some(slot) => {
-                    self.complete_request(r, slot, done, tid, observer);
-                }
-            }
-        }
-    }
-}
-
-/// How a wait instruction names its slots: inline (single wait) or as a
-/// span of the rank's `WaitAll` arena.
-enum Slots {
-    One(u32),
-    Arena(usize, usize),
-}
-
-/// Maps a collective opcode to its cost-model operation.
-pub(crate) fn collective_of(op: RecordKind) -> CollectiveOp {
-    match op {
-        RecordKind::Barrier => CollectiveOp::Barrier,
-        RecordKind::AllReduce => CollectiveOp::AllReduce,
-        RecordKind::Bcast => CollectiveOp::Bcast,
-        RecordKind::Reduce => CollectiveOp::Reduce,
-        RecordKind::AllToAll => CollectiveOp::AllToAll,
-        RecordKind::AllGather => CollectiveOp::AllGather,
-        other => unreachable!("not a collective opcode: {other}"),
+        execute(self.platform(), prog, observer)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ovlsim_core::{Instr, MipsRate, RankTrace, Record, RequestId, TraceIndex, TraceSet};
+    use crate::observer::ProcState;
+    use ovlsim_core::{
+        Instr, MipsRate, Platform, Rank, RankTrace, Record, RequestId, Tag, Time, TraceIndex,
+        TraceSet,
+    };
 
     fn mips() -> MipsRate {
         MipsRate::new(1000).unwrap()

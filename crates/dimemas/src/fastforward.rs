@@ -1,101 +1,117 @@
-//! Analytic fast-forward executor for compiled trace programs.
+//! The executor for compiled trace programs ([`CompiledTrace`]).
 //!
-//! `run_fastforward` is the fourth replay engine. It executes the same
-//! instruction streams as [`crate::Simulator::run_compiled`] with the same
-//! event semantics — every start decision, FIFO tie-break, and statistic is
-//! bit-identical — but it fast-forwards through *quiescent windows*: spans
-//! of simulated time where the event queue proves that only one causal
-//! chain is active, so its events never need to touch the real heap at
-//! all.
+//! [`Simulator::run_compiled`] and [`Simulator::run_compiled_observed`]
+//! both run here. The executor walks the flat struct-of-arrays instruction
+//! streams produced by [`CompiledTrace::compile`] — one-byte opcodes,
+//! dense operand columns, pre-converted burst durations and pre-resolved
+//! request slots — with the event semantics of the prepared and naive
+//! engines: every start decision, FIFO tie-break and statistic is
+//! bit-identical (the differential property tests in `tests/props.rs`
+//! enforce it). On top of that it fast-forwards through *quiescent
+//! windows*: spans of simulated time where the event queue proves that
+//! only one causal chain is active, so its events never need to touch the
+//! real event store at all.
 //!
 //! # The quiescence proof obligation
 //!
 //! Replay correctness hinges on event *order*: transfers that become ready
 //! at the same instant contend for finite per-node links in global FIFO
 //! order, so an engine that reorders same-instant events can flip a tie
-//! and diverge. The fast-forward engine therefore never reorders anything.
-//! Scheduled events enter a small *virtual buffer* instead of the real
-//! event heap, and a buffered event at time `V` is executed directly from
-//! the buffer only when the real queue **proves** the window `[now, V]`
-//! is quiescent: `peek_time() > V` strictly (an equal-time heap event was
+//! and diverge. The executor therefore never reorders anything. Scheduled
+//! events enter a small *virtual buffer* instead of the real event store,
+//! and a buffered event at time `V` is executed directly from the buffer
+//! only when the real store **proves** the window `[now, V]` is
+//! quiescent: `peek_time() > V` strictly (an equal-time stored event was
 //! scheduled earlier and must fire first). Whenever the proof fails the
-//! whole buffer falls back per-event: it is flushed into the real heap in
-//! original schedule order, re-creating exactly the state the compiled
-//! engine would have had. Retired windows are thus closed-form by
-//! construction — a chain of transfer sends/arrivals or a coalesced
-//! compute run plays out as straight-line arithmetic over the buffer,
-//! with no heap traffic — and ambiguous windows cost one flush and then
-//! proceed event-by-event, bit-identical to [`run_compiled`].
+//! whole buffer falls back per-event: it is flushed into the real store in
+//! original schedule order, re-creating exactly the state a plain
+//! time-ordered FIFO queue would hold. Retired windows are thus
+//! closed-form by construction — a chain of transfer sends/arrivals or a
+//! coalesced compute run plays out as straight-line arithmetic over the
+//! buffer — and ambiguous windows cost one flush and then proceed
+//! event-by-event.
 //!
-//! On top of the window machinery, the executor specializes the transport
-//! for the platforms it supports (no finite bus pool, no finite intra-node
-//! ports — anything else falls back to `run_compiled` up front):
+//! # Transport
 //!
-//! * the waiting FIFO is sharded into per-node queues tagged with global
-//!   FIFO seqs, so a released link pair rescans only the waiters it could
-//!   possibly admit (merged back in global FIFO order) and rescans that
-//!   provably admit nothing are skipped outright — the outcome is
-//!   unchanged because after every scan each waiter is blocked on at
-//!   least one busy resource, and none of its resources were freed,
-//! * transfers carry only the fields replay needs (no observer
-//!   attribution state), and
-//! * the observer layer is gone entirely: fast-forward replay is
-//!   unobserved by definition (observation wants the per-event timeline
-//!   that fast-forwarding elides — use `run_compiled_observed`).
+//! The platform selects the transport; both make identical start
+//! decisions:
 //!
-//! [`run_compiled`]: crate::Simulator::run_compiled
+//! * **Per-node pumps** (no finite bus pool, uncontended intra-node
+//!   domain). The waiting FIFO is sharded into per-node queues tagged with
+//!   global FIFO seqs, so a released link pair rescans only the waiters it
+//!   could possibly admit (merged back in global FIFO order), and rescans
+//!   that provably admit nothing are skipped outright. The outcome is
+//!   unchanged because after every scan each waiter is blocked on at least
+//!   one busy resource, and none of its resources were freed.
+//! * **Global pump** (a finite bus pool or finite intra-node ports). A
+//!   release can admit a waiter anywhere in the machine, so transfers
+//!   queue in the global FIFOs of [`Network`] and every release rescans
+//!   the freed domain in full.
+//!
+//! # Observation
+//!
+//! The executor is generic over its observer. The unobserved run
+//! monomorphizes against [`NullObserver`]: every timeline callback and all
+//! attribution-only transfer state (posted, ready, queued, started and
+//! outage times, kept in a side table) compile away. An observed run needs
+//! an uncoalesced program, so every compute window holds one sub-burst and
+//! the timeline keeps per-event detail; since the virtual buffer never
+//! reorders events, callbacks fire in the prepared engine's order.
+//!
+//! A stalled run is diagnosed here as well: [`SimError::Deadlock`] names
+//! the same blockers, in the same words, as [`Simulator::run_prepared`].
+//!
+//! [`Simulator::run_compiled`]: crate::Simulator::run_compiled
+//! [`Simulator::run_compiled_observed`]: crate::Simulator::run_compiled_observed
+//! [`Simulator::run_prepared`]: crate::Simulator::run_prepared
 
 use std::collections::VecDeque;
 
-use ovlsim_core::{CompiledTrace, Platform, Rank, RecordKind, Time};
+use ovlsim_core::{CollectiveOp, CompiledTrace, Platform, Rank, RecordKind, Time};
 use ovlsim_engine::stats::TimeWeighted;
 
 use crate::collective::CollectiveTracker;
-use crate::compiled::collective_of;
 use crate::error::SimError;
-use crate::network::{LinkPerturb, TransferId};
-use crate::replay::{ReplayResult, Simulator};
+use crate::network::{LinkPerturb, Network, TransferId};
+use crate::observer::{DepEdge, NullObserver, ProcState, ReplayObserver, WaitCause};
+use crate::replay::ReplayResult;
 use crate::reqs::{ReqGroup, ReqState};
 
-impl Simulator {
-    /// Replays a compiled trace program with analytic fast-forwarding
-    /// through quiescent windows. Bit-identical to
-    /// [`Simulator::run_compiled`] (and therefore to the prepared and
-    /// naive engines) on every platform and perturbation model; platforms
-    /// the fast path does not specialize for (finite bus pools, finite
-    /// intra-node ports) are delegated to `run_compiled` wholesale.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Deadlock`] if replay stalls (diagnosed by the
-    /// compiled engine so the report is identical).
-    pub fn run_fastforward(&self, prog: &CompiledTrace) -> Result<ReplayResult, SimError> {
-        let platform = self.platform();
-        if platform.buses().is_some() || platform.intra_node_links().is_some() {
-            return self.run_compiled(prog);
-        }
-        match FfState::new(platform, prog).run() {
-            Ok(res) => Ok(res),
-            // Deadlock: re-run under the compiled engine, which reproduces
-            // the identical error (same stall point, same blocker text).
-            Err(FfAbort) => self.run_compiled(prog),
-        }
-    }
+/// Replays `prog` on `platform`, reporting timeline happenings to `obs`.
+pub(crate) fn execute<O: Observe + ?Sized>(
+    platform: &Platform,
+    prog: &CompiledTrace,
+    obs: &mut O,
+) -> Result<ReplayResult, SimError> {
+    FfState::new(platform, prog, obs, false).run()
 }
 
-/// Abort marker: the run cannot finish cleanly here (deadlocked trace);
-/// the caller re-runs under `run_compiled` for the canonical diagnosis.
-struct FfAbort;
+/// Compile-time observation switch. [`NullObserver`] turns it off, so the
+/// unobserved run pays for no callback and no attribution bookkeeping;
+/// any `dyn` observer turns it on.
+pub(crate) trait Observe: ReplayObserver {
+    /// Whether timeline callbacks and attribution state are live.
+    const ON: bool;
+}
+
+impl Observe for NullObserver {
+    const ON: bool = false;
+}
+
+impl Observe for dyn ReplayObserver + '_ {
+    const ON: bool = true;
+}
 
 /// A scheduled event packed into one word: kind tag in the low 2 bits,
-/// rank or transfer index above — halves event-store traffic versus the
-/// compiled engine's enum.
+/// rank or transfer index above.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Event(u64);
 
 const EV_RESUME: u64 = 0;
 const EV_SENT: u64 = 1;
 const EV_DONE: u64 = 2;
+/// Re-attempt a transfer held back by a transient link outage (faulty
+/// platforms only; never scheduled on a clean run).
 const EV_RETRY: u64 = 3;
 
 impl Event {
@@ -125,12 +141,12 @@ impl Event {
     }
 }
 
-/// Calendar-bucket event store with pop order bit-identical to the
-/// compiled engine's binary heap: time ascending, FIFO among equal
-/// times. Events at the same instant land in one bucket in push order,
-/// so no percolation and no per-event sequence numbers — scheduling is
-/// an O(1) append in the common case (the target instant is at or past
-/// the latest pending one) and popping is a cursor bump.
+/// Calendar-bucket event store with the pop order of a binary heap keyed
+/// on `(time, schedule seq)`: time ascending, FIFO among equal times.
+/// Events at the same instant land in one bucket in push order, so no
+/// percolation and no per-event sequence numbers — scheduling is an O(1)
+/// append in the common case (the target instant is at or past the latest
+/// pending one) and popping is a cursor bump.
 struct BucketQueue {
     /// Pending instants, ascending. A ring so that scheduling at the
     /// current instant (front) and at the horizon (back) are both O(1);
@@ -254,7 +270,7 @@ impl BucketQueue {
 /// queue. `pop` executes straight from the buffer when the real queue
 /// proves the buffered event fires strictly first; otherwise the buffer
 /// is flushed in original schedule order (re-creating exactly the FIFO
-/// positions the compiled engine would have assigned) and the real queue
+/// positions a plain queue would have assigned) and the real queue
 /// decides. Pop order is therefore identical to scheduling everything on
 /// the real queue directly — the buffer only removes queue traffic from
 /// quiescent windows, it never reorders.
@@ -334,12 +350,13 @@ impl VQueue {
 enum SenderKind {
     Fire,
     Blocking,
+    /// Rendezvous isend: complete this pre-resolved slot at completion.
     Request(u32),
 }
 
-/// Replay-only transfer state (the compiled engine's `Transfer` minus the
-/// observer-attribution fields), with the endpoint nodes cached so the
-/// hot start/release paths never recompute them.
+/// Replay transfer state, with the endpoint nodes cached so the hot
+/// start/release paths never recompute them. Attribution-only state lives
+/// in [`TransferAttr`].
 #[derive(Debug)]
 struct Transfer {
     from: Rank,
@@ -349,16 +366,34 @@ struct Transfer {
     bytes: u64,
     rendezvous: bool,
     intra: bool,
+    /// Parked in the per-node waiter queues.
     waiting: bool,
     sender_kind: SenderKind,
     /// Matched receive post, or `NONE_U32` while unmatched.
     recv: u32,
     enqueued: bool,
     chan: u32,
+    /// Flight-latency jitter drawn at creation time (zero on clean runs).
     jitter: Time,
     arrived: Option<Time>,
     /// Next unmatched send on the same channel (intrusive FIFO).
     next: u32,
+}
+
+/// A transfer's attribution timestamps, parallel to the transfer table
+/// and filled only on observed runs.
+#[derive(Debug, Clone, Copy)]
+struct TransferAttr {
+    /// Sender's clock when the send instruction was executed.
+    posted: Time,
+    /// When the transfer became ready to move data.
+    ready: Time,
+    /// When the transfer entered a finite-resource queue (`None` if it
+    /// never queued).
+    queued: Option<Time>,
+    started: Option<Time>,
+    /// End of the link outage that held the transfer back, if any.
+    outage: Option<Time>,
 }
 
 /// Sentinel for the intrusive channel lists and optional u32 indices.
@@ -402,8 +437,17 @@ impl Default for Channel {
 enum Blocker {
     Recv(usize),
     SendDone(TransferId),
+    /// Remaining request *slots* of a wait-set.
     Reqs(ReqGroup),
     Collective(usize),
+}
+
+/// Which wait cause a blocked window is charged to (see `emit_blocked`).
+#[derive(Debug, Clone, Copy)]
+enum BlockKind {
+    Recv,
+    Send,
+    Wait,
 }
 
 #[derive(Debug)]
@@ -411,16 +455,25 @@ struct Proc {
     cursor: usize,
     clock: Time,
     blocked: Option<Blocker>,
+    block_start: Time,
     coll_seq: usize,
+    /// Flat request-state table indexed by pre-resolved slot. Entries are
+    /// overwritten on post, so no per-wait cleanup is needed.
     slots: Vec<ReqState>,
     compute: Time,
     finished: Option<Time>,
     overhead_paid: bool,
+    /// Cursor into the rank's burst-duration arena (program order).
     burst_pos: usize,
+    /// Sub-bursts left in the burst run currently being executed; while
+    /// non-zero, resumes continue the run instead of decoding the stream.
     bursts_left: u32,
+    /// Cursor into the rank's `WaitAll` slot arena (program order).
     wait_pos: usize,
 }
 
+/// One rank's stream slices, resolved once so the hot loop never chases
+/// back through the [`CompiledTrace`] accessors.
 #[derive(Clone, Copy)]
 struct Stream<'a> {
     ops: &'a [RecordKind],
@@ -431,6 +484,10 @@ struct Stream<'a> {
     wait_slots: &'a [u32],
 }
 
+/// Memo of rounded wire transmission times per distinct byte count. The
+/// list stays tiny for chunked traces (a handful of distinct sizes); it is
+/// capped so a pathological all-distinct trace degrades to computing, not
+/// to a quadratic scan.
 #[derive(Debug, Default)]
 struct XmitMemo {
     entries: Vec<(u64, Time)>,
@@ -453,9 +510,9 @@ impl XmitMemo {
 }
 
 /// A parked transfer in a per-node waiter queue. `seq` is the global
-/// enqueue order (the compiled engine's FIFO position), `other` the node
-/// on the opposite side of the pair so eligibility checks never touch
-/// the `Transfer` record.
+/// enqueue order (its position in the global FIFO), `other` the node on
+/// the opposite side of the pair so eligibility checks never touch the
+/// `Transfer` record.
 #[derive(Debug, Clone, Copy)]
 struct WaitEnt {
     seq: u32,
@@ -463,20 +520,19 @@ struct WaitEnt {
     other: u32,
 }
 
-/// Transport state specialized for the supported platforms: no bus pool
+/// Per-node transport for platforms without finite pools: no bus pool
 /// (`buses = None`) and an uncontended intra-node domain. Start/occupy/
-/// release/statistics semantics are copied from [`crate::network::Network`]
-/// exactly. The global waiting FIFO is sharded into per-node queues (a
-/// waiter is parked under both its sender and receiver node, tagged with
-/// its global FIFO seq) so a released link pair rescans only the waiters
-/// it could possibly admit — every other waiter's resources are untouched
-/// by the release, and after each scan every waiter is blocked on at
-/// least one busy resource, so the restricted scan provably reproduces
-/// the full scan's decisions in the same order.
-struct FfNet {
+/// release/statistics semantics are copied from [`Network`] exactly. The
+/// global waiting FIFO is sharded into per-node queues (a waiter is parked
+/// under both its sender and receiver node, tagged with its global FIFO
+/// seq) so a released link pair rescans only the waiters it could possibly
+/// admit — every other waiter's resources are untouched by the release,
+/// and after each scan every waiter is blocked on at least one busy
+/// resource, so the restricted scan provably reproduces the full scan's
+/// decisions in the same order.
+struct NodeNet {
     out_limit: u32,
     in_limit: u32,
-    ranks_per_node: u32,
     busy: u32,
     out_used: Vec<u32>,
     in_used: Vec<u32>,
@@ -492,14 +548,13 @@ struct FfNet {
     waiting_last_time: Time,
 }
 
-impl FfNet {
+impl NodeNet {
     fn new(platform: &Platform, ranks: usize) -> Self {
         let rpn = platform.ranks_per_node() as usize;
         let nodes = ranks.div_ceil(rpn).max(1);
-        FfNet {
+        NodeNet {
             out_limit: platform.output_links(),
             in_limit: platform.input_links(),
-            ranks_per_node: platform.ranks_per_node(),
             busy: 0,
             out_used: vec![0; nodes],
             in_used: vec![0; nodes],
@@ -512,11 +567,6 @@ impl FfNet {
             waiting_last_len: 0,
             waiting_last_time: Time::ZERO,
         }
-    }
-
-    #[inline]
-    fn node(&self, rank: Rank) -> usize {
-        (rank.get() / self.ranks_per_node) as usize
     }
 
     /// Same persisted-length semantics as `Network::note_waiting`. Calls
@@ -536,6 +586,17 @@ impl FfNet {
     }
 
     #[inline]
+    fn pair_open(&self, nf: usize, nt: usize) -> bool {
+        self.out_used[nf] < self.out_limit && self.in_used[nt] < self.in_limit
+    }
+
+    /// Whether any waiter is parked on either side of the `(nf, nt)` pair.
+    #[inline]
+    fn has_waiters(&self, nf: usize, nt: usize) -> bool {
+        !self.out_q[nf].is_empty() || !self.in_q[nt].is_empty()
+    }
+
+    #[inline]
     fn occupy(&mut self, nf: usize, nt: usize, now: Time) {
         self.busy += 1;
         self.out_used[nf] += 1;
@@ -551,20 +612,67 @@ impl FfNet {
         self.in_used[nt] -= 1;
         self.bus_util.record(now, self.busy as f64);
     }
+
+    /// Parks a waiter under both its nodes at the tail of the global FIFO.
+    fn park(&mut self, tid: TransferId, nf: usize, nt: usize, now: Time) {
+        let seq = self.enq_seq;
+        self.enq_seq += 1;
+        let tid = tid as u32;
+        self.out_q[nf].push_back(WaitEnt {
+            seq,
+            tid,
+            other: nt as u32,
+        });
+        self.in_q[nt].push_back(WaitEnt {
+            seq,
+            tid,
+            other: nf as u32,
+        });
+        self.waiting_len += 1;
+        self.note_waiting(now);
+    }
 }
 
-struct FfState<'a> {
+/// The platform-selected transport (see the module docs).
+enum Net {
+    /// No finite pool: per-node waiter queues.
+    Nodes(NodeNet),
+    /// A finite bus pool or finite intra-node ports: global FIFO rescans.
+    Global(Network),
+}
+
+struct FfState<'a, O: Observe + ?Sized> {
     platform: &'a Platform,
     prog: &'a CompiledTrace,
     streams: Vec<Stream<'a>>,
+    /// Per-channel routing decision (true = both endpoints share a node),
+    /// derived once per run from the program's channel endpoints.
     intra_chan: Vec<bool>,
+    /// Hoisted burst scale factor (`1 / cpu_ratio`), identical to the
+    /// value the uncompiled engines recompute per burst.
     inv_cpu_ratio: f64,
+    /// True when the platform's perturbation model stretches compute
+    /// bursts (noise, stragglers or heterogeneous nodes).
     compute_perturbed: bool,
+    /// True when the model draws per-burst OS noise (the only compute
+    /// effect that needs a hash per sub-burst).
     noise_on: bool,
+    /// Per-rank burst prefactor (cpu ratio x node speed x straggler),
+    /// hoisted out of the event loop; empty on clean runs. The values are
+    /// exactly `PerturbationModel::burst_prefactor`, so per-burst rounding
+    /// stays bit-identical to the uncompiled engines.
     burst_pre: Vec<f64>,
+    /// Per-channel link-degradation stretch factor, hoisted once per run
+    /// (`PerturbationModel::link_factor` is stable per directed rank
+    /// pair); empty when degradation is off.
     chan_stretch: Vec<f64>,
+    /// Link-level perturbations (degradation, jitter, faults); shared
+    /// logic with the uncompiled engines so factors match bit-exactly.
     link: LinkPerturb,
+    /// Per-channel send sequence numbers feeding jitter draws; empty when
+    /// the model has no link effects.
     send_seq: Vec<u64>,
+    // Platform scalars hoisted out of the event loop.
     eager_threshold: u64,
     send_overhead: Time,
     recv_overhead: Time,
@@ -576,9 +684,14 @@ struct FfState<'a> {
     queue: VQueue,
     procs: Vec<Proc>,
     transfers: Vec<Transfer>,
+    /// Attribution side table, parallel to `transfers`; empty unless
+    /// observing.
+    attr: Vec<TransferAttr>,
     recv_posts: Vec<RecvPost>,
     channels: Vec<Channel>,
-    net: FfNet,
+    net: Net,
+    /// Transfers started by the latest pump, reused across pumps.
+    started: Vec<TransferId>,
     collectives: CollectiveTracker,
     p2p_messages: u64,
     p2p_bytes: u64,
@@ -589,18 +702,15 @@ struct FfState<'a> {
     /// proof implies these are monotone across the whole run, checked in
     /// debug builds.
     last_window_end: Time,
+    obs: &'a mut O,
 }
 
-impl<'a> FfState<'a> {
-    fn new(platform: &'a Platform, prog: &'a CompiledTrace) -> Self {
-        Self::with_fallback(platform, prog, false)
-    }
-
-    /// `FfState` with the per-event fallback forced everywhere: no
-    /// virtual buffer, no compute-run coalescing. Exists for the
-    /// differential tests — a forced run must agree with the normal run
-    /// event for event (observable as an identical `ReplayResult`).
-    fn with_fallback(platform: &'a Platform, prog: &'a CompiledTrace, force: bool) -> Self {
+impl<'a, O: Observe + ?Sized> FfState<'a, O> {
+    /// `force` replaces every window with the per-event fallback: no
+    /// virtual buffer, no compute-run coalescing. The differential tests
+    /// use it to check that a forced run agrees with the normal run event
+    /// for event (observable as an identical `ReplayResult`).
+    fn new(platform: &'a Platform, prog: &'a CompiledTrace, obs: &'a mut O, force: bool) -> Self {
         let n = prog.rank_count();
         let model = platform.perturbation();
         let inv_cpu_ratio = 1.0 / platform.cpu_ratio();
@@ -613,9 +723,20 @@ impl<'a> FfState<'a> {
             Vec::new()
         };
         let chan_stretch = if model.link_degradation() > 0.0 {
+            // The factor depends on the rank pair only, and the chunk
+            // channels of one message are interned next to each other, so
+            // one remembered pair saves most of the hashing.
+            let mut last = None;
             prog.channels()
                 .iter()
-                .map(|c| model.link_factor(c.src.get(), c.dst.get()))
+                .map(|c| match last {
+                    Some((src, dst, f)) if (src, dst) == (c.src, c.dst) => f,
+                    _ => {
+                        let f = model.link_factor(c.src.get(), c.dst.get());
+                        last = Some((c.src, c.dst, f));
+                        f
+                    }
+                })
                 .collect()
         } else {
             Vec::new()
@@ -630,6 +751,11 @@ impl<'a> FfState<'a> {
                 }
             }
         }
+        let net = if platform.buses().is_some() || platform.intra_node_links().is_some() {
+            Net::Global(Network::new(platform, n))
+        } else {
+            Net::Nodes(NodeNet::new(platform, n))
+        };
         FfState {
             platform,
             prog,
@@ -676,6 +802,7 @@ impl<'a> FfState<'a> {
                     cursor: 0,
                     clock: Time::ZERO,
                     blocked: None,
+                    block_start: Time::ZERO,
                     coll_seq: 0,
                     slots: vec![ReqState::InFlight; prog.rank(r).slot_count() as usize],
                     compute: Time::ZERO,
@@ -687,20 +814,23 @@ impl<'a> FfState<'a> {
                 })
                 .collect(),
             transfers: Vec::with_capacity(sends),
+            attr: Vec::with_capacity(if O::ON { sends } else { 0 }),
             recv_posts: Vec::with_capacity(recvs),
             channels: (0..prog.channels().len())
                 .map(|_| Channel::default())
                 .collect(),
-            net: FfNet::new(platform, n),
+            net,
+            started: Vec::new(),
             collectives: CollectiveTracker::new(n),
             p2p_messages: 0,
             p2p_bytes: 0,
             force_fallback: force,
             last_window_end: Time::ZERO,
+            obs,
         }
     }
 
-    fn run(&mut self) -> Result<ReplayResult, FfAbort> {
+    fn run(mut self) -> Result<ReplayResult, SimError> {
         for r in 0..self.procs.len() {
             self.queue.schedule(Time::ZERO, Event::resume(r));
         }
@@ -720,7 +850,7 @@ impl<'a> FfState<'a> {
             }
         }
         if self.procs.iter().any(|p| p.finished.is_none()) {
-            return Err(FfAbort);
+            return Err(self.deadlock());
         }
         let rank_finish: Vec<Time> = self
             .procs
@@ -728,6 +858,18 @@ impl<'a> FfState<'a> {
             .map(|p| p.finished.expect("all finished"))
             .collect();
         let total_time = rank_finish.iter().copied().max().unwrap_or(Time::ZERO);
+        let (mean_busy_buses, peak_busy_buses, peak_waiting_transfers) = match &self.net {
+            Net::Nodes(net) => (
+                net.bus_util.mean(total_time),
+                net.bus_util.peak(),
+                net.peak_waiting(),
+            ),
+            Net::Global(net) => (
+                net.mean_busy_buses(total_time),
+                net.peak_busy_buses(),
+                net.peak_waiting(),
+            ),
+        };
         Ok(ReplayResult {
             name: self.prog.name().to_string(),
             total_time,
@@ -736,12 +878,58 @@ impl<'a> FfState<'a> {
             p2p_messages: self.p2p_messages,
             p2p_bytes: self.p2p_bytes,
             collective_count: self.collectives.instance_count() as u64,
-            mean_busy_buses: self.net.bus_util.mean(total_time),
-            peak_busy_buses: self.net.bus_util.peak(),
-            peak_waiting_transfers: self.net.peak_waiting(),
+            mean_busy_buses,
+            peak_busy_buses,
+            peak_waiting_transfers,
         })
     }
 
+    /// The stall diagnosis of a run whose queue drained with ranks still
+    /// blocked, worded exactly like the prepared engine's.
+    fn deadlock(&self) -> SimError {
+        let chans = self.prog.channels();
+        let blocked = self
+            .procs
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.finished.is_none())
+            .map(|(r, p)| {
+                let why = match &p.blocked {
+                    None => "runnable but starved (internal error)".to_string(),
+                    // A blocked receive leaves the cursor just past its
+                    // instruction, whose operand is the channel.
+                    Some(Blocker::Recv(_)) => {
+                        let c = &chans[self.streams[r].a[p.cursor - 1] as usize];
+                        format!("blocked in recv from {} {}", c.src, c.tag)
+                    }
+                    Some(Blocker::SendDone(tid)) => {
+                        let t = &self.transfers[*tid];
+                        let tag = chans[t.chan as usize].tag;
+                        format!("blocked in rendezvous send to {} {tag}", t.to)
+                    }
+                    Some(Blocker::Reqs(reqs)) => {
+                        format!("blocked waiting {} requests", reqs.len())
+                    }
+                    Some(Blocker::Collective(seq)) => format!("blocked in collective #{seq}"),
+                };
+                (Rank::new(r as u32), why)
+            })
+            .collect();
+        let at = self
+            .procs
+            .iter()
+            .map(|p| p.clock)
+            .max()
+            .unwrap_or(Time::ZERO);
+        SimError::Deadlock { at, blocked }
+    }
+
+    /// Memoized wire occupancy time of a transfer (exactly
+    /// `bandwidth.transfer_time(bytes)` of the relevant domain). Link
+    /// degradation stretches the *rounded* memoized base by the channel's
+    /// hoisted `link_factor` — the same evaluation order as the uncompiled
+    /// engines — so the memo stays valid under perturbation. Intra-node
+    /// transfers are exempt from all link perturbations.
     #[inline]
     fn transmission_time(&mut self, intra: bool, bytes: u64, chan: u32) -> Time {
         if intra {
@@ -758,6 +946,11 @@ impl<'a> FfState<'a> {
         }
     }
 
+    /// Duration of the sub-burst at arena index `idx` of rank `r`. Clean
+    /// runs scale by `1 / cpu_ratio`; perturbed runs apply the full
+    /// per-burst factor keyed on the arena index, which equals the
+    /// uncompiled engines' per-rank burst ordinal (the arena holds one
+    /// entry per original burst record, in program order).
     #[inline]
     fn sub_burst(&self, r: usize, idx: usize, ps: u64) -> Time {
         let base = Time::from_ps(ps);
@@ -770,6 +963,9 @@ impl<'a> FfState<'a> {
             }
             return base.scale_f64(self.inv_cpu_ratio);
         }
+        // `burst_pre[r] * noise_factor` is exactly `burst_factor` with the
+        // rank-constant part hoisted (same multiply order, bit-identical
+        // rounding to the uncompiled engines).
         let pre = self.burst_pre[r];
         if self.noise_on {
             let noise = self
@@ -793,32 +989,65 @@ impl<'a> FfState<'a> {
         }
     }
 
+    /// Starts moving `tid`'s bytes at `now`: schedules its last byte.
+    #[inline]
+    fn transmit(&mut self, tid: TransferId, now: Time) {
+        if O::ON {
+            self.attr[tid].started = Some(now);
+        }
+        let t = &self.transfers[tid];
+        let (intra, bytes, chan) = (t.intra, t.bytes, t.chan);
+        let dur = self.transmission_time(intra, bytes, chan);
+        self.queue.schedule(now + dur, Event::sent(tid));
+    }
+
+    /// Transmits every transfer the latest pump started, in start order.
+    fn transmit_started(&mut self, now: Time) {
+        let started = std::mem::take(&mut self.started);
+        for &tid in &started {
+            self.transmit(tid, now);
+        }
+        self.started = started;
+    }
+
+    #[inline]
+    fn note_queued(&mut self, tid: TransferId, now: Time) {
+        if O::ON {
+            self.attr[tid].queued = Some(now);
+        }
+    }
+
     /// Rescans the waiters a just-released `(nf, nt)` pair could admit —
-    /// identical order and start decisions to the compiled engine's full
-    /// FIFO scan (`Network::start_eligible_into`). Only waiters parked
-    /// under `nf`'s sender side or `nt`'s receiver side are candidates:
-    /// every other waiter was blocked on at least one busy resource after
-    /// the previous scan and none of its resources were freed, so the
-    /// full scan would skip it. Candidates are visited in global FIFO
-    /// (seq) order by merging the two node queues; blocked heads are
-    /// passed over exactly like the full scan, and the merge stops early
-    /// once the freed pair is saturated again (every remaining candidate
-    /// needs one of the two saturated links).
+    /// identical order and start decisions to the full FIFO scan
+    /// (`Network::start_eligible_into`). Only waiters parked under `nf`'s
+    /// sender side or `nt`'s receiver side are candidates: every other
+    /// waiter was blocked on at least one busy resource after the
+    /// previous scan and none of its resources were freed, so the full
+    /// scan would skip it. Candidates are visited in global FIFO (seq)
+    /// order by merging the two node queues; blocked heads are passed over
+    /// exactly like the full scan, and the merge stops early once the
+    /// freed pair is saturated again (every remaining candidate needs one
+    /// of the two saturated links).
     fn pump_pair(&mut self, nf: usize, nt: usize, now: Time) {
+        let Net::Nodes(net) = &mut self.net else {
+            unreachable!("pair pumps run on the per-node transport")
+        };
+        let transfers = &mut self.transfers;
+        let started = &mut self.started;
+        started.clear();
         let mut oi = 0usize;
         let mut ii = 0usize;
-        let mut started = false;
         loop {
-            let out_open = self.net.out_used[nf] < self.net.out_limit;
-            let in_open = self.net.in_used[nt] < self.net.in_limit;
+            let out_open = net.out_used[nf] < net.out_limit;
+            let in_open = net.in_used[nt] < net.in_limit;
             // Skip dead entries (tombstoned twins of started waiters) at
             // the current scan positions.
             let oc = if out_open {
                 loop {
-                    match self.net.out_q[nf].get(oi) {
-                        Some(e) if !self.transfers[e.tid as usize].waiting => {
+                    match net.out_q[nf].get(oi) {
+                        Some(e) if !transfers[e.tid as usize].waiting => {
                             if oi == 0 {
-                                self.net.out_q[nf].pop_front();
+                                net.out_q[nf].pop_front();
                             } else {
                                 oi += 1;
                             }
@@ -831,10 +1060,10 @@ impl<'a> FfState<'a> {
             };
             let ic = if in_open {
                 loop {
-                    match self.net.in_q[nt].get(ii) {
-                        Some(e) if !self.transfers[e.tid as usize].waiting => {
+                    match net.in_q[nt].get(ii) {
+                        Some(e) if !transfers[e.tid as usize].waiting => {
                             if ii == 0 {
-                                self.net.in_q[nt].pop_front();
+                                net.in_q[nt].pop_front();
                             } else {
                                 ii += 1;
                             }
@@ -867,44 +1096,68 @@ impl<'a> FfState<'a> {
             } else {
                 (ent.other as usize, nt)
             };
-            if self.net.out_used[cnf] < self.net.out_limit
-                && self.net.in_used[cnt] < self.net.in_limit
-            {
-                let tid = ent.tid as usize;
-                self.transfers[tid].waiting = false;
-                self.net.waiting_len -= 1;
-                started = true;
-                self.net.occupy(cnf, cnt, now);
-                let (bytes, chan) = (self.transfers[tid].bytes, self.transfers[tid].chan);
-                let dur = self.transmission_time(false, bytes, chan);
-                self.queue.schedule(now + dur, Event::sent(tid));
+            let tid = ent.tid as usize;
+            if net.pair_open(cnf, cnt) {
+                transfers[tid].waiting = false;
+                net.waiting_len -= 1;
+                net.occupy(cnf, cnt, now);
+                started.push(tid);
             }
             // Advance past the candidate whether it started (its entries
             // are now tombstones) or stays blocked (pass-blocked-head).
+            let dead = !transfers[tid].waiting;
             if from_out {
-                if oi == 0 && !self.transfers[ent.tid as usize].waiting {
-                    self.net.out_q[nf].pop_front();
+                if oi == 0 && dead {
+                    net.out_q[nf].pop_front();
                 } else {
                     oi += 1;
                 }
                 if both {
-                    if ii == 0 && !self.transfers[ent.tid as usize].waiting {
-                        self.net.in_q[nt].pop_front();
+                    if ii == 0 && dead {
+                        net.in_q[nt].pop_front();
                     } else {
                         ii += 1;
                     }
                 }
-            } else if ii == 0 && !self.transfers[ent.tid as usize].waiting {
-                self.net.in_q[nt].pop_front();
+            } else if ii == 0 && dead {
+                net.in_q[nt].pop_front();
             } else {
                 ii += 1;
             }
         }
-        if started {
-            self.net.note_waiting(now);
+        if !started.is_empty() {
+            net.note_waiting(now);
+            self.transmit_started(now);
         }
     }
 
+    /// Rescans the global FIFO of the freed domain (`intra`: the
+    /// node-port domain, else the bus/link fabric) and starts every
+    /// transfer whose resources are free, in FIFO order.
+    fn pump_global(&mut self, intra: bool, now: Time) {
+        let Net::Global(net) = &mut self.net else {
+            unreachable!("global pumps run on the global transport")
+        };
+        let transfers = &self.transfers;
+        if intra {
+            // Both endpoints of an intra-node transfer share node `nf`.
+            net.start_eligible_intra_into(now, |id| transfers[id].nf as usize, &mut self.started);
+        } else {
+            net.start_eligible_into(
+                now,
+                |id| (transfers[id].from, transfers[id].to),
+                &mut self.started,
+            );
+        }
+        self.transmit_started(now);
+    }
+
+    /// Executes (part of) the burst run at the rank's burst cursor,
+    /// scheduling exactly one resume. Greedily absorbs the longest prefix
+    /// of remaining sub-bursts whose end the event queue proves
+    /// undisturbed (nothing else fires before it), and always consumes at
+    /// least one sub-burst — which is precisely the uncompiled engines'
+    /// one-event-per-burst behaviour, so the fallback is tie-exact.
     fn burst_step(&mut self, r: usize) {
         let now = self.procs[r].clock;
         let left = self.procs[r].bursts_left as usize;
@@ -913,8 +1166,7 @@ impl<'a> FfState<'a> {
         let arena = &self.streams[r].burst_ps[pos..pos + left];
         // The jump window is proven against both event stores: nothing may
         // fire before the absorbed run's end. Virtual events are part of
-        // "the machine" exactly like heap events here — the tie-break
-        // analysis is the compiled engine's, unchanged.
+        // "the machine" exactly like stored events here.
         let peek = match (
             self.queue.real.peek_time(),
             self.queue.vbuf.iter().map(|&(t, _)| t).min(),
@@ -924,17 +1176,23 @@ impl<'a> FfState<'a> {
             (None, Some(b)) => Some(b),
             (Some(a), Some(b)) => Some(a.min(b)),
         };
+        // First sub-burst is unconditional (matches the naive engines).
         let mut total = self.sub_burst(r, pos, arena[0]);
         let mut end = now + total;
         let mut consumed = 1;
         while consumed < left && !self.force_fallback {
+            // Absorbing the next sub-burst is unobservable iff no other
+            // event fires before its end. `t > now` guards zero-length
+            // runs: a pending same-instant event would interleave with the
+            // chain in the uncompiled engines, so the chain must yield.
+            // An event before the current end fails the proof whatever
+            // the next duration is, so that case skips computing it.
+            if peek.is_some_and(|t| t < end || t <= now) {
+                break;
+            }
             let dur = self.sub_burst(r, pos + consumed, arena[consumed]);
             let next_end = end + dur;
-            let quiet = match peek {
-                None => true,
-                Some(t) => t >= next_end && t > now,
-            };
-            if !quiet {
+            if peek.is_some_and(|t| t < next_end) {
                 break;
             }
             total += dur;
@@ -952,6 +1210,12 @@ impl<'a> FfState<'a> {
             );
             self.last_window_end = end;
         }
+        let rank = Rank::new(r as u32);
+        self.obs.interval(rank, now, end, ProcState::Compute);
+        if end > now {
+            self.obs
+                .attributed(rank, now, end, WaitCause::Compute, None);
+        }
         let p = &mut self.procs[r];
         p.compute += total;
         p.clock = end;
@@ -960,14 +1224,18 @@ impl<'a> FfState<'a> {
         self.queue.schedule(end, Event::resume(r));
     }
 
+    /// Executes instructions of rank `r` until it blocks, yields, or
+    /// finishes.
     fn step(&mut self, r: usize) {
         debug_assert!(self.procs[r].blocked.is_none(), "stepping a blocked rank");
         let stream = self.streams[r];
+        let rank = Rank::new(r as u32);
         loop {
             let cursor = self.procs[r].cursor;
             if cursor >= stream.ops.len() {
                 let at = self.procs[r].clock;
                 self.procs[r].finished = Some(at);
+                self.obs.finished(rank, at);
                 return;
             }
             let now = self.procs[r].clock;
@@ -980,6 +1248,7 @@ impl<'a> FfState<'a> {
                     return;
                 }
                 RecordKind::Marker => {
+                    self.obs.marker(rank, now, stream.a[cursor]);
                     self.procs[r].cursor += 1;
                 }
                 RecordKind::Send => {
@@ -994,11 +1263,11 @@ impl<'a> FfState<'a> {
                         SenderKind::Fire
                     };
                     let chan = stream.a[cursor];
-                    let tid = self.create_transfer(r, chan, bytes, kind);
+                    let tid = self.create_transfer(r, chan, bytes, kind, now);
                     self.post_send(tid, chan, now);
                     self.procs[r].cursor += 1;
                     if rendezvous {
-                        self.procs[r].blocked = Some(Blocker::SendDone(tid));
+                        self.block(r, Blocker::SendDone(tid), now);
                         return;
                     }
                 }
@@ -1015,10 +1284,11 @@ impl<'a> FfState<'a> {
                         SenderKind::Fire
                     };
                     let chan = stream.a[cursor];
-                    let tid = self.create_transfer(r, chan, bytes, kind);
+                    let tid = self.create_transfer(r, chan, bytes, kind, now);
                     self.procs[r].slots[slot as usize] = if rendezvous {
                         ReqState::InFlight
                     } else {
+                        // Eager isend: the buffer is copied out immediately.
                         ReqState::Done { at: now, tid }
                     };
                     self.post_send(tid, chan, now);
@@ -1031,13 +1301,17 @@ impl<'a> FfState<'a> {
                         Some(done) => {
                             debug_assert!(done >= now);
                             if done > now {
+                                if O::ON {
+                                    let tid = self.recv_posts[pid].transfer as usize;
+                                    self.emit_blocked(r, now, done, BlockKind::Recv, tid);
+                                }
                                 self.procs[r].clock = done;
                                 self.queue.schedule(done, Event::resume(r));
                                 return;
                             }
                         }
                         None => {
-                            self.procs[r].blocked = Some(Blocker::Recv(pid));
+                            self.block(r, Blocker::Recv(pid), now);
                             return;
                         }
                     }
@@ -1082,19 +1356,11 @@ impl<'a> FfState<'a> {
                         .arrive(seq, coll, bytes, now, self.platform)
                     {
                         Some(done) => {
-                            for (q, proc) in self.procs.iter_mut().enumerate() {
-                                if proc.blocked == Some(Blocker::Collective(seq)) {
-                                    proc.blocked = None;
-                                    proc.clock = done;
-                                    self.queue.schedule(done, Event::resume(q));
-                                }
-                            }
-                            self.procs[r].clock = done;
-                            self.queue.schedule(done, Event::resume(r));
+                            self.release_collective(r, seq, now, done);
                             return;
                         }
                         None => {
-                            self.procs[r].blocked = Some(Blocker::Collective(seq));
+                            self.block(r, Blocker::Collective(seq), now);
                             return;
                         }
                     }
@@ -1103,10 +1369,51 @@ impl<'a> FfState<'a> {
         }
     }
 
-    /// Returns true if the rank blocked or yielded (caller must return).
+    #[inline]
+    fn block(&mut self, r: usize, why: Blocker, now: Time) {
+        let p = &mut self.procs[r];
+        p.blocked = Some(why);
+        p.block_start = now;
+    }
+
+    /// Rank `r`'s arrival at `now` completed collective `seq` at `done`:
+    /// releases every rank blocked in it, then `r` itself.
+    fn release_collective(&mut self, r: usize, seq: usize, now: Time, done: Time) {
+        let cause = WaitCause::Collective { seq: seq as u32 };
+        let release = DepEdge {
+            rank: Rank::new(r as u32),
+            at: now,
+        };
+        for (q, proc) in self.procs.iter_mut().enumerate() {
+            if proc.blocked == Some(Blocker::Collective(seq)) {
+                let rank = Rank::new(q as u32);
+                let start = proc.block_start;
+                self.obs.interval(rank, start, done, ProcState::Collective);
+                if done > start {
+                    self.obs.attributed(rank, start, done, cause, Some(release));
+                }
+                proc.blocked = None;
+                proc.clock = done;
+                self.queue.schedule(done, Event::resume(q));
+            }
+        }
+        let rank = Rank::new(r as u32);
+        self.obs.interval(rank, now, done, ProcState::Collective);
+        if done > now {
+            self.obs.attributed(rank, now, done, cause, None);
+        }
+        self.procs[r].clock = done;
+        self.queue.schedule(done, Event::resume(r));
+    }
+
+    /// Processes a wait over pre-resolved slots. Returns true if the rank
+    /// blocked or yielded (caller must return).
     fn enter_wait(&mut self, r: usize, slots: Slots, now: Time) -> bool {
         let mut remaining = ReqGroup::new();
         let mut latest = now;
+        // Transfer of the last-completing slot: the whole wait interval is
+        // attributed to its channel (the "last unblocker").
+        let mut latest_tid = 0;
         let one;
         let wait_slots: &[u32] = match slots {
             Slots::One(s) => {
@@ -1118,9 +1425,10 @@ impl<'a> FfState<'a> {
         let p = &mut self.procs[r];
         for &slot in wait_slots {
             match p.slots[slot as usize] {
-                ReqState::Done { at, .. } => {
+                ReqState::Done { at, tid } => {
                     if at > latest {
                         latest = at;
+                        latest_tid = tid;
                     }
                 }
                 ReqState::InFlight => remaining.push(slot),
@@ -1129,13 +1437,18 @@ impl<'a> FfState<'a> {
         p.cursor += 1;
         if remaining.is_empty() {
             if latest > now {
-                p.clock = latest;
+                if O::ON {
+                    let rank = Rank::new(r as u32);
+                    self.obs.interval(rank, now, latest, ProcState::WaitRequest);
+                    self.emit_blocked(r, now, latest, BlockKind::Wait, latest_tid);
+                }
+                self.procs[r].clock = latest;
                 self.queue.schedule(latest, Event::resume(r));
                 return true;
             }
             false
         } else {
-            p.blocked = Some(Blocker::Reqs(remaining));
+            self.block(r, Blocker::Reqs(remaining), now);
             true
         }
     }
@@ -1153,8 +1466,92 @@ impl<'a> FfState<'a> {
         p.overhead_paid = true;
         p.clock = now + overhead;
         let at = p.clock;
+        self.obs
+            .attributed(Rank::new(r as u32), now, at, WaitCause::SendOverhead, None);
         self.queue.schedule(at, Event::resume(r));
         true
+    }
+
+    /// The cross-rank dependency that released rank `r` from an interval
+    /// gated by transfer `tid` (None when the interval was self-paced).
+    fn blocked_edge(&self, r: usize, start: Time, tid: TransferId) -> Option<DepEdge> {
+        let t = &self.transfers[tid];
+        let a = &self.attr[tid];
+        if t.from.index() == r {
+            (a.ready > a.posted).then_some(DepEdge {
+                rank: t.to,
+                at: a.ready,
+            })
+        } else {
+            match t.arrived {
+                Some(at) if at <= start => None,
+                _ => Some(DepEdge {
+                    rank: t.from,
+                    at: a.posted,
+                }),
+            }
+        }
+    }
+
+    /// Emits the attributed intervals of a blocked window `[start, end)`
+    /// on rank `r` gated by transfer `tid` (identical decomposition to the
+    /// prepared engine's `emit_blocked`). Observed runs only.
+    fn emit_blocked(&mut self, r: usize, start: Time, end: Time, kind: BlockKind, tid: TransferId) {
+        if end <= start {
+            return;
+        }
+        let t = &self.transfers[tid];
+        let a = self.attr[tid];
+        let chan = t.chan;
+        let cause = match kind {
+            BlockKind::Recv => WaitCause::BlockedRecv { chan },
+            BlockKind::Send => WaitCause::BlockedSend { chan },
+            BlockKind::Wait => WaitCause::BlockedWait { chan },
+        };
+        let contended = WaitCause::Contended {
+            chan,
+            intra: t.intra,
+        };
+        let edge = self.blocked_edge(r, start, tid);
+        let rank = Rank::new(r as u32);
+        let (os, oe) = match a.outage {
+            Some(up) => (a.ready.max(start), up.min(end)),
+            None => (start, start),
+        };
+        let (qs, qe) = match (a.queued, a.started) {
+            (Some(q), Some(s)) => (q.max(start), s.min(end)),
+            _ => (end, end),
+        };
+        let down = WaitCause::LinkDown { chan };
+        let mut segs = [(start, start, cause); 5];
+        let mut n = 0;
+        let mut cur = start;
+        if oe > os {
+            if os > cur {
+                segs[n] = (cur, os, cause);
+                n += 1;
+            }
+            segs[n] = (os.max(cur), oe, down);
+            n += 1;
+            cur = oe;
+        }
+        if qe > qs && qe > cur {
+            if qs > cur {
+                segs[n] = (cur, qs, cause);
+                n += 1;
+            }
+            segs[n] = (qs.max(cur), qe, contended);
+            n += 1;
+            cur = qe;
+        }
+        if end > cur {
+            segs[n] = (cur, end, cause);
+            n += 1;
+        }
+        for (i, &(s, e, c)) in segs[..n].iter().enumerate() {
+            let eg = if i + 1 == n { edge } else { None };
+            self.obs.attributed(rank, s, e, c, eg);
+        }
     }
 
     fn create_transfer(
@@ -1163,6 +1560,7 @@ impl<'a> FfState<'a> {
         chan: u32,
         bytes: u64,
         sender_kind: SenderKind,
+        now: Time,
     ) -> TransferId {
         let tid = self.transfers.len();
         let (to, tag) = {
@@ -1171,19 +1569,20 @@ impl<'a> FfState<'a> {
         };
         let intra = self.intra_chan[chan as usize];
         let rendezvous = sender_kind != SenderKind::Fire;
+        let fr = Rank::new(from as u32);
         let jitter = if intra || self.send_seq.is_empty() {
             Time::ZERO
         } else {
             let seq = self.send_seq[chan as usize];
             self.send_seq[chan as usize] += 1;
-            self.link.jitter(Rank::new(from as u32), to, tag, seq)
+            self.link.jitter(fr, to, tag, seq)
         };
-        let fr = Rank::new(from as u32);
+        let rpn = self.platform.ranks_per_node();
         self.transfers.push(Transfer {
             from: fr,
             to,
-            nf: self.net.node(fr) as u32,
-            nt: self.net.node(to) as u32,
+            nf: fr.get() / rpn,
+            nt: to.get() / rpn,
             bytes,
             rendezvous,
             intra,
@@ -1196,6 +1595,15 @@ impl<'a> FfState<'a> {
             arrived: None,
             next: NONE_U32,
         });
+        if O::ON {
+            self.attr.push(TransferAttr {
+                posted: now,
+                ready: now,
+                queued: None,
+                started: None,
+                outage: None,
+            });
+        }
         self.p2p_messages += 1;
         self.p2p_bytes += bytes;
         tid
@@ -1233,9 +1641,15 @@ impl<'a> FfState<'a> {
     fn start_transfer(&mut self, tid: TransferId, now: Time) {
         debug_assert!(!self.transfers[tid].enqueued);
         self.transfers[tid].enqueued = true;
+        if O::ON {
+            self.attr[tid].ready = now;
+        }
         if !self.transfers[tid].intra {
             let (from, to) = (self.transfers[tid].from, self.transfers[tid].to);
             if let Some(up) = self.link.outage_end(from, to, now) {
+                if O::ON {
+                    self.attr[tid].outage = Some(up);
+                }
                 self.queue.schedule(up, Event::retry(tid));
                 return;
             }
@@ -1243,55 +1657,46 @@ impl<'a> FfState<'a> {
         self.launch_transfer(tid, now);
     }
 
+    /// Enters a ready transfer into its transport domain (the tail of
+    /// `start_transfer`, split out so link-outage retries re-enter here).
     fn launch_transfer(&mut self, tid: TransferId, now: Time) {
-        if self.transfers[tid].intra {
-            // Supported platforms have an uncontended intra-node domain:
-            // the transfer starts immediately, bypassing the network.
-            let (bytes, chan) = {
-                let t = &self.transfers[tid];
-                (t.bytes, t.chan)
-            };
-            let dur = self.transmission_time(true, bytes, chan);
-            self.queue.schedule(now + dur, Event::sent(tid));
-        } else {
-            let (nf, nt) = (
-                self.transfers[tid].nf as usize,
-                self.transfers[tid].nt as usize,
-            );
-            if self.net.out_used[nf] < self.net.out_limit
-                && self.net.in_used[nt] < self.net.in_limit
-            {
+        let t = &self.transfers[tid];
+        let (intra, nf, nt) = (t.intra, t.nf as usize, t.nt as usize);
+        match &mut self.net {
+            // Uncontended intra-node domain: start immediately.
+            Net::Nodes(_) if intra => {}
+            Net::Global(net) if intra && !net.intra_limited() => {}
+            Net::Nodes(net) => {
+                if !net.pair_open(nf, nt) {
+                    // Busy pair: the rescan would admit nothing (the new
+                    // transfer is the only change since the last scan
+                    // left every waiter blocked) — park it under both
+                    // nodes.
+                    net.park(tid, nf, nt, now);
+                    self.transfers[tid].waiting = true;
+                    self.note_queued(tid, now);
+                    return;
+                }
                 // Free pair: the full scan would admit exactly this
                 // transfer (every parked waiter stays blocked — nothing
                 // was freed) and the transient push/pop cancels out of
                 // the persisted queue-length statistic.
-                self.net.occupy(nf, nt, now);
-                let (bytes, chan) = (self.transfers[tid].bytes, self.transfers[tid].chan);
-                let dur = self.transmission_time(false, bytes, chan);
-                self.queue.schedule(now + dur, Event::sent(tid));
-                self.net.note_waiting(now);
-            } else {
-                // Busy pair: the rescan would admit nothing (the new
-                // transfer is the only change since the last scan left
-                // every waiter blocked) — park it under both nodes.
-                let seq = self.net.enq_seq;
-                self.net.enq_seq += 1;
-                let tid32 = tid as u32;
-                self.transfers[tid].waiting = true;
-                self.net.out_q[nf].push_back(WaitEnt {
-                    seq,
-                    tid: tid32,
-                    other: nt as u32,
-                });
-                self.net.in_q[nt].push_back(WaitEnt {
-                    seq,
-                    tid: tid32,
-                    other: nf as u32,
-                });
-                self.net.waiting_len += 1;
-                self.net.note_waiting(now);
+                net.occupy(nf, nt, now);
+                net.note_waiting(now);
+                self.note_queued(tid, now);
+            }
+            Net::Global(net) => {
+                if intra {
+                    net.enqueue_intra(tid, now);
+                } else {
+                    net.enqueue(tid, now);
+                }
+                self.note_queued(tid, now);
+                self.pump_global(intra, now);
+                return;
             }
         }
+        self.transmit(tid, now);
     }
 
     fn complete_request(&mut self, r: usize, slot: u32, at: Time, tid: TransferId) {
@@ -1307,6 +1712,12 @@ impl<'a> FfState<'a> {
             }
         };
         if unblock {
+            if O::ON {
+                let start = self.procs[r].block_start;
+                self.obs
+                    .interval(Rank::new(r as u32), start, at, ProcState::WaitRequest);
+                self.emit_blocked(r, start, at, BlockKind::Wait, tid);
+            }
             let p = &mut self.procs[r];
             p.blocked = None;
             p.clock = at;
@@ -1352,10 +1763,11 @@ impl<'a> FfState<'a> {
     }
 
     fn transfer_sent(&mut self, tid: TransferId, at: Time) {
-        let (from, nf, nt, sender_kind, intra, rendezvous, jitter) = {
+        let (from, to, nf, nt, sender_kind, intra, rendezvous, jitter) = {
             let t = &self.transfers[tid];
             (
                 t.from,
+                t.to,
                 t.nf as usize,
                 t.nt as usize,
                 t.sender_kind,
@@ -1364,8 +1776,11 @@ impl<'a> FfState<'a> {
                 t.jitter,
             )
         };
-        if !intra {
-            self.net.release(nf, nt, at);
+        match &mut self.net {
+            Net::Nodes(net) if !intra => net.release(nf, nt, at),
+            Net::Global(net) if !intra => net.release(from, to, at),
+            Net::Global(net) if net.intra_limited() => net.release_intra(nf),
+            _ => {}
         }
 
         match sender_kind {
@@ -1373,6 +1788,11 @@ impl<'a> FfState<'a> {
             SenderKind::Blocking => {
                 let s = from.index();
                 debug_assert_eq!(self.procs[s].blocked, Some(Blocker::SendDone(tid)));
+                if O::ON {
+                    let start = self.procs[s].block_start;
+                    self.obs.interval(from, start, at, ProcState::WaitSend);
+                    self.emit_blocked(s, start, at, BlockKind::Send, tid);
+                }
                 let p = &mut self.procs[s];
                 p.blocked = None;
                 p.clock = at;
@@ -1385,14 +1805,29 @@ impl<'a> FfState<'a> {
 
         let flight = self.flight_time(intra, rendezvous) + jitter;
         self.queue.schedule(at + flight, Event::done(tid));
-        if !intra && (!self.net.out_q[nf].is_empty() || !self.net.in_q[nt].is_empty()) {
-            // The freed pair admits a waiter only if one is parked on it.
-            self.pump_pair(nf, nt, at);
+        // Only the freed domain can admit a waiter.
+        match &self.net {
+            Net::Nodes(net) => {
+                if !intra && net.has_waiters(nf, nt) {
+                    self.pump_pair(nf, nt, at);
+                }
+            }
+            Net::Global(net) => {
+                if !intra || net.intra_limited() {
+                    self.pump_global(intra, at);
+                }
+            }
         }
     }
 
     fn transfer_done(&mut self, tid: TransferId, at: Time) {
         self.transfers[tid].arrived = Some(at);
+        if O::ON {
+            let t = &self.transfers[tid];
+            let started = self.attr[tid].started.expect("done transfers started");
+            let tag = self.prog.channels()[t.chan as usize].tag;
+            self.obs.message(t.from, t.to, started, at, t.bytes, tag);
+        }
         let recv = self.transfers[tid].recv;
         if recv != NONE_U32 {
             let pid = recv as usize;
@@ -1402,6 +1837,12 @@ impl<'a> FfState<'a> {
             let slot = self.recv_posts[pid].slot;
             if slot == NONE_U32 {
                 debug_assert_eq!(self.procs[r].blocked, Some(Blocker::Recv(pid)));
+                if O::ON {
+                    let start = self.procs[r].block_start;
+                    self.obs
+                        .interval(Rank::new(r as u32), start, done, ProcState::WaitRecv);
+                    self.emit_blocked(r, start, done, BlockKind::Recv, tid);
+                }
                 let p = &mut self.procs[r];
                 p.blocked = None;
                 p.clock = done;
@@ -1413,14 +1854,30 @@ impl<'a> FfState<'a> {
     }
 }
 
+/// How a wait instruction names its slots: inline (single wait) or as a
+/// span of the rank's `WaitAll` arena.
 enum Slots {
     One(u32),
     Arena(usize, usize),
 }
 
+/// Maps a collective opcode to its cost-model operation.
+fn collective_of(op: RecordKind) -> CollectiveOp {
+    match op {
+        RecordKind::Barrier => CollectiveOp::Barrier,
+        RecordKind::AllReduce => CollectiveOp::AllReduce,
+        RecordKind::Bcast => CollectiveOp::Bcast,
+        RecordKind::Reduce => CollectiveOp::Reduce,
+        RecordKind::AllToAll => CollectiveOp::AllToAll,
+        RecordKind::AllGather => CollectiveOp::AllGather,
+        other => unreachable!("not a collective opcode: {other}"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::Simulator;
     use ovlsim_core::{Instr, MipsRate, RankTrace, Record, RequestId, Tag, TraceIndex, TraceSet};
 
     fn mips() -> MipsRate {
@@ -1443,25 +1900,71 @@ mod tests {
         )
     }
 
-    fn compile(ts: &TraceSet) -> CompiledTrace {
+    /// Replays `ts` three ways: the production run, the per-event
+    /// schedule of the same executor with every fast-forward window
+    /// forced off, and the independent prepared engine.
+    fn replay_three_ways(
+        platform: &Platform,
+        ts: &TraceSet,
+    ) -> [Result<ReplayResult, SimError>; 3] {
+        let sim = Simulator::new(platform.clone());
         let index = TraceIndex::build(ts).expect("valid");
-        CompiledTrace::compile(ts, &index).expect("compiles")
+        let prog = CompiledTrace::compile(ts, &index).expect("compiles");
+        [
+            sim.run_compiled(&prog),
+            FfState::new(platform, &prog, &mut NullObserver, true).run(),
+            sim.run_prepared(ts, &index),
+        ]
     }
 
+    /// The fast-forward run must match the per-event compiled schedule
+    /// and the prepared engine bit for bit.
     fn assert_ff_matches(platform: Platform, ts: &TraceSet) {
-        let sim = Simulator::new(platform);
-        let prog = compile(ts);
-        let compiled = sim.run_compiled(&prog).unwrap();
-        let ff = sim.run_fastforward(&prog).unwrap();
-        assert_eq!(compiled, ff);
+        let [ff, forced, prepared] = replay_three_ways(&platform, ts);
+        let ff = ff.expect("replays");
+        assert_eq!(
+            ff,
+            forced.expect("replays"),
+            "fast-forward windows diverged"
+        );
+        assert_eq!(ff, prepared.expect("replays"), "diverged from prepared");
+    }
+
+    fn send(to: u32, bytes: u64, tag: u64) -> Record {
+        Record::Send {
+            to: Rank::new(to),
+            bytes,
+            tag: Tag::new(tag),
+        }
+    }
+
+    fn recv(from: u32, bytes: u64, tag: u64) -> Record {
+        Record::Recv {
+            from: Rank::new(from),
+            bytes,
+            tag: Tag::new(tag),
+        }
+    }
+
+    fn irecv(from: u32, tag: u64, req: u32) -> Record {
+        Record::IRecv {
+            from: Rank::new(from),
+            bytes: 64,
+            tag: Tag::new(tag),
+            req: RequestId::new(req),
+        }
+    }
+
+    fn burst(instr: u64) -> Record {
+        Record::Burst {
+            instr: Instr::new(instr),
+        }
     }
 
     #[test]
     fn fastforward_matches_compiled_on_mixed_trace() {
         let reqs: Vec<RequestId> = (0..4).map(RequestId::new).collect();
-        let mut r0: Vec<Record> = vec![Record::Burst {
-            instr: Instr::new(700),
-        }];
+        let mut r0: Vec<Record> = vec![burst(700)];
         for &req in &reqs {
             r0.push(Record::ISend {
                 to: Rank::new(1),
@@ -1474,11 +1977,7 @@ mod tests {
         r0.push(Record::Barrier);
         let mut r1: Vec<Record> = reqs
             .iter()
-            .map(|&req| Record::Recv {
-                from: Rank::new(0),
-                bytes: 100_000,
-                tag: Tag::new(req.get() as u64),
-            })
+            .map(|&req| recv(0, 100_000, req.get() as u64))
             .collect();
         r1.push(Record::Barrier);
         assert_ff_matches(platform_1us_1gb(), &trace(vec![r0, r1]));
@@ -1487,40 +1986,17 @@ mod tests {
     #[test]
     fn fastforward_matches_under_full_perturbation() {
         use ovlsim_core::PerturbationModel;
-        let mk = |to: u32, from: u32| {
-            vec![
-                Record::Burst {
-                    instr: Instr::new(2500),
-                },
-                Record::Send {
-                    to: Rank::new(to),
-                    bytes: 500,
-                    tag: Tag::new(7),
-                },
-                Record::Recv {
-                    from: Rank::new(from),
-                    bytes: 200_000,
-                    tag: Tag::new(8),
-                },
-                Record::Barrier,
-            ]
-        };
-        let swap = |to: u32, from: u32| {
-            vec![
-                Record::Recv {
-                    from: Rank::new(from),
-                    bytes: 500,
-                    tag: Tag::new(7),
-                },
-                Record::Send {
-                    to: Rank::new(to),
-                    bytes: 200_000,
-                    tag: Tag::new(8),
-                },
-                Record::Barrier,
-            ]
-        };
-        let ts = trace(vec![mk(2, 2), mk(3, 3), swap(0, 0), swap(1, 1)]);
+        let mk = |to: u32, from: u32| vec![burst(2500), send(to, 500, 7), recv(from, 200_000, 8)];
+        let swap = |to: u32, from: u32| vec![recv(from, 500, 7), send(to, 200_000, 8)];
+        let ts = trace(
+            [mk(2, 2), mk(3, 3), swap(0, 0), swap(1, 1)]
+                .into_iter()
+                .map(|mut recs| {
+                    recs.push(Record::Barrier);
+                    recs
+                })
+                .collect(),
+        );
         let model = PerturbationModel::new(0xBEEF)
             .with_noise(0.2)
             .unwrap()
@@ -1542,64 +2018,109 @@ mod tests {
 
     #[test]
     fn fastforward_delegates_finite_bus_platforms() {
-        // A bus-limited platform takes the run_compiled fallback wholesale;
-        // the result must still agree.
-        let ts = trace(vec![
-            vec![Record::Send {
-                to: Rank::new(1),
-                bytes: 1000,
-                tag: Tag::new(0),
-            }],
-            vec![Record::Recv {
-                from: Rank::new(0),
-                bytes: 1000,
-                tag: Tag::new(0),
-            }],
-        ]);
-        let p = Platform::builder()
-            .latency(Time::from_us(1))
+        // The platform picks the transport: a finite bus pool or finite
+        // intra-node ports delegate queueing to the global FIFO pump,
+        // anything else gets the per-node pumps. A ring of eager sends
+        // over one bus contends on every hop.
+        let ts = trace(
+            (0..4)
+                .map(|r| {
+                    vec![
+                        burst(100 * r as u64),
+                        send((r + 1) % 4, 1000, 0),
+                        recv((r + 3) % 4, 1000, 0),
+                    ]
+                })
+                .collect(),
+        );
+        let index = TraceIndex::build(&ts).unwrap();
+        let prog = CompiledTrace::compile(&ts, &index).unwrap();
+        let global = |p: &Platform| {
+            matches!(
+                FfState::new(p, &prog, &mut NullObserver, false).net,
+                Net::Global(_)
+            )
+        };
+        let mut b = Platform::builder();
+        b.latency(Time::from_us(1))
             .bandwidth_bytes_per_sec(1.0e9)
+            .unwrap();
+        assert!(!global(&b.build()), "unlimited pools pump per node");
+        let bused = b.clone().buses(Some(1)).build();
+        assert!(global(&bused), "a finite bus pool pumps globally");
+        let ported = b
+            .clone()
+            .ranks_per_node(2)
             .unwrap()
-            .buses(Some(1))
+            .intra_node_links(Some(1))
             .build();
-        assert_ff_matches(p, &ts);
+        assert!(global(&ported), "finite intra-node ports pump globally");
+        assert_ff_matches(bused, &ts);
+        assert_ff_matches(ported, &ts);
     }
 
     #[test]
     fn fastforward_reports_identical_deadlock() {
-        // A circular wait (both ranks receive before sending) compiles
-        // cleanly but stalls both engines with the same diagnosis.
-        let ts = trace(vec![
-            vec![
-                Record::Recv {
-                    from: Rank::new(1),
-                    bytes: 64,
-                    tag: Tag::new(0),
-                },
-                Record::Send {
-                    to: Rank::new(1),
-                    bytes: 64,
-                    tag: Tag::new(1),
-                },
-            ],
-            vec![
-                Record::Recv {
-                    from: Rank::new(0),
-                    bytes: 64,
-                    tag: Tag::new(1),
-                },
-                Record::Send {
-                    to: Rank::new(0),
-                    bytes: 64,
-                    tag: Tag::new(0),
-                },
-            ],
-        ]);
-        let sim = Simulator::new(platform_1us_1gb());
-        let prog = compile(&ts);
-        let compiled = sim.run_compiled(&prog).unwrap_err();
-        let ff = sim.run_fastforward(&prog).unwrap_err();
-        assert_eq!(format!("{compiled}"), format!("{ff}"));
+        // Each trace validates and compiles but stalls. The diagnosis —
+        // stall time and every blocked rank's text — must be the prepared
+        // engine's, for every kind of blocker.
+        let big = 1 << 20; // above the default eager threshold
+        let cases = [
+            (
+                "blocked in recv from r1 t0",
+                vec![
+                    vec![burst(3000), recv(1, 64, 0), send(1, 64, 1)],
+                    vec![recv(0, 64, 1), send(0, 64, 0)],
+                ],
+            ),
+            (
+                "blocked in rendezvous send to r0 t1",
+                vec![
+                    vec![send(1, big, 0), recv(1, big, 1)],
+                    vec![burst(3000), send(0, big, 1), recv(0, big, 0)],
+                ],
+            ),
+            (
+                "blocked waiting 2 requests",
+                vec![
+                    vec![
+                        irecv(1, 0, 0),
+                        irecv(1, 2, 1),
+                        Record::WaitAll {
+                            reqs: vec![RequestId::new(0), RequestId::new(1)],
+                        },
+                        send(1, 64, 1),
+                    ],
+                    vec![
+                        burst(3000),
+                        irecv(0, 1, 0),
+                        Record::Wait {
+                            req: RequestId::new(0),
+                        },
+                        send(0, 64, 0),
+                        send(0, 64, 2),
+                    ],
+                ],
+            ),
+            (
+                "blocked in collective #0",
+                vec![
+                    vec![Record::Barrier, send(1, 64, 0)],
+                    vec![burst(3000), recv(0, 64, 0), Record::Barrier],
+                ],
+            ),
+        ];
+        for (blocker, ranks) in cases {
+            let [ff, forced, prepared] = replay_three_ways(&platform_1us_1gb(), &trace(ranks));
+            let ff = ff.expect_err("deadlocks");
+            assert!(
+                matches!(&ff, SimError::Deadlock { at, .. } if *at > Time::ZERO),
+                "{ff}"
+            );
+            assert!(ff.to_string().contains(blocker), "{blocker}: {ff}");
+            assert_eq!(ff, forced.expect_err("deadlocks"), "{blocker}");
+            assert_eq!(ff, prepared.expect_err("deadlocks"), "{blocker}");
+        }
     }
 
     #[test]
@@ -1610,31 +2131,9 @@ mod tests {
             .map(|r| {
                 let peer = (r + 2) % 4;
                 if r < 2 {
-                    vec![
-                        Record::Send {
-                            to: Rank::new(peer),
-                            bytes: 300_000,
-                            tag: Tag::new(1),
-                        },
-                        Record::Recv {
-                            from: Rank::new(peer),
-                            bytes: 300_000,
-                            tag: Tag::new(2),
-                        },
-                    ]
+                    vec![send(peer, 300_000, 1), recv(peer, 300_000, 2)]
                 } else {
-                    vec![
-                        Record::Recv {
-                            from: Rank::new(peer),
-                            bytes: 300_000,
-                            tag: Tag::new(1),
-                        },
-                        Record::Send {
-                            to: Rank::new(peer),
-                            bytes: 300_000,
-                            tag: Tag::new(2),
-                        },
-                    ]
+                    vec![recv(peer, 300_000, 1), send(peer, 300_000, 2)]
                 }
             })
             .collect();
@@ -1681,11 +2180,14 @@ mod tests {
             TraceSet::new("ring", mips(), recs)
         }
 
-        fn platform_at(lat_us: u64, bw: f64, perturbed: bool) -> Platform {
+        /// `buses` is `None` for the per-node pumps; a finite pool
+        /// switches to the global pump.
+        fn platform_at(lat_us: u64, buses: Option<u32>, perturbed: bool) -> Platform {
             let mut b = Platform::builder();
             b.latency(Time::from_us(lat_us))
-                .bandwidth_bytes_per_sec(bw)
-                .unwrap();
+                .bandwidth_bytes_per_sec(1.0e9)
+                .unwrap()
+                .buses(buses);
             if perturbed {
                 b.perturbation(
                     PerturbationModel::new(7)
@@ -1702,7 +2204,7 @@ mod tests {
 
             /// Retired (coalesced) compute windows end in monotone order:
             /// the `debug_assert` in `burst_step` checks every retirement,
-            /// and the result still matches the compiled engine bit for
+            /// and the result still matches the prepared engine bit for
             /// bit.
             #[test]
             fn retired_window_ends_are_monotone(
@@ -1711,20 +2213,21 @@ mod tests {
                 bytes in 1u64..200_000,
                 burst in 1u64..50_000,
                 lat_us in 0u64..6,
+                buses in prop_oneof![Just(None), (1u32..4).prop_map(Some)],
                 perturbed in any::<bool>(),
             ) {
                 let ts = ring(ranks, iters, bytes, burst);
+                let sim = Simulator::new(platform_at(lat_us, buses, perturbed));
                 let index = TraceIndex::build(&ts).expect("valid");
                 let prog = CompiledTrace::compile(&ts, &index).expect("compiles");
-                let sim = Simulator::new(platform_at(lat_us, 1.0e9, perturbed));
-                let compiled = sim.run_compiled(&prog).expect("replays");
-                let ff = sim.run_fastforward(&prog).expect("replays");
-                prop_assert_eq!(compiled, ff);
+                let ff = sim.run_compiled(&prog).expect("replays");
+                let prepared = sim.run_prepared(&ts, &index).expect("replays");
+                prop_assert_eq!(ff, prepared);
             }
 
             /// Forcing the per-event fallback everywhere (no virtual
             /// buffer, no window coalescing) replays the identical event
-            /// sequence: the forced run, the normal run and the compiled
+            /// sequence: the forced run, the normal run and the prepared
             /// engine agree on every observable.
             #[test]
             fn forced_fallback_agrees_event_for_event(
@@ -1733,21 +2236,15 @@ mod tests {
                 bytes in 1u64..200_000,
                 burst in 1u64..50_000,
                 lat_us in 0u64..6,
+                buses in prop_oneof![Just(None), (1u32..4).prop_map(Some)],
                 perturbed in any::<bool>(),
             ) {
                 let ts = ring(ranks, iters, bytes, burst);
-                let index = TraceIndex::build(&ts).expect("valid");
-                let prog = CompiledTrace::compile(&ts, &index).expect("compiles");
-                let platform = platform_at(lat_us, 1.0e9, perturbed);
-                let sim = Simulator::new(platform.clone());
-                let normal = sim.run_fastforward(&prog).expect("replays");
-                let forced = FfState::with_fallback(&platform, &prog, true)
-                    .run()
-                    .map_err(|FfAbort| "aborted")
-                    .expect("replays");
-                let compiled = sim.run_compiled(&prog).expect("replays");
-                prop_assert_eq!(&normal, &forced, "forced fallback diverged");
-                prop_assert_eq!(&normal, &compiled, "fastforward diverged");
+                let platform = platform_at(lat_us, buses, perturbed);
+                let [normal, forced, prepared] = replay_three_ways(&platform, &ts);
+                let normal = normal.expect("replays");
+                prop_assert_eq!(&normal, &forced.expect("replays"), "forced fallback diverged");
+                prop_assert_eq!(&normal, &prepared.expect("replays"), "diverged from prepared");
             }
         }
     }

@@ -12,10 +12,11 @@
 //! * [`Simulator`] — replays a [`ovlsim_core::TraceSet`], returning a
 //!   [`ReplayResult`] with makespan, per-rank times and network statistics;
 //!   [`Simulator::run_compiled`] executes a pre-lowered
-//!   [`ovlsim_core::CompiledTrace`] (the cheapest per-event path), and
-//!   [`Simulator::run_fastforward`] replays the same program through the
-//!   window fast-forward engine — bit-identical, and several times
-//!   faster on contention-heavy many-rank traces,
+//!   [`ovlsim_core::CompiledTrace`] through the production executor:
+//!   per-node transport pumps (a global FIFO pump when the platform has
+//!   finite buses or intra-node ports) and quiescent-window
+//!   fast-forwarding — bit-identical to every other engine, and several
+//!   times faster on contention-heavy many-rank traces,
 //! * [`ReplayObserver`] — timeline hooks consumed by the visualization
 //!   layer (`ovlsim-paraver`),
 //! * [`emit_trace_set`]/[`parse_trace_set`] — the `.dim`-style text

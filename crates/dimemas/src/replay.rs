@@ -37,7 +37,8 @@
 //! entirely — or go one stage further and lower the trace into a
 //! [`ovlsim_core::CompiledTrace`] executed by [`Simulator::run_compiled`]
 //! (flat struct-of-arrays instruction streams, coalesced burst runs,
-//! pre-resolved request slots; see the `compiled` module's docs).
+//! pre-resolved request slots, quiescent-window fast-forwarding; see the
+//! `compiled` and `fastforward` modules' docs).
 //! [`Simulator::run`] remains the validating single-shot entry point; all
 //! paths produce bit-identical results (the original engine is kept in
 //! [`crate::naive`] and differential property tests enforce equality).

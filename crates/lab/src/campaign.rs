@@ -64,15 +64,17 @@ use crate::error::LabError;
 use crate::par;
 use crate::pipeline::{ArtifactPipeline, DirectPipeline, EngineInput};
 
-/// A replay engine selectable per campaign. All four produce
+/// A replay engine selectable per campaign. All three produce
 /// bit-identical [`ReplayResult`](ovlsim_dimemas::ReplayResult)s; naive
-/// and prepared exist in campaigns to cross-check the compiled fast path
-/// on any scenario a spec can describe, and fastforward is the
-/// contention-scalable production path.
+/// and prepared exist in campaigns to cross-check the compiled production
+/// path on any scenario a spec can describe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Engine {
-    /// Flat SoA replay program ([`Simulator::run_compiled`](ovlsim_dimemas::Simulator::run_compiled)) — the fast
-    /// path, and the default.
+    /// Flat SoA replay program
+    /// ([`Simulator::run_compiled`](ovlsim_dimemas::Simulator::run_compiled)):
+    /// calendar event store, platform-selected transport pumps and
+    /// quiescent-window fast-forwarding — the production path, and the
+    /// default.
     Compiled,
     /// Channel-indexed replay over the record stream
     /// ([`Simulator::run_prepared`](ovlsim_dimemas::Simulator::run_prepared)).
@@ -80,22 +82,15 @@ pub enum Engine {
     /// The reference engine kept from the seed
     /// ([`ovlsim_dimemas::replay_naive`]).
     Naive,
-    /// Fast-forward replay over the compiled program
-    /// ([`Simulator::run_fastforward`](ovlsim_dimemas::Simulator::run_fastforward)):
-    /// calendar event store, per-node waiter queues and quiescent-window
-    /// coalescing, with a per-event fallback when the window proof fails.
-    Fastforward,
 }
 
 impl Engine {
-    /// Parses an engine name (`compiled`, `prepared`, `naive` or
-    /// `fastforward`).
+    /// Parses an engine name (`compiled`, `prepared` or `naive`).
     pub fn parse(s: &str) -> Option<Engine> {
         match s {
             "compiled" => Some(Engine::Compiled),
             "prepared" => Some(Engine::Prepared),
             "naive" => Some(Engine::Naive),
-            "fastforward" => Some(Engine::Fastforward),
             _ => None,
         }
     }
@@ -107,7 +102,6 @@ impl fmt::Display for Engine {
             Engine::Compiled => "compiled",
             Engine::Prepared => "prepared",
             Engine::Naive => "naive",
-            Engine::Fastforward => "fastforward",
         })
     }
 }
@@ -166,8 +160,7 @@ pub enum SpecError {
         /// The unrecognized value.
         value: String,
     },
-    /// An `engines` entry is not `compiled`, `prepared`, `naive` or
-    /// `fastforward`.
+    /// An `engines` entry is not `compiled`, `prepared` or `naive`.
     UnknownEngine {
         /// 1-based spec line.
         line: usize,
@@ -244,7 +237,7 @@ impl fmt::Display for SpecError {
             SpecError::UnknownEngine { line, value } => write!(
                 f,
                 "line {line}: unknown engine `{value}` \
-                 (expected compiled, prepared, naive or fastforward)"
+                 (expected compiled, prepared or naive)"
             ),
             SpecError::MalformedNumber { line, key, value } => {
                 write!(
@@ -1604,6 +1597,10 @@ iterations 1
             CampaignSpec::parse("campaign x\nengines compiled turbo\n").unwrap_err(),
             SpecError::UnknownEngine { line: 2, .. }
         ));
+        assert!(matches!(
+            CampaignSpec::parse("campaign x\nengines compiled fastforward\n").unwrap_err(),
+            SpecError::UnknownEngine { line: 2, .. }
+        ));
     }
 
     #[test]
@@ -1887,7 +1884,7 @@ iterations 1
         assert_eq!(spec.tune_budget, 5);
         assert_eq!(spec.tune_seed, 3);
         // Tuning is a search axis, not a perturbation: clean goldens stay
-        // comparable across engines and the fast-forward job.
+        // comparable across engines.
         assert!(!spec.perturbed());
         assert!(
             !CampaignSpec::parse(&format!("{MINI}tune off\n"))

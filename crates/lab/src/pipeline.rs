@@ -169,8 +169,7 @@ pub struct EngineInput {
     pub trace: Option<Arc<TraceSet>>,
     /// Channel index — kept only for the prepared engine.
     pub index: Option<Arc<TraceIndex>>,
-    /// Flat replay program — built for the compiled and fastforward
-    /// engines.
+    /// Flat replay program — built for the compiled engine.
     pub prog: Option<Arc<CompiledTrace>>,
 }
 
@@ -189,8 +188,7 @@ impl EngineInput {
         engines: &[Engine],
         attribution: bool,
     ) -> Result<EngineInput, LabError> {
-        let needs_prog =
-            engines.contains(&Engine::Compiled) || engines.contains(&Engine::Fastforward);
+        let needs_prog = engines.contains(&Engine::Compiled);
         let needs_index = engines.contains(&Engine::Prepared) || attribution;
         let needs_trace = needs_index || engines.contains(&Engine::Naive);
         let (index, prog) = if needs_index {
@@ -240,13 +238,6 @@ impl EngineInput {
             Engine::Naive => {
                 let trace = self.trace.as_ref().expect("naive engine was requested");
                 replay_naive(platform, trace)
-            }
-            Engine::Fastforward => {
-                let prog = self
-                    .prog
-                    .as_ref()
-                    .expect("fastforward engine was requested");
-                Simulator::new(platform.clone()).run_fastforward(prog)
             }
         }
     }

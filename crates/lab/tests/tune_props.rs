@@ -1,6 +1,6 @@
 //! Property tests for the auto-tuner: trajectories are byte-identical
 //! across worker counts for any seed and budget, and the winning plan
-//! replays bit-identically on the compiled and fast-forward engines.
+//! replays bit-identically on the compiled and prepared engines.
 
 use std::sync::Arc;
 
@@ -45,11 +45,11 @@ proptest! {
     }
 
     /// The tuned winner is a real plan: synthesizing its trace and
-    /// replaying it on the compiled and fast-forward engines gives
+    /// replaying it on the compiled and prepared engines gives
     /// bit-identical makespans and per-rank finish times, both matching
     /// the makespan the search reported.
     #[test]
-    fn tuned_plan_replays_bit_identically_compiled_vs_fastforward(
+    fn tuned_plan_replays_bit_identically_compiled_vs_prepared(
         ranks in 2usize..5,
         seed in any::<u64>(),
         budget in 2usize..8,
@@ -70,15 +70,15 @@ proptest! {
         let input = EngineInput::build(
             &DirectPipeline,
             ts,
-            &[Engine::Compiled, Engine::Fastforward],
+            &[Engine::Compiled, Engine::Prepared],
             false,
         )
         .expect("builds");
         let compiled = input.replay(Engine::Compiled, &platform).expect("compiled");
-        let fast = input.replay(Engine::Fastforward, &platform).expect("fastforward");
-        prop_assert_eq!(compiled.total_time(), fast.total_time(),
+        let prepared = input.replay(Engine::Prepared, &platform).expect("prepared");
+        prop_assert_eq!(compiled.total_time(), prepared.total_time(),
             "engines disagree on the tuned plan");
-        prop_assert_eq!(compiled.rank_finish(), fast.rank_finish());
+        prop_assert_eq!(compiled.rank_finish(), prepared.rank_finish());
         prop_assert_eq!(compiled.total_time(), report.best,
             "replay does not reproduce the searched makespan");
     }

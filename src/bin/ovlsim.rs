@@ -74,8 +74,10 @@
 //! programs) are content-addressed and built at most once per invocation.
 
 use std::fs;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use ovlsim::apps::registry;
@@ -99,6 +101,35 @@ use ovlsim::tracer::TracingSession;
 /// from `/status`, so the two can never disagree.
 const VERSION: &str = env!("CARGO_PKG_VERSION");
 
+/// `println!` that survives a closed stdout: see [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Set once stdout's reader has hung up; later writes are dropped.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes to stdout. A reader that hung up early (EPIPE, as in
+/// `ovlsim campaign list ... | head -1`) has seen all it wants: the
+/// command finishes its work without printing more and exits as it
+/// would have, instead of panicking. Any other write failure is a
+/// one-line error with exit 1.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = io::stdout().lock().write_fmt(args) {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+            return;
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  ovlsim campaign run <spec.campaign> [--out <dir>] [--csv] [--cache-dir <dir>] [--force-engine <engine>]\n  \
@@ -116,7 +147,7 @@ fn usage() -> ExitCode {
          perturbation flags (campaign run, trace replay, analyze):\n  \
          --seed <n>  --noise <level>  --stragglers <slow>:<r0>,<r1>,...  \
          --faults <period-us>:<down-us>\n\
-         engines: compiled (default), prepared, naive, fastforward"
+         engines: compiled (default), prepared, naive"
     );
     ExitCode::from(2)
 }
@@ -246,7 +277,7 @@ fn cmd_campaign_run(
     let json_path = out_dir.join(format!("{}.report.json", report.campaign));
     fs::write(&json_path, report.to_json())
         .map_err(|e| format!("write {}: {e}", json_path.display()))?;
-    println!(
+    outln!(
         "campaign {}: {} points -> {}",
         report.campaign,
         report.rows.len(),
@@ -256,21 +287,26 @@ fn cmd_campaign_run(
         let csv_path = out_dir.join(format!("{}.report.csv", report.campaign));
         fs::write(&csv_path, report.to_csv())
             .map_err(|e| format!("write {}: {e}", csv_path.display()))?;
-        println!("              csv -> {}", csv_path.display());
+        outln!("              csv -> {}", csv_path.display());
     }
     // The persistent-cache summary is a stable stdout hook for scripts
     // (the CI corruption smoke asserts on these counters).
     if let Some(d) = session.disk_stats() {
-        println!(
+        outln!(
             "cache: {} loads, {} stores, {} quarantined",
-            d.loads, d.stores, d.quarantined
+            d.loads,
+            d.stores,
+            d.quarantined
         );
     }
     // Per app×class×mode summary: the peak speedup over the platform grid
     // (the number every figure in the paper reports per scenario).
-    println!(
+    outln!(
         "\n{:<10} {:>5} {:<20} {:>10}",
-        "app", "class", "mode", "peak"
+        "app",
+        "class",
+        "mode",
+        "peak"
     );
     let mut seen: Vec<(String, String, String)> = Vec::new();
     for row in &report.rows {
@@ -284,7 +320,7 @@ fn cmd_campaign_run(
             .filter(|r| r.app == key.0 && r.class.to_string() == key.1 && r.mode == key.2)
             .map(|r| r.speedup())
             .fold(f64::NEG_INFINITY, f64::max);
-        println!(
+        outln!(
             "{:<10} {:>5} {:<20} {:>+9.1}%",
             key.0,
             key.1,
@@ -296,13 +332,13 @@ fn cmd_campaign_run(
     // Perturbed campaigns additionally answer the robustness question:
     // how much of the clean overlap gain survives at each noise level?
     if report.perturbed {
-        println!("\n{:<12} {:>10}", "noise", "retention");
+        outln!("\n{:<12} {:>10}", "noise", "retention");
         for (level, retention) in report.retention_by_level() {
             match retention {
-                Some(r) => println!("{level:<12} {:>9.1}%", r * 100.0),
+                Some(r) => outln!("{level:<12} {:>9.1}%", r * 100.0),
                 // No scenario at this level has a positive clean-gain
                 // baseline — there is nothing to retain.
-                None => println!("{level:<12} {:>10}", "n/a"),
+                None => outln!("{level:<12} {:>10}", "n/a"),
             }
         }
     }
@@ -312,7 +348,7 @@ fn cmd_campaign_run(
 fn cmd_campaign_list(spec_path: &str) -> Result<(), String> {
     let spec = load_spec(spec_path)?;
     let points = spec.expand();
-    println!(
+    outln!(
         "campaign {}: {} apps x {} classes x {} modes x {} engines x {} packings x {} noise levels x {} bandwidths = {} points",
         spec.name,
         spec.apps.len(),
@@ -330,7 +366,7 @@ fn cmd_campaign_list(spec_path: &str) -> Result<(), String> {
         } else {
             String::new()
         };
-        println!(
+        outln!(
             "  {} class={} {} engine={} rpn={}{noise} bw={}",
             p.app,
             p.class,
@@ -348,7 +384,7 @@ fn cmd_campaign_diff(golden_path: &str, actual_path: &str) -> Result<(), String>
     let actual = read(actual_path)?;
     let diffs = diff_reports(&golden, &actual);
     if diffs.is_empty() {
-        println!("reports identical ({golden_path} vs {actual_path})");
+        outln!("reports identical ({golden_path} vs {actual_path})");
         return Ok(());
     }
     const SHOWN: usize = 20;
@@ -441,7 +477,7 @@ fn cmd_trace_gen(
     for (label, trace) in variants {
         let path = format!("{prefix}.{label}.dim");
         fs::write(&path, emit_trace_set(&trace)).map_err(|e| format!("write {path}: {e}"))?;
-        println!("wrote {path} ({} records)", trace.total_records());
+        outln!("wrote {path} ({} records)", trace.total_records());
     }
     Ok(())
 }
@@ -465,7 +501,7 @@ fn cmd_trace_convert(input: &str, output: &str) -> Result<(), String> {
         }
     };
     fs::write(output, &bytes).map_err(|e| format!("write {output}: {e}"))?;
-    println!(
+    outln!(
         "wrote {output} ({} ranks, {} records, {} bytes)",
         trace.rank_count(),
         trace.total_records(),
@@ -477,8 +513,8 @@ fn cmd_trace_convert(input: &str, output: &str) -> Result<(), String> {
 fn cmd_trace_stats(path: &str) -> Result<(), String> {
     let trace = load_trace(path)?;
     let issues = validate_trace_set(&trace);
-    println!("{trace}");
-    println!(
+    outln!("{trace}");
+    outln!(
         "total: {} instr, {} p2p",
         trace.total_instr().get(),
         format_bytes(trace.total_p2p_send_bytes())
@@ -494,7 +530,7 @@ fn cmd_trace_stats(path: &str) -> Result<(), String> {
             })
             .count();
         let collectives = rank_trace.iter().filter(|rec| rec.is_collective()).count();
-        println!(
+        outln!(
             "  rank {r}: {} records, {} instr, {} sends ({}), {} collectives",
             rank_trace.len(),
             rank_trace.total_instr().get(),
@@ -504,7 +540,7 @@ fn cmd_trace_stats(path: &str) -> Result<(), String> {
         );
     }
     if issues.is_empty() {
-        println!("validation: ok");
+        outln!("validation: ok");
         Ok(())
     } else {
         for issue in &issues {
@@ -518,7 +554,7 @@ fn cmd_trace_validate(path: &str) -> Result<(), String> {
     let trace = load_trace(path)?;
     let issues = validate_trace_set(&trace);
     if issues.is_empty() {
-        println!("{path}: ok");
+        outln!("{path}: ok");
         Ok(())
     } else {
         for issue in &issues {
@@ -565,15 +601,15 @@ fn cmd_trace_replay(
             input.replay(eng, &platform).map_err(|e| e.to_string())?
         }
     };
-    println!("{result}");
+    outln!("{result}");
     for r in 0..result.rank_finish().len() {
-        println!(
+        outln!(
             "  rank {r}: finish {}, compute {}",
             format_time(result.rank_finish()[r]),
             format_time(result.rank_compute()[Rank::new(r as u32).index()])
         );
     }
-    println!(
+    outln!(
         "\n{}",
         render_gantt(
             &timeline,
@@ -629,7 +665,7 @@ fn cmd_analyze(
         format!("{}.analysis.json", attr.trace_name()),
         attr.to_json(),
     )?;
-    println!(
+    outln!(
         "analysis {}: {} ranks, {} channels -> {}",
         attr.trace_name(),
         trace.rank_count(),
@@ -638,7 +674,7 @@ fn cmd_analyze(
     );
     if csv {
         let p = write_out(format!("{}.analysis.csv", attr.trace_name()), attr.to_csv())?;
-        println!("              csv -> {}", p.display());
+        outln!("              csv -> {}", p.display());
     }
     if prv {
         let intervals = (0..trace.rank_count()).flat_map(|r| {
@@ -654,23 +690,28 @@ fn cmd_analyze(
             format!("{}.cause.row", attr.trace_name()),
             to_row(trace.rank_count()),
         )?;
-        println!("              paraver cause timeline -> {}", p.display());
+        outln!("              paraver cause timeline -> {}", p.display());
     }
 
-    println!(
+    outln!(
         "\nmakespan {}  bound {}  critical path {} segments",
         format_time(attr.makespan()),
         format_time(attr.makespan_bound()),
         attr.critical_path().len()
     );
-    println!(
+    outln!(
         "\n{:<6} {:>4} {:>4} {:>12} {:>12} {:>12}",
-        "chan", "src", "dst", "wait", "critical", "gain"
+        "chan",
+        "src",
+        "dst",
+        "wait",
+        "critical",
+        "gain"
     );
     const SHOWN: usize = 10;
     let ranked = attr.ranked_channels();
     for c in ranked.iter().take(SHOWN) {
-        println!(
+        outln!(
             "{:<6} {:>4} {:>4} {:>12} {:>12} {:>12}",
             c.chan,
             c.src.get(),
@@ -681,7 +722,7 @@ fn cmd_analyze(
         );
     }
     if ranked.len() > SHOWN {
-        println!("... and {} more channels", ranked.len() - SHOWN);
+        outln!("... and {} more channels", ranked.len() - SHOWN);
     }
     Ok(())
 }
@@ -731,7 +772,7 @@ fn cmd_tune(
     let json_path = out_dir.join(format!("{}.tune.json", report.app));
     fs::write(&json_path, report.to_json())
         .map_err(|e| format!("write {}: {e}", json_path.display()))?;
-    println!(
+    outln!(
         "tune {}: {} tunable channels, budget {} -> {}",
         report.app,
         report.channels,
@@ -742,9 +783,9 @@ fn cmd_tune(
         let csv_path = out_dir.join(format!("{}.tune.csv", report.app));
         fs::write(&csv_path, report.to_csv())
             .map_err(|e| format!("write {}: {e}", csv_path.display()))?;
-        println!("              csv -> {}", csv_path.display());
+        outln!("              csv -> {}", csv_path.display());
     }
-    println!(
+    outln!(
         "\noriginal {}  uniform-linear {}  tuned {}  ({:+.2}% vs linear)",
         format_time(report.original),
         format_time(report.linear),
@@ -752,11 +793,11 @@ fn cmd_tune(
         (report.speedup_vs_linear() - 1.0) * 100.0
     );
     if let Some(plan) = &report.best_plan {
-        println!("plan: {}", plan.render());
+        outln!("plan: {}", plan.render());
     }
     // The accepted trajectory: how the incumbent improved step by step.
     for s in report.steps.iter().filter(|s| s.accepted && s.iter > 0) {
-        println!(
+        outln!(
             "  [{}] {} -> {}",
             s.iter,
             s.mutation,
@@ -771,7 +812,7 @@ fn cmd_tune(
 fn cmd_serve(port: u16, cache_dir: Option<&Path>) -> Result<(), String> {
     let session = Arc::new(open_session(cache_dir)?);
     let server = Server::bind(port, session, VERSION).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "ovlsim {VERSION} serving on http://127.0.0.1:{} (POST /shutdown to stop)",
         server.port().map_err(|e| e.to_string())?
     );
@@ -802,7 +843,7 @@ fn main() -> ExitCode {
             Some((s, None)) => {
                 eprintln!(
                     "error: unknown engine `{s}` for {flag} \
-                     (expected compiled, prepared, naive or fastforward)"
+                     (expected compiled, prepared or naive)"
                 );
                 Err(ExitCode::from(2))
             }
@@ -813,7 +854,7 @@ fn main() -> ExitCode {
     while let Some(arg) = it.next() {
         match arg {
             "--version" => {
-                println!("ovlsim {VERSION}");
+                outln!("ovlsim {VERSION}");
                 return ExitCode::SUCCESS;
             }
             "--port" => match it.next().and_then(|v| v.parse().ok()) {

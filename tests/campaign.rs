@@ -6,7 +6,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use ovlsim::lab::campaign::{CampaignSpec, Engine};
+use ovlsim::lab::campaign::{CampaignSpec, Engine, SpecError};
 
 fn repo_path(rel: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)
@@ -39,18 +39,19 @@ fn committed_corpus_parses_and_covers_the_promised_grid() {
     let stress = read_spec("examples/campaigns/stress.campaign");
     assert!(stress.apps.len() >= 3);
     assert!(stress.classes.len() >= 2);
-    assert_eq!(stress.engines.len(), 4, "stress cross-checks every engine");
-    assert!(
-        stress.engines.contains(&Engine::Fastforward),
-        "stress corpus exercises the fast-forward engine"
+    assert_eq!(
+        stress.engines,
+        vec![Engine::Compiled, Engine::Prepared, Engine::Naive],
+        "stress cross-checks every engine"
     );
 }
 
-/// `engine fastforward` must survive the full spec round trip: parse,
-/// grid expansion, and the human-facing `campaign list` output through
-/// the real binary.
+/// `engine fastforward` named a second path to the compiled executor and
+/// is gone: a spec naming it fails with a typed error on its line, both
+/// in the library and through the real binary, and `--force-engine`
+/// rejects it as a usage error.
 #[test]
-fn engine_fastforward_round_trips_through_campaign_list() {
+fn engine_fastforward_is_rejected_on_its_spec_line() {
     let dir = std::env::temp_dir().join("ovlsim-campaign-ff-list");
     std::fs::create_dir_all(&dir).unwrap();
     let spec_path = dir.join("ff.campaign");
@@ -58,25 +59,30 @@ fn engine_fastforward_round_trips_through_campaign_list() {
                 iterations 1\nbandwidths list 1e8\nengines fastforward\n";
     std::fs::write(&spec_path, text).unwrap();
 
-    let spec = CampaignSpec::parse(text).expect("spec parses");
-    assert_eq!(spec.engines, vec![Engine::Fastforward]);
-    assert_eq!(format!("{}", spec.engines[0]), "fastforward");
+    assert!(matches!(
+        CampaignSpec::parse(text).unwrap_err(),
+        SpecError::UnknownEngine { line: 7, .. }
+    ));
 
     let out = Command::new(env!("CARGO_BIN_EXE_ovlsim"))
         .args(["campaign", "list"])
         .arg(&spec_path)
         .output()
         .expect("ovlsim runs");
-    assert!(out.status.success(), "campaign list failed: {out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "campaign list: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stdout.contains("1 engines"),
-        "grid header counts the single engine: {stdout}"
+        stderr.contains("line 7: unknown engine `fastforward`"),
+        "stderr names the spec line: {stderr}"
     );
-    assert!(
-        stdout.contains("engine=fastforward"),
-        "points are listed under the fastforward engine: {stdout}"
-    );
+
+    let out = Command::new(env!("CARGO_BIN_EXE_ovlsim"))
+        .args(["campaign", "run"])
+        .arg(repo_path("examples/campaigns/paper.campaign"))
+        .args(["--force-engine", "fastforward"])
+        .output()
+        .expect("ovlsim runs");
+    assert_eq!(out.status.code(), Some(2), "--force-engine: {out:?}");
 }
 
 #[test]

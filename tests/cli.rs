@@ -3,7 +3,7 @@
 //! subcommands (run → diff, list).
 
 use std::path::Path;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn ovlsim() -> Command {
     Command::new(env!("CARGO_BIN_EXE_ovlsim"))
@@ -13,6 +13,57 @@ fn scratch_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("ovlsim-cli-test").join(name);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// A reader that hangs up early (`ovlsim ... | head -1`) ends the run
+/// cleanly: exit 0 and nothing on stderr, never a broken-pipe panic, and
+/// the command's files are still written. The read end is closed before
+/// the child starts, so its first write to stdout already fails with
+/// EPIPE.
+#[test]
+fn closed_stdout_exits_cleanly() {
+    let spec = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/campaigns/paper.campaign"
+    );
+    let trace = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/traces/nas-bt-mini.original.dim"
+    );
+    let dir = scratch_dir("closed-stdout");
+    for report in ["mini.report.json", "mini.report.csv"] {
+        let _ = std::fs::remove_file(dir.join(report));
+    }
+    let mini = dir.join("mini.campaign");
+    std::fs::write(
+        &mini,
+        "campaign mini\napps sweep3d\nclasses S\nranks 4\niterations 1\n\
+         bandwidths list 1e8\n",
+    )
+    .unwrap();
+    let (mini, out) = (mini.to_str().unwrap(), dir.to_str().unwrap());
+    let cases: [&[&str]; 5] = [
+        &["--version"],
+        &["campaign", "list", spec],
+        &["campaign", "run", mini, "--out", out, "--csv"],
+        &["trace", "stats", trace],
+        &["trace", "replay", trace],
+    ];
+    for args in cases {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = ovlsim()
+            .args(args)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{args:?} wrote to stderr: {stderr}");
+    }
+    assert!(dir.join("mini.report.json").exists());
+    assert!(dir.join("mini.report.csv").exists());
 }
 
 #[test]
@@ -279,7 +330,7 @@ fn trace_replay_engine_flag_selects_each_engine_byte_identically() {
         .output()
         .unwrap();
     assert!(default_out.status.success());
-    for engine in ["naive", "prepared", "compiled", "fastforward"] {
+    for engine in ["naive", "prepared", "compiled"] {
         let out = ovlsim()
             .args(["trace", "replay", &linear, "100e6", "5", "--engine", engine])
             .output()
@@ -293,28 +344,31 @@ fn trace_replay_engine_flag_selects_each_engine_byte_identically() {
 }
 
 /// An unknown engine name is a usage error: exit 2 with a single typed
-/// `error:` line naming the accepted engines.
+/// `error:` line naming the accepted engines. `fastforward`, once a second
+/// name for the compiled executor, is unknown too.
 #[test]
 fn trace_replay_unknown_engine_exits_2_with_one_error_line() {
-    let out = ovlsim()
-        .args(["trace", "replay", "x.dim", "--engine", "warp"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.starts_with("error: unknown engine `warp`"),
-        "stderr: {stderr}"
-    );
-    assert!(
-        stderr.contains("compiled, prepared, naive or fastforward"),
-        "stderr lists the accepted engines: {stderr}"
-    );
-    assert_eq!(
-        stderr.trim_end().lines().count(),
-        1,
-        "must fail with a single line: {stderr}"
-    );
+    for name in ["warp", "fastforward"] {
+        let out = ovlsim()
+            .args(["trace", "replay", "x.dim", "--engine", name])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with(&format!("error: unknown engine `{name}`")),
+            "stderr: {stderr}"
+        );
+        assert!(
+            stderr.contains("compiled, prepared or naive"),
+            "stderr lists the accepted engines: {stderr}"
+        );
+        assert_eq!(
+            stderr.trim_end().lines().count(),
+            1,
+            "must fail with a single line: {stderr}"
+        );
+    }
 
     // `--engine` belongs to `trace replay` only.
     let out = ovlsim()
