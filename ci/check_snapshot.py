@@ -14,10 +14,18 @@ Three layers of checking:
 
 2. Absolute floors: engine-vs-engine speedups that the design guarantees
    must clear a floor even on the noisiest CI runner. Today that is the
-   compiled executor on the 196-rank contention corpus: locally it measures
-   6.5-7.6x over the prepared engine; CI gates at >= 4x so shared-runner noise
-   cannot mask a collapse of its per-node pumps or window fast-forwarding
-   to the prepared engine's full-FIFO, event-by-event speed.
+   compiled executor on the 196-rank contention corpus, measured against
+   the naive reference engine; CI gates at >= 6x. Why 6: on two 2-CPU
+   containers the corpus read compiled/naive 7.5-10.9x (median 9.6, seven
+   runs) and 8.4-10.8x (median 9.4, six runs), while an event-by-event
+   executor with full-FIFO rescans (no per-node pumps, no window
+   fast-forwarding, what the deleted prepared engine ran at) read
+   1.7-2.0x and 1.2-1.7x naive. A collapse of either mechanism therefore
+   lands far below 6 and fails. The floor is deliberately not a literal
+   translation of the former ">= 4x the event-by-event executor" gate:
+   4 x (1.2-2.0) = 4.8-8.1x naive moves with that executor's own noise
+   and reaches into the run-to-run spread of the compiled/naive ratio,
+   so it would flake.
 
 3. Baseline comparison (required): each speedup field present in *both*
    snapshots must not collapse below ``TOLERANCE * baseline``. The
@@ -49,7 +57,7 @@ TOLERANCE = 1.0 / 3.0
 # Absolute floors, independent of the baseline: these ratios are design
 # guarantees, so even a stale baseline must not let them slide.
 FLOORS = {
-    "replay_contention.speedup_vs_prepared": 4.0,
+    "replay_contention.speedup_vs_naive": 6.0,
 }
 
 

@@ -1,8 +1,9 @@
 //! Replay-throughput benchmarks: how fast the Dimemas substrate
 //! reconstructs time behaviour (records/second), for original and
-//! overlapped traces — and how the optimized hot path (interned channels,
-//! slab event queue, prepared indexes) compares to the pre-optimization
-//! reference engine kept in `ovlsim_dimemas::replay_naive`.
+//! overlapped traces — and how the production executor (compiled
+//! programs, calendar event store, quiescent-window fast-forwarding)
+//! compares to the pre-optimization reference engine kept in
+//! `ovlsim_dimemas::replay_naive`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ovlsim_apps::{calibration::reference_platform, NasBt, Sweep3d};
@@ -43,22 +44,10 @@ fn bench_replay(c: &mut Criterion) {
         },
     );
 
-    // The sweep hot path: index once, replay prepared. This is what every
-    // bandwidth sweep point pays.
-    let index = TraceIndex::build(&overlapped).expect("valid trace");
-    group.throughput(Throughput::Elements(overlapped.total_records() as u64));
-    group.bench_with_input(
-        BenchmarkId::new("nas_bt_overlapped_prepared", overlapped.total_records()),
-        &overlapped,
-        |b, trace| {
-            let sim = Simulator::new(platform.clone());
-            b.iter(|| black_box(sim.run_prepared(trace, &index).expect("replays")));
-        },
-    );
-
     // The compiled sweep hot path: validate + index + compile once, then
     // execute the flat SoA program per point. This is what sweeps and the
     // iso-bisection pay after the trace-compilation layer.
+    let index = TraceIndex::build(&overlapped).expect("valid trace");
     let program = CompiledTrace::compile(&overlapped, &index).expect("compiles");
     group.throughput(Throughput::Elements(overlapped.total_records() as u64));
     group.bench_with_input(
@@ -84,17 +73,8 @@ fn bench_replay(c: &mut Criterion) {
     // Hierarchical platform: the same trace packed 4 ranks per node, so a
     // large share of the messages takes the intra-node fast path while the
     // rest contends for shared NICs. Measures the node-aware routing cost
-    // on the prepared hot path.
+    // on the compiled hot path.
     let multicore = ovlsim_apps::calibration::multicore_platform(4);
-    group.throughput(Throughput::Elements(overlapped.total_records() as u64));
-    group.bench_with_input(
-        BenchmarkId::new("nas_bt_overlapped_multicore", overlapped.total_records()),
-        &overlapped,
-        |b, trace| {
-            let sim = Simulator::new(multicore.clone());
-            b.iter(|| black_box(sim.run_prepared(trace, &index).expect("replays")));
-        },
-    );
     group.throughput(Throughput::Elements(overlapped.total_records() as u64));
     group.bench_with_input(
         BenchmarkId::new(

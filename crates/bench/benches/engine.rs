@@ -1,9 +1,9 @@
-//! Micro-benchmarks for the discrete-event kernel: the replay simulator's
-//! hot path is schedule/pop on the event queue.
+//! Micro-benchmark for the discrete-event kernel: the naive reference
+//! engine's hot path is schedule/pop on the event queue.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ovlsim_core::Time;
-use ovlsim_engine::{EventQueue, FifoResource};
+use ovlsim_engine::EventQueue;
 use std::hint::black_box;
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -28,22 +28,5 @@ fn bench_event_queue(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_resource(c: &mut Criterion) {
-    c.bench_function("fifo_resource_grant_release", |b| {
-        b.iter(|| {
-            let mut r = FifoResource::new(Some(4));
-            let mut tokens = Vec::with_capacity(64);
-            for _ in 0..64 {
-                tokens.push(r.request());
-            }
-            for _ in 0..60 {
-                r.release();
-                black_box(r.take_granted());
-            }
-            black_box(r.in_use())
-        });
-    });
-}
-
-criterion_group!(benches, bench_event_queue, bench_resource);
+criterion_group!(benches, bench_event_queue);
 criterion_main!(benches);

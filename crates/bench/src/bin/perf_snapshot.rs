@@ -7,9 +7,9 @@
 //! directory with:
 //!
 //! * replay throughput (records/s) on a large synthetic trace for the
-//!   naive reference engine, the optimized validating entry point, the
-//!   optimized prepared (sweep) path and the compiled (flat SoA program)
-//!   path, plus the naive→prepared and prepared→compiled speedups,
+//!   naive reference engine, the validating entry point (index, compile,
+//!   replay) and the compiled (flat SoA program, sweep) path, plus their
+//!   speedups over naive,
 //! * perturbed replay throughput (seeded noise + straggler + link
 //!   degradation/jitter) on the same compiled program, plus a hot-path
 //!   gate: an epsilon-magnitude model (perturbation code paths live,
@@ -20,11 +20,11 @@
 //! * replay throughput on an intra-node-heavy scenario (the same trace
 //!   packed 4 ranks per node under a constrained bus), so the node-aware
 //!   routing path and the compiled executor's global pump are tracked by
-//!   every snapshot — prepared and compiled,
+//!   every snapshot, as a speedup over naive,
 //! * compiled replay throughput on a contention-heavy NAS-BT corpus (196
 //!   ranks, capacity-1 links), clean and perturbed, asserted bit-identical
-//!   to the naive and prepared engines and reported as a speedup over the
-//!   prepared engine — the number `ci/check_snapshot.py` floors,
+//!   to the naive engine and reported as a speedup over it — the number
+//!   `ci/check_snapshot.py` floors,
 //! * wall-clock of a multi-point bandwidth sweep at 1/2/4 worker threads
 //!   and the resulting scaling factors, with a byte-identity check between
 //!   the sequential and parallel results.
@@ -60,6 +60,18 @@ fn time_call<F: FnMut()>(mut f: F) -> f64 {
     start.elapsed().as_secs_f64() / iters as f64
 }
 
+/// Times `a` and `b` in three interleaved rounds and returns each one's
+/// best mean seconds per call, so shared-runner noise that slows one
+/// round cannot skew the ratio between them.
+fn best_of_3<A: FnMut(), B: FnMut()>(mut a: A, mut b: B) -> (f64, f64) {
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        best_a = best_a.min(time_call(&mut a));
+        best_b = best_b.min(time_call(&mut b));
+    }
+    (best_a, best_b)
+}
+
 fn main() {
     let label = std::env::args().nth(1).unwrap_or_else(|| "snapshot".into());
     let platform = reference_platform();
@@ -86,9 +98,6 @@ fn main() {
         std::hint::black_box(sim.run(trace).expect("replays"));
     });
     let index = TraceIndex::build(trace).expect("valid trace");
-    let prepared_s = time_call(|| {
-        std::hint::black_box(sim.run_prepared(trace, &index).expect("replays"));
-    });
 
     // The compiled path: lower once into the flat SoA program (coalesced
     // bursts, pre-resolved request slots), then execute it per point. The
@@ -181,34 +190,26 @@ fn main() {
         .expect("positive packing")
         .build();
     let sim_mc = Simulator::new(multicore.clone());
-    let naive_mc = replay_naive(&multicore, trace).expect("replays");
-    assert_eq!(
-        sim_mc.run_prepared(trace, &index).expect("replays"),
-        naive_mc,
-        "node-aware routing diverged between engines"
-    );
     assert_eq!(
         sim_mc.run_compiled(&program).expect("replays"),
-        naive_mc,
+        replay_naive(&multicore, trace).expect("replays"),
         "compiled replay diverged from the naive oracle on the multicore platform"
     );
-    let multicore_prepared_s = time_call(|| {
-        std::hint::black_box(sim_mc.run_prepared(trace, &index).expect("replays"));
-    });
-    let multicore_naive_s = time_call(|| {
-        std::hint::black_box(replay_naive(&multicore, trace).expect("replays"));
-    });
-    let multicore_compiled_s = time_call(|| {
-        std::hint::black_box(sim_mc.run_compiled(&program).expect("replays"));
-    });
+    let (multicore_naive_s, multicore_compiled_s) = best_of_3(
+        || {
+            std::hint::black_box(replay_naive(&multicore, trace).expect("replays"));
+        },
+        || {
+            std::hint::black_box(sim_mc.run_compiled(&program).expect("replays"));
+        },
+    );
 
     // Contention corpus: the compiled executor's per-node waiter queues
     // and window fast-forwarding pay off where full-FIFO rescans hurt, so
     // the corpus is a contention-heavy NAS-BT (196 ranks on capacity-1
     // links piles the waiter queues deep). Bit-identity against the naive
-    // and prepared engines is asserted clean and perturbed before
-    // anything is timed, and compiled and prepared are timed in
-    // interleaved best-of-3 pairs (like the hot-path gate) so
+    // engine is asserted clean and perturbed before anything is timed,
+    // and compiled and naive are timed in interleaved best-of-3 pairs so
     // shared-runner noise cannot flake the ratio.
     let cont_app = NasBt::builder()
         .ranks(196)
@@ -228,38 +229,28 @@ fn main() {
         (&sim, &platform, "clean"),
         (&cont_perturbed, &perturbed, "perturbed"),
     ] {
-        let compiled = sim.run_compiled(&cont_program).expect("replays");
         assert_eq!(
-            compiled,
+            sim.run_compiled(&cont_program).expect("replays"),
             replay_naive(platform, cont_trace).expect("replays"),
             "{what} contention replay diverged from the naive oracle"
         );
-        assert_eq!(
-            compiled,
-            sim.run_prepared(cont_trace, &cont_index).expect("replays"),
-            "{what} contention replay diverged from the prepared engine"
-        );
     }
-    let mut cont_s = f64::INFINITY;
-    let mut cont_prepared_s = f64::INFINITY;
-    for _ in 0..3 {
-        cont_prepared_s = cont_prepared_s.min(time_call(|| {
-            std::hint::black_box(sim.run_prepared(cont_trace, &cont_index).expect("replays"));
-        }));
-        cont_s = cont_s.min(time_call(|| {
+    let (cont_naive_s, cont_s) = best_of_3(
+        || {
+            std::hint::black_box(replay_naive(&platform, cont_trace).expect("replays"));
+        },
+        || {
             std::hint::black_box(sim.run_compiled(&cont_program).expect("replays"));
-        }));
-    }
-    let cont_perturbed_s = time_call(|| {
-        std::hint::black_box(cont_perturbed.run_compiled(&cont_program).expect("replays"));
-    });
-    let cont_perturbed_prepared_s = time_call(|| {
-        std::hint::black_box(
-            cont_perturbed
-                .run_prepared(cont_trace, &cont_index)
-                .expect("replays"),
-        );
-    });
+        },
+    );
+    let (cont_perturbed_naive_s, cont_perturbed_s) = best_of_3(
+        || {
+            std::hint::black_box(replay_naive(&perturbed, cont_trace).expect("replays"));
+        },
+        || {
+            std::hint::black_box(cont_perturbed.run_compiled(&cont_program).expect("replays"));
+        },
+    );
 
     // Session-layer cache overhead: replaying through a warmed
     // `ovlsim_session::Session` (content-keyed lookups for trace, index
@@ -377,14 +368,11 @@ fn main() {
     // the sanity gate and the JSON below, so the gated value is always
     // the published value.
     let sp_run_vs_naive = naive_s / run_s;
-    let sp_prepared_vs_naive = naive_s / prepared_s;
     let sp_compiled_vs_naive = naive_s / compiled_s;
-    let sp_compiled_vs_prepared = prepared_s / compiled_s;
-    let sp_mc_prepared_vs_naive = multicore_naive_s / multicore_prepared_s;
-    let sp_mc_compiled_vs_prepared = multicore_prepared_s / multicore_compiled_s;
+    let sp_mc_compiled_vs_naive = multicore_naive_s / multicore_compiled_s;
     let perturbed_overhead = perturbed_compiled_s / compiled_s;
-    let sp_contention_vs_prepared = cont_prepared_s / cont_s;
-    let sp_contention_perturbed_vs_prepared = cont_perturbed_prepared_s / cont_perturbed_s;
+    let sp_contention_vs_naive = cont_naive_s / cont_s;
+    let sp_contention_perturbed_vs_naive = cont_perturbed_naive_s / cont_perturbed_s;
 
     // Sanity gate: every ratio the snapshot publishes must be a real,
     // positive number. A NaN/∞/0 here means a timer returned zero or an
@@ -392,15 +380,12 @@ fn main() {
     // a nonsense baseline.
     let speedups = [
         ("run_vs_naive", sp_run_vs_naive),
-        ("prepared_vs_naive", sp_prepared_vs_naive),
         ("compiled_vs_naive", sp_compiled_vs_naive),
-        ("compiled_vs_prepared", sp_compiled_vs_prepared),
-        ("multicore_prepared_vs_naive", sp_mc_prepared_vs_naive),
-        ("multicore_compiled_vs_prepared", sp_mc_compiled_vs_prepared),
-        ("contention_vs_prepared", sp_contention_vs_prepared),
+        ("multicore_compiled_vs_naive", sp_mc_compiled_vs_naive),
+        ("contention_vs_naive", sp_contention_vs_naive),
         (
-            "contention_perturbed_vs_prepared",
-            sp_contention_perturbed_vs_prepared,
+            "contention_perturbed_vs_naive",
+            sp_contention_perturbed_vs_naive,
         ),
     ];
     for (what, value) in speedups {
@@ -460,21 +445,7 @@ fn main() {
         "    \"optimized_run_records_per_sec\": {:.0},",
         records / run_s
     );
-    let _ = writeln!(
-        json,
-        "    \"optimized_prepared_records_per_sec\": {:.0},",
-        records / prepared_s
-    );
-    let _ = writeln!(
-        json,
-        "    \"speedup_run_vs_naive\": {:.2},",
-        sp_run_vs_naive
-    );
-    let _ = writeln!(
-        json,
-        "    \"speedup_prepared_vs_naive\": {:.2}",
-        sp_prepared_vs_naive
-    );
+    let _ = writeln!(json, "    \"speedup_run_vs_naive\": {:.2}", sp_run_vs_naive);
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"replay_compiled\": {{");
     let _ = writeln!(
@@ -489,18 +460,13 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"speedup_vs_prepared\": {:.2},",
-        sp_compiled_vs_prepared
-    );
-    let _ = writeln!(
-        json,
         "    \"multicore_records_per_sec\": {:.0},",
         records / multicore_compiled_s
     );
     let _ = writeln!(
         json,
-        "    \"multicore_speedup_vs_prepared\": {:.2}",
-        sp_mc_compiled_vs_prepared
+        "    \"multicore_speedup_vs_naive\": {:.2}",
+        sp_mc_compiled_vs_naive
     );
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"replay_perturbed\": {{");
@@ -520,23 +486,6 @@ fn main() {
         hotpath_overhead
     );
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"replay_multicore_4rpn\": {{");
-    let _ = writeln!(
-        json,
-        "    \"naive_records_per_sec\": {:.0},",
-        records / multicore_naive_s
-    );
-    let _ = writeln!(
-        json,
-        "    \"optimized_prepared_records_per_sec\": {:.0},",
-        records / multicore_prepared_s
-    );
-    let _ = writeln!(
-        json,
-        "    \"speedup_prepared_vs_naive\": {:.2}",
-        sp_mc_prepared_vs_naive
-    );
-    let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"replay_contention\": {{");
     let _ = writeln!(json, "    \"corpus_ranks\": {},", cont_trace.rank_count());
     let _ = writeln!(
@@ -551,13 +500,13 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"prepared_records_per_sec\": {:.0},",
-        cont_records / cont_prepared_s
+        "    \"naive_records_per_sec\": {:.0},",
+        cont_records / cont_naive_s
     );
     let _ = writeln!(
         json,
-        "    \"speedup_vs_prepared\": {:.2},",
-        sp_contention_vs_prepared
+        "    \"speedup_vs_naive\": {:.2},",
+        sp_contention_vs_naive
     );
     let _ = writeln!(
         json,
@@ -566,8 +515,8 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"perturbed_speedup_vs_prepared\": {:.2}",
-        sp_contention_perturbed_vs_prepared
+        "    \"perturbed_speedup_vs_naive\": {:.2}",
+        sp_contention_perturbed_vs_naive
     );
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"session_cache\": {{");

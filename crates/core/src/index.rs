@@ -8,9 +8,10 @@
 //!
 //! [`TraceIndex::build`] validates a [`TraceSet`] and interns its channels
 //! in one pass. The "synthesize once, replay many" methodology makes this
-//! split pay twice: a bandwidth sweep builds the index once and replays it
-//! at every platform point, skipping revalidation entirely (see
-//! `Simulator::run_prepared` in `ovlsim-dimemas`).
+//! split pay twice: a bandwidth sweep builds the index once, lowers the
+//! trace with it into a [`CompiledTrace`](crate::CompiledTrace), and
+//! replays that program at every platform point, skipping revalidation
+//! entirely (see `Simulator::run_compiled` in `ovlsim-dimemas`).
 
 use crate::record::TraceSet;
 use crate::validate::{scan_trace_set, TraceIssue};
@@ -172,10 +173,9 @@ impl TraceIndex {
     /// Best-effort check that this index was built from `trace`: compares
     /// the trace name, the rank count and every rank's record count,
     /// returning a description of the first disagreement (`None` = all
-    /// three agree). This is the single detection policy shared by
-    /// prepared replay and trace compilation — an index from a different
-    /// trace that happens to agree on all three is not caught, so always
-    /// build the index from the trace you replay.
+    /// three agree). Trace compilation relies on it — an index from a
+    /// different trace that happens to agree on all three is not caught,
+    /// so always build the index from the trace you compile.
     pub fn mismatch_reason(&self, trace: &TraceSet) -> Option<String> {
         if self.trace_name() != trace.name() {
             return Some(format!(

@@ -3,8 +3,8 @@
 //!
 //! The paper's methodology replays one trace at hundreds of platform
 //! points. Everything about the *trace* is invariant across that sweep,
-//! yet a prepared replay still walks heap-allocated [`Record`] enums,
-//! resolves request ids through a runtime table, and converts burst
+//! yet a replay over the record stream walks heap-allocated [`Record`]
+//! enums, resolves request ids through a runtime table, and converts burst
 //! instruction counts to time on every point. [`CompiledTrace`] pays those
 //! costs **once per trace**:
 //!
@@ -42,7 +42,8 @@ use crate::record::{Record, RecordKind, TraceSet};
 #[non_exhaustive]
 pub enum CompileError {
     /// The [`TraceIndex`] disagrees with the trace (detected best-effort
-    /// via trace name and rank/record counts, like prepared replay).
+    /// via trace name and rank/record counts, see
+    /// [`TraceIndex::mismatch_reason`]).
     IndexMismatch {
         /// What disagreed between the index and the trace.
         reason: String,
@@ -229,8 +230,8 @@ impl CompiledTrace {
     /// # Errors
     ///
     /// Returns [`CompileError::IndexMismatch`] if `index` does not match
-    /// `trace` (same best-effort detection as prepared replay: trace name
-    /// plus rank/record counts) and [`CompileError::InvalidWait`] if a
+    /// `trace` (best-effort detection: trace name plus rank/record counts)
+    /// and [`CompileError::InvalidWait`] if a
     /// wait references an unposted request (impossible for a validated
     /// trace with its own index).
     pub fn compile(trace: &TraceSet, index: &TraceIndex) -> Result<Self, CompileError> {
@@ -776,14 +777,35 @@ mod tests {
 
     #[test]
     fn mismatched_index_is_rejected() {
-        let ts = TraceSet::new("a", mips(), vec![RankTrace::new()]);
-        let other = TraceSet::new("b", mips(), vec![RankTrace::new()]);
-        let index = TraceIndex::build(&other).unwrap();
-        match CompiledTrace::compile(&ts, &index) {
-            Err(CompileError::IndexMismatch { reason }) => {
-                assert!(reason.contains("name mismatch"), "got: {reason}");
+        let burst = || {
+            RankTrace::from_records(vec![Record::Burst {
+                instr: Instr::new(10),
+            }])
+        };
+        let ts = TraceSet::new("a", mips(), vec![burst()]);
+        // Each index disagrees with `ts` in one respect: the trace name,
+        // the rank count, or one rank's record count.
+        let cases = [
+            ("name mismatch", TraceSet::new("b", mips(), vec![burst()])),
+            (
+                "rank count mismatch",
+                TraceSet::new("a", mips(), vec![burst(), burst()]),
+            ),
+            (
+                "rank 0 record count mismatch",
+                TraceSet::new("a", mips(), vec![RankTrace::new()]),
+            ),
+        ];
+        for (expected, other) in cases {
+            let index = TraceIndex::build(&other).unwrap();
+            for compile in [CompiledTrace::compile, CompiledTrace::compile_observed] {
+                match compile(&ts, &index) {
+                    Err(CompileError::IndexMismatch { reason }) => {
+                        assert!(reason.contains(expected), "got: {reason}");
+                    }
+                    other => panic!("expected IndexMismatch, got {other:?}"),
+                }
             }
-            other => panic!("expected IndexMismatch, got {other:?}"),
         }
     }
 }

@@ -5,10 +5,11 @@
 //! [`CompiledTrace::compile`] — one-byte opcodes, dense operand columns,
 //! pre-converted burst durations and pre-resolved request slots — instead
 //! of decoding [`ovlsim_core::Record`] enums and scanning request tables
-//! per event. The executor behind both entry points lives in
-//! `fastforward.rs`. Results are bit-identical to
-//! [`crate::naive::replay_naive`] and [`crate::Simulator::run`]; the
-//! differential property tests in `tests/props.rs` enforce it.
+//! per event. The executor behind both entry points (and behind
+//! [`Simulator::run`], which compiles first) lives in `fastforward.rs`.
+//! Results are bit-identical to the independent reference engine,
+//! [`crate::naive::replay_naive`]; the differential property tests in
+//! `tests/props.rs` enforce it.
 
 use ovlsim_core::CompiledTrace;
 
@@ -20,10 +21,10 @@ use crate::replay::{ReplayResult, Simulator};
 impl Simulator {
     /// Replays a compiled trace program, the cheapest per-sweep-point
     /// entry. The result is bit-identical to [`Simulator::run`] on the
-    /// source trace; only the per-point record decoding, request-table
-    /// scanning and (where provably safe) per-event queue traffic are
-    /// gone. Compile once with [`CompiledTrace::compile`] and share
-    /// `&CompiledTrace` across parallel sweep points.
+    /// source trace, which validates, indexes and compiles on every call;
+    /// here that work is paid once. Compile once with
+    /// [`CompiledTrace::compile`] and share `&CompiledTrace` across
+    /// parallel sweep points.
     ///
     /// # Errors
     ///
@@ -124,9 +125,10 @@ mod tests {
         r1.push(Record::Barrier);
         let ts = trace(vec![r0, r1]);
         let sim = Simulator::new(platform_1us_1gb());
-        let reference = sim.run(&ts).unwrap();
         let compiled = sim.run_compiled(&compile(&ts)).unwrap();
-        assert_eq!(reference, compiled);
+        assert_eq!(sim.run(&ts).unwrap(), compiled);
+        let naive = crate::naive::replay_naive(sim.platform(), &ts).unwrap();
+        assert_eq!(naive, compiled);
     }
 
     #[test]
@@ -142,7 +144,7 @@ mod tests {
             vec![],
         ]);
         let sim = Simulator::new(platform_1us_1gb());
-        let reference = sim.run(&ts).unwrap();
+        let reference = crate::naive::replay_naive(sim.platform(), &ts).unwrap();
         let compiled = sim.run_compiled(&compile(&ts)).unwrap();
         assert_eq!(reference, compiled);
     }
@@ -233,12 +235,15 @@ mod tests {
             }],
         ]);
         let sim = Simulator::new(platform_1us_1gb());
-        let mut direct = Capture::default();
-        sim.run_observed(&ts, &mut direct).unwrap();
+        let mut naive = Capture::default();
+        crate::naive::replay_naive_observed(sim.platform(), &ts, &mut naive).unwrap();
         let index = TraceIndex::build(&ts).unwrap();
         let prog = CompiledTrace::compile_observed(&ts, &index).unwrap();
         let mut compiled = Capture::default();
         sim.run_compiled_observed(&prog, &mut compiled).unwrap();
+        assert_eq!(naive, compiled);
+        let mut direct = Capture::default();
+        sim.run_observed(&ts, &mut direct).unwrap();
         assert_eq!(direct, compiled);
     }
 
@@ -288,8 +293,8 @@ mod tests {
     fn compiled_matches_both_engines_under_full_perturbation() {
         use ovlsim_core::PerturbationModel;
         // Bursts + eager and rendezvous traffic + a collective, replayed
-        // under every perturbation axis at once: the compiled engine must
-        // stay bit-identical to the prepared and naive engines.
+        // under every perturbation axis at once: the compiled program, the
+        // validating entry point and the naive engine stay bit-identical.
         let mk = |to: u32, from: u32| {
             vec![
                 Record::Burst {
@@ -354,10 +359,10 @@ mod tests {
             .build();
         let sim = Simulator::new(p.clone());
         let naive = crate::naive::replay_naive(&p, &ts).unwrap();
-        let prepared = sim.run(&ts).unwrap();
+        let run = sim.run(&ts).unwrap();
         let compiled = sim.run_compiled(&compile(&ts)).unwrap();
-        assert_eq!(naive, prepared);
-        assert_eq!(prepared, compiled);
+        assert_eq!(naive, run);
+        assert_eq!(run, compiled);
         // And the perturbed makespan differs from the clean one (the
         // model actually did something).
         let clean = Simulator::new(platform_1us_1gb()).run(&ts).unwrap();

@@ -21,20 +21,6 @@ pub enum SimError {
         /// For each blocked rank: a description of what it waits on.
         blocked: Vec<(Rank, String)>,
     },
-    /// The trace references more ranks than it contains.
-    RankMismatch {
-        /// The offending rank reference.
-        rank: Rank,
-        /// Communicator size.
-        size: usize,
-    },
-    /// A prepared replay was handed a [`TraceIndex`](ovlsim_core::TraceIndex)
-    /// built from a different trace (detected best-effort via trace name and
-    /// rank/record counts).
-    IndexMismatch {
-        /// What disagreed between the index and the trace.
-        reason: String,
-    },
     /// An observer was attached to a burst-coalesced
     /// [`CompiledTrace`](ovlsim_core::CompiledTrace): coalescing merges
     /// compute intervals and drops markers, so the observed timeline would
@@ -67,12 +53,6 @@ impl fmt::Display for SimError {
                 }
                 Ok(())
             }
-            SimError::RankMismatch { rank, size } => {
-                write!(f, "record references {rank} in a {size}-rank trace")
-            }
-            SimError::IndexMismatch { reason } => {
-                write!(f, "trace index built from a different trace: {reason}")
-            }
             SimError::CoalescedObservation => write!(
                 f,
                 "cannot observe a burst-coalesced program; compile with \
@@ -102,14 +82,5 @@ mod tests {
     fn is_std_error() {
         fn check<E: Error + Send + Sync>() {}
         check::<SimError>();
-    }
-
-    #[test]
-    fn index_mismatch_display_carries_reason() {
-        let e = SimError::IndexMismatch {
-            reason: "name mismatch: index `a`, trace `b`".into(),
-        };
-        let s = format!("{e}");
-        assert!(s.contains("different trace") && s.contains("name mismatch"));
     }
 }

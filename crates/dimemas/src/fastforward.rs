@@ -4,8 +4,8 @@
 //! both run here. The executor walks the flat struct-of-arrays instruction
 //! streams produced by [`CompiledTrace::compile`] — one-byte opcodes,
 //! dense operand columns, pre-converted burst durations and pre-resolved
-//! request slots — with the event semantics of the prepared and naive
-//! engines: every start decision, FIFO tie-break and statistic is
+//! request slots — with the event semantics of the naive reference
+//! engine: every start decision, FIFO tie-break and statistic is
 //! bit-identical (the differential property tests in `tests/props.rs`
 //! enforce it). On top of that it fast-forwards through *quiescent
 //! windows*: spans of simulated time where the event queue proves that
@@ -56,14 +56,14 @@
 //! outage times, kept in a side table) compile away. An observed run needs
 //! an uncoalesced program, so every compute window holds one sub-burst and
 //! the timeline keeps per-event detail; since the virtual buffer never
-//! reorders events, callbacks fire in the prepared engine's order.
+//! reorders events, callbacks fire in the naive engine's order.
 //!
 //! A stalled run is diagnosed here as well: [`SimError::Deadlock`] names
-//! the same blockers, in the same words, as [`Simulator::run_prepared`].
+//! what every blocked rank waits on, with the peer and tag of a blocking
+//! point-to-point operation.
 //!
 //! [`Simulator::run_compiled`]: crate::Simulator::run_compiled
 //! [`Simulator::run_compiled_observed`]: crate::Simulator::run_compiled_observed
-//! [`Simulator::run_prepared`]: crate::Simulator::run_prepared
 
 use std::collections::VecDeque;
 
@@ -885,7 +885,7 @@ impl<'a, O: Observe + ?Sized> FfState<'a, O> {
     }
 
     /// The stall diagnosis of a run whose queue drained with ranks still
-    /// blocked, worded exactly like the prepared engine's.
+    /// blocked: the latest rank clock and each blocked rank's blocker.
     fn deadlock(&self) -> SimError {
         let chans = self.prog.channels();
         let blocked = self
@@ -1494,8 +1494,7 @@ impl<'a, O: Observe + ?Sized> FfState<'a, O> {
     }
 
     /// Emits the attributed intervals of a blocked window `[start, end)`
-    /// on rank `r` gated by transfer `tid` (identical decomposition to the
-    /// prepared engine's `emit_blocked`). Observed runs only.
+    /// on rank `r` gated by transfer `tid`. Observed runs only.
     fn emit_blocked(&mut self, r: usize, start: Time, end: Time, kind: BlockKind, tid: TransferId) {
         if end <= start {
             return;
@@ -1902,32 +1901,31 @@ mod tests {
 
     /// Replays `ts` three ways: the production run, the per-event
     /// schedule of the same executor with every fast-forward window
-    /// forced off, and the independent prepared engine.
+    /// forced off, and the independent naive engine.
     fn replay_three_ways(
         platform: &Platform,
         ts: &TraceSet,
     ) -> [Result<ReplayResult, SimError>; 3] {
-        let sim = Simulator::new(platform.clone());
         let index = TraceIndex::build(ts).expect("valid");
         let prog = CompiledTrace::compile(ts, &index).expect("compiles");
         [
-            sim.run_compiled(&prog),
+            Simulator::new(platform.clone()).run_compiled(&prog),
             FfState::new(platform, &prog, &mut NullObserver, true).run(),
-            sim.run_prepared(ts, &index),
+            crate::naive::replay_naive(platform, ts),
         ]
     }
 
     /// The fast-forward run must match the per-event compiled schedule
-    /// and the prepared engine bit for bit.
+    /// and the naive engine bit for bit.
     fn assert_ff_matches(platform: Platform, ts: &TraceSet) {
-        let [ff, forced, prepared] = replay_three_ways(&platform, ts);
+        let [ff, forced, naive] = replay_three_ways(&platform, ts);
         let ff = ff.expect("replays");
         assert_eq!(
             ff,
             forced.expect("replays"),
             "fast-forward windows diverged"
         );
-        assert_eq!(ff, prepared.expect("replays"), "diverged from prepared");
+        assert_eq!(ff, naive.expect("replays"), "diverged from naive");
     }
 
     fn send(to: u32, bytes: u64, tag: u64) -> Record {
@@ -2062,26 +2060,30 @@ mod tests {
     #[test]
     fn fastforward_reports_identical_deadlock() {
         // Each trace validates and compiles but stalls. The diagnosis —
-        // stall time and every blocked rank's text — must be the prepared
-        // engine's, for every kind of blocker.
+        // stall time and every blocked rank's text — is pinned for every
+        // kind of blocker, and the forced per-event schedule agrees. Naive
+        // replay words its blockers without peer and tag, so it only
+        // confirms the stall time.
         let big = 1 << 20; // above the default eager threshold
         let cases = [
             (
-                "blocked in recv from r1 t0",
                 vec![
                     vec![burst(3000), recv(1, 64, 0), send(1, 64, 1)],
                     vec![recv(0, 64, 1), send(0, 64, 0)],
                 ],
+                ["blocked in recv from r1 t0", "blocked in recv from r0 t1"],
             ),
             (
-                "blocked in rendezvous send to r0 t1",
                 vec![
                     vec![send(1, big, 0), recv(1, big, 1)],
                     vec![burst(3000), send(0, big, 1), recv(0, big, 0)],
                 ],
+                [
+                    "blocked in rendezvous send to r1 t0",
+                    "blocked in rendezvous send to r0 t1",
+                ],
             ),
             (
-                "blocked waiting 2 requests",
                 vec![
                     vec![
                         irecv(1, 0, 0),
@@ -2101,25 +2103,28 @@ mod tests {
                         send(0, 64, 2),
                     ],
                 ],
+                ["blocked waiting 2 requests", "blocked waiting 1 requests"],
             ),
             (
-                "blocked in collective #0",
                 vec![
                     vec![Record::Barrier, send(1, 64, 0)],
                     vec![burst(3000), recv(0, 64, 0), Record::Barrier],
                 ],
+                ["blocked in collective #0", "blocked in recv from r0 t0"],
             ),
         ];
-        for (blocker, ranks) in cases {
-            let [ff, forced, prepared] = replay_three_ways(&platform_1us_1gb(), &trace(ranks));
-            let ff = ff.expect_err("deadlocks");
+        for (ranks, [why0, why1]) in cases {
+            let expected = SimError::Deadlock {
+                at: Time::from_us(3),
+                blocked: vec![(Rank::new(0), why0.into()), (Rank::new(1), why1.into())],
+            };
+            let [ff, forced, naive] = replay_three_ways(&platform_1us_1gb(), &trace(ranks));
+            assert_eq!(ff.expect_err("deadlocks"), expected, "{why0}");
+            assert_eq!(forced.expect_err("deadlocks"), expected, "{why0}");
             assert!(
-                matches!(&ff, SimError::Deadlock { at, .. } if *at > Time::ZERO),
-                "{ff}"
+                matches!(naive, Err(SimError::Deadlock { at, .. }) if at == Time::from_us(3)),
+                "{why0}: {naive:?}"
             );
-            assert!(ff.to_string().contains(blocker), "{blocker}: {ff}");
-            assert_eq!(ff, forced.expect_err("deadlocks"), "{blocker}");
-            assert_eq!(ff, prepared.expect_err("deadlocks"), "{blocker}");
         }
     }
 
@@ -2204,8 +2209,7 @@ mod tests {
 
             /// Retired (coalesced) compute windows end in monotone order:
             /// the `debug_assert` in `burst_step` checks every retirement,
-            /// and the result still matches the prepared engine bit for
-            /// bit.
+            /// and the result still matches the naive engine bit for bit.
             #[test]
             fn retired_window_ends_are_monotone(
                 ranks in 2u32..6,
@@ -2217,17 +2221,17 @@ mod tests {
                 perturbed in any::<bool>(),
             ) {
                 let ts = ring(ranks, iters, bytes, burst);
-                let sim = Simulator::new(platform_at(lat_us, buses, perturbed));
+                let platform = platform_at(lat_us, buses, perturbed);
                 let index = TraceIndex::build(&ts).expect("valid");
                 let prog = CompiledTrace::compile(&ts, &index).expect("compiles");
-                let ff = sim.run_compiled(&prog).expect("replays");
-                let prepared = sim.run_prepared(&ts, &index).expect("replays");
-                prop_assert_eq!(ff, prepared);
+                let ff = Simulator::new(platform.clone()).run_compiled(&prog).expect("replays");
+                let naive = crate::naive::replay_naive(&platform, &ts).expect("replays");
+                prop_assert_eq!(ff, naive);
             }
 
             /// Forcing the per-event fallback everywhere (no virtual
             /// buffer, no window coalescing) replays the identical event
-            /// sequence: the forced run, the normal run and the prepared
+            /// sequence: the forced run, the normal run and the naive
             /// engine agree on every observable.
             #[test]
             fn forced_fallback_agrees_event_for_event(
@@ -2241,10 +2245,10 @@ mod tests {
             ) {
                 let ts = ring(ranks, iters, bytes, burst);
                 let platform = platform_at(lat_us, buses, perturbed);
-                let [normal, forced, prepared] = replay_three_ways(&platform, &ts);
+                let [normal, forced, naive] = replay_three_ways(&platform, &ts);
                 let normal = normal.expect("replays");
                 prop_assert_eq!(&normal, &forced.expect("replays"), "forced fallback diverged");
-                prop_assert_eq!(&normal, &prepared.expect("replays"), "diverged from prepared");
+                prop_assert_eq!(&normal, &naive.expect("replays"), "diverged from naive");
             }
         }
     }

@@ -10,13 +10,13 @@
 //! models.
 //!
 //! * [`Simulator`] — replays a [`ovlsim_core::TraceSet`], returning a
-//!   [`ReplayResult`] with makespan, per-rank times and network statistics;
-//!   [`Simulator::run_compiled`] executes a pre-lowered
-//!   [`ovlsim_core::CompiledTrace`] through the production executor:
+//!   [`ReplayResult`] with makespan, per-rank times and network statistics.
+//!   Every entry point lowers the trace into an
+//!   [`ovlsim_core::CompiledTrace`] (or takes one pre-lowered, via
+//!   [`Simulator::run_compiled`]) and runs the one production executor:
 //!   per-node transport pumps (a global FIFO pump when the platform has
 //!   finite buses or intra-node ports) and quiescent-window
-//!   fast-forwarding — bit-identical to every other engine, and several
-//!   times faster on contention-heavy many-rank traces,
+//!   fast-forwarding, bit-identical to the seed's naive reference engine,
 //! * [`ReplayObserver`] — timeline hooks consumed by the visualization
 //!   layer (`ovlsim-paraver`),
 //! * [`emit_trace_set`]/[`parse_trace_set`] — the `.dim`-style text
@@ -57,7 +57,7 @@ mod replay;
 mod reqs;
 
 #[doc(hidden)]
-pub use naive::replay_naive;
+pub use naive::{replay_naive, replay_naive_observed};
 
 pub use error::SimError;
 pub use format::{emit_trace_set, parse_trace_set, ParseError};

@@ -10,10 +10,11 @@
 //!   vector,
 //! * every run re-validates the trace set from scratch.
 //!
-//! The optimized engine in [`crate::replay`] must produce **identical**
-//! [`ReplayResult`]s — the property tests in `tests/props.rs` replay random
-//! traces through both and compare, and `benches/dimemas_replay.rs` uses
-//! this module as the baseline for the speedup measurement. Keep the
+//! It is the only replay engine independent of the production executor
+//! (`fastforward.rs`), which must produce **identical** [`ReplayResult`]s
+//! and observed timelines — the property tests in `tests/props.rs` replay
+//! random traces through both and compare, and `benches/dimemas_replay.rs`
+//! uses this module as the baseline for the speedup measurement. Keep the
 //! semantics frozen: fix bugs in both engines or in neither.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -37,12 +38,26 @@ use crate::replay::ReplayResult;
 /// Same contract as [`crate::Simulator::run`].
 #[doc(hidden)]
 pub fn replay_naive(platform: &Platform, trace: &TraceSet) -> Result<ReplayResult, SimError> {
+    replay_naive_observed(platform, trace, &mut NullObserver)
+}
+
+/// [`replay_naive`] with timeline observation: the `interval`, `message`,
+/// `marker` and `finished` callbacks (this engine emits no attribution).
+///
+/// # Errors
+///
+/// Same contract as [`crate::Simulator::run_observed`].
+#[doc(hidden)]
+pub fn replay_naive_observed(
+    platform: &Platform,
+    trace: &TraceSet,
+    observer: &mut dyn ReplayObserver,
+) -> Result<ReplayResult, SimError> {
     let issues = validate_trace_set(trace);
     if !issues.is_empty() {
         return Err(SimError::InvalidTrace { issues });
     }
-    let mut state = NaiveState::new(platform, trace);
-    state.run(&mut NullObserver)
+    NaiveState::new(platform, trace).run(observer)
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -523,7 +538,7 @@ impl<'a> NaiveState<'a> {
     ) -> TransferId {
         let tid = self.transfers.len();
         let intra = self.platform.node_of(from as u32) == self.platform.node_of(to.get());
-        // Same jitter coordinates as the prepared engine: raw channel
+        // Same jitter coordinates as the production executor: raw channel
         // triple plus per-channel send ordinal.
         let jitter = if intra || !self.link.active() {
             Time::ZERO

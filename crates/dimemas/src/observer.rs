@@ -50,11 +50,11 @@ impl ProcState {
 /// resource-queue waits are split out as [`WaitCause::Contended`] with the
 /// contention domain (intra-node ports vs the bus/NIC fabric).
 ///
-/// Engines that emit attribution (`run_prepared_observed`,
-/// `run_observed`, `run_compiled_observed`) guarantee the **conservation
-/// property**: per rank, attributed intervals are disjoint, gapless and
-/// tile `[0, finish)` exactly — their durations sum to the rank's finish
-/// time bit-exactly.
+/// The production executor emits attribution (through `run_observed` and
+/// `run_compiled_observed`; the naive reference engine does not) and
+/// guarantees the **conservation property**: per rank, attributed
+/// intervals are disjoint, gapless and tile `[0, finish)` exactly — their
+/// durations sum to the rank's finish time bit-exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum WaitCause {
     /// Executing a computation burst.

@@ -15,45 +15,24 @@
 //! * collectives are synchronized cost-model phases,
 //! * request matching is FIFO per `(source, destination, tag)` channel.
 //!
-//! # Hot-path layout
+//! # Entry points
 //!
 //! The paper's methodology is "synthesize once, replay many": every figure
-//! sweeps the same trace pair across dozens of platform points, so the
-//! replay inner loop is the system's hot path. It is organised around data
-//! precomputed at validation time:
-//!
-//! * channels are interned into dense `u32` ids by
-//!   [`TraceIndex::build`] — matching a message indexes a vector instead of
-//!   walking an ordered map,
-//! * per-rank record and channel slices are resolved once, so stepping a
-//!   rank streams its records without re-indexing the [`TraceSet`],
-//! * wait-sets live in inline small-vectors ([`crate::reqs`]) — a
-//!   `WaitAll` allocates nothing for typical chunk fan-outs,
-//! * the event queue is a free-list slab (`ovlsim-engine`) whose memory is
-//!   bounded by live events.
-//!
-//! Sweeps should build the [`TraceIndex`] once per trace and call
-//! [`Simulator::run_prepared`] per platform point, skipping revalidation
-//! entirely — or go one stage further and lower the trace into a
-//! [`ovlsim_core::CompiledTrace`] executed by [`Simulator::run_compiled`]
-//! (flat struct-of-arrays instruction streams, coalesced burst runs,
-//! pre-resolved request slots, quiescent-window fast-forwarding; see the
-//! `compiled` and `fastforward` modules' docs).
-//! [`Simulator::run`] remains the validating single-shot entry point; all
-//! paths produce bit-identical results (the original engine is kept in
-//! [`crate::naive`] and differential property tests enforce equality).
+//! sweeps the same trace pair across dozens of platform points. A sweep
+//! validates and indexes the trace once ([`TraceIndex::build`]), lowers it
+//! once into a [`CompiledTrace`], and calls [`Simulator::run_compiled`] per
+//! platform point. [`Simulator::run`] and [`Simulator::run_observed`] do
+//! all three steps for a single replay. Every entry point runs the one
+//! executor described in the `fastforward` module's docs; the seed's
+//! engine is kept in [`crate::naive`] as the independent reference, and
+//! differential property tests enforce bit-identical results.
 
-use std::collections::VecDeque;
 use std::fmt;
 
-use ovlsim_core::{Platform, Rank, Record, RequestId, Tag, Time, TraceIndex, TraceSet};
-use ovlsim_engine::EventQueue;
+use ovlsim_core::{CompileError, CompiledTrace, Platform, Time, TraceIndex, TraceSet};
 
-use crate::collective::{collective_op, CollectiveTracker};
 use crate::error::SimError;
-use crate::network::{LinkPerturb, Network, TransferId};
-use crate::observer::{DepEdge, NullObserver, ProcState, ReplayObserver, WaitCause};
-use crate::reqs::{ReqGroup, ReqState, ReqTable};
+use crate::observer::ReplayObserver;
 
 /// Outcome of replaying one trace set on one platform.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,117 +133,6 @@ impl fmt::Display for ReplayResult {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    Resume(usize),
-    /// The last byte left the sender: resources free, sender's buffer
-    /// reusable.
-    TransferSent(TransferId),
-    /// The message arrived at the receiver (one wire latency after it was
-    /// fully sent).
-    TransferDone(TransferId),
-    /// A transfer held back by a transient link outage may now enter the
-    /// transport queue (faulty platforms only; never scheduled clean).
-    TransferRetry(TransferId),
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SenderKind {
-    /// Eager: the sender already moved on; nothing to notify.
-    Fire,
-    /// Rendezvous blocking send: resume the sender at completion.
-    Blocking,
-    /// Rendezvous isend: complete this request at completion.
-    Request(RequestId),
-}
-
-#[derive(Debug)]
-struct Transfer {
-    from: Rank,
-    to: Rank,
-    bytes: u64,
-    tag: Tag,
-    rendezvous: bool,
-    /// True when both endpoints share a node: the transfer bypasses the
-    /// network resources and uses the intra-node latency/bandwidth.
-    intra: bool,
-    sender_kind: SenderKind,
-    recv: Option<usize>,
-    enqueued: bool,
-    started_at: Option<Time>,
-    arrived: Option<Time>,
-    /// Dense channel id, for wait attribution.
-    chan: u32,
-    /// Sender's clock when the send record was executed.
-    posted_at: Time,
-    /// When the transfer entered a finite-resource queue (`None` if it
-    /// never queued — unlimited intra-node transfers start directly).
-    queued_at: Option<Time>,
-    /// When the transfer became ready to move data (eager: at the post;
-    /// rendezvous: when the matching receive arrived).
-    ready_at: Time,
-    /// Per-message latency jitter added to the flight delay
-    /// ([`Time::ZERO`] unless the platform's perturbation model jitters).
-    jitter: Time,
-    /// End of the transient link outage that held this transfer between
-    /// `ready_at` and its queue entry (`None` when the link was up).
-    outage_until: Option<Time>,
-}
-
-#[derive(Debug)]
-struct RecvPost {
-    rank: usize,
-    req: Option<RequestId>,
-    from: Rank,
-    tag: Tag,
-    transfer: Option<TransferId>,
-    done: Option<Time>,
-}
-
-/// FIFO matching state of one interned channel. Lives in a dense vector
-/// indexed by [`ovlsim_core::ChannelId`] — no map lookups on the hot path.
-#[derive(Debug, Default)]
-struct Channel {
-    unmatched_sends: VecDeque<TransferId>,
-    unmatched_recvs: VecDeque<usize>,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Blocker {
-    Recv(usize),
-    SendDone(TransferId),
-    Reqs(ReqGroup),
-    Collective(usize),
-}
-
-/// Which wait cause a blocked window is charged to (see `emit_blocked`).
-#[derive(Debug, Clone, Copy)]
-enum BlockKind {
-    Recv,
-    Send,
-    Wait,
-}
-
-#[derive(Debug)]
-struct Proc {
-    cursor: usize,
-    clock: Time,
-    blocked: Option<Blocker>,
-    block_start: Time,
-    coll_seq: usize,
-    reqs: ReqTable,
-    compute: Time,
-    finished: Option<Time>,
-    /// True once the per-message send overhead of the record at `cursor`
-    /// has been charged (two-phase send processing keeps global event
-    /// order intact).
-    overhead_paid: bool,
-    /// Number of compute bursts executed so far: the burst ordinal that
-    /// keys this rank's OS-noise draws (engine-invariant — the compiled
-    /// engine derives the same ordinal from its burst arena index).
-    burst_seq: u64,
-}
-
 /// The Dimemas-style replay simulator.
 ///
 /// # Example
@@ -314,20 +182,24 @@ impl Simulator {
         &self.platform
     }
 
-    /// Replays a trace set (validating and indexing it first).
+    /// Replays a trace set: validates and indexes it, compiles it, and
+    /// runs the compiled program.
     ///
-    /// When replaying the same trace on many platforms, build a
-    /// [`TraceIndex`] once and use [`Simulator::run_prepared`] instead.
+    /// When replaying the same trace on many platforms, compile it once
+    /// with [`CompiledTrace::compile`] and use [`Simulator::run_compiled`]
+    /// instead.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidTrace`] if the trace fails validation and
     /// [`SimError::Deadlock`] if replay stalls.
     pub fn run(&self, trace: &TraceSet) -> Result<ReplayResult, SimError> {
-        self.run_observed(trace, &mut NullObserver)
+        self.run_compiled(&compile_validated(trace, CompiledTrace::compile)?)
     }
 
     /// Replays a trace set, reporting timeline happenings to `observer`.
+    /// The trace is compiled with [`CompiledTrace::compile_observed`], so
+    /// the timeline keeps every burst and marker.
     ///
     /// # Errors
     ///
@@ -337,946 +209,27 @@ impl Simulator {
         trace: &TraceSet,
         observer: &mut dyn ReplayObserver,
     ) -> Result<ReplayResult, SimError> {
-        let index = TraceIndex::build(trace).map_err(|issues| SimError::InvalidTrace { issues })?;
-        ReplayState::new(&self.platform, trace, &index).run(observer)
-    }
-
-    /// Replays an already validated and indexed trace set, skipping
-    /// revalidation. The result is bit-identical to [`Simulator::run`];
-    /// only the per-run validation cost is gone — which is what makes
-    /// multi-point bandwidth sweeps cheap.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Deadlock`] if replay stalls, and
-    /// [`SimError::IndexMismatch`] if `index` does not match `trace` —
-    /// detected best-effort via trace name and rank/record counts; an index
-    /// from a different trace that agrees on all three is not caught, so
-    /// always build the index from the trace you replay.
-    pub fn run_prepared(
-        &self,
-        trace: &TraceSet,
-        index: &TraceIndex,
-    ) -> Result<ReplayResult, SimError> {
-        self.run_prepared_observed(trace, index, &mut NullObserver)
-    }
-
-    /// [`Simulator::run_prepared`] with timeline observation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Deadlock`] if replay stalls, and
-    /// [`SimError::IndexMismatch`] on the same best-effort mismatch
-    /// detection as [`Simulator::run_prepared`].
-    pub fn run_prepared_observed(
-        &self,
-        trace: &TraceSet,
-        index: &TraceIndex,
-        observer: &mut dyn ReplayObserver,
-    ) -> Result<ReplayResult, SimError> {
-        if let Some(reason) = index.mismatch_reason(trace) {
-            return Err(SimError::IndexMismatch { reason });
-        }
-        ReplayState::new(&self.platform, trace, index).run(observer)
+        let prog = compile_validated(trace, CompiledTrace::compile_observed)?;
+        self.run_compiled_observed(&prog, observer)
     }
 }
 
-struct ReplayState<'a> {
-    platform: &'a Platform,
-    trace: &'a TraceSet,
-    /// Per-rank record slices, resolved once (stepping a rank never goes
-    /// back through the `TraceSet`).
-    records: Vec<&'a [Record]>,
-    /// Per-rank interned channel ids, parallel to `records`.
-    chans: Vec<&'a [u32]>,
-    /// Per-channel routing decision (true = both endpoints share a node),
-    /// derived once from [`TraceIndex::channel_peers`] and the platform's
-    /// node mapping — the hot loop never recomputes node ids per event.
-    intra_chan: Vec<bool>,
-    queue: EventQueue<Event>,
-    procs: Vec<Proc>,
-    transfers: Vec<Transfer>,
-    recv_posts: Vec<RecvPost>,
-    /// Dense channel table indexed by interned channel id.
-    channels: Vec<Channel>,
-    network: Network,
-    collectives: CollectiveTracker,
-    p2p_messages: u64,
-    p2p_bytes: u64,
-    /// Hoisted `1 / cpu_ratio` (the clean burst factor).
-    inv_cpu_ratio: f64,
-    /// True when the platform's perturbation model stretches bursts.
-    compute_perturbed: bool,
-    /// Link-side perturbation (degradation, jitter, faults).
-    link: LinkPerturb,
-    /// Per-channel send sequence numbers keying latency-jitter draws
-    /// (empty unless jitter is on).
-    send_seq: Vec<u64>,
+/// Validates and indexes `trace`, then lowers it with `compile`.
+fn compile_validated(
+    trace: &TraceSet,
+    compile: fn(&TraceSet, &TraceIndex) -> Result<CompiledTrace, CompileError>,
+) -> Result<CompiledTrace, SimError> {
+    let index = TraceIndex::build(trace).map_err(|issues| SimError::InvalidTrace { issues })?;
+    // The index comes from this very trace, and validation rejects every
+    // wait on an unposted request: lowering cannot fail.
+    Ok(compile(trace, &index).expect("a validated trace compiles"))
 }
 
-impl<'a> ReplayState<'a> {
-    fn new(platform: &'a Platform, trace: &'a TraceSet, index: &'a TraceIndex) -> Self {
-        let n = trace.rank_count();
-        ReplayState {
-            platform,
-            trace,
-            records: trace.ranks().iter().map(|rt| rt.records()).collect(),
-            chans: (0..n).map(|r| index.rank_channels(r)).collect(),
-            intra_chan: index
-                .channel_peers()
-                .iter()
-                .map(|&(src, dst)| platform.node_of(src) == platform.node_of(dst))
-                .collect(),
-            queue: EventQueue::new(),
-            procs: (0..n)
-                .map(|_| Proc {
-                    cursor: 0,
-                    clock: Time::ZERO,
-                    blocked: None,
-                    block_start: Time::ZERO,
-                    coll_seq: 0,
-                    reqs: ReqTable::new(),
-                    compute: Time::ZERO,
-                    finished: None,
-                    overhead_paid: false,
-                    burst_seq: 0,
-                })
-                .collect(),
-            transfers: Vec::new(),
-            recv_posts: Vec::new(),
-            channels: (0..index.channel_count())
-                .map(|_| Channel::default())
-                .collect(),
-            network: Network::new(platform, n),
-            collectives: CollectiveTracker::new(n),
-            p2p_messages: 0,
-            p2p_bytes: 0,
-            inv_cpu_ratio: 1.0 / platform.cpu_ratio(),
-            compute_perturbed: platform.perturbation().has_compute_effects(),
-            link: LinkPerturb::new(platform),
-            send_seq: if platform.perturbation().has_link_effects() {
-                vec![0; index.channel_count()]
-            } else {
-                Vec::new()
-            },
-        }
-    }
-
-    fn run(&mut self, observer: &mut dyn ReplayObserver) -> Result<ReplayResult, SimError> {
-        for r in 0..self.procs.len() {
-            self.queue.schedule(Time::ZERO, Event::Resume(r));
-        }
-        while let Some((t, ev)) = self.queue.pop() {
-            match ev {
-                Event::Resume(r) => self.step(r, observer),
-                Event::TransferSent(id) => self.transfer_sent(id, t, observer),
-                Event::TransferDone(id) => self.transfer_done(id, t, observer),
-                Event::TransferRetry(id) => self.launch_transfer(id, t),
-            }
-        }
-        // Either everyone finished, or we deadlocked.
-        let blocked: Vec<(Rank, String)> = self
-            .procs
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.finished.is_none())
-            .map(|(r, p)| (Rank::new(r as u32), self.describe_blocker(p)))
-            .collect();
-        if !blocked.is_empty() {
-            let at = self
-                .procs
-                .iter()
-                .map(|p| p.clock)
-                .max()
-                .unwrap_or(Time::ZERO);
-            return Err(SimError::Deadlock { at, blocked });
-        }
-        let rank_finish: Vec<Time> = self
-            .procs
-            .iter()
-            .map(|p| p.finished.expect("all finished"))
-            .collect();
-        let total_time = rank_finish.iter().copied().max().unwrap_or(Time::ZERO);
-        Ok(ReplayResult {
-            name: self.trace.name().to_string(),
-            total_time,
-            rank_compute: self.procs.iter().map(|p| p.compute).collect(),
-            rank_finish,
-            p2p_messages: self.p2p_messages,
-            p2p_bytes: self.p2p_bytes,
-            collective_count: self.collectives.instance_count() as u64,
-            mean_busy_buses: self.network.mean_busy_buses(total_time),
-            peak_busy_buses: self.network.peak_busy_buses(),
-            peak_waiting_transfers: self.network.peak_waiting(),
-        })
-    }
-
-    fn describe_blocker(&self, p: &Proc) -> String {
-        match &p.blocked {
-            None => "runnable but starved (internal error)".to_string(),
-            Some(Blocker::Recv(pid)) => {
-                let post = &self.recv_posts[*pid];
-                format!("blocked in recv from {} {}", post.from, post.tag)
-            }
-            Some(Blocker::SendDone(tid)) => {
-                let t = &self.transfers[*tid];
-                format!("blocked in rendezvous send to {} {}", t.to, t.tag)
-            }
-            Some(Blocker::Reqs(reqs)) => format!("blocked waiting {} requests", reqs.len()),
-            Some(Blocker::Collective(seq)) => format!("blocked in collective #{seq}"),
-        }
-    }
-
-    /// Duration of burst number `seq` of rank `r` on this platform
-    /// (`instr / MIPS / cpu_ratio`, stretched by the perturbation model's
-    /// compute effects when active).
-    fn burst_duration(&self, r: usize, seq: u64, instr: ovlsim_core::Instr) -> Time {
-        let base = self.trace.mips().instr_to_time(instr);
-        if self.compute_perturbed {
-            let rank = r as u32;
-            let node = self.platform.node_of(rank);
-            base.scale_f64(self.platform.perturbation().burst_factor(
-                self.inv_cpu_ratio,
-                rank,
-                node,
-                seq,
-            ))
-        } else {
-            base.scale_f64(self.inv_cpu_ratio)
-        }
-    }
-
-    /// Time the transfer occupies its link/bus resources (pure
-    /// transmission; latency is flight time on top). Intra-node transfers
-    /// use the shared-memory bandwidth; inter-node transfers stretch by
-    /// the link's degradation factor when perturbed.
-    fn transmission_time(&self, t: &Transfer) -> Time {
-        if t.intra {
-            self.platform.intra_node_bandwidth().transfer_time(t.bytes)
-        } else {
-            let base = self.platform.bandwidth().transfer_time(t.bytes);
-            self.link.stretch(base, t.from, t.to)
-        }
-    }
-
-    /// Flight delay between "fully sent" and "arrived" (plus the
-    /// message's latency jitter when perturbed).
-    fn flight_time(&self, t: &Transfer) -> Time {
-        let base = if t.intra {
-            self.platform.intra_node_latency()
-        } else if t.rendezvous {
-            self.platform.latency() + self.platform.rendezvous_latency()
-        } else {
-            self.platform.latency()
-        };
-        base + t.jitter
-    }
-
-    fn pump_network(&mut self, now: Time) {
-        let transfers = &self.transfers;
-        let started = self
-            .network
-            .start_eligible(now, |id| (transfers[id].from, transfers[id].to));
-        for tid in started {
-            self.transfers[tid].started_at = Some(now);
-            let dur = self.transmission_time(&self.transfers[tid]);
-            self.queue.schedule(now + dur, Event::TransferSent(tid));
-        }
-    }
-
-    /// Starts eligible intra-node transfers when the intra domain has a
-    /// finite port count (no-op otherwise: unlimited intra transfers are
-    /// scheduled directly and never queue).
-    fn pump_intra(&mut self, now: Time) {
-        if !self.network.intra_limited() {
-            return;
-        }
-        let transfers = &self.transfers;
-        let platform = self.platform;
-        let started = self.network.start_eligible_intra(now, |id| {
-            platform.node_of(transfers[id].from.get()) as usize
-        });
-        for tid in started {
-            self.transfers[tid].started_at = Some(now);
-            let dur = self.transmission_time(&self.transfers[tid]);
-            self.queue.schedule(now + dur, Event::TransferSent(tid));
-        }
-    }
-
-    /// Executes records of rank `r` until it blocks, yields, or finishes.
-    fn step(&mut self, r: usize, observer: &mut dyn ReplayObserver) {
-        debug_assert!(self.procs[r].blocked.is_none(), "stepping a blocked rank");
-        let records = self.records[r];
-        let chans = self.chans[r];
-        loop {
-            let cursor = self.procs[r].cursor;
-            if cursor >= records.len() {
-                let at = self.procs[r].clock;
-                self.procs[r].finished = Some(at);
-                observer.finished(Rank::new(r as u32), at);
-                return;
-            }
-            let now = self.procs[r].clock;
-            match &records[cursor] {
-                Record::Burst { instr } => {
-                    let seq = self.procs[r].burst_seq;
-                    self.procs[r].burst_seq += 1;
-                    let dur = self.burst_duration(r, seq, *instr);
-                    let end = now + dur;
-                    observer.interval(Rank::new(r as u32), now, end, ProcState::Compute);
-                    if end > now {
-                        observer.attributed(
-                            Rank::new(r as u32),
-                            now,
-                            end,
-                            WaitCause::Compute,
-                            None,
-                        );
-                    }
-                    let p = &mut self.procs[r];
-                    p.compute += dur;
-                    p.clock = end;
-                    p.cursor += 1;
-                    self.queue.schedule(end, Event::Resume(r));
-                    return;
-                }
-                Record::Marker { code } => {
-                    observer.marker(Rank::new(r as u32), now, *code);
-                    self.procs[r].cursor += 1;
-                }
-                Record::Send { to, bytes, tag } => {
-                    // Per-message sender CPU overhead (LogGP `o`): charge
-                    // it as its own simulation step so global event order
-                    // is preserved, then process the send on resume.
-                    if self.charge_send_overhead(r, now, observer) {
-                        return;
-                    }
-                    let rendezvous = *bytes > self.platform.eager_threshold();
-                    let kind = if rendezvous {
-                        SenderKind::Blocking
-                    } else {
-                        SenderKind::Fire
-                    };
-                    let intra = self.intra_chan[chans[cursor] as usize];
-                    let tid =
-                        self.create_transfer(r, *to, *bytes, *tag, intra, kind, chans[cursor], now);
-                    self.post_send(tid, chans[cursor], now);
-                    self.procs[r].cursor += 1;
-                    if rendezvous {
-                        let p = &mut self.procs[r];
-                        p.blocked = Some(Blocker::SendDone(tid));
-                        p.block_start = now;
-                        return;
-                    }
-                }
-                Record::ISend {
-                    to,
-                    bytes,
-                    tag,
-                    req,
-                } => {
-                    if self.charge_send_overhead(r, now, observer) {
-                        return;
-                    }
-                    let rendezvous = *bytes > self.platform.eager_threshold();
-                    let kind = if rendezvous {
-                        SenderKind::Request(*req)
-                    } else {
-                        SenderKind::Fire
-                    };
-                    let intra = self.intra_chan[chans[cursor] as usize];
-                    let tid =
-                        self.create_transfer(r, *to, *bytes, *tag, intra, kind, chans[cursor], now);
-                    let state = if rendezvous {
-                        ReqState::InFlight
-                    } else {
-                        // Eager isend: the buffer is copied out immediately.
-                        ReqState::Done { at: now, tid }
-                    };
-                    self.procs[r].reqs.insert(req.get(), state);
-                    self.post_send(tid, chans[cursor], now);
-                    self.procs[r].cursor += 1;
-                }
-                Record::Recv {
-                    from,
-                    bytes: _,
-                    tag,
-                } => {
-                    let pid = self.post_recv(r, None, *from, *tag, chans[cursor], now);
-                    self.procs[r].cursor += 1;
-                    match self.recv_posts[pid].done {
-                        Some(done) => {
-                            // Message already arrived: proceed after the
-                            // per-message receiver overhead, yielding so
-                            // the clock never outruns the event queue.
-                            debug_assert!(done >= now);
-                            if done > now {
-                                let tid = self.recv_posts[pid]
-                                    .transfer
-                                    .expect("completed receives are matched");
-                                self.emit_blocked(observer, r, now, done, BlockKind::Recv, tid);
-                                self.procs[r].clock = done;
-                                self.queue.schedule(done, Event::Resume(r));
-                                return;
-                            }
-                        }
-                        None => {
-                            let p = &mut self.procs[r];
-                            p.blocked = Some(Blocker::Recv(pid));
-                            p.block_start = now;
-                            return;
-                        }
-                    }
-                }
-                Record::IRecv {
-                    from,
-                    bytes: _,
-                    tag,
-                    req,
-                } => {
-                    let pid = self.post_recv(r, Some(*req), *from, *tag, chans[cursor], now);
-                    let state = match self.recv_posts[pid].done {
-                        Some(done) => ReqState::Done {
-                            at: done,
-                            tid: self.recv_posts[pid]
-                                .transfer
-                                .expect("completed receives are matched"),
-                        },
-                        None => ReqState::InFlight,
-                    };
-                    self.procs[r].reqs.insert(req.get(), state);
-                    self.procs[r].cursor += 1;
-                }
-                Record::Wait { req } => {
-                    if self.enter_wait(r, &[*req], now, observer) {
-                        return;
-                    }
-                }
-                Record::WaitAll { reqs } => {
-                    // `records` borrows the trace directly (not through
-                    // `self`), so the wait-set is passed by reference — no
-                    // per-wait clone.
-                    if self.enter_wait(r, reqs, now, observer) {
-                        return;
-                    }
-                }
-                rec if rec.is_collective() => {
-                    let (op, bytes) = collective_op(rec).expect("checked collective");
-                    let seq = self.procs[r].coll_seq;
-                    self.procs[r].coll_seq += 1;
-                    self.procs[r].cursor += 1;
-                    match self.collectives.arrive(seq, op, bytes, now, self.platform) {
-                        Some(done) => {
-                            // Last arrival: release everyone blocked on it.
-                            // Blocked ranks were gated by this arrival;
-                            // the last arriver itself is self-paced.
-                            let release = DepEdge {
-                                rank: Rank::new(r as u32),
-                                at: now,
-                            };
-                            for (q, proc) in self.procs.iter_mut().enumerate() {
-                                if proc.blocked == Some(Blocker::Collective(seq)) {
-                                    observer.interval(
-                                        Rank::new(q as u32),
-                                        proc.block_start,
-                                        done,
-                                        ProcState::Collective,
-                                    );
-                                    if done > proc.block_start {
-                                        observer.attributed(
-                                            Rank::new(q as u32),
-                                            proc.block_start,
-                                            done,
-                                            WaitCause::Collective { seq: seq as u32 },
-                                            Some(release),
-                                        );
-                                    }
-                                    proc.blocked = None;
-                                    proc.clock = done;
-                                    self.queue.schedule(done, Event::Resume(q));
-                                }
-                            }
-                            observer.interval(
-                                Rank::new(r as u32),
-                                now,
-                                done,
-                                ProcState::Collective,
-                            );
-                            if done > now {
-                                observer.attributed(
-                                    Rank::new(r as u32),
-                                    now,
-                                    done,
-                                    WaitCause::Collective { seq: seq as u32 },
-                                    None,
-                                );
-                            }
-                            self.procs[r].clock = done;
-                            self.queue.schedule(done, Event::Resume(r));
-                            return;
-                        }
-                        None => {
-                            let p = &mut self.procs[r];
-                            p.blocked = Some(Blocker::Collective(seq));
-                            p.block_start = now;
-                            return;
-                        }
-                    }
-                }
-                other => unreachable!("unhandled record {other}"),
-            }
-        }
-    }
-
-    /// Processes a wait record. Returns true if the rank blocked (caller
-    /// must return); false if all requests were already complete.
-    fn enter_wait(
-        &mut self,
-        r: usize,
-        reqs: &[RequestId],
-        now: Time,
-        observer: &mut dyn ReplayObserver,
-    ) -> bool {
-        let mut remaining = ReqGroup::new();
-        let mut latest = now;
-        // Transfer of the last-completing request: the whole wait interval
-        // is attributed to its channel (the "last unblocker").
-        let mut latest_tid: Option<TransferId> = None;
-        for req in reqs {
-            match self.procs[r].reqs.get(req.get()) {
-                Some(ReqState::Done { at, tid }) => {
-                    self.procs[r].reqs.remove(req.get());
-                    if at > latest {
-                        latest = at;
-                        latest_tid = Some(tid);
-                    }
-                }
-                Some(ReqState::InFlight) => {
-                    // Stays registered for completion bookkeeping.
-                    remaining.push(req.get());
-                }
-                None => unreachable!("validated trace waits on posted requests"),
-            }
-        }
-        self.procs[r].cursor += 1;
-        if remaining.is_empty() {
-            if latest > now {
-                observer.interval(Rank::new(r as u32), now, latest, ProcState::WaitRequest);
-                let tid = latest_tid.expect("a request completed after now");
-                self.emit_blocked(observer, r, now, latest, BlockKind::Wait, tid);
-                self.procs[r].clock = latest;
-                self.queue.schedule(latest, Event::Resume(r));
-                return true;
-            }
-            false
-        } else {
-            let p = &mut self.procs[r];
-            p.blocked = Some(Blocker::Reqs(remaining));
-            p.block_start = now;
-            true
-        }
-    }
-
-    /// Charges the per-message sender overhead for the record at the
-    /// rank's cursor. Returns true if a resume was scheduled (the caller
-    /// must return); on the resumed call the overhead is already paid and
-    /// processing continues at the advanced clock.
-    fn charge_send_overhead(
-        &mut self,
-        r: usize,
-        now: Time,
-        observer: &mut dyn ReplayObserver,
-    ) -> bool {
-        let overhead = self.platform.send_overhead();
-        if overhead.is_zero() {
-            return false;
-        }
-        let p = &mut self.procs[r];
-        if p.overhead_paid {
-            p.overhead_paid = false;
-            return false;
-        }
-        p.overhead_paid = true;
-        p.clock = now + overhead;
-        let at = p.clock;
-        observer.attributed(Rank::new(r as u32), now, at, WaitCause::SendOverhead, None);
-        self.queue.schedule(at, Event::Resume(r));
-        true
-    }
-
-    /// The cross-rank dependency that released rank `r` from an interval
-    /// gated by transfer `tid` (None when the interval was self-paced).
-    fn blocked_edge(&self, r: usize, start: Time, tid: TransferId) -> Option<DepEdge> {
-        let t = &self.transfers[tid];
-        if t.from.index() == r {
-            // Send side: the sender is released when its last byte
-            // leaves; the receiver is the gate only if the wire start
-            // waited for the matching receive to be posted.
-            (t.ready_at > t.posted_at).then_some(DepEdge {
-                rank: t.to,
-                at: t.ready_at,
-            })
-        } else {
-            // Receive side: gated by the sender unless the message had
-            // already arrived when this interval began.
-            match t.arrived {
-                Some(a) if a <= start => None,
-                _ => Some(DepEdge {
-                    rank: t.from,
-                    at: t.posted_at,
-                }),
-            }
-        }
-    }
-
-    /// Emits the attributed intervals of a blocked window `[start, end)`
-    /// on rank `r` gated by transfer `tid`: the portion the transfer spent
-    /// queued for transport resources becomes a [`WaitCause::Contended`]
-    /// sub-interval, the rest carries the wait kind; the releasing edge is
-    /// attached to the final sub-interval.
-    fn emit_blocked(
-        &self,
-        observer: &mut dyn ReplayObserver,
-        r: usize,
-        start: Time,
-        end: Time,
-        kind: BlockKind,
-        tid: TransferId,
-    ) {
-        if end <= start {
-            return;
-        }
-        let t = &self.transfers[tid];
-        let chan = t.chan;
-        let cause = match kind {
-            BlockKind::Recv => WaitCause::BlockedRecv { chan },
-            BlockKind::Send => WaitCause::BlockedSend { chan },
-            BlockKind::Wait => WaitCause::BlockedWait { chan },
-        };
-        let edge = self.blocked_edge(r, start, tid);
-        // Clip the transfer's outage hold and resource-queue wait to the
-        // blocked window. When both exist the outage always precedes the
-        // queue entry (the transfer launches at the window's end).
-        let (os, oe) = match t.outage_until {
-            Some(up) => (t.ready_at.max(start), up.min(end)),
-            None => (start, start),
-        };
-        let (qs, qe) = match (t.queued_at, t.started_at) {
-            (Some(q), Some(s)) => (q.max(start), s.min(end)),
-            _ => (end, end),
-        };
-        let rank = Rank::new(r as u32);
-        let down = WaitCause::LinkDown { chan };
-        let contended = WaitCause::Contended {
-            chan,
-            intra: t.intra,
-        };
-        // Assemble the (at most five) sub-intervals in order; the
-        // releasing edge is attached to the last one emitted.
-        let mut segs = [(start, start, cause); 5];
-        let mut n = 0;
-        let mut cur = start;
-        if oe > os {
-            if os > cur {
-                segs[n] = (cur, os, cause);
-                n += 1;
-            }
-            segs[n] = (os.max(cur), oe, down);
-            n += 1;
-            cur = oe;
-        }
-        if qe > qs && qe > cur {
-            if qs > cur {
-                segs[n] = (cur, qs, cause);
-                n += 1;
-            }
-            segs[n] = (qs.max(cur), qe, contended);
-            n += 1;
-            cur = qe;
-        }
-        if end > cur {
-            segs[n] = (cur, end, cause);
-            n += 1;
-        }
-        for (i, &(s, e, c)) in segs[..n].iter().enumerate() {
-            let eg = if i + 1 == n { edge } else { None };
-            observer.attributed(rank, s, e, c, eg);
-        }
-    }
-
-    /// Registers a new transfer. The protocol follows from the sender
-    /// kind: eager sends fire and forget ([`SenderKind::Fire`]), both
-    /// blocking and request-completing senders are rendezvous.
-    #[allow(clippy::too_many_arguments)]
-    fn create_transfer(
-        &mut self,
-        from: usize,
-        to: Rank,
-        bytes: u64,
-        tag: Tag,
-        intra: bool,
-        sender_kind: SenderKind,
-        chan: u32,
-        now: Time,
-    ) -> TransferId {
-        let tid = self.transfers.len();
-        let rendezvous = sender_kind != SenderKind::Fire;
-        // Latency jitter keys on the raw channel coordinates plus the
-        // message's per-channel send ordinal — program order on the one
-        // sending rank, hence identical across engines.
-        let jitter = if intra || self.send_seq.is_empty() {
-            Time::ZERO
-        } else {
-            let seq = self.send_seq[chan as usize];
-            self.send_seq[chan as usize] += 1;
-            self.link.jitter(Rank::new(from as u32), to, tag, seq)
-        };
-        self.transfers.push(Transfer {
-            from: Rank::new(from as u32),
-            to,
-            bytes,
-            tag,
-            rendezvous,
-            intra,
-            sender_kind,
-            recv: None,
-            enqueued: false,
-            started_at: None,
-            arrived: None,
-            chan,
-            posted_at: now,
-            queued_at: None,
-            ready_at: now,
-            jitter,
-            outage_until: None,
-        });
-        self.p2p_messages += 1;
-        self.p2p_bytes += bytes;
-        tid
-    }
-
-    fn post_send(&mut self, tid: TransferId, channel: u32, now: Time) {
-        let ch = &mut self.channels[channel as usize];
-        let matched = match ch.unmatched_recvs.pop_front() {
-            Some(pid) => {
-                self.transfers[tid].recv = Some(pid);
-                self.recv_posts[pid].transfer = Some(tid);
-                true
-            }
-            None => {
-                ch.unmatched_sends.push_back(tid);
-                false
-            }
-        };
-        let ready = !self.transfers[tid].rendezvous || matched;
-        if ready {
-            self.start_transfer(tid, now);
-        }
-    }
-
-    /// Starts (or enqueues) a ready transfer: intra-node transfers bypass
-    /// the bus/NIC-link fabric entirely, contending only for their node's
-    /// shared-memory ports (if the platform bounds them at all).
-    ///
-    /// On a faulty platform an inter-node transfer whose link is inside a
-    /// transient outage is held back first: it launches (enters the
-    /// transport queue) when the outage window ends.
-    fn start_transfer(&mut self, tid: TransferId, now: Time) {
-        debug_assert!(!self.transfers[tid].enqueued);
-        self.transfers[tid].enqueued = true;
-        self.transfers[tid].ready_at = now;
-        if !self.transfers[tid].intra {
-            let (from, to) = (self.transfers[tid].from, self.transfers[tid].to);
-            if let Some(up) = self.link.outage_end(from, to, now) {
-                self.transfers[tid].outage_until = Some(up);
-                self.queue.schedule(up, Event::TransferRetry(tid));
-                return;
-            }
-        }
-        self.launch_transfer(tid, now);
-    }
-
-    /// Enters a ready transfer into its transport domain (the tail of
-    /// [`ReplayState::start_transfer`], reached directly when the link is
-    /// up and via [`Event::TransferRetry`] after an outage).
-    fn launch_transfer(&mut self, tid: TransferId, now: Time) {
-        if self.transfers[tid].intra {
-            if self.network.intra_limited() {
-                self.transfers[tid].queued_at = Some(now);
-                self.network.enqueue_intra(tid, now);
-                self.pump_intra(now);
-            } else {
-                self.transfers[tid].started_at = Some(now);
-                let dur = self.transmission_time(&self.transfers[tid]);
-                self.queue.schedule(now + dur, Event::TransferSent(tid));
-            }
-        } else {
-            self.transfers[tid].queued_at = Some(now);
-            self.network.enqueue(tid, now);
-            self.pump_network(now);
-        }
-    }
-
-    fn post_recv(
-        &mut self,
-        r: usize,
-        req: Option<RequestId>,
-        from: Rank,
-        tag: Tag,
-        channel: u32,
-        now: Time,
-    ) -> usize {
-        let pid = self.recv_posts.len();
-        self.recv_posts.push(RecvPost {
-            rank: r,
-            req,
-            from,
-            tag,
-            transfer: None,
-            done: None,
-        });
-        let ch = &mut self.channels[channel as usize];
-        let matched = match ch.unmatched_sends.pop_front() {
-            Some(tid) => Some(tid),
-            None => {
-                ch.unmatched_recvs.push_back(pid);
-                None
-            }
-        };
-        if let Some(tid) = matched {
-            self.transfers[tid].recv = Some(pid);
-            self.recv_posts[pid].transfer = Some(tid);
-            if let Some(_arrival) = self.transfers[tid].arrived {
-                // Eager message that already landed: the receive completes
-                // after the per-message receiver overhead.
-                self.recv_posts[pid].done = Some(now + self.platform.recv_overhead());
-            } else if !self.transfers[tid].enqueued {
-                // Rendezvous transfer waiting for this receive.
-                self.start_transfer(tid, now);
-            }
-        }
-        pid
-    }
-
-    fn complete_request(
-        &mut self,
-        r: usize,
-        req: RequestId,
-        at: Time,
-        tid: TransferId,
-        observer: &mut dyn ReplayObserver,
-    ) {
-        // If the rank is blocked on a wait-set containing this request,
-        // shrink the set; otherwise mark the request done for a later wait.
-        let proc = &mut self.procs[r];
-        let unblock = match &mut proc.blocked {
-            Some(Blocker::Reqs(set)) if set.contains(req.get()) => {
-                set.remove(req.get());
-                proc.reqs.remove(req.get());
-                set.is_empty()
-            }
-            _ => {
-                proc.reqs.insert(req.get(), ReqState::Done { at, tid });
-                false
-            }
-        };
-        if unblock {
-            let start = self.procs[r].block_start;
-            observer.interval(Rank::new(r as u32), start, at, ProcState::WaitRequest);
-            self.emit_blocked(observer, r, start, at, BlockKind::Wait, tid);
-            let p = &mut self.procs[r];
-            p.blocked = None;
-            p.clock = at;
-            self.queue.schedule(at, Event::Resume(r));
-        }
-    }
-
-    /// The transfer's last byte left the sender: free the resources, let
-    /// the sender proceed, and schedule the arrival one flight later.
-    fn transfer_sent(&mut self, tid: TransferId, at: Time, observer: &mut dyn ReplayObserver) {
-        let (from, to, sender_kind, intra) = {
-            let t = &self.transfers[tid];
-            (t.from, t.to, t.sender_kind, t.intra)
-        };
-        if !intra {
-            self.network.release(from, to, at);
-        } else if self.network.intra_limited() {
-            self.network
-                .release_intra(self.platform.node_of(from.get()) as usize);
-        }
-
-        match sender_kind {
-            SenderKind::Fire => {}
-            SenderKind::Blocking => {
-                let s = from.index();
-                debug_assert_eq!(self.procs[s].blocked, Some(Blocker::SendDone(tid)));
-                let start = self.procs[s].block_start;
-                observer.interval(from, start, at, ProcState::WaitSend);
-                self.emit_blocked(observer, s, start, at, BlockKind::Send, tid);
-                let p = &mut self.procs[s];
-                p.blocked = None;
-                p.clock = at;
-                self.queue.schedule(at, Event::Resume(s));
-            }
-            SenderKind::Request(req) => {
-                self.complete_request(from.index(), req, at, tid, observer);
-            }
-        }
-
-        let flight = self.flight_time(&self.transfers[tid]);
-        self.queue.schedule(at + flight, Event::TransferDone(tid));
-        // Only the domain whose resources this completion freed can have
-        // newly eligible transfers; the other's occupancy is unchanged.
-        if intra {
-            self.pump_intra(at);
-        } else {
-            self.pump_network(at);
-        }
-    }
-
-    /// The message arrived at the receiver.
-    fn transfer_done(&mut self, tid: TransferId, at: Time, observer: &mut dyn ReplayObserver) {
-        let (from, to, bytes, tag, started, recv) = {
-            let t = &self.transfers[tid];
-            (
-                t.from,
-                t.to,
-                t.bytes,
-                t.tag,
-                t.started_at.expect("done transfers started"),
-                t.recv,
-            )
-        };
-        self.transfers[tid].arrived = Some(at);
-        observer.message(from, to, started, at, bytes, tag);
-
-        // Receiver-side notification (plus per-message receiver overhead).
-        if let Some(pid) = recv {
-            let done = at + self.platform.recv_overhead();
-            self.recv_posts[pid].done = Some(done);
-            let r = self.recv_posts[pid].rank;
-            match self.recv_posts[pid].req {
-                None => {
-                    debug_assert_eq!(self.procs[r].blocked, Some(Blocker::Recv(pid)));
-                    let start = self.procs[r].block_start;
-                    observer.interval(Rank::new(r as u32), start, done, ProcState::WaitRecv);
-                    self.emit_blocked(observer, r, start, done, BlockKind::Recv, tid);
-                    let p = &mut self.procs[r];
-                    p.blocked = None;
-                    p.clock = done;
-                    self.queue.schedule(done, Event::Resume(r));
-                }
-                Some(req) => {
-                    self.complete_request(r, req, done, tid, observer);
-                }
-            }
-        }
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ovlsim_core::{Instr, MipsRate, RankTrace};
+    use crate::observer::{ProcState, WaitCause};
+    use ovlsim_core::{Instr, MipsRate, Rank, RankTrace, Record, RequestId, Tag};
 
     fn mips() -> MipsRate {
         MipsRate::new(1000).unwrap()
@@ -1999,8 +952,9 @@ mod tests {
         // Pairs (0,1) and (2,3) exchange under a single shared bus. With
         // one rank per node every message crosses the bus and serializes;
         // with two ranks per node both messages are intra-node, bypass the
-        // bus/NIC fabric entirely, and the run finishes faster. Naive and
-        // prepared replay stay bit-identical on both topologies.
+        // bus/NIC fabric entirely, and the run finishes faster. The
+        // production executor and naive replay stay bit-identical on both
+        // topologies.
         let ts = trace(vec![
             vec![Record::Send {
                 to: Rank::new(1),
@@ -2023,7 +977,6 @@ mod tests {
                 tag: Tag::new(0),
             }],
         ]);
-        let index = ovlsim_core::TraceIndex::build(&ts).expect("valid");
         let platform_with_rpn = |rpn: u32| {
             Platform::builder()
                 .latency(Time::from_us(1))
@@ -2037,11 +990,8 @@ mod tests {
         let mut totals = Vec::new();
         for rpn in [1u32, 2] {
             let p = platform_with_rpn(rpn);
-            let sim = Simulator::new(p.clone());
-            let run = sim.run(&ts).unwrap();
-            let prepared = sim.run_prepared(&ts, &index).unwrap();
+            let run = Simulator::new(p.clone()).run(&ts).unwrap();
             let naive = crate::naive::replay_naive(&p, &ts).unwrap();
-            assert_eq!(run, prepared, "prepared diverged at rpn={rpn}");
             assert_eq!(run, naive, "naive diverged at rpn={rpn}");
             totals.push(run.total_time());
         }
@@ -2108,10 +1058,7 @@ mod tests {
         assert_eq!(ported.total_time(), Time::from_ns(2500));
         assert!(ported.peak_waiting_transfers() >= 1);
         assert_eq!(free.peak_waiting_transfers(), 0);
-        // Differential: naive and prepared agree on the ported topology.
-        let index = ovlsim_core::TraceIndex::build(&ts).expect("valid");
-        let sim = Simulator::new(p.clone());
-        assert_eq!(ported, sim.run_prepared(&ts, &index).unwrap());
+        // Differential: naive replay agrees on the ported topology.
         assert_eq!(ported, crate::naive::replay_naive(&p, &ts).unwrap());
     }
 
@@ -2130,9 +1077,10 @@ mod tests {
     }
 
     #[test]
-    fn run_prepared_matches_run_across_bandwidths() {
-        // The index depends only on the trace: build once, replay on many
-        // platforms, bit-identical to the validating path.
+    fn compiled_program_matches_run_across_bandwidths() {
+        // The program depends only on the trace: compile once, replay on
+        // many platforms, bit-identical to the validating path and to
+        // naive replay.
         let ts = trace(vec![
             vec![
                 Record::Burst {
@@ -2165,18 +1113,67 @@ mod tests {
                 },
             ],
         ]);
-        let index = ovlsim_core::TraceIndex::build(&ts).expect("valid");
+        let index = TraceIndex::build(&ts).expect("valid");
+        let prog = CompiledTrace::compile(&ts, &index).expect("compiles");
         for bw in [1.0e6, 1.0e8, 1.0e10] {
             let p = Platform::builder()
                 .latency(Time::from_us(1))
                 .bandwidth_bytes_per_sec(bw)
                 .unwrap()
                 .build();
-            let sim = Simulator::new(p);
-            let validated = sim.run(&ts).unwrap();
-            let prepared = sim.run_prepared(&ts, &index).unwrap();
-            assert_eq!(validated, prepared, "prepared replay diverged at {bw} B/s");
+            let sim = Simulator::new(p.clone());
+            let compiled = sim.run_compiled(&prog).unwrap();
+            assert_eq!(
+                compiled,
+                sim.run(&ts).unwrap(),
+                "diverged from run at {bw} B/s"
+            );
+            let naive = crate::naive::replay_naive(&p, &ts).unwrap();
+            assert_eq!(compiled, naive, "diverged from naive at {bw} B/s");
         }
+    }
+
+    /// Replays `ts` with a prepared index built from `other`, the way a
+    /// sweep replays with an index it built earlier, and asserts that the
+    /// stale index is refused with a reason containing `expected` before
+    /// anything is simulated.
+    fn assert_prepared_index_rejected(ts: &TraceSet, other: &TraceSet, expected: &str) {
+        let index = TraceIndex::build(other).expect("valid");
+        let replay = CompiledTrace::compile(ts, &index)
+            .map(|prog| Simulator::new(platform_1us_1gb()).run_compiled(&prog));
+        match replay {
+            Err(CompileError::IndexMismatch { reason }) => {
+                assert!(reason.contains(expected), "got: {reason}");
+            }
+            other => panic!("expected IndexMismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn run_prepared_rejects_name_mismatch() {
+        let ts = trace(vec![vec![]]);
+        let other = TraceSet::new("other", mips(), vec![RankTrace::new()]);
+        assert_prepared_index_rejected(&ts, &other, "name mismatch");
+    }
+
+    #[test]
+    fn run_prepared_rejects_rank_count_mismatch() {
+        // Same name ("test" via the helper), different rank counts.
+        let ts = trace(vec![vec![Record::Burst {
+            instr: Instr::new(10),
+        }]]);
+        let other = trace(vec![vec![], vec![]]);
+        assert_prepared_index_rejected(&ts, &other, "rank count mismatch");
+    }
+
+    #[test]
+    fn run_prepared_rejects_record_count_mismatch() {
+        // Same name, same rank count, different records per rank.
+        let ts = trace(vec![vec![Record::Burst {
+            instr: Instr::new(10),
+        }]]);
+        let other = trace(vec![vec![]]);
+        assert_prepared_index_rejected(&ts, &other, "rank 0 record count mismatch");
     }
 
     #[test]
@@ -2297,54 +1294,6 @@ mod tests {
         assert_eq!(downs.len(), 1);
         assert_eq!(downs[0].0, Time::ZERO);
         assert_eq!(downs[0].1, up);
-    }
-
-    #[test]
-    fn run_prepared_rejects_name_mismatch() {
-        let ts = trace(vec![vec![]]);
-        let other = TraceSet::new("other", mips(), vec![RankTrace::new()]);
-        let index = ovlsim_core::TraceIndex::build(&other).expect("valid");
-        match Simulator::new(platform_1us_1gb()).run_prepared(&ts, &index) {
-            Err(SimError::IndexMismatch { reason }) => {
-                assert!(reason.contains("name mismatch"), "got: {reason}");
-            }
-            other => panic!("expected IndexMismatch, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn run_prepared_rejects_rank_count_mismatch() {
-        // Same name ("test" via the helper), different rank counts.
-        let ts = trace(vec![vec![Record::Burst {
-            instr: Instr::new(10),
-        }]]);
-        let other = trace(vec![vec![], vec![]]);
-        let index = ovlsim_core::TraceIndex::build(&other).expect("valid");
-        match Simulator::new(platform_1us_1gb()).run_prepared(&ts, &index) {
-            Err(SimError::IndexMismatch { reason }) => {
-                assert!(reason.contains("rank count mismatch"), "got: {reason}");
-            }
-            other => panic!("expected IndexMismatch, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn run_prepared_rejects_record_count_mismatch() {
-        // Same name, same rank count, different records per rank.
-        let ts = trace(vec![vec![Record::Burst {
-            instr: Instr::new(10),
-        }]]);
-        let other = trace(vec![vec![]]);
-        let index = ovlsim_core::TraceIndex::build(&other).expect("valid");
-        match Simulator::new(platform_1us_1gb()).run_prepared(&ts, &index) {
-            Err(SimError::IndexMismatch { reason }) => {
-                assert!(
-                    reason.contains("rank 0 record count mismatch"),
-                    "got: {reason}"
-                );
-            }
-            other => panic!("expected IndexMismatch, got {other:?}"),
-        }
     }
 
     #[test]

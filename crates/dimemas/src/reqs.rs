@@ -3,11 +3,11 @@
 //! A rank rarely has more than a handful of outstanding non-blocking
 //! requests, so the `BTreeMap<u32, ReqState>` / `BTreeSet<u32>` pair the
 //! original engine used paid pointer-chasing tree costs for what is almost
-//! always a few words of data. [`ReqTable`] and [`ReqGroup`] store requests
-//! in flat arrays: the table is a linear-scan association list, and the
-//! group keeps up to [`REQ_INLINE`] ids inline on the stack before spilling
-//! to a heap vector — a `WaitAll` over a typical chunk fan-out allocates
-//! nothing.
+//! always a few words of data. Compiled programs resolve request ids to
+//! dense per-rank slots of [`ReqState`], and a [`ReqGroup`] keeps up to
+//! [`REQ_INLINE`] unsatisfied slots of a wait-set inline on the stack
+//! before spilling to a heap vector — a `WaitAll` over a typical chunk
+//! fan-out allocates nothing.
 
 use ovlsim_core::Time;
 
@@ -25,44 +25,6 @@ pub(crate) enum ReqState {
         /// Index of the completing transfer in the engine's table.
         tid: usize,
     },
-}
-
-/// Association list from request id to [`ReqState`].
-///
-/// Linear scan beats ordered maps up to dozens of entries, and the entry
-/// count is bounded by the rank's simultaneously outstanding requests (the
-/// validator rejects duplicate posts, so the list stays small).
-#[derive(Debug, Default)]
-pub(crate) struct ReqTable {
-    entries: Vec<(u32, ReqState)>,
-}
-
-impl ReqTable {
-    pub(crate) fn new() -> Self {
-        ReqTable::default()
-    }
-
-    /// Inserts or replaces the state of `req`.
-    pub(crate) fn insert(&mut self, req: u32, state: ReqState) {
-        match self.entries.iter_mut().find(|(id, _)| *id == req) {
-            Some(entry) => entry.1 = state,
-            None => self.entries.push((req, state)),
-        }
-    }
-
-    /// The state of `req`, if present.
-    pub(crate) fn get(&self, req: u32) -> Option<ReqState> {
-        self.entries
-            .iter()
-            .find(|(id, _)| *id == req)
-            .map(|(_, s)| *s)
-    }
-
-    /// Removes `req`, returning its state.
-    pub(crate) fn remove(&mut self, req: u32) -> Option<ReqState> {
-        let pos = self.entries.iter().position(|(id, _)| *id == req)?;
-        Some(self.entries.swap_remove(pos).1)
-    }
 }
 
 /// How many request ids a [`ReqGroup`] holds before spilling to the heap.
@@ -156,21 +118,6 @@ impl ReqGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table_insert_replaces() {
-        let done = ReqState::Done {
-            at: Time::from_ns(5),
-            tid: 2,
-        };
-        let mut t = ReqTable::new();
-        t.insert(3, ReqState::InFlight);
-        t.insert(3, done);
-        assert_eq!(t.get(3), Some(done));
-        assert_eq!(t.remove(3), Some(done));
-        assert_eq!(t.remove(3), None);
-        assert_eq!(t.get(3), None);
-    }
 
     #[test]
     fn group_stays_inline_up_to_limit() {

@@ -5,7 +5,7 @@ use ovlsim_core::{
     TraceSet,
 };
 use ovlsim_dimemas::{
-    emit_trace_set, parse_trace_set, DepEdge, ReplayObserver, Simulator, WaitCause,
+    emit_trace_set, parse_trace_set, DepEdge, ProcState, ReplayObserver, Simulator, WaitCause,
 };
 use proptest::prelude::*;
 
@@ -389,11 +389,23 @@ fn arb_bursty_trace() -> impl Strategy<Value = TraceSet> {
 /// One recorded attribution callback: `(start, end, cause, edge)`.
 type AttrEntry = (Time, Time, WaitCause, Option<DepEdge>);
 
-/// Records every attributed interval per rank, plus finish times.
+/// The timeline callbacks every engine emits, each kind in emission
+/// order.
+#[derive(Default, Debug, PartialEq, Eq)]
+struct Timeline {
+    intervals: Vec<(Rank, Time, Time, ProcState)>,
+    messages: Vec<(Rank, Rank, Time, Time, u64, Tag)>,
+    markers: Vec<(Rank, Time, u32)>,
+    finished: Vec<(Rank, Time)>,
+}
+
+/// Records every attributed interval per rank, plus finish times and the
+/// timeline.
 #[derive(Default, Debug, PartialEq, Eq)]
 struct AttrCapture {
     per_rank: Vec<Vec<AttrEntry>>,
     finish: Vec<Time>,
+    timeline: Timeline,
 }
 
 impl AttrCapture {
@@ -401,11 +413,23 @@ impl AttrCapture {
         AttrCapture {
             per_rank: vec![Vec::new(); ranks],
             finish: vec![Time::ZERO; ranks],
+            timeline: Timeline::default(),
         }
     }
 }
 
 impl ReplayObserver for AttrCapture {
+    fn interval(&mut self, rank: Rank, start: Time, end: Time, state: ProcState) {
+        self.timeline.intervals.push((rank, start, end, state));
+    }
+    fn message(&mut self, from: Rank, to: Rank, start: Time, end: Time, bytes: u64, tag: Tag) {
+        self.timeline
+            .messages
+            .push((from, to, start, end, bytes, tag));
+    }
+    fn marker(&mut self, rank: Rank, at: Time, code: u32) {
+        self.timeline.markers.push((rank, at, code));
+    }
     fn attributed(
         &mut self,
         rank: Rank,
@@ -418,6 +442,7 @@ impl ReplayObserver for AttrCapture {
     }
     fn finished(&mut self, rank: Rank, at: Time) {
         self.finish[rank.index()] = at;
+        self.timeline.finished.push((rank, at));
     }
 }
 
@@ -464,49 +489,44 @@ fn assert_conserved(cap: &AttrCapture, trace: &TraceSet, total: Time) -> Result<
     Ok(())
 }
 
-/// Captures attribution through the prepared and the observed-compiled
-/// engines, asserts the conservation property on both, and asserts the
-/// two streams are **identical** (same intervals, causes and edges).
+/// Captures attribution through the observed-compiled engine and asserts
+/// the conservation property on it; then asserts that its result and its
+/// timeline (intervals, messages, markers, finish times) are
+/// **identical** to the naive engine's.
 fn assert_attribution_conserved(
     trace: &TraceSet,
     platform: &Platform,
 ) -> Result<(), TestCaseError> {
     let index = ovlsim_core::TraceIndex::build(trace).expect("valid");
-    let sim = Simulator::new(platform.clone());
-
-    let mut prepared_cap = AttrCapture::new(trace.rank_count());
-    let prepared = sim
-        .run_prepared_observed(trace, &index, &mut prepared_cap)
-        .expect("replays");
-    assert_conserved(&prepared_cap, trace, prepared.total_time())?;
-
     let prog = ovlsim_core::CompiledTrace::compile_observed(trace, &index).expect("compiles");
     let mut compiled_cap = AttrCapture::new(trace.rank_count());
-    let compiled = sim
+    let compiled = Simulator::new(platform.clone())
         .run_compiled_observed(&prog, &mut compiled_cap)
         .expect("replays");
     assert_conserved(&compiled_cap, trace, compiled.total_time())?;
 
-    prop_assert_eq!(&prepared, &compiled, "engines disagree on the result");
+    let mut naive_cap = AttrCapture::new(trace.rank_count());
+    let naive =
+        ovlsim_dimemas::replay_naive_observed(platform, trace, &mut naive_cap).expect("replays");
+    prop_assert_eq!(&naive, &compiled, "engines disagree on the result");
     prop_assert_eq!(
-        prepared_cap,
-        compiled_cap,
-        "prepared and compiled attribution streams diverged"
+        naive_cap.timeline,
+        compiled_cap.timeline,
+        "naive and compiled timelines diverged"
     );
     Ok(())
 }
 
-/// Runs all four replay engines and asserts bit-identical results.
+/// Replays through the naive engine, the validating entry point and a
+/// compiled program, and asserts bit-identical results.
 fn assert_engines_agree(trace: &TraceSet, platform: &Platform) -> Result<(), TestCaseError> {
     let index = ovlsim_core::TraceIndex::build(trace).expect("valid");
     let prog = ovlsim_core::CompiledTrace::compile(trace, &index).expect("compiles");
     let sim = Simulator::new(platform.clone());
     let naive = ovlsim_dimemas::replay_naive(platform, trace).expect("replays");
     let validated = sim.run(trace).expect("replays");
-    let prepared = sim.run_prepared(trace, &index).expect("replays");
     let compiled = sim.run_compiled(&prog).expect("replays");
     prop_assert_eq!(&naive, &validated, "validating engine diverged");
-    prop_assert_eq!(&naive, &prepared, "prepared engine diverged");
     prop_assert_eq!(&naive, &compiled, "compiled engine diverged");
     Ok(())
 }
@@ -530,8 +550,8 @@ proptest! {
                 .filter(|r| matches!(r, Record::Send { .. })).count());
     }
 
-    /// The optimized hot path (interned channels, small-vec wait groups,
-    /// slab event queue) produces results identical to the naive
+    /// The production executor (compiled program, calendar event store,
+    /// small-vec wait groups) produces results identical to the naive
     /// reference engine on blocking traces — makespan, per-rank times,
     /// message/byte counts, network statistics, everything.
     #[test]
@@ -564,37 +584,36 @@ proptest! {
 
     /// Node-aware routing: on hierarchical platforms (`ranks_per_node > 1`,
     /// intra-node parameters, optionally finite intra-node ports) the
-    /// naive reference, the validating entry point and the prepared hot
-    /// path produce bit-identical `ReplayResult`s — the per-channel
-    /// intra/inter precomputation cannot drift from the per-transfer
-    /// classification.
+    /// naive reference and the validating entry point produce
+    /// bit-identical `ReplayResult`s — the per-channel intra/inter
+    /// precomputation cannot drift from the per-transfer classification.
     #[test]
     fn multinode_replay_is_identical_across_all_engines(
         trace in arb_multinode_trace(),
         platform in arb_hier_platform(),
     ) {
-        let index = ovlsim_core::TraceIndex::build(&trace).expect("valid");
-        let sim = Simulator::new(platform.clone());
-        let validated = sim.run(&trace).expect("replays");
-        let prepared = sim.run_prepared(&trace, &index).expect("replays");
+        let validated = Simulator::new(platform.clone()).run(&trace).expect("replays");
         let naive = ovlsim_dimemas::replay_naive(&platform, &trace)
             .expect("replays");
-        prop_assert_eq!(&validated, &prepared, "prepared diverged");
         prop_assert_eq!(&validated, &naive, "naive diverged");
     }
 
-    /// A prebuilt index replayed at any bandwidth matches the validating
-    /// entry point bit for bit.
+    /// One compiled program replayed on two unrelated platforms matches
+    /// the validating entry point on each, bit for bit: nothing of the
+    /// platform leaks into the program a sweep shares across its points.
     #[test]
-    fn prepared_replay_matches_validating_replay(
+    fn compiled_program_replays_every_platform(
         trace in arb_nonblocking_trace(),
-        platform in arb_platform(),
+        first in arb_platform(),
+        second in arb_hier_platform(),
     ) {
         let index = ovlsim_core::TraceIndex::build(&trace).expect("valid");
-        let sim = Simulator::new(platform);
-        let validated = sim.run(&trace).expect("replays");
-        let prepared = sim.run_prepared(&trace, &index).expect("replays");
-        prop_assert_eq!(validated, prepared);
+        let prog = ovlsim_core::CompiledTrace::compile(&trace, &index).expect("compiles");
+        for platform in [first, second] {
+            let sim = Simulator::new(platform);
+            let validated = sim.run(&trace).expect("replays");
+            prop_assert_eq!(validated, sim.run_compiled(&prog).expect("replays"));
+        }
     }
 
     /// The compiled engine (flat SoA program, coalesced burst runs,
@@ -609,7 +628,7 @@ proptest! {
         assert_engines_agree(&trace, &platform)?;
     }
 
-    /// Same four-way differential on hierarchical (multicore-node)
+    /// Same three-way differential on hierarchical (multicore-node)
     /// platforms: mixed intra-/inter-node channels, finite intra-node
     /// ports, and node-aware collectives.
     #[test]
@@ -641,8 +660,8 @@ proptest! {
     }
 
     /// Conservation on flat platforms: every rank's cause-tagged intervals
-    /// are disjoint, gapless and sum exactly to its finish time, with the
-    /// prepared and observed-compiled engines emitting identical streams.
+    /// are disjoint, gapless and sum exactly to its finish time, and the
+    /// observed-compiled timeline equals the naive engine's.
     /// Bursty traces cover blocking sends/recvs, request waits, reused
     /// request slots, markers, collectives and sender overheads.
     #[test]
@@ -676,8 +695,8 @@ proptest! {
 
     /// Tentpole guarantee: under any seeded perturbation (noise,
     /// stragglers, heterogeneous nodes, link degradation/jitter,
-    /// transient link faults) all four engines stay bit-identical on
-    /// flat platforms.
+    /// transient link faults) naive, validating and compiled replay stay
+    /// bit-identical on flat platforms.
     #[test]
     fn perturbed_replay_is_identical_across_all_engines_flat(
         trace in arb_bursty_trace(),
@@ -687,7 +706,7 @@ proptest! {
         assert_engines_agree(&trace, &platform.with_perturbation(model))?;
     }
 
-    /// Same four-way perturbed differential on hierarchical platforms,
+    /// Same three-way perturbed differential on hierarchical platforms,
     /// where intra-node channels must stay exempt from link perturbations
     /// in every engine.
     #[test]
@@ -701,8 +720,8 @@ proptest! {
 
     /// Attribution conservation survives perturbation: cause-tagged
     /// intervals (now including link-down holds) stay disjoint, gapless
-    /// and sum to each rank's finish time, with the prepared and
-    /// observed-compiled streams identical.
+    /// and sum to each rank's finish time, with the naive and
+    /// observed-compiled timelines identical.
     #[test]
     fn perturbed_attribution_conserves_time(
         trace in arb_bursty_trace(),

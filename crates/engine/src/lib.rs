@@ -1,20 +1,18 @@
 //! Deterministic discrete-event simulation kernel for `ovlsim`.
 //!
-//! The replay simulator (`ovlsim-dimemas`) is built on three small
-//! primitives provided here:
+//! The replay simulator (`ovlsim-dimemas`) uses two small primitives
+//! provided here:
 //!
 //! * [`EventQueue`] — a time-ordered queue with deterministic FIFO
-//!   tie-breaking and O(log n) cancellation,
-//! * [`FifoResource`] — a counted resource (network buses, node links) with
-//!   first-come-first-served granting,
-//! * [`stats`] — time-weighted utilization and scalar accumulators used for
-//!   replay statistics.
+//!   tie-breaking (the naive reference engine's event store),
+//! * [`stats`] — the time-weighted utilization accumulator behind the
+//!   replay's bus statistics.
 //!
 //! # Determinism
 //!
 //! Every structure in this crate is strictly deterministic: ties in event
-//! time are broken by insertion order, resources grant strictly FIFO, and no
-//! hashing or wall-clock is involved anywhere.
+//! time are broken by insertion order, and no hashing or wall-clock is
+//! involved anywhere.
 //!
 //! # Example
 //!
@@ -33,8 +31,6 @@
 #![warn(missing_docs)]
 
 mod queue;
-mod resource;
 pub mod stats;
 
-pub use queue::{EventHandle, EventQueue};
-pub use resource::{FifoResource, ResourceToken};
+pub use queue::EventQueue;

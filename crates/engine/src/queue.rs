@@ -1,33 +1,9 @@
-//! A deterministic, cancellable event queue backed by a free-list slab.
+//! A deterministic event queue backed by a free-list slab.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use ovlsim_core::Time;
-
-/// Handle identifying a scheduled event, usable to cancel it.
-///
-/// Handles are *generation-tagged*: when a slab slot is recycled for a new
-/// event, handles to the slot's previous occupants become stale and
-/// [`EventQueue::cancel`] rejects them. A slot's generation wraps after
-/// 2³² reuses, at which point an ancient retained handle could alias a live
-/// event; don't hold handles across billions of schedules of the same queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventHandle {
-    slot: u32,
-    gen: u32,
-}
-
-/// One slab slot. `seq` identifies the current occupant: heap keys carry
-/// the seq they were pushed with, so keys referring to a previous occupant
-/// (cancelled, or popped and recycled) are recognised as stale.
-#[derive(Debug)]
-struct Slot<E> {
-    time: Time,
-    seq: u32,
-    gen: u32,
-    event: Option<E>, // None = vacant (popped or cancelled)
-}
 
 /// The heap key is deliberately 16 bytes (`time`, `seq`, `slot`) so that
 /// sift-up/sift-down moves stay within one or two cache lines; ordering is
@@ -50,23 +26,16 @@ struct HeapKey {
 /// # Memory model
 ///
 /// Event payloads live in a free-list slab: a slot is recycled as soon as
-/// its event is popped or cancelled, so payload memory is bounded by the
-/// *peak number of simultaneously live events*, not by the total number of
-/// events ever scheduled ([`EventQueue::slot_capacity`] reports the
-/// high-water mark). Cancelled entries leave a stale 16-byte key in the
-/// heap until it surfaces; stale keys at the front are pruned eagerly so
-/// the head of the heap is always a live event.
+/// its event is popped, so payload memory is bounded by the *peak number
+/// of simultaneously pending events*, not by the total number of events
+/// ever scheduled ([`EventQueue::slot_capacity`] reports the high-water
+/// mark).
 ///
 /// # Cost model
 ///
-/// * [`schedule`](EventQueue::schedule): `O(log n)` (heap push).
-/// * [`pop`](EventQueue::pop): amortized `O(log n)`; prunes any stale keys
-///   that surface, each `O(log n)` but paid at most once per cancellation.
-/// * [`cancel`](EventQueue::cancel): `O(1)` unless the cancelled event was
-///   at the front, in which case the stale head (plus any stale keys
-///   beneath it) is pruned immediately.
-/// * [`peek_time`](EventQueue::peek_time): `O(1)`, `&self` — the
-///   head-is-live invariant means no lazy cleanup is ever needed to peek.
+/// [`schedule`](EventQueue::schedule) and [`pop`](EventQueue::pop) are
+/// `O(log n)` heap operations; [`peek_time`](EventQueue::peek_time) is
+/// `O(1)`.
 ///
 /// # Example
 ///
@@ -75,19 +44,21 @@ struct HeapKey {
 /// use ovlsim_engine::EventQueue;
 ///
 /// let mut q = EventQueue::new();
-/// let h = q.schedule(Time::from_ns(10), 'a');
+/// q.schedule(Time::from_ns(10), 'a');
 /// q.schedule(Time::from_ns(10), 'b');
-/// q.cancel(h);
-/// assert_eq!(q.peek_time(), Some(Time::from_ns(10)));
+/// q.schedule(Time::from_ns(5), 'c');
+/// assert_eq!(q.peek_time(), Some(Time::from_ns(5)));
+/// assert_eq!(q.pop(), Some((Time::from_ns(5), 'c')));
+/// assert_eq!(q.pop(), Some((Time::from_ns(10), 'a')));
 /// assert_eq!(q.pop(), Some((Time::from_ns(10), 'b')));
 /// assert!(q.pop().is_none());
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<HeapKey>>,
-    slots: Vec<Slot<E>>,
+    /// Payload slab; `None` marks a vacant (popped) slot.
+    slots: Vec<Option<E>>,
     free: Vec<u32>,
-    live: usize,
     next_seq: u32,
     now: Time,
 }
@@ -99,7 +70,6 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            live: 0,
             next_seq: 0,
             now: Time::ZERO,
         }
@@ -110,25 +80,24 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of live (non-cancelled) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
-    /// True if no live events remain.
+    /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.heap.is_empty()
     }
 
     /// Number of slab slots ever allocated: the high-water mark of
-    /// simultaneously pending events (popped and cancelled slots are
-    /// recycled, so this does *not* grow with total events scheduled).
+    /// simultaneously pending events (popped slots are recycled, so this
+    /// does *not* grow with total events scheduled).
     pub fn slot_capacity(&self) -> usize {
         self.slots.len()
     }
 
-    /// Schedules `event` at absolute time `at`, returning a cancellation
-    /// handle.
+    /// Schedules `event` at absolute time `at`.
     ///
     /// # Panics
     ///
@@ -136,7 +105,7 @@ impl<E> EventQueue<E> {
     /// in the past indicates a logic error in the caller), or if more than
     /// `u32::MAX` events are scheduled without the queue ever draining (the
     /// FIFO tie-break counter resets whenever the queue empties).
-    pub fn schedule(&mut self, at: Time, event: E) -> EventHandle {
+    pub fn schedule(&mut self, at: Time, event: E) {
         assert!(
             at >= self.now,
             "cannot schedule event in the past ({} < now {})",
@@ -154,22 +123,13 @@ impl<E> EventQueue<E> {
             .expect("more than u32::MAX events scheduled without a drain");
         let slot = match self.free.pop() {
             Some(slot) => {
-                let s = &mut self.slots[slot as usize];
-                debug_assert!(s.event.is_none());
-                s.time = at;
-                s.seq = seq;
-                s.gen = s.gen.wrapping_add(1);
-                s.event = Some(event);
+                debug_assert!(self.slots[slot as usize].is_none());
+                self.slots[slot as usize] = Some(event);
                 slot
             }
             None => {
                 let slot = u32::try_from(self.slots.len()).expect("slab slots fit in u32");
-                self.slots.push(Slot {
-                    time: at,
-                    seq,
-                    gen: 0,
-                    event: Some(event),
-                });
+                self.slots.push(Some(event));
                 slot
             }
         };
@@ -178,77 +138,22 @@ impl<E> EventQueue<E> {
             seq,
             slot,
         }));
-        self.live += 1;
-        EventHandle {
-            slot,
-            gen: self.slots[slot as usize].gen,
-        }
     }
 
-    /// Cancels a previously scheduled event. Returns the event if it was
-    /// still pending, `None` if it already fired, was already cancelled, or
-    /// the handle is stale (its slot was recycled).
-    pub fn cancel(&mut self, handle: EventHandle) -> Option<E> {
-        let slot = self.slots.get_mut(handle.slot as usize)?;
-        if slot.gen != handle.gen {
-            return None; // stale handle: the slot moved on
-        }
-        let ev = slot.event.take()?;
-        self.live -= 1;
-        self.free.push(handle.slot);
-        // If the cancelled event was the heap head, restore the
-        // head-is-live invariant right away (this is what keeps peek_time
-        // `O(1)` and `&self`).
-        self.prune_stale_head();
-        Some(ev)
-    }
-
-    /// Removes and returns the earliest live event, advancing `now`.
+    /// Removes and returns the earliest event, advancing `now`.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        while let Some(Reverse(key)) = self.heap.pop() {
-            let slot = &mut self.slots[key.slot as usize];
-            if slot.seq != key.seq {
-                continue; // stale key: slot was recycled since
-            }
-            if let Some(ev) = slot.event.take() {
-                let at = slot.time;
-                self.live -= 1;
-                self.now = at;
-                self.free.push(key.slot);
-                self.prune_stale_head();
-                return Some((at, ev));
-            }
-        }
-        None
+        let Reverse(key) = self.heap.pop()?;
+        let event = self.slots[key.slot as usize]
+            .take()
+            .expect("every heap key owns an occupied slot");
+        self.free.push(key.slot);
+        self.now = key.time;
+        Some((key.time, event))
     }
 
-    /// The time of the earliest live event without removing it.
-    ///
-    /// `O(1)` and read-only: the queue maintains the invariant that the
-    /// heap head is always live (stale keys are pruned when they surface in
-    /// [`pop`](EventQueue::pop) / [`cancel`](EventQueue::cancel)), so
-    /// peeking never has to clean anything up.
+    /// The time of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|Reverse(key)| {
-            debug_assert!(self.key_is_live(key), "head-is-live invariant broken");
-            key.time
-        })
-    }
-
-    fn key_is_live(&self, key: &HeapKey) -> bool {
-        let slot = &self.slots[key.slot as usize];
-        slot.seq == key.seq && slot.event.is_some()
-    }
-
-    /// Pops stale keys off the heap until the head refers to a live event
-    /// (or the heap is empty).
-    fn prune_stale_head(&mut self) {
-        while let Some(Reverse(key)) = self.heap.peek() {
-            if self.key_is_live(key) {
-                return;
-            }
-            self.heap.pop();
-        }
+        self.heap.peek().map(|Reverse(key)| key.time)
     }
 }
 
@@ -287,55 +192,13 @@ mod tests {
         // Recycled slots get fresh seqs: an event scheduled later but into
         // a lower slot index must still be delivered later at equal times.
         let mut q = EventQueue::new();
-        let h = q.schedule(Time::from_ns(5), 0);
+        q.schedule(Time::from_ns(5), 0);
         q.schedule(Time::from_ns(5), 1);
-        q.cancel(h); // frees slot 0
-        q.schedule(Time::from_ns(5), 2); // recycles slot 0, scheduled last
+        q.schedule(Time::from_ns(5), 2);
+        assert_eq!(q.pop(), Some((Time::from_ns(5), 0))); // frees slot 0
+        q.schedule(Time::from_ns(5), 3); // recycles slot 0, scheduled last
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![1, 2]);
-    }
-
-    #[test]
-    fn cancel_removes_event() {
-        let mut q = EventQueue::new();
-        let h1 = q.schedule(Time::from_ns(1), 'x');
-        q.schedule(Time::from_ns(2), 'y');
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.cancel(h1), Some('x'));
-        assert_eq!(q.len(), 1);
-        // Double cancel is a no-op.
-        assert_eq!(q.cancel(h1), None);
-        assert_eq!(q.pop(), Some((Time::from_ns(2), 'y')));
-    }
-
-    #[test]
-    fn cancel_after_fire_returns_none() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(Time::from_ns(1), 'x');
-        assert!(q.pop().is_some());
-        assert_eq!(q.cancel(h), None);
-    }
-
-    #[test]
-    fn stale_handle_cannot_cancel_recycled_slot() {
-        // The slab-reuse regression: a handle to a fired event must not
-        // cancel the unrelated event that now occupies the same slot.
-        let mut q = EventQueue::new();
-        let h_old = q.schedule(Time::from_ns(1), "first");
-        assert_eq!(q.pop(), Some((Time::from_ns(1), "first")));
-        // "second" recycles the freed slot (same index, new generation).
-        let h_new = q.schedule(Time::from_ns(2), "second");
-        assert_eq!(h_old.slot, h_new.slot, "slot must be recycled");
-        assert_ne!(h_old.gen, h_new.gen);
-        assert_eq!(q.cancel(h_old), None, "stale handle must be rejected");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((Time::from_ns(2), "second")));
-        // And a cancelled slot's stale handle can't cancel its successor.
-        let h1 = q.schedule(Time::from_ns(3), "a");
-        assert_eq!(q.cancel(h1), Some("a"));
-        let _h2 = q.schedule(Time::from_ns(4), "b");
-        assert_eq!(q.cancel(h1), None);
-        assert_eq!(q.pop(), Some((Time::from_ns(4), "b")));
+        assert_eq!(order, vec![1, 2, 3]);
     }
 
     #[test]
@@ -381,30 +244,19 @@ mod tests {
     }
 
     #[test]
-    fn peek_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(Time::from_ns(1), 'a');
-        q.schedule(Time::from_ns(2), 'b');
-        q.cancel(h);
-        assert_eq!(q.peek_time(), Some(Time::from_ns(2)));
-        assert!(!q.is_empty());
-        assert_eq!(q.pop(), Some((Time::from_ns(2), 'b')));
-        assert_eq!(q.peek_time(), None);
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn peek_is_read_only() {
-        // peek_time takes &self: it must observe a live head even when
-        // cancelled entries are buried below it.
+        // peek_time takes &self and reports the head without consuming it.
         let mut q = EventQueue::new();
+        q.schedule(Time::from_ns(2), 'b');
         q.schedule(Time::from_ns(1), 'a');
-        let h = q.schedule(Time::from_ns(2), 'b');
-        q.schedule(Time::from_ns(3), 'c');
-        q.cancel(h);
         let r = &q;
         assert_eq!(r.peek_time(), Some(Time::from_ns(1)));
         assert_eq!(r.peek_time(), Some(Time::from_ns(1)));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some((Time::from_ns(1), 'a')));
+        assert_eq!(q.pop(), Some((Time::from_ns(2), 'b')));
+        assert_eq!(q.peek_time(), None);
+        assert!(q.is_empty());
     }
 
     #[test]

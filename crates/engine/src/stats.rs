@@ -1,5 +1,4 @@
-//! Simulation statistics: time-weighted utilization and scalar
-//! accumulators.
+//! Simulation statistics: time-weighted utilization.
 
 use ovlsim_core::Time;
 
@@ -86,72 +85,6 @@ impl TimeWeighted {
     }
 }
 
-/// A streaming scalar accumulator (count / sum / min / max / mean).
-///
-/// # Example
-///
-/// ```
-/// use ovlsim_engine::stats::Scalar;
-///
-/// let mut s = Scalar::new();
-/// s.add(2.0);
-/// s.add(4.0);
-/// assert_eq!(s.mean(), Some(3.0));
-/// assert_eq!(s.min(), Some(2.0));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Scalar {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Scalar {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a sample.
-    pub fn add(&mut self, v: f64) {
-        if self.count == 0 {
-            self.min = v;
-            self.max = v;
-        } else {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
-        self.count += 1;
-        self.sum += v;
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean, or `None` if no samples.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// Minimum, or `None` if no samples.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Maximum, or `None` if no samples.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,29 +139,5 @@ mod tests {
         let mut u = TimeWeighted::new();
         u.record(Time::from_ns(10), 1.0);
         u.record(Time::from_ns(5), 2.0);
-    }
-
-    #[test]
-    fn scalar_accumulates() {
-        let mut s = Scalar::new();
-        assert_eq!(s.mean(), None);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-        for v in [3.0, 1.0, 2.0] {
-            s.add(v);
-        }
-        assert_eq!(s.count(), 3);
-        assert_eq!(s.sum(), 6.0);
-        assert_eq!(s.mean(), Some(2.0));
-        assert_eq!(s.min(), Some(1.0));
-        assert_eq!(s.max(), Some(3.0));
-    }
-
-    #[test]
-    fn scalar_single_negative_sample() {
-        let mut s = Scalar::new();
-        s.add(-5.0);
-        assert_eq!(s.min(), Some(-5.0));
-        assert_eq!(s.max(), Some(-5.0));
     }
 }

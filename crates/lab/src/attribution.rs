@@ -1,9 +1,9 @@
 //! Time attribution and critical-path extraction.
 //!
 //! A replay's makespan says *how fast* an execution was; attribution says
-//! *where the time went* and *which communication actually matters*. The
-//! attribution-capable engines (`run_prepared_observed`,
-//! `run_compiled_observed`) emit cause-tagged intervals
+//! *where the time went* and *which communication actually matters*. An
+//! observed replay (`run_compiled_observed` on a program from
+//! `CompiledTrace::compile_observed`) emits cause-tagged intervals
 //! ([`WaitCause`]) that tile each rank's `[0, finish)` exactly; this
 //! module folds them into:
 //!
@@ -28,7 +28,7 @@
 
 use std::fmt::Write as _;
 
-use ovlsim_core::{Platform, Rank, Time, TraceIndex, TraceSet};
+use ovlsim_core::{CompiledTrace, Platform, Rank, Time, TraceIndex, TraceSet};
 use ovlsim_dimemas::{DepEdge, ReplayObserver, ReplayResult, Simulator, WaitCause};
 
 use crate::bounds::OverlapBounds;
@@ -50,8 +50,8 @@ pub struct AttrInterval {
 
 /// A [`ReplayObserver`] that records attributed intervals per rank.
 ///
-/// Feed it to `run_prepared_observed` or `run_compiled_observed` (on a
-/// program from `CompiledTrace::compile_observed`); then fold the capture
+/// Feed it to `run_observed` or `run_compiled_observed` (on a program
+/// from `CompiledTrace::compile_observed`); then fold the capture
 /// with [`Attribution::from_recorded`] or use the one-call
 /// [`Attribution::analyze`].
 #[derive(Debug, Clone, Default)]
@@ -227,12 +227,13 @@ pub struct Attribution {
 }
 
 impl Attribution {
-    /// Replays `trace` on `platform` with attribution capture (through
-    /// the prepared engine) and folds the result.
+    /// Replays `trace` on `platform` with attribution capture (compiling
+    /// an observed program from `trace` and `index`) and folds the result.
     ///
     /// # Errors
     ///
-    /// Propagates replay errors ([`LabError::Sim`]).
+    /// Propagates compile errors ([`LabError::Compile`]) and replay errors
+    /// ([`LabError::Sim`]).
     pub fn analyze(
         platform: &Platform,
         trace: &TraceSet,
@@ -246,15 +247,16 @@ impl Attribution {
     ///
     /// # Errors
     ///
-    /// Propagates replay errors ([`LabError::Sim`]).
+    /// Same as [`Attribution::analyze`].
     pub fn analyze_with_recorder(
         platform: &Platform,
         trace: &TraceSet,
         index: &TraceIndex,
     ) -> Result<(Attribution, AttributionRecorder), LabError> {
+        let prog = CompiledTrace::compile_observed(trace, index)?;
         let mut recorder = AttributionRecorder::new(trace.rank_count());
         let result =
-            Simulator::new(platform.clone()).run_prepared_observed(trace, index, &mut recorder)?;
+            Simulator::new(platform.clone()).run_compiled_observed(&prog, &mut recorder)?;
         let attribution = Self::from_recorded(&recorder, &result, trace, index, platform);
         Ok((attribution, recorder))
     }

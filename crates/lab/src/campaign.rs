@@ -64,10 +64,10 @@ use crate::error::LabError;
 use crate::par;
 use crate::pipeline::{ArtifactPipeline, DirectPipeline, EngineInput};
 
-/// A replay engine selectable per campaign. All three produce
-/// bit-identical [`ReplayResult`](ovlsim_dimemas::ReplayResult)s; naive
-/// and prepared exist in campaigns to cross-check the compiled production
-/// path on any scenario a spec can describe.
+/// A replay engine selectable per campaign. Both produce bit-identical
+/// [`ReplayResult`](ovlsim_dimemas::ReplayResult)s; naive exists in
+/// campaigns to cross-check the compiled production path on any scenario
+/// a spec can describe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// Flat SoA replay program
@@ -76,20 +76,16 @@ pub enum Engine {
     /// quiescent-window fast-forwarding — the production path, and the
     /// default.
     Compiled,
-    /// Channel-indexed replay over the record stream
-    /// ([`Simulator::run_prepared`](ovlsim_dimemas::Simulator::run_prepared)).
-    Prepared,
     /// The reference engine kept from the seed
     /// ([`ovlsim_dimemas::replay_naive`]).
     Naive,
 }
 
 impl Engine {
-    /// Parses an engine name (`compiled`, `prepared` or `naive`).
+    /// Parses an engine name (`compiled` or `naive`).
     pub fn parse(s: &str) -> Option<Engine> {
         match s {
             "compiled" => Some(Engine::Compiled),
-            "prepared" => Some(Engine::Prepared),
             "naive" => Some(Engine::Naive),
             _ => None,
         }
@@ -100,7 +96,6 @@ impl fmt::Display for Engine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             Engine::Compiled => "compiled",
-            Engine::Prepared => "prepared",
             Engine::Naive => "naive",
         })
     }
@@ -160,7 +155,7 @@ pub enum SpecError {
         /// The unrecognized value.
         value: String,
     },
-    /// An `engines` entry is not `compiled`, `prepared` or `naive`.
+    /// An `engines` entry is not `compiled` or `naive`.
     UnknownEngine {
         /// 1-based spec line.
         line: usize,
@@ -236,8 +231,7 @@ impl fmt::Display for SpecError {
             ),
             SpecError::UnknownEngine { line, value } => write!(
                 f,
-                "line {line}: unknown engine `{value}` \
-                 (expected compiled, prepared or naive)"
+                "line {line}: unknown engine `{value}` (expected compiled or naive)"
             ),
             SpecError::MalformedNumber { line, key, value } => {
                 write!(
@@ -317,8 +311,8 @@ pub struct CampaignSpec {
     pub iterations: Option<usize>,
     /// Per-point attribution columns: each row additionally reports the
     /// original replay's total communication wait, total resource-queue
-    /// contention, and the top overlap-gain channel (computed through the
-    /// attribution-capable prepared engine).
+    /// contention, and the top overlap-gain channel (computed through an
+    /// observed replay of the original trace).
     pub attribution: bool,
     /// Seed of the per-point [`PerturbationModel`]s (`noise seed`).
     pub noise_seed: u64,
@@ -1597,10 +1591,13 @@ iterations 1
             CampaignSpec::parse("campaign x\nengines compiled turbo\n").unwrap_err(),
             SpecError::UnknownEngine { line: 2, .. }
         ));
-        assert!(matches!(
-            CampaignSpec::parse("campaign x\nengines compiled fastforward\n").unwrap_err(),
-            SpecError::UnknownEngine { line: 2, .. }
-        ));
+        for retired in ["fastforward", "prepared"] {
+            assert!(matches!(
+                CampaignSpec::parse(&format!("campaign x\nengines compiled {retired}\n"))
+                    .unwrap_err(),
+                SpecError::UnknownEngine { line: 2, .. }
+            ));
+        }
     }
 
     #[test]
@@ -1707,13 +1704,13 @@ iterations 1
     fn engines_cross_check_bit_identical() {
         let spec = CampaignSpec::parse(
             "campaign cross\napps sweep3d\nclasses S\nranks 4\niterations 1\n\
-             engines compiled prepared naive\nbandwidths list 2e8\nranks-per-node 1 2\n",
+             engines compiled naive\nbandwidths list 2e8\nranks-per-node 1 2\n",
         )
         .unwrap();
         let report = run_campaign_threaded(&spec, 1).unwrap();
-        assert_eq!(report.rows.len(), 6);
+        assert_eq!(report.rows.len(), 4);
         // Rows pair up (engine major, rpn minor): each engine's pair of
-        // platform points must agree exactly with the other engines'.
+        // platform points must agree exactly with the other engine's.
         let by_engine: Vec<&[CampaignRow]> = report.rows.chunks(2).collect();
         for other in &by_engine[1..] {
             for (a, b) in by_engine[0].iter().zip(other.iter()) {
@@ -1982,15 +1979,15 @@ iterations 1
     fn perturbed_campaign_cross_checks_engines_and_reports_retention() {
         let spec = CampaignSpec::parse(
             "campaign noisy\napps sweep3d\nclasses S\nranks 4\niterations 1\n\
-             engines compiled prepared naive\nbandwidths list 2e8\n\
+             engines compiled naive\nbandwidths list 2e8\n\
              noise seed 7\nnoise level 0 0.3\nstragglers 1.4 1\nfaults 300 30\n",
         )
         .unwrap();
         let report = run_campaign_threaded(&spec, 1).unwrap();
         assert!(report.perturbed);
-        assert_eq!(report.rows.len(), 6);
-        // Rows pair up (engine major, noise minor): all three engines
-        // must agree bit-exactly at every perturbation point.
+        assert_eq!(report.rows.len(), 4);
+        // Rows pair up (engine major, noise minor): both engines must
+        // agree bit-exactly at every perturbation point.
         let by_engine: Vec<&[CampaignRow]> = report.rows.chunks(2).collect();
         for other in &by_engine[1..] {
             for (a, b) in by_engine[0].iter().zip(other.iter()) {

@@ -165,9 +165,9 @@ impl ArtifactPipeline for DirectPipeline {
 /// indexes alive; a naive-only campaign compiles nothing).
 #[derive(Debug, Clone)]
 pub struct EngineInput {
-    /// Record stream — kept only for the prepared and naive engines.
+    /// Record stream — kept only for the naive engine and attribution.
     pub trace: Option<Arc<TraceSet>>,
-    /// Channel index — kept only for the prepared engine.
+    /// Channel index — kept only for attribution.
     pub index: Option<Arc<TraceIndex>>,
     /// Flat replay program — built for the compiled engine.
     pub prog: Option<Arc<CompiledTrace>>,
@@ -176,8 +176,8 @@ pub struct EngineInput {
 impl EngineInput {
     /// Builds the artifacts `engines` require for `ts` through `pipeline`.
     /// `attribution` forces the record stream and index to be kept (the
-    /// attribution pass replays through the prepared engine regardless of
-    /// the row's engine).
+    /// attribution pass compiles its own observed program from them,
+    /// regardless of the row's engine).
     ///
     /// # Errors
     ///
@@ -189,9 +189,8 @@ impl EngineInput {
         attribution: bool,
     ) -> Result<EngineInput, LabError> {
         let needs_prog = engines.contains(&Engine::Compiled);
-        let needs_index = engines.contains(&Engine::Prepared) || attribution;
-        let needs_trace = needs_index || engines.contains(&Engine::Naive);
-        let (index, prog) = if needs_index {
+        let needs_trace = attribution || engines.contains(&Engine::Naive);
+        let (index, prog) = if attribution {
             let index = pipeline.index(&ts)?;
             let prog = if needs_prog {
                 Some(pipeline.compiled(&ts, &index)?)
@@ -230,11 +229,6 @@ impl EngineInput {
                 let prog = self.prog.as_ref().expect("compiled engine was requested");
                 Simulator::new(platform.clone()).run_compiled(prog)
             }
-            Engine::Prepared => {
-                let trace = self.trace.as_ref().expect("prepared engine was requested");
-                let index = self.index.as_ref().expect("prepared engine was requested");
-                Simulator::new(platform.clone()).run_prepared(trace, index)
-            }
             Engine::Naive => {
                 let trace = self.trace.as_ref().expect("naive engine was requested");
                 replay_naive(platform, trace)
@@ -264,10 +258,8 @@ mod tests {
         let via_prog = Simulator::new(platform.clone())
             .run_compiled(&prog)
             .unwrap();
-        let via_prepared = Simulator::new(platform.clone())
-            .run_prepared(&trace, &index)
-            .unwrap();
-        assert_eq!(via_prog.total_time(), via_prepared.total_time());
+        let via_trace = Simulator::new(platform.clone()).run(&trace).unwrap();
+        assert_eq!(via_prog, via_trace);
     }
 
     #[test]
@@ -293,14 +285,10 @@ mod tests {
     fn all_engines_replay_identically_through_engine_input() {
         let p = DirectPipeline;
         let trace = any_trace();
-        let engines = [Engine::Compiled, Engine::Prepared, Engine::Naive];
+        let engines = [Engine::Compiled, Engine::Naive];
         let input = EngineInput::build(&p, trace, &engines, false).unwrap();
         let platform = ovlsim_apps::calibration::reference_platform();
-        let times: Vec<_> = engines
-            .iter()
-            .map(|&e| input.replay(e, &platform).unwrap().total_time())
-            .collect();
-        assert_eq!(times[0], times[1]);
-        assert_eq!(times[1], times[2]);
+        let [compiled, naive] = engines.map(|e| input.replay(e, &platform).unwrap());
+        assert_eq!(compiled, naive);
     }
 }

@@ -3,7 +3,7 @@
 use ovlsim_core::{
     Instr, MipsRate, Platform, Rank, RankTrace, Record, RequestId, Tag, Time, TraceIndex, TraceSet,
 };
-use ovlsim_dimemas::Simulator;
+use ovlsim_dimemas::replay_naive;
 use ovlsim_lab::Attribution;
 use proptest::prelude::*;
 
@@ -128,7 +128,7 @@ proptest! {
     ) {
         let index = TraceIndex::build(&trace).expect("valid");
         let attr = Attribution::analyze(&platform, &trace, &index).expect("analyzes");
-        let result = Simulator::new(platform).run_prepared(&trace, &index).expect("replays");
+        let result = replay_naive(&platform, &trace).expect("replays");
 
         prop_assert_eq!(attr.makespan(), result.total_time());
         prop_assert_eq!(attr.critical_path_len(), attr.makespan(),
@@ -168,7 +168,7 @@ proptest! {
     ) {
         let index = TraceIndex::build(&trace).expect("valid");
         let attr = Attribution::analyze(&platform, &trace, &index).expect("analyzes");
-        let result = Simulator::new(platform).run_prepared(&trace, &index).expect("replays");
+        let result = replay_naive(&platform, &trace).expect("replays");
 
         let mut rank_wait = Time::ZERO;
         let mut rank_collective = Time::ZERO;

@@ -396,7 +396,7 @@ fn parse_replay(j: &Json) -> Result<ReplayRequest, SessionError> {
         Some(e) => e
             .as_str()
             .and_then(Engine::parse)
-            .ok_or_else(|| bad("`engine` must be compiled, prepared or naive"))?,
+            .ok_or_else(|| bad("`engine` must be compiled or naive"))?,
     };
     Ok(ReplayRequest {
         source: parse_source(j)?,
@@ -512,14 +512,16 @@ mod tests {
     #[test]
     fn unknown_engine_names_are_a_400() {
         let session = Session::with_threads(1);
-        let req = Request {
-            method: "POST".to_string(),
-            path: "/replay".to_string(),
-            body: r#"{"source":{"app":"sweep3d","class":"S"},"engine":"fastforward"}"#.to_string(),
-        };
-        let (status, _, body) = route(&req, &session, "1.2.3");
-        assert_eq!(status, 400);
-        assert!(body.contains("compiled, prepared or naive"), "{body}");
+        for name in ["fastforward", "prepared"] {
+            let req = Request {
+                method: "POST".to_string(),
+                path: "/replay".to_string(),
+                body: format!(r#"{{"source":{{"app":"sweep3d","class":"S"}},"engine":"{name}"}}"#),
+            };
+            let (status, _, body) = route(&req, &session, "1.2.3");
+            assert_eq!(status, 400, "{name}");
+            assert!(body.contains("compiled or naive"), "{body}");
+        }
     }
 
     #[test]

@@ -147,7 +147,7 @@ fn usage() -> ExitCode {
          perturbation flags (campaign run, trace replay, analyze):\n  \
          --seed <n>  --noise <level>  --stragglers <slow>:<r0>,<r1>,...  \
          --faults <period-us>:<down-us>\n\
-         engines: compiled (default), prepared, naive"
+         engines: compiled (default), naive"
     );
     ExitCode::from(2)
 }
@@ -841,10 +841,7 @@ fn main() -> ExitCode {
         match v.map(|s| (s, Engine::parse(s))) {
             Some((_, Some(e))) => Ok(e),
             Some((s, None)) => {
-                eprintln!(
-                    "error: unknown engine `{s}` for {flag} \
-                     (expected compiled, prepared or naive)"
-                );
+                eprintln!("error: unknown engine `{s}` for {flag} (expected compiled or naive)");
                 Err(ExitCode::from(2))
             }
             None => Err(usage()),

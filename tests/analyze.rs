@@ -10,7 +10,7 @@ use std::process::Command;
 
 use ovlsim::apps::{registry, ProblemClass};
 use ovlsim::core::{Platform, Time, TraceIndex};
-use ovlsim::dimemas::{parse_trace_set, Simulator};
+use ovlsim::dimemas::{parse_trace_set, replay_naive, Simulator};
 use ovlsim::lab::Attribution;
 use ovlsim::tracer::{OverlapMode, TracingSession};
 
@@ -119,9 +119,7 @@ fn analysis_reconciles_with_replay_bit_exactly() {
     let index = TraceIndex::build(&trace).expect("committed trace is valid");
     let platform = default_platform();
     let attr = Attribution::analyze(&platform, &trace, &index).expect("analyzes");
-    let result = Simulator::new(platform)
-        .run_prepared(&trace, &index)
-        .expect("replays");
+    let result = replay_naive(&platform, &trace).expect("replays");
 
     assert_eq!(attr.makespan(), result.total_time());
     assert_eq!(attr.critical_path_len(), result.total_time());

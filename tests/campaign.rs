@@ -41,48 +41,58 @@ fn committed_corpus_parses_and_covers_the_promised_grid() {
     assert!(stress.classes.len() >= 2);
     assert_eq!(
         stress.engines,
-        vec![Engine::Compiled, Engine::Prepared, Engine::Naive],
+        vec![Engine::Compiled, Engine::Naive],
         "stress cross-checks every engine"
     );
 }
 
-/// `engine fastforward` named a second path to the compiled executor and
-/// is gone: a spec naming it fails with a typed error on its line, both
-/// in the library and through the real binary, and `--force-engine`
-/// rejects it as a usage error.
+/// `engine fastforward` and `engine prepared` named retired executors
+/// and are gone: a spec naming either fails with a typed error on its
+/// line, both in the library and through the real binary, and
+/// `--force-engine` rejects them as a usage error.
 #[test]
 fn engine_fastforward_is_rejected_on_its_spec_line() {
     let dir = std::env::temp_dir().join("ovlsim-campaign-ff-list");
     std::fs::create_dir_all(&dir).unwrap();
-    let spec_path = dir.join("ff.campaign");
-    let text = "campaign ff-mini\napps sweep3d\nclasses S\nranks 4\n\
-                iterations 1\nbandwidths list 1e8\nengines fastforward\n";
-    std::fs::write(&spec_path, text).unwrap();
+    for name in ["fastforward", "prepared"] {
+        let spec_path = dir.join(format!("{name}.campaign"));
+        let text = format!(
+            "campaign ff-mini\napps sweep3d\nclasses S\nranks 4\n\
+             iterations 1\nbandwidths list 1e8\nengines {name}\n"
+        );
+        std::fs::write(&spec_path, &text).unwrap();
 
-    assert!(matches!(
-        CampaignSpec::parse(text).unwrap_err(),
-        SpecError::UnknownEngine { line: 7, .. }
-    ));
+        assert!(matches!(
+            CampaignSpec::parse(&text).unwrap_err(),
+            SpecError::UnknownEngine { line: 7, .. }
+        ));
 
-    let out = Command::new(env!("CARGO_BIN_EXE_ovlsim"))
-        .args(["campaign", "list"])
-        .arg(&spec_path)
-        .output()
-        .expect("ovlsim runs");
-    assert_eq!(out.status.code(), Some(1), "campaign list: {out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("line 7: unknown engine `fastforward`"),
-        "stderr names the spec line: {stderr}"
-    );
+        let out = Command::new(env!("CARGO_BIN_EXE_ovlsim"))
+            .args(["campaign", "list"])
+            .arg(&spec_path)
+            .output()
+            .expect("ovlsim runs");
+        assert_eq!(out.status.code(), Some(1), "campaign list: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("line 7: unknown engine `{name}`")),
+            "stderr names the spec line: {stderr}"
+        );
 
-    let out = Command::new(env!("CARGO_BIN_EXE_ovlsim"))
-        .args(["campaign", "run"])
-        .arg(repo_path("examples/campaigns/paper.campaign"))
-        .args(["--force-engine", "fastforward"])
-        .output()
-        .expect("ovlsim runs");
-    assert_eq!(out.status.code(), Some(2), "--force-engine: {out:?}");
+        let out = Command::new(env!("CARGO_BIN_EXE_ovlsim"))
+            .args(["campaign", "run"])
+            .arg(repo_path("examples/campaigns/paper.campaign"))
+            .args(["--force-engine", name])
+            .output()
+            .expect("ovlsim runs");
+        assert_eq!(out.status.code(), Some(2), "--force-engine {name}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            stderr.trim_end().lines().count(),
+            1,
+            "one error line: {stderr}"
+        );
+    }
 }
 
 #[test]
