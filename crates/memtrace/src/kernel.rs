@@ -5,8 +5,10 @@
 //! with an instruction cost and a set of buffer accesses whose elements are
 //! visited in a given [`IndexPattern`] order, uniformly spread over the
 //! phase's instructions. The recorder turns these descriptions into
-//! per-element production/consumption timestamps — the same information the
-//! paper extracts with Valgrind load/store tracking.
+//! production/consumption instants — the same information the paper
+//! extracts with Valgrind load/store tracking. It keeps each access
+//! stream as one run over its element range, from which every element's
+//! instant follows exactly.
 
 use ovlsim_core::{BufferId, Instr};
 

@@ -9,13 +9,16 @@
 //!
 //! * [`MemTracer`] — a virtual instruction clock plus per-buffer recording
 //!   of *last write* (production) and *first read* (consumption) instants,
+//!   kept as runs of the access streams that set them rather than one
+//!   instant per element,
 //! * [`Kernel`]/[`Phase`]/[`BufferAccess`] — a declarative description of a
 //!   compute loop and the element order in which it touches communication
 //!   buffers,
 //! * [`IndexPattern`] — reusable element orders (sequential, reverse,
 //!   strided, shuffled, explicit),
-//! * [`ProductionProfile`]/[`ConsumptionProfile`] — per-element timestamp
-//!   snapshots with chunk-level queries used by the overlap transform.
+//! * [`ProductionProfile`]/[`ConsumptionProfile`] — snapshots of those
+//!   instants, exact per element, with chunk-level queries used by the
+//!   overlap transform.
 //!
 //! # Example
 //!
@@ -45,6 +48,7 @@ mod kernel;
 mod pattern;
 mod profile;
 mod recorder;
+mod timeline;
 
 pub use kernel::{AccessKind, BufferAccess, Kernel, KernelBuilder, Phase};
 pub use pattern::IndexPattern;

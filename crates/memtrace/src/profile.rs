@@ -8,69 +8,42 @@
 //! The overlap transform queries these at chunk granularity: a chunk can be
 //! sent once its latest-produced element is ready, and must have arrived by
 //! the time its earliest-consumed element is read.
+//!
+//! A snapshot stores the recorder's access-stream runs rather than one
+//! instant per element, so taking one costs the number of runs, and a
+//! chunk query costs one step per run it overlaps (a scan of the table's
+//! slice for strided, shuffled and explicit streams).
+
+use std::ops::Range;
 
 use ovlsim_core::Instr;
 
-/// Per-element last-write instants for a send buffer.
+use crate::timeline::Timeline;
+
+/// The instants of a buffer of `elements` elements of `elem_bytes` bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProductionProfile {
+struct Instants {
     elem_bytes: u32,
-    timestamps: Vec<Option<Instr>>,
+    elements: usize,
+    timeline: Timeline,
 }
 
-impl ProductionProfile {
-    /// Creates a profile from raw per-element timestamps.
-    pub fn new(elem_bytes: u32, timestamps: Vec<Option<Instr>>) -> Self {
+impl Instants {
+    fn new(elem_bytes: u32, timestamps: Vec<Option<Instr>>) -> Self {
         assert!(elem_bytes > 0, "element size must be positive");
-        ProductionProfile {
+        Instants {
             elem_bytes,
-            timestamps,
+            elements: timestamps.len(),
+            timeline: Timeline::from_instants(&timestamps),
         }
     }
 
-    /// Element size in bytes.
-    pub fn elem_bytes(&self) -> u32 {
-        self.elem_bytes
+    fn byte_len(&self) -> u64 {
+        self.elements as u64 * self.elem_bytes as u64
     }
 
-    /// Number of elements.
-    pub fn element_count(&self) -> usize {
-        self.timestamps.len()
-    }
-
-    /// Buffer size in bytes.
-    pub fn byte_len(&self) -> u64 {
-        self.timestamps.len() as u64 * self.elem_bytes as u64
-    }
-
-    /// Last-write instant of one element (`None` = never written, i.e. the
-    /// data pre-existed and is ready from the start).
-    pub fn element_timestamp(&self, element: usize) -> Option<Instr> {
-        self.timestamps.get(element).copied().flatten()
-    }
-
-    /// The instant at which the byte range `[start, end)` is fully
-    /// produced: the max last-write instant over its elements, or
-    /// `Instr::ZERO` if no element in the range was ever written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the byte range exceeds the buffer or is empty.
-    pub fn ready_at(&self, byte_range: std::ops::Range<u64>) -> Instr {
-        let (lo, hi) = self.element_span(byte_range);
-        self.timestamps[lo..hi]
-            .iter()
-            .filter_map(|t| *t)
-            .max()
-            .unwrap_or(Instr::ZERO)
-    }
-
-    /// The instant at which the whole buffer is fully produced.
-    pub fn fully_ready_at(&self) -> Instr {
-        self.ready_at(0..self.byte_len())
-    }
-
-    fn element_span(&self, byte_range: std::ops::Range<u64>) -> (usize, usize) {
+    /// The elements the byte range `[start, end)` touches.
+    fn element_span(&self, byte_range: Range<u64>) -> Range<usize> {
         assert!(
             byte_range.start < byte_range.end,
             "byte range must be non-empty"
@@ -84,7 +57,74 @@ impl ProductionProfile {
         );
         let lo = (byte_range.start / self.elem_bytes as u64) as usize;
         let hi = byte_range.end.div_ceil(self.elem_bytes as u64) as usize;
-        (lo, hi)
+        lo..hi
+    }
+}
+
+/// When each element of a send buffer was last written.
+///
+/// A snapshot holds the recorder's access-stream runs, not one instant per
+/// element; equality compares the instants element by element.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProductionProfile(Instants);
+
+impl ProductionProfile {
+    /// Creates a profile from raw per-element timestamps.
+    pub fn new(elem_bytes: u32, timestamps: Vec<Option<Instr>>) -> Self {
+        ProductionProfile(Instants::new(elem_bytes, timestamps))
+    }
+
+    /// A profile of `elements` elements over a recorded timeline.
+    pub(crate) fn from_timeline(elem_bytes: u32, elements: usize, timeline: Timeline) -> Self {
+        ProductionProfile(Instants {
+            elem_bytes,
+            elements,
+            timeline,
+        })
+    }
+
+    /// Number of access-stream runs the snapshot holds.
+    #[cfg(test)]
+    pub(crate) fn run_count(&self) -> usize {
+        self.0.timeline.run_count()
+    }
+
+    /// Element size in bytes.
+    pub fn elem_bytes(&self) -> u32 {
+        self.0.elem_bytes
+    }
+
+    /// Number of elements.
+    pub fn element_count(&self) -> usize {
+        self.0.elements
+    }
+
+    /// Buffer size in bytes.
+    pub fn byte_len(&self) -> u64 {
+        self.0.byte_len()
+    }
+
+    /// Last-write instant of one element (`None` = never written, i.e. the
+    /// data pre-existed and is ready from the start).
+    pub fn element_timestamp(&self, element: usize) -> Option<Instr> {
+        self.0.timeline.get(element)
+    }
+
+    /// The instant at which the byte range `[start, end)` is fully
+    /// produced: the max last-write instant over its elements, or
+    /// `Instr::ZERO` if no element in the range was ever written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the byte range exceeds the buffer or is empty.
+    pub fn ready_at(&self, byte_range: Range<u64>) -> Instr {
+        let span = self.0.element_span(byte_range);
+        self.0.timeline.max(span).unwrap_or(Instr::ZERO)
+    }
+
+    /// The instant at which the whole buffer is fully produced.
+    pub fn fully_ready_at(&self) -> Instr {
+        self.ready_at(0..self.byte_len())
     }
 
     /// Cumulative readiness: for each of `points` evenly spaced byte
@@ -108,41 +148,52 @@ impl ProductionProfile {
     }
 }
 
-/// Per-element first-read instants for a receive buffer.
+/// When each element of a receive buffer was first read.
+///
+/// A snapshot holds the recorder's access-stream runs, not one instant per
+/// element; equality compares the instants element by element.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConsumptionProfile {
-    elem_bytes: u32,
-    timestamps: Vec<Option<Instr>>,
-}
+pub struct ConsumptionProfile(Instants);
 
 impl ConsumptionProfile {
     /// Creates a profile from raw per-element timestamps.
     pub fn new(elem_bytes: u32, timestamps: Vec<Option<Instr>>) -> Self {
-        assert!(elem_bytes > 0, "element size must be positive");
-        ConsumptionProfile {
+        ConsumptionProfile(Instants::new(elem_bytes, timestamps))
+    }
+
+    /// A profile of `elements` elements over a recorded timeline.
+    pub(crate) fn from_timeline(elem_bytes: u32, elements: usize, timeline: Timeline) -> Self {
+        ConsumptionProfile(Instants {
             elem_bytes,
-            timestamps,
-        }
+            elements,
+            timeline,
+        })
+    }
+
+    /// Number of access-stream runs the snapshot holds.
+    #[cfg(test)]
+    pub(crate) fn run_count(&self) -> usize {
+        self.0.timeline.run_count()
     }
 
     /// Element size in bytes.
     pub fn elem_bytes(&self) -> u32 {
-        self.elem_bytes
+        self.0.elem_bytes
     }
 
     /// Number of elements.
     pub fn element_count(&self) -> usize {
-        self.timestamps.len()
+        self.0.elements
     }
 
     /// Buffer size in bytes.
     pub fn byte_len(&self) -> u64 {
-        self.timestamps.len() as u64 * self.elem_bytes as u64
+        self.0.byte_len()
     }
 
     /// First-read instant of one element (`None` = never read).
     pub fn element_timestamp(&self, element: usize) -> Option<Instr> {
-        self.timestamps.get(element).copied().flatten()
+        self.0.timeline.get(element)
     }
 
     /// The instant at which the byte range `[start, end)` is first needed:
@@ -152,31 +203,14 @@ impl ConsumptionProfile {
     /// # Panics
     ///
     /// Panics if the byte range exceeds the buffer or is empty.
-    pub fn needed_at(&self, byte_range: std::ops::Range<u64>) -> Option<Instr> {
-        let (lo, hi) = self.element_span(byte_range);
-        self.timestamps[lo..hi].iter().filter_map(|t| *t).min()
+    pub fn needed_at(&self, byte_range: Range<u64>) -> Option<Instr> {
+        let span = self.0.element_span(byte_range);
+        self.0.timeline.min(span)
     }
 
     /// The earliest instant any element of the buffer is read.
     pub fn first_needed_at(&self) -> Option<Instr> {
         self.needed_at(0..self.byte_len())
-    }
-
-    fn element_span(&self, byte_range: std::ops::Range<u64>) -> (usize, usize) {
-        assert!(
-            byte_range.start < byte_range.end,
-            "byte range must be non-empty"
-        );
-        assert!(
-            byte_range.end <= self.byte_len(),
-            "byte range {}..{} exceeds buffer of {} bytes",
-            byte_range.start,
-            byte_range.end,
-            self.byte_len()
-        );
-        let lo = (byte_range.start / self.elem_bytes as u64) as usize;
-        let hi = byte_range.end.div_ceil(self.elem_bytes as u64) as usize;
-        (lo, hi)
     }
 }
 

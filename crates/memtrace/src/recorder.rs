@@ -7,6 +7,7 @@ use ovlsim_core::{BufferId, Instr};
 
 use crate::kernel::{AccessKind, Kernel};
 use crate::profile::{ConsumptionProfile, ProductionProfile};
+use crate::timeline::{Spread, Stamps, Timeline};
 
 /// Errors produced by the [`MemTracer`] recorder.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,14 +74,10 @@ pub struct WriteWatch(usize);
 #[derive(Debug)]
 struct BufferState {
     info: BufferInfo,
-    last_write: Vec<Option<Instr>>,
-    first_read: Vec<Option<Instr>>,
-}
-
-#[derive(Debug)]
-struct WatchState {
-    buffer: BufferId,
-    first_write: Option<Instr>,
+    last_write: Timeline,
+    first_read: Timeline,
+    /// Watches on this buffer that no write has tripped yet.
+    armed: Vec<WriteWatch>,
 }
 
 /// The virtual instruction clock plus per-buffer load/store recording —
@@ -108,7 +105,8 @@ struct WatchState {
 #[derive(Debug, Default)]
 pub struct MemTracer {
     buffers: Vec<BufferState>,
-    watches: Vec<WatchState>,
+    /// The first write each watch observed, indexed by [`WriteWatch`].
+    watches: Vec<Option<Instr>>,
     clock: Instr,
 }
 
@@ -133,15 +131,15 @@ impl MemTracer {
             "buffer size {bytes} is not a multiple of element size {elem_bytes}"
         );
         let id = BufferId::new(self.buffers.len() as u32);
-        let elements = (bytes / elem_bytes as u64) as usize;
         self.buffers.push(BufferState {
             info: BufferInfo {
                 name: name.into(),
                 bytes,
                 elem_bytes,
             },
-            last_write: vec![None; elements],
-            first_read: vec![None; elements],
+            last_write: Timeline::default(),
+            first_read: Timeline::default(),
+            armed: Vec::new(),
         });
         id
     }
@@ -182,8 +180,13 @@ impl MemTracer {
     }
 
     /// Executes a kernel: advances the clock phase by phase and records
-    /// each access stream's element timestamps, uniformly spread over the
-    /// owning phase.
+    /// each access stream, whose k-th of n visits lands at
+    /// `phase start + (k+1)·phase instructions/n`. A write stream takes over
+    /// the production instants of its element range and trips the buffer's
+    /// armed watches at its first visit; a read stream gives its instants
+    /// only to elements not yet read since the last
+    /// [`MemTracer::reset_consumption`]. Each stream is recorded as one run
+    /// of its range, not per element.
     ///
     /// # Panics
     ///
@@ -213,34 +216,19 @@ impl MemTracer {
                 if range.is_empty() {
                     continue;
                 }
-                let n = range.len() as u128;
-                let order = access.pattern.order(range.len());
+                let spread = Spread::new(phase_start, phase_instr, range.len());
+                let stamps = Stamps::stream(&access.pattern, range.clone(), spread);
                 let state = &mut self.buffers[idx];
-                for (k, rel) in order.into_iter().enumerate() {
-                    let e = range.start + rel;
-                    let offset = ((k as u128 + 1) * phase_instr.get() as u128 / n) as u64;
-                    let t = phase_start + Instr::new(offset);
-                    match access.kind {
-                        AccessKind::Write => {
-                            state.last_write[e] = Some(t);
-                        }
-                        AccessKind::Read => {
-                            if state.first_read[e].is_none() {
-                                state.first_read[e] = Some(t);
-                            }
+                match access.kind {
+                    AccessKind::Write => {
+                        state.last_write.overwrite(range, stamps);
+                        // A single write in the phase suffices to trip
+                        // watches; use the stream's earliest visit.
+                        for WriteWatch(w) in state.armed.drain(..) {
+                            self.watches[w] = Some(spread.visit(0));
                         }
                     }
-                }
-                if access.kind == AccessKind::Write {
-                    // A single write in the phase suffices to trip watches;
-                    // use the earliest element timestamp in this stream.
-                    let earliest =
-                        phase_start + Instr::new(((phase_instr.get() as u128) / n) as u64);
-                    for w in &mut self.watches {
-                        if w.buffer == access.buffer && w.first_write.is_none() {
-                            w.first_write = Some(earliest);
-                        }
-                    }
+                    AccessKind::Read => state.first_read.fill(range, stamps),
                 }
             }
             self.clock += phase_instr;
@@ -253,8 +241,8 @@ impl MemTracer {
     ///
     /// Panics if `buf` was not registered.
     pub fn snapshot_production(&self, buf: BufferId) -> ProductionProfile {
-        let s = self.state(buf);
-        ProductionProfile::new(s.info.elem_bytes, s.last_write.clone())
+        self.try_snapshot_production(buf)
+            .unwrap_or_else(|_| panic!("unregistered {buf}"))
     }
 
     /// Fallible [`MemTracer::snapshot_production`].
@@ -268,8 +256,9 @@ impl MemTracer {
         buf: BufferId,
     ) -> Result<ProductionProfile, RecorderError> {
         let s = self.try_state(buf)?;
-        Ok(ProductionProfile::new(
+        Ok(ProductionProfile::from_timeline(
             s.info.elem_bytes,
+            s.info.elements(),
             s.last_write.clone(),
         ))
     }
@@ -293,11 +282,7 @@ impl MemTracer {
     /// Returns [`RecorderError::UnregisteredBuffer`] if `buf` was not
     /// registered.
     pub fn try_reset_consumption(&mut self, buf: BufferId) -> Result<(), RecorderError> {
-        let idx = buf.index();
-        if idx >= self.buffers.len() {
-            return Err(RecorderError::UnregisteredBuffer { buf });
-        }
-        self.buffers[idx].first_read.fill(None);
+        self.try_state_mut(buf)?.first_read.clear();
         Ok(())
     }
 
@@ -308,8 +293,8 @@ impl MemTracer {
     ///
     /// Panics if `buf` was not registered.
     pub fn snapshot_consumption(&self, buf: BufferId) -> ConsumptionProfile {
-        let s = self.state(buf);
-        ConsumptionProfile::new(s.info.elem_bytes, s.first_read.clone())
+        self.try_snapshot_consumption(buf)
+            .unwrap_or_else(|_| panic!("unregistered {buf}"))
     }
 
     /// Fallible [`MemTracer::snapshot_consumption`].
@@ -323,8 +308,9 @@ impl MemTracer {
         buf: BufferId,
     ) -> Result<ConsumptionProfile, RecorderError> {
         let s = self.try_state(buf)?;
-        Ok(ConsumptionProfile::new(
+        Ok(ConsumptionProfile::from_timeline(
             s.info.elem_bytes,
+            s.info.elements(),
             s.first_read.clone(),
         ))
     }
@@ -346,25 +332,26 @@ impl MemTracer {
     /// Returns [`RecorderError::UnregisteredBuffer`] if `buf` was not
     /// registered.
     pub fn try_watch_first_write(&mut self, buf: BufferId) -> Result<WriteWatch, RecorderError> {
-        if buf.index() >= self.buffers.len() {
-            return Err(RecorderError::UnregisteredBuffer { buf });
-        }
         let id = WriteWatch(self.watches.len());
-        self.watches.push(WatchState {
-            buffer: buf,
-            first_write: None,
-        });
+        self.try_state_mut(buf)?.armed.push(id);
+        self.watches.push(None);
         Ok(id)
     }
 
     /// The instant of the first write observed by `watch`, if any yet.
     pub fn watch_result(&self, watch: WriteWatch) -> Option<Instr> {
-        self.watches[watch.0].first_write
+        self.watches[watch.0]
     }
 
     fn try_state(&self, buf: BufferId) -> Result<&BufferState, RecorderError> {
         self.buffers
             .get(buf.index())
+            .ok_or(RecorderError::UnregisteredBuffer { buf })
+    }
+
+    fn try_state_mut(&mut self, buf: BufferId) -> Result<&mut BufferState, RecorderError> {
+        self.buffers
+            .get_mut(buf.index())
             .ok_or(RecorderError::UnregisteredBuffer { buf })
     }
 
@@ -490,12 +477,15 @@ mod tests {
     fn watch_reports_first_write_only_after_arming() {
         let mut mt = MemTracer::new();
         let b = mt.register("a", 4, 1);
+        let other = mt.register("o", 4, 1);
         let w = Kernel::builder()
             .phase(Instr::new(100))
             .access(b, AccessKind::Write, IndexPattern::Sequential)
+            .access(other, AccessKind::Read, IndexPattern::Sequential)
             .build();
         mt.execute(&w);
         let watch = mt.watch_first_write(b);
+        let untouched = mt.watch_first_write(other);
         assert_eq!(mt.watch_result(watch), None);
         mt.execute(&w);
         // First write of the second execution happens at 100 + 25.
@@ -503,6 +493,48 @@ mod tests {
         // Result is sticky: further writes don't move it.
         mt.execute(&w);
         assert_eq!(mt.watch_result(watch), Some(Instr::new(125)));
+        // Writes to another buffer and reads trip nothing.
+        assert_eq!(mt.watch_result(untouched), None);
+    }
+
+    /// Snapshots hold access-stream runs, not one instant per element: a
+    /// million-element buffer written by a sequential main loop and a
+    /// trailing pack pass, then read by a leading unpack pass and the main
+    /// loop, snapshots as at most two runs, a thousand times over.
+    #[test]
+    fn snapshots_hold_runs_not_elements() {
+        const ELEMENTS: usize = 1_000_000;
+        let mut mt = MemTracer::new();
+        let b = mt.register("halo", ELEMENTS as u64 * 8, 8);
+        let tail = Some(ELEMENTS / 2..ELEMENTS);
+        let head = Some(0..ELEMENTS / 2);
+        let produce = Kernel::builder()
+            .phase(Instr::new(900_000_000))
+            .access(b, AccessKind::Write, IndexPattern::Sequential)
+            .phase(Instr::new(100_000_000))
+            .access_range(b, AccessKind::Write, IndexPattern::Sequential, tail)
+            .build();
+        let consume = Kernel::builder()
+            .phase(Instr::new(50_000_000))
+            .access_range(b, AccessKind::Read, IndexPattern::Sequential, head)
+            .phase(Instr::new(950_000_000))
+            .access(b, AccessKind::Read, IndexPattern::Sequential)
+            .build();
+        mt.execute(&produce);
+        mt.execute(&consume);
+        let production: Vec<_> = (0..1000).map(|_| mt.snapshot_production(b)).collect();
+        let consumption: Vec<_> = (0..1000).map(|_| mt.snapshot_consumption(b)).collect();
+        assert!(production.iter().all(|p| p.run_count() <= 2));
+        assert!(consumption.iter().all(|c| c.run_count() <= 2));
+        let (p, c) = (&production[999], &consumption[999]);
+        assert_eq!(p.element_timestamp(0), Some(Instr::new(900)));
+        assert_eq!(p.ready_at(0..8), Instr::new(900));
+        assert_eq!(p.fully_ready_at(), Instr::new(1_000_000_000));
+        assert_eq!(c.first_needed_at(), Some(Instr::new(1_000_000_100)));
+        assert_eq!(
+            c.element_timestamp(ELEMENTS - 1),
+            Some(Instr::new(2_000_000_000))
+        );
     }
 
     #[test]

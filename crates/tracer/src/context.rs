@@ -41,7 +41,8 @@ pub struct SendMeta {
     pub channel_seq: u32,
     /// The send buffer, if the message was sent from a registered buffer.
     pub buffer: Option<BufferId>,
-    /// Per-element production instants snapshot at the send.
+    /// Production (last-write) instants of the buffer's elements,
+    /// snapshot at the send.
     pub production: Option<ProductionProfile>,
     /// Instruction instant of the send call.
     pub send_instant: Instr,
@@ -70,7 +71,8 @@ pub struct RecvMeta {
     pub channel_seq: u32,
     /// The receive buffer, if the message landed in a registered buffer.
     pub buffer: Option<BufferId>,
-    /// Per-element first-read instants after message completion.
+    /// First-read instants of the buffer's elements after message
+    /// completion.
     pub consumption: Option<ConsumptionProfile>,
     /// Instruction instant at which the message is complete in the
     /// original execution (the blocking recv, or the wait of an irecv).

@@ -110,6 +110,38 @@ fn trace_gen_stats_validate_replay_roundtrip() {
     assert!(stdout.contains("legend"), "replay should render a gantt");
 }
 
+/// `trace gen` reproduces the committed NAS-BT mini traces byte for byte.
+/// This pins the real-pattern overlap transform, the production consumer
+/// of the recorded production and consumption profiles, at file level.
+#[test]
+fn trace_gen_reproduces_committed_mini_traces() {
+    let dir = scratch_dir("mini-traces");
+    let prefix = dir.join("nas-bt-mini");
+    let out = ovlsim()
+        .args([
+            "trace",
+            "gen",
+            "nas-bt",
+            prefix.to_str().unwrap(),
+            "S",
+            "4",
+            "2",
+        ])
+        .output()
+        .expect("ovlsim runs");
+    assert!(out.status.success(), "gen failed: {out:?}");
+    let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/traces");
+    for variant in ["original", "ovl-linear", "ovl-real"] {
+        let name = format!("nas-bt-mini.{variant}.dim");
+        let generated = std::fs::read(dir.join(&name)).unwrap();
+        let golden = std::fs::read(committed.join(&name)).unwrap();
+        assert!(
+            generated == golden,
+            "{name} differs from the committed trace"
+        );
+    }
+}
+
 #[test]
 fn trace_validate_rejects_broken_trace() {
     let dir = scratch_dir("broken");
