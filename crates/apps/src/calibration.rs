@@ -6,7 +6,8 @@
 //! SPECFEM 65%, Sweep3D 160%. The application defaults in this crate are
 //! calibrated so that, on the [`reference_platform`] at each app's
 //! intermediate bandwidth, the linear-mode speedup lands in the same band.
-//! EXPERIMENTS.md records paper-vs-measured for every app.
+//! The `exp_ideal_speedup` binary (experiment E3) prints paper-vs-measured
+//! for every app.
 
 use ovlsim_core::{Bandwidth, Platform, Time};
 

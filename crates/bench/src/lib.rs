@@ -1,8 +1,8 @@
 //! Benchmark and experiment entry points for `ovlsim`.
 //!
-//! * `src/bin/exp_*.rs` — one binary per paper artefact (see DESIGN.md §4);
-//!   each prints the regenerated table to stdout and, with `--csv`, the raw
-//!   CSV to stderr.
+//! * `src/bin/exp_*.rs` — one binary per paper artefact (indexed in
+//!   `ovlsim_lab::experiments`); each prints the regenerated table to
+//!   stdout and, with `--csv`, the raw CSV to stderr.
 //! * `benches/*.rs` — Criterion micro-benchmarks documenting the
 //!   environment's own performance (event throughput, replay speed,
 //!   transform cost).

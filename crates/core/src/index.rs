@@ -7,14 +7,18 @@
 //! dense `u32` — the replay inner loop then does a single vector index.
 //!
 //! [`TraceIndex::build`] validates a [`TraceSet`] and interns its channels
-//! in one pass. The "synthesize once, replay many" methodology makes this
-//! split pay twice: a bandwidth sweep builds the index once, lowers the
-//! trace with it into a [`CompiledTrace`](crate::CompiledTrace), and
-//! replays that program at every platform point, skipping revalidation
-//! entirely (see `Simulator::run_compiled` in `ovlsim-dimemas`).
+//! in one pass of the record walker (the same pass that
+//! [`validate_trace_set`](crate::validate_trace_set) runs, keeping each
+//! record's channel id). A caller that needs only the replay program
+//! skips the index: [`CompiledTrace::build`](crate::CompiledTrace::build)
+//! validates and lowers in that same single pass. The index is for
+//! callers that keep it: attribution reads channels back from it, and a
+//! session caches it next to the program it was compiled with
+//! ([`CompiledTrace::compile`](crate::CompiledTrace::compile)).
 
 use crate::record::TraceSet;
-use crate::validate::{scan_trace_set, TraceIssue};
+use crate::validate::{Checks, TraceIssue};
+use crate::walk::{walk, Sink};
 
 /// Sentinel in [`TraceIndex::rank_channels`] for records that are not
 /// point-to-point operations (bursts, waits, collectives, markers).
@@ -102,24 +106,19 @@ impl TraceIndex {
     /// Returns every [`TraceIssue`] found if the trace set is structurally
     /// invalid (the index of an invalid trace would be meaningless).
     pub fn build(ts: &TraceSet) -> Result<Self, Vec<TraceIssue>> {
-        let (issues, index) = scan_trace_set(ts);
-        if issues.is_empty() {
-            Ok(index)
-        } else {
-            Err(issues)
-        }
-    }
-
-    pub(crate) fn from_parts(
-        trace_name: String,
-        channel_peers: Vec<(u32, u32)>,
-        record_channels: Vec<Vec<u32>>,
-    ) -> Self {
-        TraceIndex {
-            trace_name,
+        let mut checks = Checks::new(ts);
+        let mut columns = Columns::default();
+        let Ok(()) = walk(ts, &mut checks, &mut columns);
+        let channel_peers = checks
+            .finish()?
+            .iter()
+            .map(|c| (c.src.get(), c.dst.get()))
+            .collect();
+        Ok(TraceIndex {
+            trace_name: ts.name().to_string(),
             channel_peers,
-            record_channels,
-        }
+            record_channels: columns.ranks,
+        })
     }
 
     /// Name of the trace set this index was built from (a cheap guard —
@@ -201,6 +200,28 @@ impl TraceIndex {
             }
         }
         None
+    }
+}
+
+/// The [`Sink`] behind [`TraceIndex::build`]: keeps each record's channel
+/// id, one column per rank.
+#[derive(Default)]
+struct Columns {
+    rank: Vec<u32>,
+    ranks: Vec<Vec<u32>>,
+}
+
+impl Sink for Columns {
+    fn begin_rank(&mut self, len: usize) {
+        self.rank.reserve_exact(len);
+    }
+
+    fn channel(&mut self, channel: u32) {
+        self.rank.push(channel);
+    }
+
+    fn end_rank(&mut self, _slot_count: u32) {
+        self.ranks.push(std::mem::take(&mut self.rank));
     }
 }
 

@@ -54,6 +54,7 @@ pub mod rng;
 mod time;
 mod units;
 mod validate;
+mod walk;
 
 pub use error::CoreError;
 pub use hash::{Digest, StableHasher};

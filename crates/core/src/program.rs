@@ -1,41 +1,49 @@
-//! Trace compilation: lowering a validated [`TraceSet`] + [`TraceIndex`]
-//! into a flat struct-of-arrays replay program.
+//! Trace compilation: lowering a validated [`TraceSet`] into a flat
+//! struct-of-arrays replay program.
 //!
 //! The paper's methodology replays one trace at hundreds of platform
 //! points. Everything about the *trace* is invariant across that sweep,
-//! yet a replay over the record stream walks heap-allocated [`Record`]
-//! enums, resolves request ids through a runtime table, and converts burst
-//! instruction counts to time on every point. [`CompiledTrace`] pays those
-//! costs **once per trace**:
+//! yet a replay over the record stream walks heap-allocated
+//! [`Record`](crate::Record) enums, resolves request ids through a runtime
+//! table, and converts burst instruction counts to time on every point.
+//! [`CompiledTrace`] pays those costs **once per trace**:
 //!
 //! * records are lowered to dense parallel columns — a one-byte opcode
 //!   ([`RecordKind`]), two `u32` operands and one `u64` payload per
 //!   instruction — with no enum tags and no per-record allocation,
-//! * runs of adjacent [`Record::Burst`]s are **coalesced** into a single
-//!   instruction over a side arena of pre-converted picosecond durations
-//!   (the conversion through the trace's [`MipsRate`] happens at compile
-//!   time), so the replay engine can retire a whole compute run in one
-//!   event when nothing else is scheduled before its end,
+//! * runs of adjacent [`Record::Burst`](crate::Record::Burst)s are
+//!   **coalesced** into a single instruction over a side arena of
+//!   pre-converted picosecond durations (the conversion through the
+//!   trace's [`MipsRate`] happens at compile time), so the replay engine
+//!   can retire a whole compute run in one event when nothing else is
+//!   scheduled before its end,
 //! * `ISend`/`IRecv`/`Wait*` request ids are **pre-resolved** into dense
 //!   per-rank slot indices (a compile-time free-list reuses slots exactly
 //!   as the runtime would), so the hot loop indexes a flat array instead
 //!   of scanning an association table,
 //! * per-channel `(source, destination, tag)` endpoints ride along, so an
 //!   engine derives intra-/inter-node routing once per run without
-//!   touching the [`TraceIndex`] again.
+//!   touching a [`TraceIndex`].
 //!
-//! Coalescing merges timeline granularity that observers may need:
-//! [`CompiledTrace::compile_observed`] keeps every burst (and marker)
-//! separate so observed timelines are unchanged, at the cost of the
-//! coalescing speedup. Replay engines refuse to attach an observer to a
-//! coalesced program.
+//! Lowering runs inside the record walker, so there are two ways in.
+//! [`CompiledTrace::build`] validates, interns channels and lowers in one
+//! pass over the records: the path for a caller that needs only the
+//! program (single replays, tuner candidates).
+//! [`CompiledTrace::compile`] lowers with the channels of an index the
+//! caller already holds, checking nothing; the session caches that index
+//! and attribution reads it back.
+//!
+//! Coalescing merges timeline granularity that observers may need: the
+//! `_observed` variants keep every burst (and marker) separate so observed
+//! timelines are unchanged, at the cost of the coalescing speedup. Replay
+//! engines refuse to attach an observer to a coalesced program.
 
-use std::collections::HashMap;
-
-use crate::ids::{Rank, Tag};
+use crate::ids::{Rank, RequestId, Tag};
 use crate::index::{TraceIndex, NO_CHANNEL};
-use crate::instr::MipsRate;
-use crate::record::{Record, RecordKind, TraceSet};
+use crate::instr::{Instr, MipsRate};
+use crate::record::{RecordKind, TraceSet};
+use crate::validate::{Checks, TraceIssue};
+use crate::walk::{walk, At, Resolve, Sink};
 
 /// Why a trace could not be compiled.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -220,12 +228,46 @@ pub struct CompiledTrace {
 }
 
 impl CompiledTrace {
+    /// Validates `trace` and compiles it with burst coalescing, in one
+    /// pass over the records. The program equals
+    /// [`CompiledTrace::compile`] with the trace's own
+    /// [`TraceIndex`], without building that index.
+    ///
+    /// # Errors
+    ///
+    /// Returns every [`TraceIssue`] found, exactly as
+    /// [`validate_trace_set`](crate::validate_trace_set) lists them, if
+    /// the trace set is structurally invalid.
+    pub fn build(trace: &TraceSet) -> Result<Self, Vec<TraceIssue>> {
+        Self::build_with(trace, true)
+    }
+
+    /// [`CompiledTrace::build`] without coalescing, equal to
+    /// [`CompiledTrace::compile_observed`] with the trace's own index.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`CompiledTrace::build`].
+    pub fn build_observed(trace: &TraceSet) -> Result<Self, Vec<TraceIssue>> {
+        Self::build_with(trace, false)
+    }
+
+    fn build_with(trace: &TraceSet, coalesce: bool) -> Result<Self, Vec<TraceIssue>> {
+        let mut checks = Checks::new(trace);
+        let mut emitter = Emitter::new(trace.mips(), coalesce);
+        let Ok(()) = walk(trace, &mut checks, &mut emitter);
+        Ok(emitter.finish(trace, checks.finish()?))
+    }
+
     /// Compiles `trace` with burst coalescing: adjacent bursts merge into
     /// one instruction (markers, which have no timing effect, are dropped
     /// and do not break a run). Replay results are bit-identical to the
     /// uncompiled engines, but per-burst timeline granularity is gone, so
     /// engines refuse to attach an observer to the result — use
     /// [`CompiledTrace::compile_observed`] for timeline capture.
+    ///
+    /// `index` supplies the channels and nothing is validated; a caller
+    /// without an index uses [`CompiledTrace::build`].
     ///
     /// # Errors
     ///
@@ -253,129 +295,10 @@ impl CompiledTrace {
         if let Some(reason) = index.mismatch_reason(trace) {
             return Err(CompileError::IndexMismatch { reason });
         }
-
-        // Channel endpoints come from the index; the tag is filled in from
-        // the first record referencing each channel (every interned
-        // channel is referenced by construction).
-        let mut channels: Vec<ChannelEndpoints> = index
-            .channel_peers()
-            .iter()
-            .map(|&(src, dst)| ChannelEndpoints {
-                src: Rank::new(src),
-                dst: Rank::new(dst),
-                tag: Tag::new(0),
-            })
-            .collect();
-        let mut tag_known = vec![false; channels.len()];
-
-        let mips = trace.mips();
-        let mut ranks = Vec::with_capacity(trace.rank_count());
-        for (r, rank_trace) in trace.ranks().iter().enumerate() {
-            let chans = index.rank_channels(r);
-            let mut p = RankProgram::default();
-            // Compile-time slot allocator: posts pop the free list (or
-            // grow the table), waits push the slot back — mirroring the
-            // lifetime the runtime table will see, so the table stays as
-            // small as the rank's peak outstanding-request count.
-            let mut slots = SlotAllocator::default();
-            // True while the previous *emitted* instruction is a burst a
-            // new burst may merge into (dropped markers don't break runs).
-            let mut open_burst = false;
-
-            for (ri, rec) in rank_trace.iter().enumerate() {
-                let mut note_channel = |ch: u32, tag: Tag| {
-                    debug_assert_ne!(ch, NO_CHANNEL, "p2p records are interned");
-                    if !tag_known[ch as usize] {
-                        channels[ch as usize].tag = tag;
-                        tag_known[ch as usize] = true;
-                    }
-                };
-                match rec {
-                    Record::Burst { instr } => {
-                        let ps = mips.instr_to_time(*instr).as_ps();
-                        if coalesce && open_burst {
-                            let last = p.ops.len() - 1;
-                            p.a[last] += 1;
-                        } else {
-                            p.push(RecordKind::Burst, 1, 0, 0);
-                        }
-                        p.burst_ps.push(ps);
-                        open_burst = true;
-                        continue;
-                    }
-                    Record::Marker { code } => {
-                        if !coalesce {
-                            p.push(RecordKind::Marker, *code, 0, 0);
-                            open_burst = false;
-                        }
-                        // Coalesced: markers have no timing effect; drop
-                        // them without closing the surrounding burst run.
-                        continue;
-                    }
-                    Record::Send { to: _, bytes, tag } => {
-                        note_channel(chans[ri], *tag);
-                        p.push(RecordKind::Send, chans[ri], 0, *bytes);
-                    }
-                    Record::ISend {
-                        to: _,
-                        bytes,
-                        tag,
-                        req,
-                    } => {
-                        note_channel(chans[ri], *tag);
-                        let slot = slots.post(req.get());
-                        p.push(RecordKind::ISend, chans[ri], slot, *bytes);
-                    }
-                    Record::Recv {
-                        from: _,
-                        bytes,
-                        tag,
-                    } => {
-                        note_channel(chans[ri], *tag);
-                        p.push(RecordKind::Recv, chans[ri], 0, *bytes);
-                    }
-                    Record::IRecv {
-                        from: _,
-                        bytes: _,
-                        tag,
-                        req,
-                    } => {
-                        note_channel(chans[ri], *tag);
-                        let slot = slots.post(req.get());
-                        p.push(RecordKind::IRecv, chans[ri], slot, 0);
-                    }
-                    Record::Wait { req } => {
-                        let slot = slots.wait(req.get(), r, ri)?;
-                        p.push(RecordKind::Wait, slot, 0, 0);
-                    }
-                    Record::WaitAll { reqs } => {
-                        for req in reqs {
-                            let slot = slots.wait(req.get(), r, ri)?;
-                            p.wait_slots.push(slot);
-                        }
-                        p.push(RecordKind::WaitAll, reqs.len() as u32, 0, 0);
-                    }
-                    Record::Barrier => p.push(RecordKind::Barrier, 0, 0, 0),
-                    Record::AllReduce { bytes } => p.push(RecordKind::AllReduce, 0, 0, *bytes),
-                    Record::Bcast { root: _, bytes } => p.push(RecordKind::Bcast, 0, 0, *bytes),
-                    Record::Reduce { root: _, bytes } => p.push(RecordKind::Reduce, 0, 0, *bytes),
-                    Record::AllToAll { bytes } => p.push(RecordKind::AllToAll, 0, 0, *bytes),
-                    Record::AllGather { bytes } => p.push(RecordKind::AllGather, 0, 0, *bytes),
-                }
-                open_burst = false;
-            }
-            p.slot_count = slots.high_water();
-            ranks.push(p);
-        }
-
-        Ok(CompiledTrace {
-            name: trace.name().to_string(),
-            mips,
-            coalesced: coalesce,
-            channels,
-            ranks,
-            source_records: trace.total_records(),
-        })
+        let mut indexed = Indexed::new(index);
+        let mut emitter = Emitter::new(trace.mips(), coalesce);
+        walk(trace, &mut indexed, &mut emitter)?;
+        Ok(emitter.finish(trace, indexed.channels))
     }
 
     /// Name of the trace this program was compiled from.
@@ -431,42 +354,140 @@ impl CompiledTrace {
     }
 }
 
-/// Compile-time request-slot allocator: replays the post/wait lifetime of
-/// one rank's requests so each post gets a dense slot index and slots are
-/// reused as soon as their wait retires them.
-#[derive(Debug, Default)]
-struct SlotAllocator {
-    live: HashMap<u32, u32>,
-    free: Vec<u32>,
-    next: u32,
+/// The [`Sink`] that lowers walked records into per-rank programs, shared
+/// by [`CompiledTrace::build`] and [`CompiledTrace::compile`].
+struct Emitter {
+    mips: MipsRate,
+    coalesce: bool,
+    /// True while the last *emitted* instruction is a burst a new burst
+    /// may merge into (dropped markers don't break runs).
+    open_burst: bool,
+    rank: RankProgram,
+    ranks: Vec<RankProgram>,
 }
 
-impl SlotAllocator {
-    fn post(&mut self, req: u32) -> u32 {
-        let slot = self.free.pop().unwrap_or_else(|| {
-            let s = self.next;
-            self.next += 1;
-            s
-        });
-        self.live.insert(req, slot);
-        slot
-    }
-
-    fn wait(&mut self, req: u32, rank: usize, record: usize) -> Result<u32, CompileError> {
-        match self.live.remove(&req) {
-            Some(slot) => {
-                self.free.push(slot);
-                Ok(slot)
-            }
-            None => Err(CompileError::InvalidWait {
-                rank: Rank::new(rank as u32),
-                record,
-            }),
+impl Emitter {
+    fn new(mips: MipsRate, coalesce: bool) -> Self {
+        Emitter {
+            mips,
+            coalesce,
+            open_burst: false,
+            rank: RankProgram::default(),
+            ranks: Vec::new(),
         }
     }
 
-    fn high_water(&self) -> u32 {
-        self.next
+    fn finish(self, trace: &TraceSet, channels: Vec<ChannelEndpoints>) -> CompiledTrace {
+        CompiledTrace {
+            name: trace.name().to_string(),
+            mips: self.mips,
+            coalesced: self.coalesce,
+            channels,
+            ranks: self.ranks,
+            source_records: trace.total_records(),
+        }
+    }
+}
+
+impl Sink for Emitter {
+    fn burst(&mut self, instr: Instr) {
+        let ps = self.mips.instr_to_time(instr).as_ps();
+        if self.coalesce && self.open_burst {
+            let last = self.rank.ops.len() - 1;
+            self.rank.a[last] += 1;
+        } else {
+            self.rank.push(RecordKind::Burst, 1, 0, 0);
+        }
+        self.rank.burst_ps.push(ps);
+        self.open_burst = true;
+    }
+
+    fn marker(&mut self, code: u32) {
+        // Coalesced: markers have no timing effect; drop them without
+        // closing the surrounding burst run.
+        if !self.coalesce {
+            self.rank.push(RecordKind::Marker, code, 0, 0);
+            self.open_burst = false;
+        }
+    }
+
+    fn op(&mut self, kind: RecordKind, a: u32, b: u32, payload: u64) {
+        self.rank.push(kind, a, b, payload);
+        self.open_burst = false;
+    }
+
+    fn wait_slot(&mut self, slot: u32) {
+        self.rank.wait_slots.push(slot);
+    }
+
+    fn end_rank(&mut self, slot_count: u32) {
+        self.rank.slot_count = slot_count;
+        self.ranks.push(std::mem::take(&mut self.rank));
+        self.open_burst = false;
+    }
+}
+
+/// The [`Resolve`]r behind [`CompiledTrace::compile`]: channels come from
+/// a prebuilt [`TraceIndex`], nothing is checked, and a wait on a request
+/// that is not in flight stops the walk.
+struct Indexed<'i> {
+    index: &'i TraceIndex,
+    column: &'i [u32],
+    /// Endpoints from the index; each tag is filled in from the first
+    /// record on its channel (every interned channel has one).
+    channels: Vec<ChannelEndpoints>,
+    tag_known: Vec<bool>,
+}
+
+impl<'i> Indexed<'i> {
+    fn new(index: &'i TraceIndex) -> Self {
+        Indexed {
+            index,
+            column: &[],
+            channels: index
+                .channel_peers()
+                .iter()
+                .map(|&(src, dst)| ChannelEndpoints {
+                    src: Rank::new(src),
+                    dst: Rank::new(dst),
+                    tag: Tag::new(0),
+                })
+                .collect(),
+            tag_known: vec![false; index.channel_count()],
+        }
+    }
+
+    fn channel(&mut self, at: At, tag: Tag) -> u32 {
+        let ch = self.column[at.record];
+        debug_assert_ne!(ch, NO_CHANNEL, "p2p records are interned");
+        if !self.tag_known[ch as usize] {
+            self.channels[ch as usize].tag = tag;
+            self.tag_known[ch as usize] = true;
+        }
+        ch
+    }
+}
+
+impl Resolve<'_> for Indexed<'_> {
+    type Error = CompileError;
+
+    fn begin_rank(&mut self, rank: usize) {
+        self.column = self.index.rank_channels(rank);
+    }
+
+    fn send(&mut self, at: At, _to: Rank, tag: Tag, _bytes: u64) -> u32 {
+        self.channel(at, tag)
+    }
+
+    fn recv(&mut self, at: At, _from: Rank, tag: Tag, _bytes: u64) -> u32 {
+        self.channel(at, tag)
+    }
+
+    fn unknown(&mut self, at: At, _req: RequestId) -> Result<(), CompileError> {
+        Err(CompileError::InvalidWait {
+            rank: at.rank,
+            record: at.record,
+        })
     }
 }
 
@@ -502,7 +523,7 @@ impl RankProgram {
         }
     }
 
-    /// Checks the structural invariants `lower` guarantees by
+    /// Checks the structural invariants lowering guarantees by
     /// construction, for programs that arrived from outside (decoded
     /// from bytes): arena sizes match the instructions that consume
     /// them, request slots stay below `slot_count`, and channel ids
@@ -595,9 +616,7 @@ impl CompiledTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::RequestId;
-    use crate::instr::Instr;
-    use crate::record::RankTrace;
+    use crate::record::{RankTrace, Record};
 
     fn mips() -> MipsRate {
         MipsRate::new(1000).unwrap()

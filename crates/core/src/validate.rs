@@ -5,13 +5,24 @@
 //! collective sequence). [`validate_trace_set`] detects these before the
 //! replay simulator runs, turning would-be deadlocks or panics into
 //! actionable reports.
+//!
+//! The checks run inside the record walker (`crate::walk`), in the same
+//! pass that interns channels for
+//! [`TraceIndex::build`](crate::TraceIndex::build) and lowers the replay
+//! program for [`CompiledTrace::build`](crate::CompiledTrace::build).
+//! All three report the same issues in the same order. The walker
+//! tracks requests in flight in one map per rank, from request id to the
+//! slot the program gives it, and streams every send and receive size
+//! into two flat FIFO streams, paired up by channel after the walk.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
 
 use crate::ids::{Rank, RequestId, Tag};
-use crate::index::{TraceIndex, NO_CHANNEL};
+use crate::program::ChannelEndpoints;
 use crate::record::{Record, TraceSet};
+use crate::walk::{walk, At, Resolve};
 
 /// One structural problem found in a trace set.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -155,6 +166,10 @@ impl fmt::Display for TraceIssue {
 ///    FIFO-paired sizes match,
 /// 4. every rank observes the same global sequence of collectives.
 ///
+/// Issues come in that order of discovery: the per-record ones in walk
+/// order (each rank's leaked requests after its records), then the
+/// channel ones sorted by `(from, to, tag)`, then the collective ones.
+///
 /// # Example
 ///
 /// ```
@@ -167,223 +182,230 @@ impl fmt::Display for TraceIssue {
 /// # }
 /// ```
 pub fn validate_trace_set(ts: &TraceSet) -> Vec<TraceIssue> {
-    scan_trace_set(ts).0
+    let mut checks = Checks::new(ts);
+    let Ok(()) = walk(ts, &mut checks, &mut ());
+    checks.finish().err().unwrap_or_default()
 }
 
-/// One interned channel's validation state: FIFO streams of byte sizes on
-/// both sides, plus the key for issue reporting.
-struct ChannelScan {
-    from: Rank,
-    to: Rank,
-    tag: Tag,
-    sends: Vec<u64>,
-    recvs: Vec<u64>,
+/// The validating [`Resolve`]r: runs every check of
+/// [`validate_trace_set`] during the walk and interns channels densely in
+/// order of first appearance (ranks in order, records in order), which
+/// makes channel ids deterministic.
+pub(crate) struct Checks<'t> {
+    rank_count: usize,
+    issues: Vec<TraceIssue>,
+    /// `(from, to, tag)` → channel id, with the default (SipHash) hasher
+    /// because the keys come from untrusted traces.
+    channel_ids: HashMap<(u32, u32, u64), u32>,
+    channels: Vec<ChannelEndpoints>,
+    /// Every send's and every receive's size in walk order, with its
+    /// channel: grouped by channel after the walk, these are the FIFO
+    /// streams the size check pairs up.
+    sends: Vec<(u32, u64)>,
+    recvs: Vec<(u32, u64)>,
+    /// Each rank's collective sequence (compared by value).
+    collectives: Vec<Vec<&'t Record>>,
 }
 
-/// Validates and indexes a trace set in one pass over the records. This is
-/// the engine behind both [`validate_trace_set`] and
-/// [`TraceIndex::build`](crate::TraceIndex::build); channel interning rides
-/// along with validation because both need the same per-record channel
-/// resolution.
-pub(crate) fn scan_trace_set(ts: &TraceSet) -> (Vec<TraceIssue>, TraceIndex) {
-    let mut issues = Vec::new();
-    let n = ts.rank_count();
+impl<'t> Checks<'t> {
+    pub(crate) fn new(ts: &TraceSet) -> Self {
+        Checks {
+            rank_count: ts.rank_count(),
+            issues: Vec::new(),
+            channel_ids: HashMap::new(),
+            channels: Vec::new(),
+            sends: Vec::new(),
+            recvs: Vec::new(),
+            collectives: Vec::new(),
+        }
+    }
 
-    // Dense channel interner: first appearance (scanning ranks in order,
-    // records in order) assigns the next id, making ids deterministic.
-    let mut channel_ids: HashMap<(u32, u32, u64), u32> = HashMap::new();
-    let mut channels: Vec<ChannelScan> = Vec::new();
-    let mut record_channels: Vec<Vec<u32>> = Vec::with_capacity(n);
-    // Per-rank collective sequence (record references; compared by value).
-    let mut collective_seqs: Vec<Vec<&Record>> = Vec::with_capacity(n);
+    fn check_rank(&mut self, at: At, referenced: Rank) {
+        if referenced.index() >= self.rank_count {
+            self.issues.push(TraceIssue::RankOutOfRange {
+                rank: at.rank,
+                record: at.record,
+                referenced,
+            });
+        }
+    }
 
-    let mut intern = |from: Rank, to: Rank, tag: Tag, channels: &mut Vec<ChannelScan>| -> u32 {
-        *channel_ids
-            .entry((from.get(), to.get(), tag.get()))
+    fn intern(&mut self, src: Rank, dst: Rank, tag: Tag) -> u32 {
+        let next = self.channels.len();
+        *self
+            .channel_ids
+            .entry((src.get(), dst.get(), tag.get()))
             .or_insert_with(|| {
-                let id = u32::try_from(channels.len()).expect("channel ids fit in u32");
-                channels.push(ChannelScan {
-                    from,
-                    to,
-                    tag,
-                    sends: Vec::new(),
-                    recvs: Vec::new(),
-                });
-                id
+                self.channels.push(ChannelEndpoints { src, dst, tag });
+                u32::try_from(next).expect("channel ids fit in u32")
             })
-    };
+    }
 
-    for (idx, trace) in ts.ranks().iter().enumerate() {
-        let rank = Rank::new(idx as u32);
-        let mut in_flight: BTreeSet<RequestId> = BTreeSet::new();
-        let mut collectives = Vec::new();
-        let mut rank_channels = Vec::with_capacity(trace.len());
-
-        for (ri, rec) in trace.iter().enumerate() {
-            let check_rank = |referenced: Rank, issues: &mut Vec<TraceIssue>| {
-                if referenced.index() >= n {
-                    issues.push(TraceIssue::RankOutOfRange {
-                        rank,
-                        record: ri,
-                        referenced,
-                    });
-                }
-            };
-            let mut channel = NO_CHANNEL;
-            match rec {
-                Record::Send { to, bytes, tag } => {
-                    check_rank(*to, &mut issues);
-                    channel = intern(rank, *to, *tag, &mut channels);
-                    channels[channel as usize].sends.push(*bytes);
-                }
-                Record::ISend {
-                    to,
-                    bytes,
-                    tag,
-                    req,
-                } => {
-                    check_rank(*to, &mut issues);
-                    channel = intern(rank, *to, *tag, &mut channels);
-                    channels[channel as usize].sends.push(*bytes);
-                    if !in_flight.insert(*req) {
-                        issues.push(TraceIssue::DuplicateRequest {
-                            rank,
-                            record: ri,
-                            req: *req,
-                        });
-                    }
-                }
-                Record::Recv { from, bytes, tag } => {
-                    check_rank(*from, &mut issues);
-                    channel = intern(*from, rank, *tag, &mut channels);
-                    channels[channel as usize].recvs.push(*bytes);
-                }
-                Record::IRecv {
+    /// Ends the walk: the interned channels, indexed by id, or every
+    /// issue found.
+    pub(crate) fn finish(mut self) -> Result<Vec<ChannelEndpoints>, Vec<TraceIssue>> {
+        // Channel balance and pairwise sizes: a channel is clean when its
+        // send and receive FIFOs are equal. Dirty channels are reported in
+        // (from, to, tag) order, independent of the interning order.
+        let sends = Fifos::group(&self.sends, self.channels.len());
+        let recvs = Fifos::group(&self.recvs, self.channels.len());
+        let mut dirty: Vec<usize> = (0..self.channels.len())
+            .filter(|&c| sends.of(c) != recvs.of(c))
+            .collect();
+        dirty.sort_by_key(|&c| {
+            let e = &self.channels[c];
+            (e.src, e.dst, e.tag)
+        });
+        for c in dirty {
+            let ChannelEndpoints {
+                src: from,
+                dst: to,
+                tag,
+            } = self.channels[c];
+            let (s, r) = (sends.of(c), recvs.of(c));
+            if s.len() != r.len() {
+                self.issues.push(TraceIssue::UnbalancedChannel {
                     from,
-                    bytes,
+                    to,
                     tag,
-                    req,
-                } => {
-                    check_rank(*from, &mut issues);
-                    channel = intern(*from, rank, *tag, &mut channels);
-                    channels[channel as usize].recvs.push(*bytes);
-                    if !in_flight.insert(*req) {
-                        issues.push(TraceIssue::DuplicateRequest {
-                            rank,
-                            record: ri,
-                            req: *req,
-                        });
-                    }
-                }
-                Record::Wait { req } if !in_flight.remove(req) => {
-                    issues.push(TraceIssue::UnknownRequest {
-                        rank,
-                        record: ri,
-                        req: *req,
+                    sends: s.len(),
+                    recvs: r.len(),
+                });
+            }
+            for (position, (&send_bytes, &recv_bytes)) in s.iter().zip(r).enumerate() {
+                if send_bytes != recv_bytes {
+                    self.issues.push(TraceIssue::SizeMismatch {
+                        from,
+                        to,
+                        tag,
+                        position,
+                        send_bytes,
+                        recv_bytes,
                     });
                 }
-                Record::WaitAll { reqs } => {
-                    for req in reqs {
-                        if !in_flight.remove(req) {
-                            issues.push(TraceIssue::UnknownRequest {
-                                rank,
-                                record: ri,
-                                req: *req,
-                            });
+            }
+        }
+
+        // Collective agreement: every rank must list rank 0's sequence.
+        // Records are compared structurally (identical records keep replay
+        // simple and deterministic); a rank whose count differs reports
+        // only that. The display strings are only rendered for the (rare)
+        // mismatch report.
+        if let Some((reference, rest)) = self.collectives.split_first() {
+            for (r, seq) in rest.iter().enumerate() {
+                let rank = Rank::new(r as u32 + 1);
+                let mut diverged = Vec::new();
+                if seq.len() != reference.len() {
+                    let (expected, count) = (reference.len(), seq.len());
+                    diverged.push((
+                        count.min(expected),
+                        format!("rank 0 has {expected} collectives, {rank} has {count}"),
+                    ));
+                } else {
+                    for (position, (a, b)) in reference.iter().zip(seq).enumerate() {
+                        if a != b {
+                            diverged
+                                .push((position, format!("rank 0 sees `{a}`, {rank} sees `{b}`")));
                         }
                     }
                 }
-                Record::Bcast { root, .. } | Record::Reduce { root, .. } => {
-                    check_rank(*root, &mut issues);
-                    collectives.push(rec);
-                }
-                r if r.is_collective() => collectives.push(rec),
-                _ => {}
-            }
-            rank_channels.push(channel);
-        }
-
-        for req in in_flight {
-            issues.push(TraceIssue::LeakedRequest { rank, req });
-        }
-        collective_seqs.push(collectives);
-        record_channels.push(rank_channels);
-    }
-
-    // Channel balance and pairwise sizes. Channels are re-sorted by
-    // (from, to, tag) for reporting so issue order is independent of the
-    // interner's first-appearance numbering.
-    let mut report_order: Vec<usize> = (0..channels.len()).collect();
-    report_order.sort_by_key(|&i| {
-        let c = &channels[i];
-        (c.from, c.to, c.tag)
-    });
-    for i in report_order {
-        let c = &channels[i];
-        if c.sends.len() != c.recvs.len() {
-            issues.push(TraceIssue::UnbalancedChannel {
-                from: c.from,
-                to: c.to,
-                tag: c.tag,
-                sends: c.sends.len(),
-                recvs: c.recvs.len(),
-            });
-        }
-        for (pos, (s, r)) in c.sends.iter().zip(c.recvs.iter()).enumerate() {
-            if s != r {
-                issues.push(TraceIssue::SizeMismatch {
-                    from: c.from,
-                    to: c.to,
-                    tag: c.tag,
-                    position: pos,
-                    send_bytes: *s,
-                    recv_bytes: *r,
-                });
-            }
-        }
-    }
-
-    // Collective agreement: every rank must list the same sequence.
-    // Records are compared structurally; the display strings are only
-    // rendered for the (rare) mismatch report.
-    if let Some(reference) = collective_seqs.first() {
-        for (idx, seq) in collective_seqs.iter().enumerate().skip(1) {
-            let rank = Rank::new(idx as u32);
-            if seq.len() != reference.len() {
-                issues.push(TraceIssue::CollectiveMismatch {
-                    rank,
-                    position: seq.len().min(reference.len()),
-                    detail: format!(
-                        "rank 0 has {} collectives, {rank} has {}",
-                        reference.len(),
-                        seq.len()
-                    ),
-                });
-                continue;
-            }
-            for (pos, (a, b)) in reference.iter().zip(seq.iter()).enumerate() {
-                // Roots may legitimately differ in how they appear per rank
-                // only if the records differ; our model requires identical
-                // records, which keeps replay simple and deterministic.
-                if a != b {
-                    issues.push(TraceIssue::CollectiveMismatch {
+                for (position, detail) in diverged {
+                    self.issues.push(TraceIssue::CollectiveMismatch {
                         rank,
-                        position: pos,
-                        detail: format!("rank 0 sees `{a}`, {rank} sees `{b}`"),
+                        position,
+                        detail,
                     });
                 }
             }
         }
+
+        if self.issues.is_empty() {
+            Ok(self.channels)
+        } else {
+            Err(self.issues)
+        }
+    }
+}
+
+impl<'t> Resolve<'t> for Checks<'t> {
+    type Error = Infallible;
+
+    fn begin_rank(&mut self, _rank: usize) {
+        self.collectives.push(Vec::new());
     }
 
-    let channel_peers = channels
-        .iter()
-        .map(|c| (c.from.get(), c.to.get()))
-        .collect();
-    (
-        issues,
-        TraceIndex::from_parts(ts.name().to_string(), channel_peers, record_channels),
-    )
+    fn send(&mut self, at: At, to: Rank, tag: Tag, bytes: u64) -> u32 {
+        self.check_rank(at, to);
+        let channel = self.intern(at.rank, to, tag);
+        self.sends.push((channel, bytes));
+        channel
+    }
+
+    fn recv(&mut self, at: At, from: Rank, tag: Tag, bytes: u64) -> u32 {
+        self.check_rank(at, from);
+        let channel = self.intern(from, at.rank, tag);
+        self.recvs.push((channel, bytes));
+        channel
+    }
+
+    fn collective(&mut self, at: At, rec: &'t Record, root: Option<Rank>) {
+        if let Some(root) = root {
+            self.check_rank(at, root);
+        }
+        self.collectives[at.rank.index()].push(rec);
+    }
+
+    fn duplicate(&mut self, at: At, req: RequestId) {
+        self.issues.push(TraceIssue::DuplicateRequest {
+            rank: at.rank,
+            record: at.record,
+            req,
+        });
+    }
+
+    fn unknown(&mut self, at: At, req: RequestId) -> Result<(), Infallible> {
+        self.issues.push(TraceIssue::UnknownRequest {
+            rank: at.rank,
+            record: at.record,
+            req,
+        });
+        Ok(())
+    }
+
+    fn leaked(&mut self, rank: Rank, req: RequestId) {
+        self.issues.push(TraceIssue::LeakedRequest { rank, req });
+    }
+}
+
+/// One side's sizes grouped by channel, walk order kept within each
+/// channel (a counting sort of the flat stream).
+struct Fifos {
+    start: Vec<usize>,
+    bytes: Vec<u64>,
+}
+
+impl Fifos {
+    fn group(stream: &[(u32, u64)], channels: usize) -> Fifos {
+        let mut start = vec![0usize; channels + 1];
+        for &(c, _) in stream {
+            start[c as usize + 1] += 1;
+        }
+        for c in 0..channels {
+            start[c + 1] += start[c];
+        }
+        let mut next = start.clone();
+        let mut bytes = vec![0; stream.len()];
+        for &(c, b) in stream {
+            bytes[next[c as usize]] = b;
+            next[c as usize] += 1;
+        }
+        Fifos { start, bytes }
+    }
+
+    /// The sizes of channel `c`, in FIFO order.
+    fn of(&self, c: usize) -> &[u64] {
+        &self.bytes[self.start[c]..self.start[c + 1]]
+    }
 }
 
 #[cfg(test)]

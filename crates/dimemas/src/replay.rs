@@ -19,17 +19,17 @@
 //!
 //! The paper's methodology is "synthesize once, replay many": every figure
 //! sweeps the same trace pair across dozens of platform points. A sweep
-//! validates and indexes the trace once ([`TraceIndex::build`]), lowers it
-//! once into a [`CompiledTrace`], and calls [`Simulator::run_compiled`] per
+//! validates and lowers the trace once into a [`CompiledTrace`] (one pass,
+//! [`CompiledTrace::build`]) and calls [`Simulator::run_compiled`] per
 //! platform point. [`Simulator::run`] and [`Simulator::run_observed`] do
-//! all three steps for a single replay. Every entry point runs the one
+//! both steps for a single replay. Every entry point runs the one
 //! executor described in the `fastforward` module's docs; the seed's
 //! engine is kept in [`crate::naive`] as the independent reference, and
 //! differential property tests enforce bit-identical results.
 
 use std::fmt;
 
-use ovlsim_core::{CompileError, CompiledTrace, Platform, Time, TraceIndex, TraceSet};
+use ovlsim_core::{CompiledTrace, Platform, Time, TraceSet};
 
 use crate::error::SimError;
 use crate::observer::ReplayObserver;
@@ -182,23 +182,24 @@ impl Simulator {
         &self.platform
     }
 
-    /// Replays a trace set: validates and indexes it, compiles it, and
-    /// runs the compiled program.
+    /// Replays a trace set: validates and compiles it in one pass
+    /// ([`CompiledTrace::build`]) and runs the compiled program.
     ///
-    /// When replaying the same trace on many platforms, compile it once
-    /// with [`CompiledTrace::compile`] and use [`Simulator::run_compiled`]
-    /// instead.
+    /// When replaying the same trace on many platforms, build the program
+    /// once and use [`Simulator::run_compiled`] instead.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidTrace`] if the trace fails validation and
     /// [`SimError::Deadlock`] if replay stalls.
     pub fn run(&self, trace: &TraceSet) -> Result<ReplayResult, SimError> {
-        self.run_compiled(&compile_validated(trace, CompiledTrace::compile)?)
+        let prog =
+            CompiledTrace::build(trace).map_err(|issues| SimError::InvalidTrace { issues })?;
+        self.run_compiled(&prog)
     }
 
     /// Replays a trace set, reporting timeline happenings to `observer`.
-    /// The trace is compiled with [`CompiledTrace::compile_observed`], so
+    /// The trace is compiled with [`CompiledTrace::build_observed`], so
     /// the timeline keeps every burst and marker.
     ///
     /// # Errors
@@ -209,27 +210,19 @@ impl Simulator {
         trace: &TraceSet,
         observer: &mut dyn ReplayObserver,
     ) -> Result<ReplayResult, SimError> {
-        let prog = compile_validated(trace, CompiledTrace::compile_observed)?;
+        let prog = CompiledTrace::build_observed(trace)
+            .map_err(|issues| SimError::InvalidTrace { issues })?;
         self.run_compiled_observed(&prog, observer)
     }
-}
-
-/// Validates and indexes `trace`, then lowers it with `compile`.
-fn compile_validated(
-    trace: &TraceSet,
-    compile: fn(&TraceSet, &TraceIndex) -> Result<CompiledTrace, CompileError>,
-) -> Result<CompiledTrace, SimError> {
-    let index = TraceIndex::build(trace).map_err(|issues| SimError::InvalidTrace { issues })?;
-    // The index comes from this very trace, and validation rejects every
-    // wait on an unposted request: lowering cannot fail.
-    Ok(compile(trace, &index).expect("a validated trace compiles"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::observer::{ProcState, WaitCause};
-    use ovlsim_core::{Instr, MipsRate, Rank, RankTrace, Record, RequestId, Tag};
+    use ovlsim_core::{
+        CompileError, Instr, MipsRate, Rank, RankTrace, Record, RequestId, Tag, TraceIndex,
+    };
 
     fn mips() -> MipsRate {
         MipsRate::new(1000).unwrap()

@@ -1,10 +1,11 @@
-//! The paper's experiment suite (E1–E8).
+//! The paper's experiment suite (E1–E8) and two extensions (E9, E10).
 //!
-//! Each function reproduces one artefact of the paper's evaluation (see
-//! DESIGN.md §4 for the index) and returns an [`ExperimentReport`] whose
-//! table holds the same rows/series the paper reports. The binaries in
-//! `ovlsim-bench` print these reports; EXPERIMENTS.md records
-//! paper-vs-measured.
+//! Each function reproduces one artefact of the paper's evaluation (its
+//! doc comment names the figure or claim; the README section "The
+//! pipeline" places the suite in the workflow) and returns an
+//! [`ExperimentReport`] whose table holds the same rows/series the paper
+//! reports. The `exp_*` binaries in `ovlsim-bench` print these reports,
+//! and `tests/paper_claims.rs` asserts the paper's findings as bands.
 
 use std::fmt;
 

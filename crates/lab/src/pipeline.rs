@@ -13,6 +13,13 @@
 //! the historical inline code. A caching implementation lives above this
 //! crate (the session layer implements the trait over its artifact store);
 //! campaign and sweep code only ever sees the trait.
+//!
+//! What goes through the pipeline is what is worth keeping: traced
+//! bundles, the trace variants a campaign replays, their indexes and
+//! programs. The auto-tuner's candidates are not. Each one is a throwaway
+//! plan that is lowered straight to its program, replayed once and dropped
+//! (see [`crate::tune`]), so it is never fingerprinted, indexed, stored
+//! or written to disk.
 
 use std::sync::Arc;
 

@@ -2,7 +2,7 @@
 //! hierarchical-platform sweep over node packing × intra-node bandwidth.
 
 use ovlsim_core::{Bandwidth, CompiledTrace, PerturbationModel, Platform, Time, TraceSet};
-use ovlsim_dimemas::Simulator;
+use ovlsim_dimemas::{SimError, Simulator};
 use ovlsim_tracer::{OverlapMode, TraceBundle};
 
 use crate::error::LabError;
@@ -32,16 +32,16 @@ pub fn log_bandwidths(lo: f64, hi: f64, points: usize) -> Vec<Bandwidth> {
         .collect()
 }
 
-/// Validates, channel-indexes and compiles a trace in one step — the
-/// once-per-trace cost every sweep and bisection pays before fanning its
-/// points out over the shared [`CompiledTrace`].
+/// Validates and compiles a trace in one pass over its records
+/// ([`CompiledTrace::build`]) — the once-per-trace cost every sweep and
+/// bisection pays before fanning its points out over the shared
+/// [`CompiledTrace`].
 ///
 /// # Errors
 ///
-/// Propagates validation and compilation errors.
+/// Returns [`LabError::Sim`] wrapping the trace's validation issues.
 pub fn compile_trace(ts: &TraceSet) -> Result<CompiledTrace, LabError> {
-    let index = crate::pipeline::build_index(ts)?;
-    Ok(CompiledTrace::compile(ts, &index)?)
+    CompiledTrace::build(ts).map_err(|issues| LabError::Sim(SimError::InvalidTrace { issues }))
 }
 
 /// One measurement of original vs overlapped at a single bandwidth.
@@ -83,11 +83,11 @@ impl SweepPoint {
 ///
 /// The traces are bandwidth-independent (the transform works in the
 /// instruction domain), so they are synthesized once by the caller and
-/// replayed per point here. Each trace is validated, channel-indexed and
-/// **compiled** once ([`CompiledTrace::compile`]); every point then
-/// executes the shared flat program via [`Simulator::run_compiled`], and
-/// with the `parallel` feature the points fan out across threads (each
-/// point is an independent `Simulator` over the shared `&CompiledTrace`).
+/// replayed per point here. Each trace is validated and **compiled** once,
+/// in one pass ([`compile_trace`]); every point then executes the shared
+/// flat program via [`Simulator::run_compiled`], and with the `parallel`
+/// feature the points fan out across threads (each point is an
+/// independent `Simulator` over the shared `&CompiledTrace`).
 /// Results are byte-identical to the sequential path — and to the
 /// uncompiled engines — and come back in bandwidth order regardless of
 /// scheduling.
@@ -213,8 +213,8 @@ impl NodePackingPoint {
 /// Each grid point keeps `base`'s inter-node fabric and varies only where
 /// ranks live and how fast their shared-memory path is: packing more ranks
 /// per node converts traffic from the bus/NIC domain into the intra-node
-/// domain. The traces are validated, channel-indexed and **compiled**
-/// once; every point executes the shared program via
+/// domain. The traces are validated and **compiled** once
+/// ([`compile_trace`]); every point executes the shared program via
 /// [`Simulator::run_compiled`] (the program depends only on the trace,
 /// never on where ranks live — routing is re-derived per run), and with
 /// the `parallel` feature the points fan out across threads with
@@ -330,8 +330,8 @@ pub fn noise_retention(points: &[NoisePoint]) -> Vec<f64> {
 ///
 /// Each level extends `model` (which may already carry stragglers,
 /// heterogeneous nodes, link effects or faults) with
-/// [`PerturbationModel::with_noise`]. The traces are validated,
-/// channel-indexed and **compiled** exactly once: perturbation factors
+/// [`PerturbationModel::with_noise`]. The traces are validated and
+/// **compiled** exactly once ([`compile_trace`]): perturbation factors
 /// are applied at replay time, never baked into the shared
 /// [`CompiledTrace`], so one flat program serves every noise level. With
 /// the `parallel` feature the levels fan out across threads with

@@ -15,19 +15,29 @@
 //! byte-identical across reruns and `OVLSIM_THREADS` settings, and plans
 //! replay bit-identically on every engine (the engines are differential-
 //! tested against each other).
+//!
+//! Candidates never enter the artifact pipeline. The pipeline supplies
+//! the original trace, its index and the attribution ranking; each
+//! candidate plan is then lowered straight to its replay program
+//! ([`TraceBundle::planned_program`]: one pass over the synthesized
+//! records validates, interns channels and emits the program), replayed
+//! and dropped. Nothing about a candidate is fingerprinted, cached or
+//! written to a cache directory. Within one run a plan equal to one
+//! already scored is not scored again.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 use ovlsim_core::rng::{hash_counters, unit_f64};
 use ovlsim_core::{Platform, Record, Tag, Time, TraceIndex, TraceSet};
+use ovlsim_dimemas::{replay_naive, Simulator};
 use ovlsim_tracer::{OverlapPlan, TraceBundle, TUNING_SCALE};
 
 use crate::attribution::Attribution;
 use crate::campaign::Engine;
 use crate::error::LabError;
 use crate::par;
-use crate::pipeline::{ArtifactPipeline, EngineInput};
+use crate::pipeline::ArtifactPipeline;
 
 /// Default candidate-evaluation budget of a tune run.
 pub const DEFAULT_TUNE_BUDGET: usize = 64;
@@ -177,19 +187,22 @@ impl TuneReport {
     }
 }
 
-/// Scores one candidate plan: synthesize the variant, build what the
-/// engine needs through the pipeline (candidate programs are
-/// content-addressed there, so re-evaluations hit the cache), replay.
+/// Scores one candidate plan. The compiled engine replays the plan's
+/// program, lowered straight from the synthesized records; the naive
+/// engine replays the materialized trace.
 fn score_plan(
-    pipeline: &dyn ArtifactPipeline,
     bundle: &TraceBundle,
     platform: &Platform,
     engine: Engine,
     plan: &OverlapPlan,
 ) -> Result<Time, LabError> {
-    let ts = Arc::new(bundle.overlapped_planned(plan)?);
-    let input = EngineInput::build(pipeline, ts, &[engine], false)?;
-    Ok(input.replay(engine, platform)?.total_time())
+    let result = match engine {
+        Engine::Compiled => {
+            Simulator::new(platform.clone()).run_compiled(&bundle.planned_program(plan)?)
+        }
+        Engine::Naive => replay_naive(platform, &bundle.overlapped_planned(plan)?),
+    };
+    Ok(result?.total_time())
 }
 
 /// The bundle's tunable channels ranked by the attribution of the
@@ -303,6 +316,9 @@ fn propose(
 /// four mutations of the incumbent, score them concurrently, and accept
 /// each strict improvement in slot order.
 ///
+/// `pipeline` supplies only the original trace and its index, for the
+/// attribution ranking; candidates bypass it (see the module docs).
+///
 /// # Errors
 ///
 /// Propagates synthesis, validation, compilation and replay errors.
@@ -342,7 +358,10 @@ pub fn run_tune_threaded(
     let ranked = ranked_tunable_channels(bundle, &original, &index, &attribution);
 
     let uniform = OverlapPlan::uniform_linear();
-    let linear = score_plan(pipeline, bundle, platform, opts.engine, &uniform)?;
+    let linear = score_plan(bundle, platform, opts.engine, &uniform)?;
+    // Every plan scored so far, compared by value: a plan proposed again
+    // reuses its score instead of being lowered and replayed twice.
+    let mut scored: Vec<(OverlapPlan, Time)> = vec![(uniform.clone(), linear)];
     let mut steps = vec![TuneStep {
         iter: 0,
         mutation: "baseline uniform-linear".to_owned(),
@@ -359,11 +378,24 @@ pub fn run_tune_threaded(
         let proposals: Vec<(OverlapPlan, String)> = (0..width)
             .map(|slot| propose(&best_plan, &ranked, opts.seed, round, slot as u64))
             .collect();
-        let scores = par::par_map_with(&proposals, threads, |(plan, _)| {
-            score_plan(pipeline, bundle, platform, opts.engine, plan)
+        let mut fresh: Vec<OverlapPlan> = Vec::new();
+        for (plan, _) in &proposals {
+            if !scored.iter().any(|(p, _)| p == plan) && !fresh.contains(plan) {
+                fresh.push(plan.clone());
+            }
+        }
+        let scores = par::par_map_with(&fresh, threads, |plan| {
+            score_plan(bundle, platform, opts.engine, plan)
         });
-        for ((plan, mutation), result) in proposals.into_iter().zip(scores) {
-            let makespan = result?;
+        for (plan, score) in fresh.into_iter().zip(scores) {
+            scored.push((plan, score?));
+        }
+        for (plan, mutation) in proposals {
+            let makespan = scored
+                .iter()
+                .find(|(p, _)| *p == plan)
+                .map(|&(_, t)| t)
+                .expect("every proposal was scored");
             let accepted = makespan < best;
             if accepted {
                 best = makespan;

@@ -7,7 +7,10 @@
 use std::fs;
 use std::path::PathBuf;
 
-use ovlsim_lab::CampaignSpec;
+use ovlsim_apps::registry::AppOverrides;
+use ovlsim_apps::ProblemClass;
+use ovlsim_core::Bandwidth;
+use ovlsim_lab::{run_tune, ArtifactPipeline, CampaignSpec, DirectPipeline, TuneOptions};
 use ovlsim_session::faultinject::FaultPlan;
 use ovlsim_session::{Session, TraceSource};
 
@@ -125,6 +128,45 @@ fn corrupted_cache_entries_are_quarantined_and_rebuilt_identically() {
     assert_eq!(session.stats().compiles(), 0);
     assert_eq!(session.disk_stats().unwrap().quarantined, 0);
 
+    fs::remove_dir_all(&cache).unwrap();
+}
+
+/// Tuner candidates go straight from plan to program: a tune run through
+/// a cached session builds and persists only the original trace (and
+/// indexes it for the attribution ranking), never a candidate, and
+/// reports exactly what the cacheless pipeline reports.
+#[test]
+fn tuning_leaves_no_candidate_artifacts() {
+    let cache = scratch("tune");
+    let session = Session::with_threads(1)
+        .with_cache_dir(&cache)
+        .expect("cache dir opens");
+    let platform = ovlsim_apps::calibration::reference_platform()
+        .with_bandwidth(Bandwidth::from_bytes_per_sec(1e8).unwrap());
+    let opts = TuneOptions {
+        budget: 24,
+        seed: 7,
+        ..TuneOptions::default()
+    };
+    let bundle = |p: &dyn ArtifactPipeline| {
+        p.bundle("sweep3d", ProblemClass::S, AppOverrides::default())
+            .expect("traces")
+    };
+    let report = run_tune(&session, &bundle(&session), &platform, &opts).expect("tunes");
+
+    let stats = session.stats();
+    assert_eq!(stats.programs.builds, 0, "a candidate was compiled");
+    assert_eq!(stats.traces.builds, 1, "only the original trace is built");
+    assert_eq!(
+        stats.indexes.builds, 1,
+        "only the original trace is indexed"
+    );
+    let disk = session.disk_stats().expect("disk cache attached");
+    assert_eq!(disk.stores, 1, "only the original trace is persisted");
+
+    let direct = run_tune(&DirectPipeline, &bundle(&DirectPipeline), &platform, &opts)
+        .expect("tunes without a cache");
+    assert_eq!(report, direct);
     fs::remove_dir_all(&cache).unwrap();
 }
 

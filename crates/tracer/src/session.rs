@@ -8,7 +8,9 @@
 
 use std::collections::BTreeMap;
 
-use ovlsim_core::{validate_trace_set, MipsRate, Rank, RankTrace, Record, Tag, TraceSet};
+use ovlsim_core::{
+    validate_trace_set, CompiledTrace, MipsRate, Rank, RankTrace, Record, Tag, TraceSet,
+};
 
 use crate::app::Application;
 use crate::chunking::ChunkingPolicy;
@@ -90,16 +92,11 @@ impl TraceBundle {
                 ))
             })
             .collect();
-        let name = format!("{}.{}", self.name, mode.label());
-        let ts = TraceSet::new(name.clone(), self.mips, ranks);
-        let issues = validate_trace_set(&ts);
-        if !issues.is_empty() {
-            return Err(TraceError::InvalidTrace {
-                variant: name,
-                issues,
-            });
-        }
-        Ok(ts)
+        validated(TraceSet::new(
+            format!("{}.{}", self.name, mode.label()),
+            self.mips,
+            ranks,
+        ))
     }
 
     /// Synthesizes the overlapped trace for a per-channel [`OverlapPlan`]:
@@ -113,6 +110,29 @@ impl TraceBundle {
     ///
     /// Same as [`TraceBundle::overlapped`].
     pub fn overlapped_planned(&self, plan: &OverlapPlan) -> Result<TraceSet, TraceError> {
+        validated(self.synthesize_planned(plan))
+    }
+
+    /// The replay program of [`TraceBundle::overlapped_planned`]'s trace,
+    /// lowered straight from the synthesized ranks: validation, channel
+    /// interning and lowering share one pass
+    /// ([`CompiledTrace::build`]), and the trace is dropped afterwards.
+    /// The program equals `CompiledTrace::compile` of the planned trace
+    /// with its own index. This is the auto-tuner's candidate path.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`TraceBundle::overlapped_planned`], with the same issues.
+    pub fn planned_program(&self, plan: &OverlapPlan) -> Result<CompiledTrace, TraceError> {
+        let ts = self.synthesize_planned(plan);
+        CompiledTrace::build(&ts).map_err(|issues| TraceError::InvalidTrace {
+            variant: ts.name().to_string(),
+            issues,
+        })
+    }
+
+    /// The unvalidated trace of a per-channel plan.
+    fn synthesize_planned(&self, plan: &OverlapPlan) -> TraceSet {
         let tuning_of = |src: u32, dst: u32, tag: Tag, bytes: u64| -> Option<MsgTuning> {
             let t = plan.tuning_for(src, dst, tag);
             if !t.enabled {
@@ -160,16 +180,7 @@ impl TraceBundle {
                 ))
             })
             .collect();
-        let name = format!("{}.{}", self.name, plan.label());
-        let ts = TraceSet::new(name.clone(), self.mips, ranks);
-        let issues = validate_trace_set(&ts);
-        if !issues.is_empty() {
-            return Err(TraceError::InvalidTrace {
-                variant: name,
-                issues,
-            });
-        }
-        Ok(ts)
+        TraceSet::new(format!("{}.{}", self.name, plan.label()), self.mips, ranks)
     }
 
     /// The chunkable channels of this bundle as sorted, deduplicated
@@ -207,6 +218,20 @@ impl TraceBundle {
     pub fn overlapped_linear(&self) -> TraceSet {
         self.overlapped(OverlapMode::linear())
             .expect("linear-pattern overlap must validate")
+    }
+}
+
+/// `ts` if it passes structural validation. A failure indicates a
+/// transform bug.
+fn validated(ts: TraceSet) -> Result<TraceSet, TraceError> {
+    let issues = validate_trace_set(&ts);
+    if issues.is_empty() {
+        Ok(ts)
+    } else {
+        Err(TraceError::InvalidTrace {
+            variant: ts.name().to_string(),
+            issues,
+        })
     }
 }
 
@@ -342,21 +367,14 @@ impl<'a, A: Application + ?Sized> TracingSession<'a, A> {
 
         let name = self.app.name().to_string();
         let mips = self.app.mips();
-        let original = TraceSet::new(
+        let original = validated(TraceSet::new(
             format!("{name}.original"),
             mips,
             all_records
                 .into_iter()
                 .map(RankTrace::from_records)
                 .collect(),
-        );
-        let issues = validate_trace_set(&original);
-        if !issues.is_empty() {
-            return Err(TraceError::InvalidTrace {
-                variant: original.name().to_string(),
-                issues,
-            });
-        }
+        ))?;
         Ok(TraceBundle {
             name,
             mips,

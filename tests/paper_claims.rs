@@ -2,7 +2,7 @@
 //! as golden bands on the calibrated default applications.
 //!
 //! These run the same configurations as the `exp_*` binaries but assert
-//! bands instead of printing tables; EXPERIMENTS.md records the exact
+//! bands instead of printing tables; the binaries print the exact
 //! measured values.
 
 use ovlsim::prelude::*;
