@@ -1310,10 +1310,19 @@ pub fn run_campaign_threaded(
 /// The session layer passes its caching pipeline here; results are
 /// byte-identical regardless of the pipeline's caching policy.
 ///
+/// Both phases fan out over up to `threads` workers. First one task per
+/// app×class pair of the spec builds that pair's groups: the traced
+/// bundle, and each mode's original and overlapped variant with the
+/// artifacts the engines need. Then one task per grid point replays.
+/// Results come back in spec and grid order, so the report is
+/// byte-identical at every worker count.
+///
 /// # Errors
 ///
 /// Propagates app construction, tracing, validation, compilation and
-/// replay errors.
+/// replay errors. When several app×class pairs fail to build, the error
+/// of the first failing pair in spec order is returned; later pairs may
+/// have been built by then.
 pub fn run_campaign_with(
     pipeline: &dyn ArtifactPipeline,
     spec: &CampaignSpec,
@@ -1330,51 +1339,62 @@ pub fn run_campaign_with(
         Some(forced) => vec![forced],
         None => spec.engines.clone(),
     };
-    // Once-per-group work, sequential: trace each app×class once, then
-    // synthesize (and index/compile as the engine list requires) each
-    // mode variant once. A caching pipeline collapses repeated artifacts
+    // Once-per-group work, on the worker pool: each app×class pair is one
+    // task that traces the app once, then synthesizes (and index/compiles
+    // as the engine list requires) each mode variant once. Results merge
+    // back in spec order. A caching pipeline collapses repeated artifacts
     // across groups (the original trace is shared by every mode).
+    let pairs: Vec<(&String, ProblemClass)> = spec
+        .apps
+        .iter()
+        .flat_map(|app| spec.classes.iter().map(move |&class| (app, class)))
+        .collect();
+    let built = par::par_map_with(&pairs, threads, |&(app_name, class)| {
+        // The bundle (a full tracing run) is materialized only if some
+        // variant cannot be served from the pipeline's storage: a warm
+        // persistent cache answers every `load_variant` and never traces
+        // the app at all (unless tuning needs the transform metadata
+        // regardless).
+        let mut bundle: Option<Arc<ovlsim_tracer::TraceBundle>> = None;
+        if spec.tune {
+            bundle = Some(pipeline.bundle(app_name, class, overrides)?);
+        }
+        let mut variant_of = |mode: Option<OverlapMode>| -> Result<Arc<TraceSet>, LabError> {
+            if let Some(trace) = pipeline.load_variant(app_name, class, overrides, mode) {
+                return Ok(trace);
+            }
+            let bundle = match &bundle {
+                Some(b) => b,
+                None => bundle.insert(pipeline.bundle(app_name, class, overrides)?),
+            };
+            pipeline.variant(bundle, mode)
+        };
+        let mut mode_groups = Vec::with_capacity(spec.modes.len());
+        for &mode in &spec.modes {
+            let ovl = variant_of(Some(mode))?;
+            let orig = variant_of(None)?;
+            mode_groups.push(Group {
+                orig: EngineInput::build(pipeline, orig, &exec_engines, spec.attribution)?,
+                ovl: EngineInput::build(pipeline, ovl, &exec_engines, false)?,
+            });
+        }
+        Ok::<_, LabError>((mode_groups, bundle))
+    });
     let mut groups: HashMap<(String, ProblemClass, String), Group> = HashMap::new();
     // Auto-tuning re-synthesizes candidate variants from the bundle's
     // transform metadata, so `tune on` keeps each app×class bundle alive
     // for the per-point work.
     let mut bundles: HashMap<(String, ProblemClass), Arc<ovlsim_tracer::TraceBundle>> =
         HashMap::new();
-    for app_name in &spec.apps {
-        for &class in &spec.classes {
-            // The bundle (a full tracing run) is materialized only if
-            // some variant cannot be served from the pipeline's storage:
-            // a warm persistent cache answers every `load_variant` and
-            // never traces the app at all (unless tuning needs the
-            // transform metadata regardless).
-            let mut bundle: Option<Arc<ovlsim_tracer::TraceBundle>> = None;
-            if spec.tune {
-                bundle = Some(pipeline.bundle(app_name, class, overrides)?);
-            }
-            let mut variant_of = |mode: Option<OverlapMode>| -> Result<Arc<TraceSet>, LabError> {
-                if let Some(trace) = pipeline.load_variant(app_name, class, overrides, mode) {
-                    return Ok(trace);
-                }
-                let bundle = match &bundle {
-                    Some(b) => b,
-                    None => bundle.insert(pipeline.bundle(app_name, class, overrides)?),
-                };
-                pipeline.variant(bundle, mode)
-            };
-            for &mode in &spec.modes {
-                let ovl = variant_of(Some(mode))?;
-                let orig = variant_of(None)?;
-                groups.insert(
-                    (app_name.clone(), class, mode.label()),
-                    Group {
-                        orig: EngineInput::build(pipeline, orig, &exec_engines, spec.attribution)?,
-                        ovl: EngineInput::build(pipeline, ovl, &exec_engines, false)?,
-                    },
-                );
-            }
-            if let Some(b) = bundle {
-                bundles.insert((app_name.clone(), class), b);
-            }
+    // In spec order, so a failure returns the first failing pair's error
+    // at every worker count.
+    for (&(app_name, class), result) in pairs.iter().zip(built) {
+        let (mode_groups, bundle) = result?;
+        for (mode, group) in spec.modes.iter().zip(mode_groups) {
+            groups.insert((app_name.clone(), class, mode.label()), group);
+        }
+        if let Some(b) = bundle {
+            bundles.insert((app_name.clone(), class), b);
         }
     }
     // Per-point work: [`CampaignSpec::expand`] is the single owner of the
@@ -2089,6 +2109,74 @@ iterations 1
         match run_campaign_threaded(&spec, 1) {
             Err(LabError::App(_)) => {}
             other => panic!("expected LabError::App, got {other:?}"),
+        }
+    }
+
+    /// Builds like [`DirectPipeline`], except that tracing an app in
+    /// `failing` fails with an error naming that app.
+    struct FailingBundles {
+        failing: [&'static str; 2],
+    }
+
+    impl ArtifactPipeline for FailingBundles {
+        fn bundle(
+            &self,
+            app: &str,
+            class: ProblemClass,
+            overrides: AppOverrides,
+        ) -> Result<Arc<ovlsim_tracer::TraceBundle>, LabError> {
+            if self.failing.contains(&app) {
+                return Err(LabError::SearchFailed {
+                    what: format!("a bundle of {app}"),
+                });
+            }
+            DirectPipeline.bundle(app, class, overrides)
+        }
+
+        fn variant(
+            &self,
+            bundle: &ovlsim_tracer::TraceBundle,
+            mode: Option<OverlapMode>,
+        ) -> Result<Arc<TraceSet>, LabError> {
+            DirectPipeline.variant(bundle, mode)
+        }
+
+        fn index(&self, trace: &Arc<TraceSet>) -> Result<Arc<ovlsim_core::TraceIndex>, LabError> {
+            DirectPipeline.index(trace)
+        }
+
+        fn compiled(
+            &self,
+            trace: &Arc<TraceSet>,
+            index: &Arc<ovlsim_core::TraceIndex>,
+        ) -> Result<Arc<ovlsim_core::CompiledTrace>, LabError> {
+            DirectPipeline.compiled(trace, index)
+        }
+    }
+
+    #[test]
+    fn first_failing_pair_in_spec_order_wins_at_every_thread_count() {
+        let pipeline = FailingBundles {
+            failing: ["pop", "alya"],
+        };
+        let spec = |apps: &str| {
+            CampaignSpec::parse(&format!(
+                "campaign errs\napps {apps}\nclasses S W\nbandwidths list 1e9\n\
+                 ranks 4\niterations 1\n"
+            ))
+            .unwrap()
+        };
+        for threads in [1, 2, 4] {
+            for (apps, first) in [("sweep3d pop alya", "pop"), ("sweep3d alya pop", "alya")] {
+                let err = run_campaign_with(&pipeline, &spec(apps), threads).unwrap_err();
+                assert_eq!(
+                    err,
+                    LabError::SearchFailed {
+                        what: format!("a bundle of {first}"),
+                    },
+                    "apps {apps} at {threads} threads"
+                );
+            }
         }
     }
 }

@@ -7,6 +7,10 @@
 //! indexed by input position, so the output is byte-identical to the
 //! sequential path no matter how the OS schedules the workers.
 //!
+//! A campaign run uses the pool twice: once over its app×class pairs,
+//! each of which traces, synthesizes and compiles its own groups, and
+//! then over its grid points, each of which replays.
+//!
 //! Controls:
 //!
 //! * the `parallel` cargo feature (default on) compiles the threaded path;

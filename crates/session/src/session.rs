@@ -103,15 +103,17 @@ impl Session {
     }
 
     /// The content digest of a trace, hashing its records only the first
-    /// time this session sees this `Arc`.
+    /// time this session sees this `Arc`. The hash runs outside the memo's
+    /// lock, so workers keying different traces never wait on each other;
+    /// two workers racing on one `Arc` compute the same digest, and the
+    /// later insert replaces an equal entry.
     fn trace_key(&self, trace: &Arc<TraceSet>) -> Digest {
         let addr = Arc::as_ptr(trace) as usize;
-        let mut memo = lock(&self.trace_keys);
-        if let Some((_, digest)) = memo.get(&addr) {
+        if let Some((_, digest)) = lock(&self.trace_keys).get(&addr) {
             return *digest;
         }
         let digest = trace.fingerprint();
-        memo.insert(addr, (Arc::clone(trace), digest));
+        lock(&self.trace_keys).insert(addr, (Arc::clone(trace), digest));
         digest
     }
 
@@ -318,11 +320,12 @@ impl ArtifactPipeline for Session {
         mode: Option<OverlapMode>,
     ) -> Result<Arc<TraceSet>, LabError> {
         // A bundle this session built is identified by its descriptor
-        // digest; a foreign bundle falls back to hashing its records.
-        let bundle_digest = lock(&self.bundle_keys)
+        // digest; a foreign bundle falls back to hashing its records,
+        // after the lookup's guard is gone.
+        let known = lock(&self.bundle_keys)
             .get(&(bundle as *const TraceBundle as usize))
-            .map(|(_, digest)| *digest)
-            .unwrap_or_else(|| bundle.original().fingerprint());
+            .map(|(_, digest)| *digest);
+        let bundle_digest = known.unwrap_or_else(|| bundle.original().fingerprint());
         let key = variant_key(bundle_digest, mode);
         self.store.trace_with(
             key,
@@ -390,5 +393,47 @@ impl ArtifactPipeline for Session {
         // writes the program through to disk).
         let index = self.index(trace)?;
         self.compiled(trace, &index)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ovlsim_core::{Instr, MipsRate, RankTrace, Record};
+
+    fn trace(instr: u64) -> Arc<TraceSet> {
+        Arc::new(TraceSet::new(
+            format!("t{instr}"),
+            MipsRate::new(100).unwrap(),
+            vec![RankTrace::from_records(vec![Record::Burst {
+                instr: Instr::new(instr),
+            }])],
+        ))
+    }
+
+    #[test]
+    fn trace_keys_are_fingerprints_memoized_once_per_address() {
+        let session = Session::with_threads(4);
+        let shared = [trace(1), trace(2)];
+        let distinct: Vec<[Arc<TraceSet>; 2]> = (0..4).map(|t| [trace(10 + t), trace(1)]).collect();
+        std::thread::scope(|scope| {
+            for own in &distinct {
+                let (session, shared) = (&session, &shared);
+                scope.spawn(move || {
+                    for _ in 0..50 {
+                        for t in shared.iter().chain(own) {
+                            assert_eq!(session.trace_key(t), t.fingerprint());
+                        }
+                    }
+                });
+            }
+        });
+        let memo = lock(&session.trace_keys);
+        assert_eq!(memo.len(), shared.len() + 2 * distinct.len());
+        for t in shared.iter().chain(distinct.iter().flatten()) {
+            let (pinned, digest) = &memo[&(Arc::as_ptr(t) as usize)];
+            assert!(Arc::ptr_eq(pinned, t));
+            assert_eq!(*digest, t.fingerprint());
+        }
     }
 }

@@ -63,6 +63,35 @@ fn warm_restart_rebuilds_nothing_and_is_byte_identical() {
     fs::remove_dir_all(&cache).unwrap();
 }
 
+/// App×class groups build on the worker pool: one worker and four must
+/// write the same report, count the same hits and builds on every shelf,
+/// and persist the same artifacts.
+#[test]
+fn parallel_group_builds_match_one_thread() {
+    let spec = CampaignSpec::parse(
+        "campaign parallel\napps sweep3d pop\nclasses S W\nmodes linear real\n\
+         engines compiled\nbandwidths list 1e8 1e9\nranks 4\niterations 1\nattribution on\n",
+    )
+    .expect("spec parses");
+    let run = |threads: usize| {
+        let cache = scratch(&format!("threads-{threads}"));
+        let session = Session::with_threads(threads)
+            .with_cache_dir(&cache)
+            .expect("cache dir opens");
+        let report = session.run_campaign(&spec).expect("campaign runs");
+        let out = (report.to_json(), session.stats(), session.disk_stats());
+        drop(session);
+        fs::remove_dir_all(&cache).unwrap();
+        out
+    };
+    let (seq_json, seq_stats, seq_disk) = run(1);
+    let (par_json, par_stats, par_disk) = run(4);
+    assert_eq!(par_json, seq_json, "reports differ");
+    assert_eq!(par_stats, seq_stats, "store counters differ");
+    assert_eq!(par_disk, seq_disk, "disk counters differ");
+    assert!(seq_disk.expect("disk cache attached").stores > 0);
+}
+
 #[test]
 fn corrupted_cache_entries_are_quarantined_and_rebuilt_identically() {
     let cache = scratch("corrupt");

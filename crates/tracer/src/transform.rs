@@ -171,15 +171,6 @@ pub fn chunk_tag(app_tag: Tag, channel_seq: u32, chunk: usize) -> Tag {
     Tag::new((1 << 63) | (app_tag.get() << 40) | ((channel_seq as u64) << 16) | chunk as u64)
 }
 
-/// One emission unit during reassembly.
-#[derive(Debug)]
-struct Item {
-    instant: Instr,
-    src: usize,
-    sub: u32,
-    records: Vec<Record>,
-}
-
 /// Computes the starting instruction position of every record (bursts are
 /// the only records that advance the instruction clock).
 fn record_positions(records: &[Record]) -> (Vec<Instr>, Instr) {
@@ -349,6 +340,21 @@ pub fn overlap_rank(
 /// guarantee this by deriving both sides' tunings from the same channel
 /// key.
 ///
+/// Every synthesized record goes to one arena, in creation order. An
+/// *injected* record (a chunk `ISend`, a late `Wait`, or the `WaitAll`
+/// that completes a blocking send's chunks before its buffer is
+/// rewritten) is placed by the key `(instant, src, sub)`: the instruction
+/// instant it lands at, the index of the original record it derives from,
+/// and its rank among that record's injections. A *replaced* original
+/// record maps to one contiguous arena range: empty for a chunked send,
+/// and for a chunked receive's post the deferred `WaitAll`, the chunk
+/// `IRecv`s and, for a blocking receive at `late == 0`, their `WaitAll`.
+/// Only the injected records are sorted (stably, so ties keep creation
+/// order); they are then merged with the original records, which are in
+/// order already and come first at equal `(instant, src)`. Bursts are
+/// re-emitted between the merged records, split at every injection
+/// instant.
+///
 /// # Panics
 ///
 /// Panics if the tuning slices disagree with `meta` lengths, a level
@@ -365,7 +371,9 @@ pub fn overlap_rank_tuned(
 
     let (pos, total) = record_positions(records);
 
-    // Fresh request ids start above anything in the original trace.
+    // Fresh request ids start above anything in the original trace. Each
+    // message takes a consecutive block, so its chunk requests are a
+    // range of ids.
     let mut next_req: u32 = records
         .iter()
         .filter_map(|r| match r {
@@ -377,19 +385,18 @@ pub fn overlap_rank_tuned(
         })
         .max()
         .unwrap_or(0);
-    let mut fresh_req = move || {
-        let r = RequestId::new(next_req);
-        next_req += 1;
-        r
-    };
+    let requests = |ids: Range<u32>| -> Vec<RequestId> { ids.map(RequestId::new).collect() };
 
-    // Record replacements and extra injected items.
-    let mut replacements: BTreeMap<usize, Vec<Record>> = BTreeMap::new();
-    // Per wait-record request rewrites: orig req -> substitute chunk reqs
-    // (empty = the wait for this request moves elsewhere). A single WaitAll
-    // may complete several transformed messages, so rewrites accumulate.
-    let mut wait_mods: BTreeMap<usize, BTreeMap<u32, Vec<RequestId>>> = BTreeMap::new();
-    let mut items: Vec<Item> = Vec::new();
+    let mut arena: Vec<Record> = Vec::new();
+    // Injected records: (instant, src, sub, arena slot).
+    let mut injected: Vec<(Instr, usize, u32, usize)> = Vec::new();
+    // The arena range standing in for each replaced original record.
+    let mut replaced: Vec<Option<Range<usize>>> = vec![None; records.len()];
+    // Wait-record request rewrites: (wait record, orig req, substitute
+    // chunk request ids; empty = the wait for this request moves
+    // elsewhere). A single WaitAll may complete several transformed
+    // messages, so one wait record can carry several rewrites.
+    let mut wait_rewrites: Vec<(usize, u32, Range<u32>)> = Vec::new();
     // Chunk-recv requests whose wait is deferred to the next receive on the
     // same buffer (or end of trace).
     let mut pending_by_buffer: BTreeMap<BufferId, Vec<RequestId>> = BTreeMap::new();
@@ -409,7 +416,7 @@ pub fn overlap_rank_tuned(
         }
         let send_instant = send.send_instant;
         let wstart = window_before(records, &pos, send.record_idx);
-        let mut chunk_reqs = Vec::with_capacity(n);
+        let first_req = next_req;
 
         for (j, range) in ranges.iter().enumerate() {
             let ready = if t.early == 0 {
@@ -428,23 +435,19 @@ pub fn overlap_rank_tuned(
                 };
                 pull_toward(send_instant, full, t.early)
             };
-            let req = fresh_req();
-            chunk_reqs.push(req);
-            items.push(Item {
-                instant: ready,
-                src: send.record_idx,
-                sub: 1000 + j as u32,
-                records: vec![Record::ISend {
-                    to: send.to,
-                    bytes: range.end - range.start,
-                    tag: chunk_tag(send.tag, send.channel_seq, j),
-                    req,
-                }],
+            injected.push((ready, send.record_idx, 1000 + j as u32, arena.len()));
+            arena.push(Record::ISend {
+                to: send.to,
+                bytes: range.end - range.start,
+                tag: chunk_tag(send.tag, send.channel_seq, j),
+                req: RequestId::new(next_req),
             });
+            next_req += 1;
         }
+        let chunk_reqs = first_req..next_req;
 
         // The original send (and its wait, for isend) disappears.
-        replacements.insert(send.record_idx, Vec::new());
+        replaced[send.record_idx] = Some(arena.len()..arena.len());
         match send.wait_record_idx {
             Some(wait_idx) => {
                 // isend: the application's own wait completes the chunks.
@@ -452,22 +455,19 @@ pub fn overlap_rank_tuned(
                     Record::ISend { req, .. } => *req,
                     other => unreachable!("send meta with wait points at {other}"),
                 };
-                wait_mods
-                    .entry(wait_idx)
-                    .or_default()
-                    .insert(orig_req.get(), chunk_reqs);
+                wait_rewrites.push((wait_idx, orig_req.get(), chunk_reqs));
             }
             None => {
                 // Blocking send: chunk completions are needed once the
                 // buffer is rewritten; otherwise at end of trace.
                 match send.reuse_write {
-                    Some(at) => items.push(Item {
-                        instant: at.min(total),
-                        src: send.record_idx,
-                        sub: 500,
-                        records: vec![Record::WaitAll { reqs: chunk_reqs }],
-                    }),
-                    None => end_waits.extend(chunk_reqs),
+                    Some(at) => {
+                        injected.push((at.min(total), send.record_idx, 500, arena.len()));
+                        arena.push(Record::WaitAll {
+                            reqs: requests(chunk_reqs),
+                        });
+                    }
+                    None => end_waits.extend(chunk_reqs.map(RequestId::new)),
                 }
             }
         }
@@ -493,25 +493,21 @@ pub fn overlap_rank_tuned(
 
         // Posts: per-chunk IRecvs at the original posting point, prefixed
         // by any deferred waits for the previous message in this buffer.
-        let mut posts: Vec<Record> = Vec::with_capacity(n + 1);
+        let posts_start = arena.len();
         if let Some(pending) = pending_by_buffer.remove(&buf) {
-            if !pending.is_empty() {
-                posts.push(Record::WaitAll { reqs: pending });
-            }
+            arena.push(Record::WaitAll { reqs: pending });
         }
-
-        let mut chunk_reqs = Vec::with_capacity(n);
+        let first_req = next_req;
         for (j, range) in ranges.iter().enumerate() {
-            let req = fresh_req();
-            chunk_reqs.push(req);
-            posts.push(Record::IRecv {
+            arena.push(Record::IRecv {
                 from: recv.from,
                 bytes: range.end - range.start,
                 tag: chunk_tag(recv.tag, recv.channel_seq, j),
-                req,
+                req: RequestId::new(next_req),
             });
+            next_req += 1;
         }
-        replacements.insert(recv.post_record_idx, posts);
+        let chunk_reqs = first_req..next_req;
 
         let orig_req = recv
             .wait_record_idx
@@ -524,32 +520,28 @@ pub fn overlap_rank_tuned(
             // All chunks complete where the original message completed.
             match (recv.wait_record_idx, orig_req) {
                 (Some(wait_idx), Some(req)) => {
-                    wait_mods
-                        .entry(wait_idx)
-                        .or_default()
-                        .insert(req.get(), chunk_reqs);
+                    wait_rewrites.push((wait_idx, req.get(), chunk_reqs));
                 }
                 _ => {
                     // Blocking recv: append to the posts.
-                    replacements
-                        .get_mut(&recv.post_record_idx)
-                        .expect("posts were just inserted")
-                        .push(Record::WaitAll { reqs: chunk_reqs });
+                    arena.push(Record::WaitAll {
+                        reqs: requests(chunk_reqs),
+                    });
                 }
             }
+            replaced[recv.post_record_idx] = Some(posts_start..arena.len());
             continue;
         }
+        replaced[recv.post_record_idx] = Some(posts_start..arena.len());
 
         // Late waits: each chunk is waited where first consumed; the
         // application's own wait no longer covers this message.
         if let (Some(wait_idx), Some(req)) = (recv.wait_record_idx, orig_req) {
-            wait_mods
-                .entry(wait_idx)
-                .or_default()
-                .insert(req.get(), Vec::new());
+            wait_rewrites.push((wait_idx, req.get(), first_req..first_req));
         }
         let consumption = recv.consumption.as_ref();
-        for (j, (range, req)) in ranges.iter().zip(&chunk_reqs).enumerate() {
+        for (j, (range, id)) in ranges.iter().zip(chunk_reqs).enumerate() {
+            let req = RequestId::new(id);
             let needed = match t.pattern {
                 PatternSource::Real => consumption.and_then(|c| c.needed_at(range.clone())),
                 PatternSource::Linear => Some(lerp_instr(complete, wend, j as u64, n as u64)),
@@ -563,17 +555,13 @@ pub fn overlap_rank_tuned(
                     let span = (full - complete).get() as u128;
                     let at = complete
                         + Instr::new((span * t.late as u128 / TUNING_SCALE as u128) as u64);
-                    items.push(Item {
-                        instant: at,
-                        src: complete_idx,
-                        sub: 1000 + j as u32,
-                        records: vec![Record::Wait { req: *req }],
-                    });
+                    injected.push((at, complete_idx, 1000 + j as u32, arena.len()));
+                    arena.push(Record::Wait { req });
                 }
                 None => {
                     // Never consumed: defer to the next receive in this
                     // buffer or the end of the trace.
-                    pending_by_buffer.entry(buf).or_default().push(*req);
+                    pending_by_buffer.entry(buf).or_default().push(req);
                 }
             }
         }
@@ -585,52 +573,19 @@ pub fn overlap_rank_tuned(
     }
 
     // --- Reassembly ------------------------------------------------------
-    for (idx, rec) in records.iter().enumerate() {
-        if matches!(rec, Record::Burst { .. }) {
-            debug_assert!(
-                !replacements.contains_key(&idx),
-                "bursts are never replaced"
-            );
-            continue;
-        }
-        let recs = if let Some(mods) = wait_mods.remove(&idx) {
-            // Rewrite the wait's request list: transformed messages
-            // contribute their chunk requests (or nothing, for late
-            // waits); untransformed requests are kept.
-            let orig: Vec<RequestId> = match rec {
-                Record::Wait { req } => vec![*req],
-                Record::WaitAll { reqs } => reqs.clone(),
-                other => unreachable!("wait mods on non-wait record {other}"),
-            };
-            let mut new_reqs: Vec<RequestId> = Vec::new();
-            for req in orig {
-                match mods.get(&req.get()) {
-                    Some(subst) => new_reqs.extend(subst.iter().copied()),
-                    None => new_reqs.push(req),
-                }
-            }
-            match new_reqs.len() {
-                0 => Vec::new(),
-                1 => vec![Record::Wait { req: new_reqs[0] }],
-                _ => vec![Record::WaitAll { reqs: new_reqs }],
-            }
-        } else {
-            match replacements.remove(&idx) {
-                Some(replacement) => replacement,
-                None => vec![rec.clone()],
-            }
-        };
-        items.push(Item {
-            instant: pos[idx],
-            src: idx,
-            sub: 0,
-            records: recs,
-        });
-    }
+    // A stable sort: two receives completed by one WaitAll can tie on all
+    // three keys, and creation order breaks the tie.
+    injected.sort_by_key(|&(instant, src, sub, _)| (instant, src, sub));
+    wait_rewrites.sort_by_key(|&(wait_idx, _, _)| wait_idx);
 
-    items.sort_by_key(|it| (it.instant, it.src, it.sub));
-
-    let mut out: Vec<Record> = Vec::with_capacity(records.len() + items.len());
+    // The synthesized trace is stored with this capacity, so it estimates
+    // the output length rather than bounding it: every original record,
+    // every injected record, and a burst split at each non-burst original.
+    let non_bursts = records
+        .iter()
+        .filter(|r| !matches!(r, Record::Burst { .. }))
+        .count();
+    let mut out: Vec<Record> = Vec::with_capacity(records.len() + injected.len() + non_bursts);
     let mut cursor = Instr::ZERO;
     let push_burst = |out: &mut Vec<Record>, upto: Instr, cursor: &mut Instr| {
         if upto > *cursor {
@@ -643,10 +598,63 @@ pub fn overlap_rank_tuned(
             *cursor = upto;
         }
     };
-    for item in items {
-        debug_assert!(item.instant >= cursor, "items must be time-sorted");
-        push_burst(&mut out, item.instant, &mut cursor);
-        out.extend(item.records);
+    // Every arena slot is emitted exactly once, so it is moved out.
+    let mut take = |slot: usize| std::mem::replace(&mut arena[slot], Record::Barrier);
+    let mut next_injected = injected.into_iter().peekable();
+    let mut rewrites = wait_rewrites.as_slice();
+    for (idx, rec) in records.iter().enumerate() {
+        if matches!(rec, Record::Burst { .. }) {
+            continue;
+        }
+        let at = pos[idx];
+        // Injected records sorting before this one: at equal
+        // `(instant, src)` the original goes first (its `sub` is 0).
+        while let Some(&(instant, src, _, slot)) = next_injected.peek() {
+            if (instant, src) >= (at, idx) {
+                break;
+            }
+            push_burst(&mut out, instant, &mut cursor);
+            out.push(take(slot));
+            next_injected.next();
+        }
+        push_burst(&mut out, at, &mut cursor);
+
+        // Rewrites aimed at a burst are skipped, like the burst itself.
+        let start = rewrites.iter().take_while(|w| w.0 < idx).count();
+        let end = start + rewrites[start..].iter().take_while(|w| w.0 == idx).count();
+        let mods = &rewrites[start..end];
+        rewrites = &rewrites[end..];
+        if !mods.is_empty() {
+            // Rewrite the wait's request list: transformed messages
+            // contribute their chunk requests (or nothing, for late
+            // waits); untransformed requests are kept. A request
+            // rewritten twice takes its latest substitute.
+            let orig: &[RequestId] = match rec {
+                Record::Wait { req } => std::slice::from_ref(req),
+                Record::WaitAll { reqs } => reqs,
+                other => unreachable!("wait rewrite on non-wait record {other}"),
+            };
+            let mut new_reqs: Vec<RequestId> = Vec::new();
+            for &req in orig {
+                match mods.iter().rev().find(|w| w.1 == req.get()) {
+                    Some((_, _, subst)) => new_reqs.extend(subst.clone().map(RequestId::new)),
+                    None => new_reqs.push(req),
+                }
+            }
+            match new_reqs.len() {
+                0 => {}
+                1 => out.push(Record::Wait { req: new_reqs[0] }),
+                _ => out.push(Record::WaitAll { reqs: new_reqs }),
+            }
+        } else if let Some(range) = replaced[idx].clone() {
+            out.extend(range.map(&mut take));
+        } else {
+            out.push(rec.clone());
+        }
+    }
+    for (instant, _, _, slot) in next_injected {
+        push_burst(&mut out, instant, &mut cursor);
+        out.push(take(slot));
     }
     push_burst(&mut out, total, &mut cursor);
     if !end_waits.is_empty() {
