@@ -112,13 +112,6 @@ impl PerturbationModel {
         self.seed
     }
 
-    /// Returns the model with a different seed (same effect axes).
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Sets the OS-noise level: each burst stretches by a factor in
     /// `[1, 1 + level)`.
     ///

@@ -150,8 +150,6 @@ impl CollectiveModel {
 /// let p = Platform::builder().ranks_per_node(4)?.build();
 /// let topo = p.topology(10);
 /// assert_eq!(topo.node_count(), 3); // nodes 0–1 full, node 2 holds 2 ranks
-/// assert!(topo.same_node(4, 7));
-/// assert!(!topo.same_node(3, 4));
 /// assert!(topo.spans_nodes());
 /// # Ok(())
 /// # }
@@ -196,23 +194,10 @@ impl NodeTopology {
         rank / self.ranks_per_node
     }
 
-    /// Whether two ranks share a node (and thus the intra-node domain).
-    pub fn same_node(&self, a: u32, b: u32) -> bool {
-        self.node_of(a) == self.node_of(b)
-    }
-
     /// Whether the job occupies more than one node. Collectives over a
     /// single node price their stages with the intra-node parameters.
     pub fn spans_nodes(&self) -> bool {
         self.node_count() > 1
-    }
-
-    /// The ranks hosted on `node`, as a range (empty if `node` is past the
-    /// last occupied node).
-    pub fn ranks_on_node(&self, node: u32) -> std::ops::Range<u32> {
-        let lo = (node as u64 * self.ranks_per_node as u64).min(self.ranks as u64) as u32;
-        let hi = ((node as u64 + 1) * self.ranks_per_node as u64).min(self.ranks as u64) as u32;
-        lo..hi
     }
 }
 
@@ -404,18 +389,6 @@ impl Platform {
     /// The attached perturbation model (the identity by default).
     pub fn perturbation(&self) -> &PerturbationModel {
         &self.perturbation
-    }
-
-    /// End-to-end duration of an uncontended point-to-point transfer:
-    /// `latency + bytes/bandwidth` (+ rendezvous handshake if above the
-    /// eager threshold).
-    pub fn p2p_duration(&self, bytes: u64) -> Time {
-        let base = self.latency + self.bandwidth.transfer_time(bytes);
-        if bytes > self.eager_threshold {
-            base + self.rendezvous_latency
-        } else {
-            base
-        }
     }
 }
 
@@ -721,21 +694,6 @@ mod tests {
     }
 
     #[test]
-    fn p2p_duration_eager_vs_rendezvous() {
-        let p = Platform::builder()
-            .latency(Time::from_us(1))
-            .bandwidth_bytes_per_sec(1.0e9)
-            .unwrap()
-            .eager_threshold(1000)
-            .rendezvous_latency(Time::from_us(3))
-            .build();
-        // 1000 bytes: eager, 1us + 1us.
-        assert_eq!(p.p2p_duration(1000), Time::from_us(2));
-        // 1001 bytes: rendezvous adds 3us.
-        assert_eq!(p.p2p_duration(1001), Time::from_ps(5_001_000));
-    }
-
-    #[test]
     #[should_panic(expected = "bus count")]
     fn zero_buses_rejected() {
         Platform::builder().buses(Some(0));
@@ -799,12 +757,7 @@ mod tests {
         assert_eq!(topo.node_count(), 3);
         assert_eq!(topo.node_of(0), 0);
         assert_eq!(topo.node_of(9), 2);
-        assert!(topo.same_node(4, 7));
-        assert!(!topo.same_node(3, 4));
         assert!(topo.spans_nodes());
-        assert_eq!(topo.ranks_on_node(0), 0..4);
-        assert_eq!(topo.ranks_on_node(2), 8..10);
-        assert_eq!(topo.ranks_on_node(5), 10..10);
         // A job fitting one node does not span nodes.
         let single = p.topology(4);
         assert_eq!(single.node_count(), 1);

@@ -346,12 +346,6 @@ impl CompiledTrace {
     pub fn source_records(&self) -> usize {
         self.source_records
     }
-
-    /// Total number of compiled instructions across all ranks (after
-    /// coalescing and marker elision).
-    pub fn total_instructions(&self) -> usize {
-        self.ranks.iter().map(RankProgram::len).sum()
-    }
 }
 
 /// The [`Sink`] that lowers walked records into per-rank programs, shared
@@ -670,7 +664,6 @@ mod tests {
         // 1000 instr at 1000 MIPS = 1 us = 1_000_000 ps.
         assert_eq!(rp.burst_ps(), &[1_000_000, 2_000_000, 3_000_000]);
         assert_eq!(prog.source_records(), 6);
-        assert_eq!(prog.total_instructions(), 4);
     }
 
     #[test]

@@ -84,12 +84,6 @@ impl SplitMix64 {
         self.state = self.state.wrapping_add(GOLDEN_GAMMA);
         mix64(self.state)
     }
-
-    /// The next uniform `f64` in `[0, 1)`.
-    #[inline]
-    pub fn next_f64(&mut self) -> f64 {
-        unit_f64(self.next_u64())
-    }
 }
 
 #[cfg(test)]
@@ -161,7 +155,7 @@ mod tests {
         assert!(unit_f64(u64::MAX) < 1.0);
         let mut rng = SplitMix64::new(99);
         for _ in 0..1000 {
-            let v = rng.next_f64();
+            let v = unit_f64(rng.next_u64());
             assert!((0.0..1.0).contains(&v));
         }
         // The f64 ladder is exact: the same bits always map to the same

@@ -100,12 +100,6 @@ impl Time {
         self.0 as f64 / PS_PER_SEC as f64
     }
 
-    /// This time expressed in fractional microseconds (lossy).
-    #[inline]
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / 1.0e6
-    }
-
     /// Checked addition; `None` on overflow.
     #[inline]
     pub fn checked_add(self, rhs: Time) -> Option<Time> {
@@ -291,15 +285,6 @@ impl Bandwidth {
         Ok(Bandwidth(bps))
     }
 
-    /// Creates a bandwidth from megabytes per second.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Bandwidth::from_bytes_per_sec`].
-    pub fn from_mb_per_sec(mbps: f64) -> Result<Self, CoreError> {
-        Self::from_bytes_per_sec(mbps * 1.0e6)
-    }
-
     /// Bandwidth in bytes per second.
     #[inline]
     pub fn bytes_per_sec(self) -> f64 {
@@ -417,7 +402,7 @@ mod tests {
         assert!(Bandwidth::from_bytes_per_sec(-5.0).is_err());
         assert!(Bandwidth::from_bytes_per_sec(f64::NAN).is_err());
         assert!(Bandwidth::from_bytes_per_sec(f64::INFINITY).is_err());
-        assert!(Bandwidth::from_mb_per_sec(250.0).is_ok());
+        assert!(Bandwidth::from_bytes_per_sec(250.0e6).is_ok());
     }
 
     #[test]
@@ -429,6 +414,6 @@ mod tests {
     #[test]
     fn display_is_nonempty() {
         assert!(!format!("{}", Time::ZERO).is_empty());
-        assert!(!format!("{}", Bandwidth::from_mb_per_sec(1.0).unwrap()).is_empty());
+        assert!(!format!("{}", Bandwidth::from_bytes_per_sec(1.0e6).unwrap()).is_empty());
     }
 }

@@ -150,12 +150,6 @@ impl WaitCause {
             _ => None,
         }
     }
-
-    /// True for the causes that count as communication wait (everything
-    /// except compute and sender overhead).
-    pub fn is_wait(self) -> bool {
-        !matches!(self, WaitCause::Compute | WaitCause::SendOverhead)
-    }
 }
 
 /// The cross-rank dependency that released a blocked interval: the chain
@@ -302,12 +296,7 @@ mod tests {
             .channel(),
             Some(2)
         );
-        assert!(!WaitCause::Compute.is_wait());
-        assert!(!WaitCause::SendOverhead.is_wait());
-        assert!(WaitCause::BlockedWait { chan: 0 }.is_wait());
-        assert!(WaitCause::Collective { seq: 0 }.is_wait());
         assert_eq!(WaitCause::LinkDown { chan: 4 }.channel(), Some(4));
-        assert!(WaitCause::LinkDown { chan: 4 }.is_wait());
     }
 
     #[test]

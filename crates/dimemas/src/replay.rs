@@ -70,11 +70,6 @@ impl ReplayResult {
         &self.rank_compute
     }
 
-    /// Sum of computation time over all ranks.
-    pub fn total_compute(&self) -> Time {
-        self.rank_compute.iter().copied().sum()
-    }
-
     /// Fraction of rank-time spent *not* computing (blocked in
     /// communication or collectives), in `[0, 1]`.
     pub fn comm_fraction(&self) -> f64 {

@@ -1,10 +1,5 @@
-//! Speedup analysis: intermediate-bandwidth location and peak extraction.
+//! Speedup analysis: peak extraction.
 
-use ovlsim_core::{Bandwidth, Platform};
-use ovlsim_dimemas::Simulator;
-use ovlsim_tracer::TraceBundle;
-
-use crate::error::LabError;
 use crate::sweep::SweepPoint;
 
 /// The sweep point with the highest overlapped-vs-original speedup.
@@ -18,78 +13,13 @@ pub fn peak_speedup(points: &[SweepPoint]) -> Option<&SweepPoint> {
     })
 }
 
-/// The sweep point whose original execution has a communication fraction
-/// closest to `target` (0.5 ≈ "time spent in communication comparable to
-/// time spent in computation", the paper's intermediate-bandwidth
-/// definition).
-///
-/// Returns `None` for an empty sweep.
-pub fn point_nearest_comm_fraction(points: &[SweepPoint], target: f64) -> Option<&SweepPoint> {
-    points.iter().min_by(|a, b| {
-        (a.comm_fraction - target)
-            .abs()
-            .partial_cmp(&(b.comm_fraction - target).abs())
-            .expect("fractions are finite")
-    })
-}
-
-/// Finds, by bisection, the bandwidth at which the *original* execution's
-/// communication fraction equals `target` (within `tol`). Communication
-/// fraction decreases monotonically with bandwidth.
-///
-/// # Errors
-///
-/// Returns [`LabError::SearchFailed`] if the target fraction is not
-/// bracketed by `[lo, hi]`.
-pub fn intermediate_bandwidth(
-    bundle: &TraceBundle,
-    base: &Platform,
-    lo: f64,
-    hi: f64,
-    target: f64,
-    tol: f64,
-) -> Result<Bandwidth, LabError> {
-    assert!(lo > 0.0 && hi > lo, "need 0 < lo < hi");
-    let frac_at = |bps: f64| -> Result<f64, LabError> {
-        let bw = Bandwidth::from_bytes_per_sec(bps)?;
-        let sim = Simulator::new(base.with_bandwidth(bw));
-        Ok(sim.run(bundle.original())?.comm_fraction())
-    };
-    let f_lo = frac_at(lo)?;
-    let f_hi = frac_at(hi)?;
-    if f_lo < target || f_hi > target {
-        return Err(LabError::SearchFailed {
-            what: format!(
-                "comm fraction {target} not bracketed: f({lo:.3e})={f_lo:.3}, f({hi:.3e})={f_hi:.3}"
-            ),
-        });
-    }
-    let (mut a, mut b) = (lo, hi);
-    for _ in 0..60 {
-        let m = (a * b).sqrt(); // geometric midpoint for a log-scaled knob
-        let fm = frac_at(m)?;
-        if (fm - target).abs() <= tol {
-            return Ok(Bandwidth::from_bytes_per_sec(m)?);
-        }
-        if fm > target {
-            a = m; // too slow: comm fraction too high => raise bandwidth
-        } else {
-            b = m;
-        }
-        if b / a < 1.0 + 1e-6 {
-            break;
-        }
-    }
-    Ok(Bandwidth::from_bytes_per_sec((a * b).sqrt())?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sweep::{log_bandwidths, sweep_bundle};
     use ovlsim_apps::Synthetic;
-    use ovlsim_core::Time;
-    use ovlsim_tracer::{OverlapMode, TracingSession};
+    use ovlsim_core::{Bandwidth, Time};
+    use ovlsim_tracer::{OverlapMode, TraceBundle, TracingSession};
 
     fn bundle() -> TraceBundle {
         let app = Synthetic::builder()
@@ -119,36 +49,7 @@ mod tests {
             mk_point(1e8, 100, 95, 0.1),
         ];
         assert_eq!(peak_speedup(&pts).unwrap().comm_fraction, 0.5);
-        assert_eq!(
-            point_nearest_comm_fraction(&pts, 0.45)
-                .unwrap()
-                .comm_fraction,
-            0.5
-        );
         assert!(peak_speedup(&[]).is_none());
-    }
-
-    #[test]
-    fn intermediate_bandwidth_bisection_converges() {
-        let b = bundle();
-        let base = ovlsim_apps::calibration::reference_platform();
-        let bw = intermediate_bandwidth(&b, &base, 1.0e5, 1.0e11, 0.5, 0.02).unwrap();
-        // Verify: the found bandwidth indeed yields ~50% comm fraction.
-        let sim = Simulator::new(base.with_bandwidth(bw));
-        let frac = sim.run(b.original()).unwrap().comm_fraction();
-        assert!(
-            (frac - 0.5).abs() < 0.05,
-            "comm fraction {frac} at {bw} not near 0.5"
-        );
-    }
-
-    #[test]
-    fn unbracketed_target_reported() {
-        let b = bundle();
-        let base = ovlsim_apps::calibration::reference_platform();
-        // Target comm fraction 0.99999 is not reachable at these speeds.
-        let err = intermediate_bandwidth(&b, &base, 1.0e9, 1.0e10, 0.99999, 0.001);
-        assert!(matches!(err, Err(LabError::SearchFailed { .. })));
     }
 
     #[test]

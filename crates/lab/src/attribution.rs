@@ -77,11 +77,6 @@ impl AttributionRecorder {
     pub fn intervals(&self, rank: usize) -> &[AttrInterval] {
         &self.per_rank[rank]
     }
-
-    /// Per-rank finish times.
-    pub fn finish_times(&self) -> &[Time] {
-        &self.finish
-    }
 }
 
 impl ReplayObserver for AttributionRecorder {

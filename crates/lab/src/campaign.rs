@@ -62,7 +62,7 @@ use ovlsim_tracer::{Mechanisms, OverlapMode, PatternSource};
 
 use crate::error::LabError;
 use crate::par;
-use crate::pipeline::{ArtifactPipeline, DirectPipeline, EngineInput};
+use crate::pipeline::{ArtifactPipeline, EngineInput};
 
 /// A replay engine selectable per campaign. Both produce bit-identical
 /// [`ReplayResult`](ovlsim_dimemas::ReplayResult)s; naive exists in
@@ -126,6 +126,17 @@ pub enum SpecError {
     MissingKey {
         /// The absent key.
         key: &'static str,
+    },
+    /// A grid axis lists the same value twice (for `bandwidths log`,
+    /// after rounding to whole bytes/s), which would measure one point
+    /// twice.
+    DuplicateValue {
+        /// 1-based spec line.
+        line: usize,
+        /// The axis key.
+        key: String,
+        /// The repeated value.
+        value: String,
     },
     /// A key appears with no values after it.
     MissingValue {
@@ -211,6 +222,9 @@ impl fmt::Display for SpecError {
             SpecError::DuplicateKey { line, key } => {
                 write!(f, "line {line}: key `{key}` given more than once")
             }
+            SpecError::DuplicateValue { line, key, value } => {
+                write!(f, "line {line}: `{key}` lists `{value}` more than once")
+            }
             SpecError::MissingKey { key } => write!(f, "required key `{key}` is missing"),
             SpecError::MissingValue { line, key } => {
                 write!(f, "line {line}: key `{key}` needs at least one value")
@@ -284,7 +298,7 @@ fn parse_class(s: &str) -> Option<ProblemClass> {
 
 /// A parsed, validated campaign description.
 ///
-/// Construct with [`CampaignSpec::parse`]; run with [`run_campaign`].
+/// Construct with [`CampaignSpec::parse`]; run with [`run_campaign_with`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSpec {
     /// Campaign (and report) name.
@@ -346,7 +360,7 @@ pub struct CampaignSpec {
     pub force_engine: Option<Engine>,
 }
 
-/// One expanded grid point (the unit [`run_campaign`] replays twice:
+/// One expanded grid point (the unit [`run_campaign_with`] replays twice:
 /// original and overlapped).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignPoint {
@@ -414,6 +428,17 @@ impl CampaignSpec {
                     Ok(())
                 }
             };
+            let distinct = |taken: bool, value: &str| -> Result<(), SpecError> {
+                if taken {
+                    Err(SpecError::DuplicateValue {
+                        line,
+                        key: key.to_string(),
+                        value: value.to_string(),
+                    })
+                } else {
+                    Ok(())
+                }
+            };
             let nonempty = || -> Result<(), SpecError> {
                 if values.is_empty() {
                     Err(SpecError::MissingValue {
@@ -461,6 +486,7 @@ impl CampaignSpec {
                                 name: v.to_string(),
                             });
                         }
+                        distinct(list.iter().any(|a| a == v), v)?;
                         list.push(v.to_string());
                     }
                     apps = Some(list);
@@ -470,10 +496,12 @@ impl CampaignSpec {
                     nonempty()?;
                     let mut list = Vec::new();
                     for v in &values {
-                        list.push(parse_class(v).ok_or_else(|| SpecError::UnknownClass {
+                        let class = parse_class(v).ok_or_else(|| SpecError::UnknownClass {
                             line,
                             value: v.to_string(),
-                        })?);
+                        })?;
+                        distinct(list.contains(&class), v)?;
+                        list.push(class);
                     }
                     classes = Some(list);
                 }
@@ -482,10 +510,12 @@ impl CampaignSpec {
                     nonempty()?;
                     let mut list = Vec::new();
                     for v in &values {
-                        list.push(parse_mode(v).ok_or_else(|| SpecError::UnknownMode {
+                        let mode = parse_mode(v).ok_or_else(|| SpecError::UnknownMode {
                             line,
                             value: v.to_string(),
-                        })?);
+                        })?;
+                        distinct(list.contains(&mode), v)?;
+                        list.push(mode);
                     }
                     modes = Some(list);
                 }
@@ -494,10 +524,12 @@ impl CampaignSpec {
                     nonempty()?;
                     let mut list = Vec::new();
                     for v in &values {
-                        list.push(Engine::parse(v).ok_or_else(|| SpecError::UnknownEngine {
+                        let engine = Engine::parse(v).ok_or_else(|| SpecError::UnknownEngine {
                             line,
                             value: v.to_string(),
-                        })?);
+                        })?;
+                        distinct(list.contains(&engine), v)?;
+                        list.push(engine);
                     }
                     engines = Some(list);
                 }
@@ -545,15 +577,14 @@ impl CampaignSpec {
                             // raw results can differ by an ulp across
                             // libm versions — a committed golden report
                             // must not depend on the host's math library.
-                            let grid = crate::log_bandwidths(lo, hi, points)
-                                .into_iter()
-                                .map(|bw| {
-                                    Bandwidth::from_bytes_per_sec(
-                                        bw.bytes_per_sec().round().max(1.0),
-                                    )
-                                    .expect("rounded positive bandwidth is valid")
-                                })
-                                .collect();
+                            let mut grid: Vec<Bandwidth> = Vec::new();
+                            for bw in crate::log_bandwidths(lo, hi, points) {
+                                let bps = bw.bytes_per_sec().round().max(1.0);
+                                let bw = Bandwidth::from_bytes_per_sec(bps)
+                                    .expect("rounded positive bandwidth is valid");
+                                distinct(grid.contains(&bw), &bps.to_string())?;
+                                grid.push(bw);
+                            }
                             bandwidths = Some(grid);
                         }
                         "list" => {
@@ -566,7 +597,9 @@ impl CampaignSpec {
                             }
                             let mut list = Vec::new();
                             for v in &values[1..] {
-                                list.push(positive_bandwidth(v)?);
+                                let bw = positive_bandwidth(v)?;
+                                distinct(list.contains(&bw), v)?;
+                                list.push(bw);
                             }
                             bandwidths = Some(list);
                         }
@@ -591,6 +624,7 @@ impl CampaignSpec {
                                 value: v.to_string(),
                             }
                         })?;
+                        distinct(list.contains(&rpn), v)?;
                         list.push(rpn);
                     }
                     ranks_per_node = Some(list);
@@ -676,6 +710,7 @@ impl CampaignSpec {
                                         "noise level must be non-negative, got {l}"
                                     )));
                                 }
+                                distinct(list.contains(&l), v)?;
                                 list.push(l);
                             }
                             noise_levels = Some(list);
@@ -1018,9 +1053,10 @@ pub struct CampaignReport {
     pub rows: Vec<CampaignRow>,
 }
 
-/// Escapes a string for embedding in the deterministic JSON reports
-/// (shared by campaign and attribution rendering).
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escapes a string for embedding in a JSON document: `"` and `\` take a
+/// backslash, and every control character is written as `\u00XX`.
+/// The one escaper behind every report and every serve response.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -1284,31 +1320,9 @@ impl Group {
     }
 }
 
-/// Runs a campaign with the configured worker count (`OVLSIM_THREADS` or
-/// the machine's available parallelism). Results are byte-identical to the
-/// sequential path.
-///
-/// # Errors
-///
-/// Propagates app construction, tracing, validation, compilation and
-/// replay errors, and a malformed `OVLSIM_THREADS`.
-pub fn run_campaign(spec: &CampaignSpec) -> Result<CampaignReport, LabError> {
-    run_campaign_threaded(spec, par::configured_threads()?)
-}
-
-/// [`run_campaign`] with an explicit worker cap (exposed for the
-/// determinism tests and scaling measurements).
-#[doc(hidden)]
-pub fn run_campaign_threaded(
-    spec: &CampaignSpec,
-    threads: usize,
-) -> Result<CampaignReport, LabError> {
-    run_campaign_with(&DirectPipeline, spec, threads)
-}
-
-/// [`run_campaign`] with an explicit artifact pipeline and worker cap.
-/// The session layer passes its caching pipeline here; results are
-/// byte-identical regardless of the pipeline's caching policy.
+/// Runs a campaign through an artifact pipeline on up to `threads`
+/// workers. The session layer passes its caching pipeline here; results
+/// are byte-identical regardless of the pipeline's caching policy.
 ///
 /// Both phases fan out over up to `threads` workers. First one task per
 /// app×class pair of the spec builds that pair's groups: the traced
@@ -1494,6 +1508,11 @@ pub fn run_campaign_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::DirectPipeline;
+
+    fn run_direct(spec: &CampaignSpec, threads: usize) -> Result<CampaignReport, LabError> {
+        run_campaign_with(&DirectPipeline, spec, threads)
+    }
 
     const MINI: &str = "\
 # a tiny two-point campaign
@@ -1653,6 +1672,37 @@ iterations 1
     }
 
     #[test]
+    fn repeated_grid_values_are_rejected() {
+        for (axis, value) in [
+            ("apps sweep3d pop sweep3d", "sweep3d"),
+            ("classes S A S", "S"),
+            ("modes linear real linear", "linear"),
+            ("engines naive naive", "naive"),
+            ("ranks-per-node 1 4 4", "4"),
+            ("bandwidths list 1e8 1e9 100000000", "100000000"),
+            ("bandwidths log 1 2 5", "1"),
+            ("noise level 0 0.1 0.0", "0.0"),
+        ] {
+            let spec = format!("campaign x\n{axis}\n");
+            let key = axis.split(' ').next().unwrap();
+            assert_eq!(
+                CampaignSpec::parse(&spec).unwrap_err(),
+                SpecError::DuplicateValue {
+                    line: 2,
+                    key: key.to_string(),
+                    value: value.to_string(),
+                },
+                "{axis}"
+            );
+        }
+        // Distinct values on every axis still parse.
+        assert!(CampaignSpec::parse(
+            "campaign x\napps sweep3d pop\nbandwidths log 1 3 3\nnoise level 0 0.1\n"
+        )
+        .is_ok());
+    }
+
+    #[test]
     fn malformed_numbers_are_rejected() {
         for bad in [
             "campaign x\nbandwidths list fast\n",
@@ -1704,7 +1754,7 @@ iterations 1
     #[test]
     fn mini_campaign_runs_and_reports() {
         let spec = CampaignSpec::parse(MINI).unwrap();
-        let report = run_campaign_threaded(&spec, 1).unwrap();
+        let report = run_direct(&spec, 1).unwrap();
         assert_eq!(report.campaign, "mini");
         assert_eq!(report.rows.len(), 2);
         for row in &report.rows {
@@ -1727,7 +1777,7 @@ iterations 1
              engines compiled naive\nbandwidths list 2e8\nranks-per-node 1 2\n",
         )
         .unwrap();
-        let report = run_campaign_threaded(&spec, 1).unwrap();
+        let report = run_direct(&spec, 1).unwrap();
         assert_eq!(report.rows.len(), 4);
         // Rows pair up (engine major, rpn minor): each engine's pair of
         // platform points must agree exactly with the other engine's.
@@ -1748,9 +1798,9 @@ iterations 1
              modes linear real\nbandwidths list 1e8 1e9\nranks-per-node 1 2\n",
         )
         .unwrap();
-        let seq = run_campaign_threaded(&spec, 1).unwrap();
+        let seq = run_direct(&spec, 1).unwrap();
         for threads in [2, 4] {
-            let par = run_campaign_threaded(&spec, threads).unwrap();
+            let par = run_direct(&spec, threads).unwrap();
             assert_eq!(
                 seq.to_json(),
                 par.to_json(),
@@ -1773,7 +1823,7 @@ iterations 1
 
         let spec = CampaignSpec::parse(&format!("{MINI}attribution on\n")).unwrap();
         assert!(spec.attribution);
-        let report = run_campaign_threaded(&spec, 1).unwrap();
+        let report = run_direct(&spec, 1).unwrap();
         assert!(report.attribution);
         for row in &report.rows {
             let a = row.attribution.expect("attribution columns present");
@@ -1790,8 +1840,8 @@ iterations 1
         assert!(csv.lines().next().unwrap().ends_with(",top_gain_ps"));
 
         // Off: reports are byte-identical to a spec without the key.
-        let plain = run_campaign_threaded(&CampaignSpec::parse(MINI).unwrap(), 1).unwrap();
-        let off = run_campaign_threaded(
+        let plain = run_direct(&CampaignSpec::parse(MINI).unwrap(), 1).unwrap();
+        let off = run_direct(
             &CampaignSpec::parse(&format!("{MINI}attribution off\n")).unwrap(),
             1,
         )
@@ -1803,8 +1853,8 @@ iterations 1
     #[test]
     fn attribution_campaign_is_deterministic_across_threads() {
         let spec = CampaignSpec::parse(&format!("{MINI}attribution on\n")).unwrap();
-        let seq = run_campaign_threaded(&spec, 1).unwrap();
-        let par = run_campaign_threaded(&spec, 4).unwrap();
+        let seq = run_direct(&spec, 1).unwrap();
+        let par = run_direct(&spec, 4).unwrap();
         assert_eq!(seq.to_json(), par.to_json());
         assert_eq!(seq.to_csv(), par.to_csv());
     }
@@ -1944,7 +1994,7 @@ iterations 1
     fn tuned_campaign_fills_tuned_columns_and_never_loses_to_uniform() {
         let spec =
             CampaignSpec::parse(&format!("{MINI}tune on\ntune budget 6\ntune seed 1\n")).unwrap();
-        let report = run_campaign_threaded(&spec, 1).unwrap();
+        let report = run_direct(&spec, 1).unwrap();
         assert!(report.tuned);
         assert_eq!(report.rows.len(), 2);
         for row in &report.rows {
@@ -1962,13 +2012,13 @@ iterations 1
             .ends_with("tuned_ps,tuned_speedup,tuned_plan"));
         // Byte-identical across worker counts: the per-point tuner runs
         // sequentially inside campaign workers.
-        let par = run_campaign_threaded(&spec, 4).unwrap();
+        let par = run_direct(&spec, 4).unwrap();
         assert_eq!(report.to_json(), par.to_json());
         assert_eq!(report.to_csv(), par.to_csv());
         // `tune off` (with sub-keys set) must not change a report byte:
         // committed clean goldens predate the tuner.
-        let plain = run_campaign_threaded(&CampaignSpec::parse(MINI).unwrap(), 1).unwrap();
-        let off = run_campaign_threaded(
+        let plain = run_direct(&CampaignSpec::parse(MINI).unwrap(), 1).unwrap();
+        let off = run_direct(
             &CampaignSpec::parse(&format!("{MINI}tune off\ntune budget 9\n")).unwrap(),
             1,
         )
@@ -1982,11 +2032,11 @@ iterations 1
         // `noise seed` alone (levels default to the clean [0.0]) must not
         // change a single report byte: committed clean goldens predate
         // the perturbation engine.
-        let plain = run_campaign_threaded(&CampaignSpec::parse(MINI).unwrap(), 1).unwrap();
+        let plain = run_direct(&CampaignSpec::parse(MINI).unwrap(), 1).unwrap();
         assert!(!plain.perturbed);
         assert!(!plain.to_json().contains("noise_level"));
         assert!(!plain.to_csv().contains("noise_level"));
-        let seeded = run_campaign_threaded(
+        let seeded = run_direct(
             &CampaignSpec::parse(&format!("{MINI}noise seed 42\n")).unwrap(),
             1,
         )
@@ -2003,7 +2053,7 @@ iterations 1
              noise seed 7\nnoise level 0 0.3\nstragglers 1.4 1\nfaults 300 30\n",
         )
         .unwrap();
-        let report = run_campaign_threaded(&spec, 1).unwrap();
+        let report = run_direct(&spec, 1).unwrap();
         assert!(report.perturbed);
         assert_eq!(report.rows.len(), 4);
         // Rows pair up (engine major, noise minor): both engines must
@@ -2078,9 +2128,9 @@ iterations 1
              bandwidths list 1e8 1e9\nnoise seed 9\nnoise level 0.1 0.2\nfaults 250 25\n",
         )
         .unwrap();
-        let seq = run_campaign_threaded(&spec, 1).unwrap();
+        let seq = run_direct(&spec, 1).unwrap();
         for threads in [2, 4] {
-            let par = run_campaign_threaded(&spec, threads).unwrap();
+            let par = run_direct(&spec, threads).unwrap();
             assert_eq!(
                 seq.to_json(),
                 par.to_json(),
@@ -2106,7 +2156,7 @@ iterations 1
         // nas-bt requires a perfect square; ranks 6 must fail at build.
         let spec = CampaignSpec::parse("campaign bad\napps nas-bt\nbandwidths list 1e8\nranks 6\n")
             .unwrap();
-        match run_campaign_threaded(&spec, 1) {
+        match run_direct(&spec, 1) {
             Err(LabError::App(_)) => {}
             other => panic!("expected LabError::App, got {other:?}"),
         }

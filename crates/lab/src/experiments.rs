@@ -10,7 +10,7 @@
 use std::fmt;
 
 use ovlsim_apps::calibration::{reference_platform, target_for};
-use ovlsim_core::{format_bandwidth, format_time, Bandwidth, Platform, Rank, Time};
+use ovlsim_core::{format_bandwidth, format_time, Bandwidth, Platform, Time};
 use ovlsim_dimemas::Simulator;
 use ovlsim_paraver::{render_gantt, GanttOptions, StateProfile, Timeline};
 use ovlsim_tracer::{
@@ -18,11 +18,11 @@ use ovlsim_tracer::{
     TracingSession,
 };
 
-use crate::analysis::{intermediate_bandwidth, peak_speedup};
+use crate::analysis::peak_speedup;
 use crate::error::LabError;
 use crate::iso::bandwidth_relaxation;
 use crate::par;
-use crate::sweep::{log_bandwidths, sweep_bundle, sweep_traces};
+use crate::sweep::{log_bandwidths, sweep_bundle};
 use crate::table::Table;
 
 /// A rendered experiment outcome.
@@ -71,32 +71,6 @@ fn trace_app(app: &dyn Application) -> Result<TraceBundle, LabError> {
     Ok(TracingSession::new(app)
         .policy(ChunkingPolicy::fixed_count(16).with_min_chunk_bytes(512))
         .run()?)
-}
-
-/// Locates an app's half-comm bandwidth (original comm fraction ≈ 0.5),
-/// falling back to the sweep point nearest the target when the bisection
-/// cannot bracket it (e.g. wavefront codes whose dependency stalls keep
-/// the comm fraction above 0.5 at every bandwidth).
-pub fn find_half_comm_bandwidth(
-    bundle: &TraceBundle,
-    base: &Platform,
-) -> Result<Bandwidth, LabError> {
-    match intermediate_bandwidth(bundle, base, SWEEP_LO, SWEEP_HI, 0.5, 0.02) {
-        Ok(bw) => Ok(bw),
-        Err(LabError::SearchFailed { .. }) => {
-            // Fall back: scan a coarse sweep for the closest point.
-            let bws = log_bandwidths(SWEEP_LO, SWEEP_HI, 21);
-            let points = sweep_bundle(bundle, base, OverlapMode::linear(), &bws)?;
-            let nearest =
-                crate::analysis::point_nearest_comm_fraction(&points, 0.5).ok_or_else(|| {
-                    LabError::SearchFailed {
-                        what: "empty sweep".into(),
-                    }
-                })?;
-            Ok(nearest.bandwidth)
-        }
-        Err(e) => Err(e),
-    }
 }
 
 fn speedup_at(
@@ -663,62 +637,6 @@ pub fn e10_multicore(app: &dyn Application) -> Result<ExperimentReport, LabError
     })
 }
 
-/// Measures the speedup curve of the raw original vs a specific overlapped
-/// trace on explicit bandwidths (helper for custom studies).
-///
-/// # Errors
-///
-/// Propagates replay errors.
-pub fn custom_curve(
-    bundle: &TraceBundle,
-    mode: OverlapMode,
-    bandwidths: &[Bandwidth],
-) -> Result<Vec<(Bandwidth, f64)>, LabError> {
-    let overlapped = bundle.overlapped(mode)?;
-    let pts = sweep_traces(
-        bundle.original(),
-        &overlapped,
-        &reference_platform(),
-        bandwidths,
-    )?;
-    Ok(pts.iter().map(|p| (p.bandwidth, p.speedup())).collect())
-}
-
-/// Convenience: rank-0 timeline Gantt of original vs a mode, for
-/// qualitative inspection (E1-style, any app).
-///
-/// # Errors
-///
-/// Propagates tracing and replay errors.
-pub fn side_by_side_gantt(
-    app: &dyn Application,
-    mode: OverlapMode,
-    bandwidth: Bandwidth,
-    width: usize,
-) -> Result<String, LabError> {
-    let bundle = trace_app(app)?;
-    let base = reference_platform().with_bandwidth(bandwidth);
-    let (orig_tl, _) = Timeline::capture(&base, bundle.original())?;
-    let ts = bundle.overlapped(mode)?;
-    let (ovl_tl, _) = Timeline::capture(&base, &ts)?;
-    let opts = GanttOptions {
-        width,
-        legend: true,
-    };
-    let _ = Rank::new(0);
-    Ok(format!(
-        "{}\n{}",
-        render_gantt(
-            &orig_tl,
-            &GanttOptions {
-                width,
-                legend: false
-            }
-        ),
-        render_gantt(&ovl_tl, &opts)
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -801,13 +719,5 @@ mod tests {
         let report = e10_multicore(&app).unwrap();
         assert_eq!(report.table.len(), 8); // 4 packings x 2 intra bandwidths
         assert!(report.render().contains("intra BW"));
-    }
-
-    #[test]
-    fn side_by_side_gantt_renders() {
-        let app = Synthetic::builder().ranks(2).iterations(1).build().unwrap();
-        let bw = Bandwidth::from_bytes_per_sec(1.0e8).unwrap();
-        let g = side_by_side_gantt(&app, OverlapMode::linear(), bw, 40).unwrap();
-        assert!(g.contains("legend"));
     }
 }

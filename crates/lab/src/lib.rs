@@ -52,35 +52,31 @@ mod sweep;
 mod table;
 pub mod tune;
 
-pub use analysis::{intermediate_bandwidth, peak_speedup, point_nearest_comm_fraction};
+pub use analysis::peak_speedup;
 pub use attribution::{
     AttrInterval, Attribution, AttributionRecorder, ChannelBreakdown, PathStep, RankBreakdown,
 };
 pub use bounds::OverlapBounds;
 pub use campaign::{
-    diff_reports, parse_mode, run_campaign, run_campaign_with, CampaignReport, CampaignRow,
-    CampaignSpec, Engine, RowAttribution, SpecError,
+    diff_reports, parse_mode, run_campaign_with, CampaignReport, CampaignRow, CampaignSpec, Engine,
+    RowAttribution, SpecError,
 };
 pub use error::LabError;
 pub use experiments::{
-    custom_curve, e10_multicore, e1_pipeline, e2_real_patterns, e3_ideal_speedup,
-    e4_speedup_curves, e5_bandwidth_relaxation, e6_mechanisms, e7_pattern_cdf,
-    e8_platform_sensitivity, e9_chunk_overhead, find_half_comm_bandwidth, side_by_side_gantt,
-    ExperimentReport, SWEEP_HI, SWEEP_LO,
+    e10_multicore, e1_pipeline, e2_real_patterns, e3_ideal_speedup, e4_speedup_curves,
+    e5_bandwidth_relaxation, e6_mechanisms, e7_pattern_cdf, e8_platform_sensitivity,
+    e9_chunk_overhead, ExperimentReport, SWEEP_HI, SWEEP_LO,
 };
 pub use iso::{bandwidth_relaxation, min_bandwidth_for, RelaxationResult};
 pub use par::configured_threads;
 pub use pipeline::{ArtifactPipeline, DirectPipeline, EngineInput};
 pub use plot::{curve_of, render_curves, Curve, PlotOptions};
 pub use sweep::{
-    compile_trace, log_bandwidths, noise_retention, sweep_bundle, sweep_compiled,
-    sweep_node_packing, sweep_noise, sweep_traces, NodePackingPoint, NoisePoint, SweepPoint,
+    compile_trace, log_bandwidths, sweep_bundle, sweep_node_packing, sweep_traces,
+    NodePackingPoint, SweepPoint,
 };
 #[doc(hidden)]
-pub use sweep::{
-    sweep_compiled_threaded, sweep_node_packing_threaded, sweep_noise_threaded,
-    sweep_traces_threaded,
-};
+pub use sweep::{sweep_compiled_threaded, sweep_node_packing_threaded, sweep_traces_threaded};
 pub use table::Table;
 #[doc(hidden)]
 pub use tune::run_tune_threaded;

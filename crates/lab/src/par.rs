@@ -13,8 +13,6 @@
 //!
 //! Controls:
 //!
-//! * the `parallel` cargo feature (default on) compiles the threaded path;
-//!   without it every call degrades to a sequential `map`,
 //! * `OVLSIM_THREADS=n` caps the worker count at runtime (`1` forces
 //!   sequential execution — handy for scaling measurements),
 //! * nested calls run sequentially (a per-thread guard), so an app-level
@@ -69,9 +67,8 @@ fn parse_threads(v: &str) -> Result<usize, LabError> {
 }
 
 /// Maps `f` over `items`, returning results in input order. Runs on up to
-/// [`configured_threads`] scoped threads when the `parallel` feature is
-/// enabled and this is a top-level call; otherwise sequentially. Panics in
-/// `f` propagate to the caller.
+/// [`configured_threads`] scoped threads when this is a top-level call;
+/// otherwise sequentially. Panics in `f` propagate to the caller.
 ///
 /// # Errors
 ///
@@ -88,7 +85,6 @@ where
 
 /// [`par_map`] with an explicit worker cap (used by tests and scaling
 /// measurements to pin the thread count).
-#[cfg(feature = "parallel")]
 pub(crate) fn par_map_with<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -133,17 +129,6 @@ where
     });
     collected.sort_by_key(|(i, _)| *i);
     collected.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Sequential fallback when the `parallel` feature is disabled.
-#[cfg(not(feature = "parallel"))]
-pub(crate) fn par_map_with<T, R, F>(items: &[T], _threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    items.iter().map(f).collect()
 }
 
 #[cfg(test)]
@@ -197,7 +182,6 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn worker_panic_propagates() {
         let items: Vec<u64> = (0..8).collect();

@@ -1,7 +1,7 @@
 //! Bandwidth sweeps (the x-axis of every figure in the paper) and the
 //! hierarchical-platform sweep over node packing × intra-node bandwidth.
 
-use ovlsim_core::{Bandwidth, CompiledTrace, PerturbationModel, Platform, Time, TraceSet};
+use ovlsim_core::{Bandwidth, CompiledTrace, Platform, Time, TraceSet};
 use ovlsim_dimemas::{SimError, Simulator};
 use ovlsim_tracer::{OverlapMode, TraceBundle};
 
@@ -85,9 +85,9 @@ impl SweepPoint {
 /// instruction domain), so they are synthesized once by the caller and
 /// replayed per point here. Each trace is validated and **compiled** once,
 /// in one pass ([`compile_trace`]); every point then executes the shared
-/// flat program via [`Simulator::run_compiled`], and with the `parallel`
-/// feature the points fan out across threads (each point is an
-/// independent `Simulator` over the shared `&CompiledTrace`).
+/// flat program via [`Simulator::run_compiled`], and the points fan out
+/// across threads (each point is an independent `Simulator` over the
+/// shared `&CompiledTrace`).
 /// Results are byte-identical to the sequential path — and to the
 /// uncompiled engines — and come back in bandwidth order regardless of
 /// scheduling.
@@ -127,29 +127,14 @@ pub fn sweep_traces_threaded(
     sweep_compiled_threaded(&orig_prog, &ovl_prog, base, bandwidths, threads)
 }
 
-/// [`sweep_traces`] over already-compiled programs — the entry point for
-/// callers (the session layer) that cache [`CompiledTrace`]s and replay
-/// them many times without re-paying validation or compilation.
+/// [`sweep_traces`] over already-compiled programs with an explicit
+/// worker cap — the entry point for callers (the session layer) that cache
+/// [`CompiledTrace`]s and replay them many times without re-paying
+/// validation or compilation.
 ///
 /// # Errors
 ///
-/// Propagates replay errors and rejects a malformed `OVLSIM_THREADS`.
-pub fn sweep_compiled(
-    orig_prog: &CompiledTrace,
-    ovl_prog: &CompiledTrace,
-    base: &Platform,
-    bandwidths: &[Bandwidth],
-) -> Result<Vec<SweepPoint>, LabError> {
-    sweep_compiled_threaded(
-        orig_prog,
-        ovl_prog,
-        base,
-        bandwidths,
-        par::configured_threads()?,
-    )
-}
-
-/// [`sweep_compiled`] with an explicit worker cap.
+/// Propagates replay errors.
 #[doc(hidden)]
 pub fn sweep_compiled_threaded(
     orig_prog: &CompiledTrace,
@@ -216,10 +201,9 @@ impl NodePackingPoint {
 /// domain. The traces are validated and **compiled** once
 /// ([`compile_trace`]); every point executes the shared program via
 /// [`Simulator::run_compiled`] (the program depends only on the trace,
-/// never on where ranks live — routing is re-derived per run), and with
-/// the `parallel` feature the points fan out across threads with
-/// byte-identical, grid-ordered results (`ranks_per_node` major,
-/// intra-bandwidth minor).
+/// never on where ranks live — routing is re-derived per run), and the
+/// points fan out across threads with byte-identical, grid-ordered
+/// results (`ranks_per_node` major, intra-bandwidth minor).
 ///
 /// # Errors
 ///
@@ -280,129 +264,6 @@ pub fn sweep_node_packing_threaded(
         return grid.iter().map(point_at).collect();
     }
     par::par_map_with(&grid, threads, point_at)
-        .into_iter()
-        .collect()
-}
-
-/// One measurement of original vs overlapped under a given OS-noise
-/// level.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NoisePoint {
-    /// OS-noise level of this measurement's perturbation model.
-    pub noise_level: f64,
-    /// Makespan of the original (non-overlapped) execution.
-    pub original: Time,
-    /// Makespan of the overlapped execution.
-    pub overlapped: Time,
-}
-
-impl NoisePoint {
-    /// Speedup of the overlapped over the original execution.
-    pub fn speedup(&self) -> f64 {
-        speedup_of(self.original, self.overlapped)
-    }
-}
-
-/// Overlap-gain retention of each point relative to the first: `(speedup
-/// − 1) / (speedup₀ − 1)`. Callers put the clean (zero-noise) point
-/// first; a baseline without gain retains 1.0 by convention (there is
-/// nothing to lose). Empty input gives an empty vec.
-pub fn noise_retention(points: &[NoisePoint]) -> Vec<f64> {
-    let Some(base) = points.first() else {
-        return Vec::new();
-    };
-    let base_gain = base.speedup() - 1.0;
-    points
-        .iter()
-        .map(|p| {
-            if base_gain <= 0.0 {
-                1.0
-            } else {
-                (p.speedup() - 1.0) / base_gain
-            }
-        })
-        .collect()
-}
-
-/// Replays two traces under a sweep of OS-noise levels on a fixed
-/// platform — the "how much of the overlap win survives a realistic
-/// machine" axis.
-///
-/// Each level extends `model` (which may already carry stragglers,
-/// heterogeneous nodes, link effects or faults) with
-/// [`PerturbationModel::with_noise`]. The traces are validated and
-/// **compiled** exactly once ([`compile_trace`]): perturbation factors
-/// are applied at replay time, never baked into the shared
-/// [`CompiledTrace`], so one flat program serves every noise level. With
-/// the `parallel` feature the levels fan out across threads with
-/// byte-identical, level-ordered results.
-///
-/// # Errors
-///
-/// Rejects a non-finite or negative noise level
-/// ([`LabError::Core`]), and propagates validation, compilation and
-/// replay errors plus a malformed `OVLSIM_THREADS`.
-pub fn sweep_noise(
-    original: &TraceSet,
-    overlapped: &TraceSet,
-    base: &Platform,
-    model: &PerturbationModel,
-    noise_levels: &[f64],
-) -> Result<Vec<NoisePoint>, LabError> {
-    sweep_noise_threaded(
-        original,
-        overlapped,
-        base,
-        model,
-        noise_levels,
-        par::configured_threads()?,
-    )
-}
-
-/// [`sweep_noise`] with an explicit worker cap (exposed for the
-/// sequential-equivalence tests).
-#[doc(hidden)]
-pub fn sweep_noise_threaded(
-    original: &TraceSet,
-    overlapped: &TraceSet,
-    base: &Platform,
-    model: &PerturbationModel,
-    noise_levels: &[f64],
-    threads: usize,
-) -> Result<Vec<NoisePoint>, LabError> {
-    // Compile once: perturbations act at replay time, so the flat
-    // programs are shared by every level.
-    let orig_prog = compile_trace(original)?;
-    let ovl_prog = compile_trace(overlapped)?;
-    // Validate every level up front so the parallel path cannot observe
-    // a partially-swept error set.
-    let platforms: Result<Vec<(f64, Platform)>, LabError> = noise_levels
-        .iter()
-        .map(|&level| {
-            let m = model.clone().with_noise(level)?;
-            let platform = if m.is_identity() {
-                base.clone()
-            } else {
-                base.with_perturbation(m)
-            };
-            Ok((level, platform))
-        })
-        .collect();
-    let platforms = platforms?;
-    let point_at = |(level, platform): &(f64, Platform)| -> Result<NoisePoint, LabError> {
-        let sim = Simulator::new(platform.clone());
-        let orig = sim.run_compiled(&orig_prog)?;
-        let ovl = sim.run_compiled(&ovl_prog)?;
-        Ok(NoisePoint {
-            noise_level: *level,
-            original: orig.total_time(),
-            overlapped: ovl.total_time(),
-        })
-    };
-    if threads <= 1 {
-        return platforms.iter().map(point_at).collect();
-    }
-    par::par_map_with(&platforms, threads, point_at)
         .into_iter()
         .collect()
 }
@@ -558,76 +419,6 @@ mod tests {
             .unwrap();
             assert_eq!(seq, par, "node-packing sweep diverged at {threads} threads");
         }
-    }
-
-    #[test]
-    fn noise_sweep_shares_one_compiled_program_across_levels() {
-        let app = Synthetic::builder()
-            .ranks(4)
-            .compute_instr(300_000)
-            .message_bytes(131_072)
-            .production(ProductionShape::Spread)
-            .iterations(2)
-            .build()
-            .unwrap();
-        let bundle = TracingSession::new(&app).run().unwrap();
-        let overlapped = bundle.overlapped_linear();
-        let base = ovlsim_apps::calibration::reference_platform();
-        let model = PerturbationModel::new(42);
-        let levels = [0.0, 0.1, 0.4];
-        let points = sweep_noise(bundle.original(), &overlapped, &base, &model, &levels).unwrap();
-        assert_eq!(points.len(), 3);
-        // Level 0 with an otherwise-identity model is the clean replay.
-        let clean =
-            sweep_traces(bundle.original(), &overlapped, &base, &[base.bandwidth()]).unwrap();
-        assert_eq!(points[0].original, clean[0].original);
-        assert_eq!(points[0].overlapped, clean[0].overlapped);
-        // More noise never shrinks the makespan (stretches are >= 1).
-        for w in points.windows(2) {
-            assert!(w[1].original >= w[0].original);
-        }
-        assert!(points[2].original > points[0].original, "noise must bite");
-        // Retention is 1 at the baseline and finite everywhere.
-        let retention = noise_retention(&points);
-        assert_eq!(retention[0], 1.0);
-        assert!(retention.iter().all(|r| r.is_finite()));
-        assert!(noise_retention(&[]).is_empty());
-    }
-
-    #[test]
-    fn parallel_noise_sweep_is_byte_identical_to_sequential() {
-        let app = Synthetic::builder()
-            .ranks(4)
-            .compute_instr(100_000)
-            .message_bytes(65_536)
-            .iterations(2)
-            .build()
-            .unwrap();
-        let bundle = TracingSession::new(&app).run().unwrap();
-        let overlapped = bundle.overlapped_linear();
-        let base = ovlsim_apps::calibration::reference_platform();
-        let model = PerturbationModel::new(7)
-            .with_stragglers(&[1], 1.5)
-            .unwrap()
-            .with_link_degradation(0.2)
-            .unwrap();
-        let levels = [0.0, 0.05, 0.15, 0.3];
-        let seq = sweep_noise_threaded(bundle.original(), &overlapped, &base, &model, &levels, 1)
-            .unwrap();
-        for threads in [2, 4] {
-            let par = sweep_noise_threaded(
-                bundle.original(),
-                &overlapped,
-                &base,
-                &model,
-                &levels,
-                threads,
-            )
-            .unwrap();
-            assert_eq!(seq, par, "noise sweep diverged at {threads} threads");
-        }
-        // Bad levels are rejected up front.
-        assert!(sweep_noise(bundle.original(), &overlapped, &base, &model, &[-0.1]).is_err());
     }
 
     #[test]

@@ -34,7 +34,7 @@ use ovlsim_dimemas::{replay_naive, Simulator};
 use ovlsim_tracer::{OverlapPlan, TraceBundle, TUNING_SCALE};
 
 use crate::attribution::Attribution;
-use crate::campaign::Engine;
+use crate::campaign::{json_escape, Engine};
 use crate::error::LabError;
 use crate::par;
 use crate::pipeline::ArtifactPipeline;
@@ -141,7 +141,7 @@ impl TuneReport {
              \"engine\":\"{}\",\"channels\":{},\"original_ps\":{},\
              \"linear_ps\":{},\"best_ps\":{},\"speedup_vs_linear\":{},\
              \"best_plan\":\"{}\",\"steps\":[",
-            self.app,
+            json_escape(&self.app),
             self.seed,
             self.budget,
             self.engine,
@@ -150,7 +150,7 @@ impl TuneReport {
             self.linear.as_ps(),
             self.best.as_ps(),
             self.speedup_vs_linear(),
-            plan,
+            json_escape(&plan),
         );
         for (i, s) in self.steps.iter().enumerate() {
             let sep = if i + 1 == self.steps.len() { "" } else { "," };
@@ -159,7 +159,7 @@ impl TuneReport {
                 "{{\"iter\":{},\"mutation\":\"{}\",\"makespan_ps\":{},\
                  \"accepted\":{},\"best_ps\":{}}}{sep}",
                 s.iter,
-                s.mutation,
+                json_escape(&s.mutation),
                 s.makespan.as_ps(),
                 s.accepted,
                 s.best.as_ps(),

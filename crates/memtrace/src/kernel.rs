@@ -73,16 +73,6 @@ impl Kernel {
         KernelBuilder::default()
     }
 
-    /// A kernel with a single access-free phase (opaque compute).
-    pub fn opaque(instr: Instr) -> Kernel {
-        Kernel {
-            phases: vec![Phase {
-                instr,
-                accesses: Vec::new(),
-            }],
-        }
-    }
-
     /// The phases in execution order.
     pub fn phases(&self) -> &[Phase] {
         &self.phases
@@ -91,11 +81,6 @@ impl Kernel {
     /// Total instruction cost over all phases.
     pub fn total_instr(&self) -> Instr {
         self.phases.iter().map(|p| p.instr).sum()
-    }
-
-    /// True if the kernel has no phases.
-    pub fn is_empty(&self) -> bool {
-        self.phases.is_empty()
     }
 }
 
@@ -182,16 +167,6 @@ mod tests {
     fn access_without_phase_panics() {
         let _ =
             Kernel::builder().access(BufferId::new(0), AccessKind::Read, IndexPattern::Sequential);
-    }
-
-    #[test]
-    fn opaque_kernel() {
-        let k = Kernel::opaque(Instr::new(500));
-        assert_eq!(k.total_instr(), Instr::new(500));
-        assert_eq!(k.phases().len(), 1);
-        assert!(k.phases()[0].accesses.is_empty());
-        assert!(!k.is_empty());
-        assert!(Kernel::default().is_empty());
     }
 
     #[test]

@@ -94,11 +94,6 @@ impl ProductionProfile {
         self.0.elem_bytes
     }
 
-    /// Number of elements.
-    pub fn element_count(&self) -> usize {
-        self.0.elements
-    }
-
     /// Buffer size in bytes.
     pub fn byte_len(&self) -> u64 {
         self.0.byte_len()
@@ -181,11 +176,6 @@ impl ConsumptionProfile {
         self.0.elem_bytes
     }
 
-    /// Number of elements.
-    pub fn element_count(&self) -> usize {
-        self.0.elements
-    }
-
     /// Buffer size in bytes.
     pub fn byte_len(&self) -> u64 {
         self.0.byte_len()
@@ -231,7 +221,6 @@ mod tests {
         assert_eq!(p.ready_at(8..16), Instr::new(30));
         assert_eq!(p.fully_ready_at(), Instr::new(40));
         assert_eq!(p.byte_len(), 16);
-        assert_eq!(p.element_count(), 4);
     }
 
     #[test]

@@ -153,21 +153,6 @@ impl MemTracer {
         &self.state(buf).info
     }
 
-    /// Fallible [`MemTracer::buffer_info`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RecorderError::UnregisteredBuffer`] if `buf` was not
-    /// registered with this recorder.
-    pub fn try_buffer_info(&self, buf: BufferId) -> Result<&BufferInfo, RecorderError> {
-        Ok(&self.try_state(buf)?.info)
-    }
-
-    /// Number of registered buffers.
-    pub fn buffer_count(&self) -> usize {
-        self.buffers.len()
-    }
-
     /// The current virtual instruction instant.
     pub fn now(&self) -> Instr {
         self.clock
@@ -374,7 +359,6 @@ mod tests {
         assert_eq!(mt.buffer_info(b).name(), "a");
         assert_eq!(mt.buffer_info(b).bytes(), 64);
         assert_eq!(mt.buffer_info(b).elem_bytes(), 8);
-        assert_eq!(mt.buffer_count(), 1);
     }
 
     #[test]
@@ -572,7 +556,6 @@ mod tests {
         let mut mt = MemTracer::new();
         let ghost = BufferId::new(3);
         let expected = RecorderError::UnregisteredBuffer { buf: ghost };
-        assert_eq!(mt.try_buffer_info(ghost).unwrap_err(), expected);
         assert_eq!(mt.try_snapshot_production(ghost).unwrap_err(), expected);
         assert_eq!(mt.try_snapshot_consumption(ghost).unwrap_err(), expected);
         assert_eq!(mt.try_reset_consumption(ghost).unwrap_err(), expected);
@@ -581,7 +564,6 @@ mod tests {
         assert!(msg.contains("not registered"), "got: {msg}");
         // A registered buffer goes through the fallible paths cleanly.
         let b = mt.register("a", 8, 4);
-        assert_eq!(mt.try_buffer_info(b).unwrap().elements(), 2);
         assert!(mt.try_snapshot_production(b).is_ok());
         assert!(mt.try_snapshot_consumption(b).is_ok());
         assert!(mt.try_reset_consumption(b).is_ok());

@@ -14,22 +14,18 @@
 //! * [`render_gantt`] — an ASCII Gantt chart for terminal-side qualitative
 //!   comparison,
 //! * [`StateProfile`]/[`compare`] — quantitative state breakdowns and
-//!   original-vs-overlapped comparison tables,
-//! * [`CommStats`] — per-pair traffic matrices and message-size
-//!   histograms.
+//!   original-vs-overlapped comparison tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cause;
-mod comms;
 mod gantt;
 mod profile;
 mod prv;
 mod timeline;
 
 pub use cause::{to_cause_pcf, to_cause_prv};
-pub use comms::CommStats;
 pub use gantt::{render_gantt, state_glyph, GanttOptions};
 pub use profile::{compare, StateProfile};
 pub use prv::{to_pcf, to_prv, to_row, MARKER_EVENT_TYPE};

@@ -135,11 +135,6 @@ impl Timeline {
         &self.markers
     }
 
-    /// Per-rank finish times.
-    pub fn finish_times(&self) -> &[Time] {
-        &self.finish
-    }
-
     /// The overall makespan (max finish time).
     pub fn span(&self) -> Time {
         self.finish.iter().copied().max().unwrap_or(Time::ZERO)

@@ -112,23 +112,7 @@ impl Json {
     }
 }
 
-/// Escapes a string for embedding in a JSON document (same escape set as
-/// the campaign report renderer).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use ovlsim_lab::campaign::json_escape as escape;
 
 struct Parser<'a> {
     bytes: &'a [u8],

@@ -127,8 +127,8 @@ impl TraceSource {
     }
 }
 
-/// The replay platform of a request, with the same defaults as the CLI's
-/// `[bytes-per-sec] [latency-us]` arguments (250e6 bytes/s, 5 us).
+/// The replay platform of a request, and of the CLI's `[bytes-per-sec]
+/// [latency-us]` arguments (defaults 250e6 bytes/s, 5 us).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PlatformSpec {
     /// Inter-node bandwidth in bytes/s (default 250e6).
@@ -152,8 +152,8 @@ impl PlatformSpec {
     }
 }
 
-/// Deterministic perturbation settings of a request — the request-API
-/// mirror of the CLI's `--seed/--noise/--stragglers/--faults` flags.
+/// Deterministic perturbation settings of a request, and of the CLI's
+/// `--seed/--noise/--stragglers/--faults` flags.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PerturbSpec {
     /// Perturbation seed (default 0).

@@ -185,22 +185,10 @@ impl ArtifactStore {
         self.bundles.get_or_build(key, || None, build)
     }
 
-    /// The trace variant for `key`, building it at most once.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the builder's error (the slot stays empty).
-    pub fn trace<E>(
-        &self,
-        key: Digest,
-        build: impl FnOnce() -> Result<TraceSet, E>,
-    ) -> Result<Arc<TraceSet>, E> {
-        self.traces.get_or_build(key, || None, build)
-    }
-
-    /// [`ArtifactStore::trace`] with a persistent-storage load hook:
-    /// an empty slot asks `load` first (counted as a load, not a build)
-    /// and only falls back to `build` on a storage miss.
+    /// The trace variant for `key`, building it at most once. An empty
+    /// slot asks the persistent-storage hook `load` first (counted as a
+    /// load, not a build) and only falls back to `build` on a storage
+    /// miss.
     ///
     /// # Errors
     ///
@@ -237,21 +225,9 @@ impl ArtifactStore {
         self.indexes.get_or_build(key, || None, build)
     }
 
-    /// The compiled replay program for `key`, building it at most once.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the builder's error (the slot stays empty).
-    pub fn program<E>(
-        &self,
-        key: Digest,
-        build: impl FnOnce() -> Result<CompiledTrace, E>,
-    ) -> Result<Arc<CompiledTrace>, E> {
-        self.programs.get_or_build(key, || None, build)
-    }
-
-    /// [`ArtifactStore::program`] with a persistent-storage load hook
-    /// (see [`ArtifactStore::trace_with`]).
+    /// The compiled replay program for `key`, building it at most once,
+    /// with a persistent-storage load hook (see
+    /// [`ArtifactStore::trace_with`]).
     ///
     /// # Errors
     ///
@@ -311,10 +287,14 @@ mod tests {
         let built = AtomicUsize::new(0);
         for _ in 0..3 {
             let t = store
-                .trace::<Infallible>(key(1), || {
-                    built.fetch_add(1, Ordering::Relaxed);
-                    Ok(tiny_trace("a"))
-                })
+                .trace_with::<Infallible>(
+                    key(1),
+                    || None,
+                    || {
+                        built.fetch_add(1, Ordering::Relaxed);
+                        Ok(tiny_trace("a"))
+                    },
+                )
                 .unwrap();
             assert_eq!(t.name(), "a");
         }
@@ -333,10 +313,10 @@ mod tests {
     #[test]
     fn failed_build_is_retried() {
         let store = ArtifactStore::new();
-        let r = store.trace(key(2), || Err("boom"));
+        let r = store.trace_with(key(2), || None, || Err("boom"));
         assert_eq!(r.unwrap_err(), "boom");
         let t = store
-            .trace::<Infallible>(key(2), || Ok(tiny_trace("b")))
+            .trace_with::<Infallible>(key(2), || None, || Ok(tiny_trace("b")))
             .unwrap();
         assert_eq!(t.name(), "b");
         assert_eq!(
@@ -383,13 +363,17 @@ mod tests {
             for _ in 0..8 {
                 s.spawn(|| {
                     store
-                        .trace::<Infallible>(key(3), || {
-                            built.fetch_add(1, Ordering::Relaxed);
-                            // Widen the race window: the slot lock must
-                            // still serialize to exactly one build.
-                            std::thread::sleep(std::time::Duration::from_millis(5));
-                            Ok(tiny_trace("c"))
-                        })
+                        .trace_with::<Infallible>(
+                            key(3),
+                            || None,
+                            || {
+                                built.fetch_add(1, Ordering::Relaxed);
+                                // Widen the race window: the slot lock must
+                                // still serialize to exactly one build.
+                                std::thread::sleep(std::time::Duration::from_millis(5));
+                                Ok(tiny_trace("c"))
+                            },
+                        )
                         .unwrap();
                 });
             }
@@ -404,11 +388,15 @@ mod tests {
     fn stats_render_deterministic_json() {
         let store = ArtifactStore::new();
         store
-            .program::<Infallible>(key(4), || {
-                let t = tiny_trace("d");
-                let i = TraceIndex::build(&t).unwrap();
-                Ok(CompiledTrace::compile(&t, &i).unwrap())
-            })
+            .program_with::<Infallible>(
+                key(4),
+                || None,
+                || {
+                    let t = tiny_trace("d");
+                    let i = TraceIndex::build(&t).unwrap();
+                    Ok(CompiledTrace::compile(&t, &i).unwrap())
+                },
+            )
             .unwrap();
         let json = store.stats().to_json();
         assert!(json.contains("\"programs\":{\"hits\":0,\"loads\":0,\"builds\":1}"));

@@ -170,11 +170,6 @@ impl TraceContext {
         self.mem.register(name, bytes, elem_bytes)
     }
 
-    /// Size in bytes of a registered buffer.
-    pub fn buffer_bytes(&self, buf: BufferId) -> u64 {
-        self.mem.buffer_info(buf).bytes()
-    }
-
     /// Executes `instr` instructions of opaque computation (no tracked
     /// buffer is touched).
     pub fn compute(&mut self, instr: Instr) {

@@ -83,10 +83,7 @@ use std::sync::Arc;
 use ovlsim::apps::registry;
 use ovlsim::apps::ProblemClass;
 use ovlsim::core::codec;
-use ovlsim::core::{
-    format_bytes, format_time, validate_trace_set, PerturbationModel, Platform, Rank, Time,
-    TraceSet,
-};
+use ovlsim::core::{format_bytes, format_time, validate_trace_set, Platform, Rank, Time, TraceSet};
 use ovlsim::dimemas::{emit_trace_set, parse_trace_set, SimError};
 use ovlsim::lab::campaign::{diff_reports, CampaignSpec, Engine};
 use ovlsim::lab::{
@@ -94,7 +91,7 @@ use ovlsim::lab::{
     LabError, TuneOptions,
 };
 use ovlsim::paraver::{render_gantt, to_cause_pcf, to_cause_prv, to_row, GanttOptions, Timeline};
-use ovlsim::session::{Server, Session, TraceSource};
+use ovlsim::session::{PerturbSpec, PlatformSpec, Server, Session, SessionError, TraceSource};
 use ovlsim::tracer::TracingSession;
 
 /// The one version string: `--version` prints it and `serve` reports it
@@ -162,76 +159,50 @@ fn open_session(cache_dir: Option<&Path>) -> Result<Session, String> {
     }
 }
 
-/// Deterministic perturbation flags shared by `campaign run`,
-/// `trace replay` and `analyze`.
-#[derive(Default)]
-struct PerturbFlags {
-    seed: Option<u64>,
-    noise: Option<f64>,
-    stragglers: Option<(f64, Vec<u32>)>,
-    faults: Option<(u64, u64)>,
+/// A rejected platform or perturbation setting, printed as its bare
+/// domain message.
+fn bad_setting(e: SessionError) -> String {
+    match e {
+        SessionError::BadRequest(msg) => msg,
+        other => other.to_string(),
+    }
 }
 
-impl PerturbFlags {
-    fn given(&self) -> bool {
-        self.seed.is_some()
-            || self.noise.is_some()
-            || self.stragglers.is_some()
-            || self.faults.is_some()
+fn parse_stragglers(v: &str) -> Result<(f64, Vec<u32>), String> {
+    let bad = || format!("bad --stragglers `{v}`: want <slowdown>:<rank>,<rank>,...");
+    let (slow, ranks) = v.split_once(':').ok_or_else(bad)?;
+    let slowdown: f64 = slow.parse().map_err(|_| bad())?;
+    let ranks: Vec<u32> = ranks
+        .split(',')
+        .map(|r| r.parse::<u32>().map_err(|_| bad()))
+        .collect::<Result<_, _>>()?;
+    if ranks.is_empty() {
+        return Err(bad());
     }
+    Ok((slowdown, ranks))
+}
 
-    fn parse_stragglers(v: &str) -> Result<(f64, Vec<u32>), String> {
-        let bad = || format!("bad --stragglers `{v}`: want <slowdown>:<rank>,<rank>,...");
-        let (slow, ranks) = v.split_once(':').ok_or_else(bad)?;
-        let slowdown: f64 = slow.parse().map_err(|_| bad())?;
-        let ranks: Vec<u32> = ranks
-            .split(',')
-            .map(|r| r.parse::<u32>().map_err(|_| bad()))
-            .collect::<Result<_, _>>()?;
-        if ranks.is_empty() {
-            return Err(bad());
-        }
-        Ok((slowdown, ranks))
-    }
+fn parse_faults(v: &str) -> Result<(u64, u64), String> {
+    let bad = || format!("bad --faults `{v}`: want <period-us>:<downtime-us>");
+    let (period, down) = v.split_once(':').ok_or_else(bad)?;
+    Ok((
+        period.parse().map_err(|_| bad())?,
+        down.parse().map_err(|_| bad())?,
+    ))
+}
 
-    fn parse_faults(v: &str) -> Result<(u64, u64), String> {
-        let bad = || format!("bad --faults `{v}`: want <period-us>:<downtime-us>");
-        let (period, down) = v.split_once(':').ok_or_else(bad)?;
-        Ok((
-            period.parse().map_err(|_| bad())?,
-            down.parse().map_err(|_| bad())?,
-        ))
+/// `<dir>/<stem>.<suffix>` for an output file named after data (a
+/// campaign, trace or app name). A stem that is empty, `.` or `..`, or
+/// that holds a path separator, could name a file outside `dir` and is
+/// refused.
+fn out_path(dir: &Path, stem: &str, suffix: &str) -> Result<PathBuf, String> {
+    if matches!(stem, "" | "." | "..") || stem.contains(['/', '\\']) {
+        return Err(format!(
+            "output name `{stem}` is not a plain file name; refusing to write outside {}",
+            dir.display()
+        ));
     }
-
-    /// Builds the model the flags describe (the identity when none were
-    /// given), surfacing the core domain errors as CLI messages.
-    fn model(&self) -> Result<PerturbationModel, String> {
-        let mut m = PerturbationModel::new(self.seed.unwrap_or(0));
-        if let Some(level) = self.noise {
-            m = m.with_noise(level).map_err(|e| e.to_string())?;
-        }
-        if let Some((slowdown, ranks)) = &self.stragglers {
-            m = m
-                .with_stragglers(ranks, *slowdown)
-                .map_err(|e| e.to_string())?;
-        }
-        if let Some((period, down)) = self.faults {
-            m = m
-                .with_faults(Time::from_us(period), Time::from_us(down))
-                .map_err(|e| e.to_string())?;
-        }
-        Ok(m)
-    }
-
-    /// Applies the flag model to a platform (no-op for the identity).
-    fn perturb(&self, platform: Platform) -> Result<Platform, String> {
-        let model = self.model()?;
-        if model.is_identity() {
-            Ok(platform)
-        } else {
-            Ok(platform.with_perturbation(model))
-        }
-    }
+    Ok(dir.join(format!("{stem}.{suffix}")))
 }
 
 fn read(path: &str) -> Result<String, String> {
@@ -248,15 +219,17 @@ fn cmd_campaign_run(
     spec_path: &str,
     out_dir: &Path,
     csv: bool,
-    perturb: &PerturbFlags,
+    perturb: &PerturbSpec,
     cache_dir: Option<&Path>,
     force_engine: Option<Engine>,
 ) -> Result<(), String> {
     let mut spec = load_spec(spec_path)?;
+    let json_path = out_path(out_dir, &spec.name, "report.json")?;
+    let csv_path = out_path(out_dir, &spec.name, "report.csv")?;
     spec.force_engine = force_engine;
     // Domain-check the flag values through the model builders before
     // splicing them into the spec's perturbation axes.
-    perturb.model()?;
+    perturb.model().map_err(bad_setting)?;
     if let Some(seed) = perturb.seed {
         spec.noise_seed = seed;
     }
@@ -274,7 +247,6 @@ fn cmd_campaign_run(
         .run_campaign(&spec)
         .map_err(|e| format!("{spec_path}: {e}"))?;
     fs::create_dir_all(out_dir).map_err(|e| format!("create {}: {e}", out_dir.display()))?;
-    let json_path = out_dir.join(format!("{}.report.json", report.campaign));
     fs::write(&json_path, report.to_json())
         .map_err(|e| format!("write {}: {e}", json_path.display()))?;
     outln!(
@@ -284,7 +256,6 @@ fn cmd_campaign_run(
         json_path.display()
     );
     if csv {
-        let csv_path = out_dir.join(format!("{}.report.csv", report.campaign));
         fs::write(&csv_path, report.to_csv())
             .map_err(|e| format!("write {}: {e}", csv_path.display()))?;
         outln!("              csv -> {}", csv_path.display());
@@ -564,29 +535,31 @@ fn cmd_trace_validate(path: &str) -> Result<(), String> {
     }
 }
 
-/// Builds the platform shared by `trace replay` and `analyze` from their
-/// optional `[bytes-per-sec] [latency-us]` arguments (defaults: 250e6,
-/// 5 us) — one parser so the two subcommands can never simulate
-/// different platforms for the same arguments.
+/// The platform of `trace replay`, `analyze` and `tune` from their
+/// optional `[bytes-per-sec] [latency-us]` arguments, built by the same
+/// [`PlatformSpec`] (and so with the same defaults) as a serve request.
 fn parse_platform(bw: Option<&str>, lat: Option<&str>) -> Result<Platform, String> {
-    let bw: f64 = bw.unwrap_or("250e6").parse().map_err(|_| "bad bandwidth")?;
-    let lat: u64 = lat.unwrap_or("5").parse().map_err(|_| "bad latency")?;
-    let mut b = Platform::builder();
-    b.latency(Time::from_us(lat))
-        .bandwidth_bytes_per_sec(bw)
-        .map_err(|e| e.to_string())?;
-    Ok(b.build())
+    let spec = PlatformSpec {
+        bandwidth: bw
+            .map(str::parse)
+            .transpose()
+            .map_err(|_| "bad bandwidth")?,
+        latency_us: lat.map(str::parse).transpose().map_err(|_| "bad latency")?,
+    };
+    spec.build().map_err(bad_setting)
 }
 
 fn cmd_trace_replay(
     path: &str,
     bw: Option<&str>,
     lat: Option<&str>,
-    perturb: &PerturbFlags,
+    perturb: &PerturbSpec,
     engine: Option<Engine>,
 ) -> Result<(), String> {
     let trace = load_trace(path)?;
-    let platform = perturb.perturb(parse_platform(bw, lat)?)?;
+    let platform = perturb
+        .apply(parse_platform(bw, lat)?)
+        .map_err(bad_setting)?;
     let (timeline, result) = Timeline::capture(&platform, &trace).map_err(|e| e.to_string())?;
     // `--engine` reruns the replay on the named engine and prints *its*
     // result. The engines are bit-identical by contract, so the output is
@@ -632,7 +605,7 @@ fn cmd_analyze(
     out_dir: &Path,
     csv: bool,
     prv: bool,
-    perturb: &PerturbFlags,
+    perturb: &PerturbSpec,
     cache_dir: Option<&Path>,
 ) -> Result<(), String> {
     let session = open_session(cache_dir)?;
@@ -642,7 +615,9 @@ fn cmd_analyze(
         ovlsim::session::SessionError::Decode(de) => format!("{path}: {de}"),
         other => format!("{path}: {other}"),
     })?;
-    let platform = perturb.perturb(parse_platform(bw, lat)?)?;
+    let platform = perturb
+        .apply(parse_platform(bw, lat)?)
+        .map_err(bad_setting)?;
     let index = ArtifactPipeline::index(&session, &trace).map_err(|e| match e {
         LabError::Sim(SimError::InvalidTrace { issues }) => {
             for issue in &issues {
@@ -655,16 +630,13 @@ fn cmd_analyze(
     let (attr, recorder) =
         Attribution::analyze_with_recorder(&platform, &trace, &index).map_err(|e| e.to_string())?;
 
-    fs::create_dir_all(out_dir).map_err(|e| format!("create {}: {e}", out_dir.display()))?;
-    let write_out = |name: String, content: String| -> Result<PathBuf, String> {
-        let p = out_dir.join(name);
+    let write_out = |suffix: &str, content: String| -> Result<PathBuf, String> {
+        let p = out_path(out_dir, attr.trace_name(), suffix)?;
+        fs::create_dir_all(out_dir).map_err(|e| format!("create {}: {e}", out_dir.display()))?;
         fs::write(&p, content).map_err(|e| format!("write {}: {e}", p.display()))?;
         Ok(p)
     };
-    let json_path = write_out(
-        format!("{}.analysis.json", attr.trace_name()),
-        attr.to_json(),
-    )?;
+    let json_path = write_out("analysis.json", attr.to_json())?;
     outln!(
         "analysis {}: {} ranks, {} channels -> {}",
         attr.trace_name(),
@@ -673,7 +645,7 @@ fn cmd_analyze(
         json_path.display()
     );
     if csv {
-        let p = write_out(format!("{}.analysis.csv", attr.trace_name()), attr.to_csv())?;
+        let p = write_out("analysis.csv", attr.to_csv())?;
         outln!("              csv -> {}", p.display());
     }
     if prv {
@@ -684,12 +656,9 @@ fn cmd_analyze(
                 .map(move |iv| (Rank::new(r as u32), iv.start, iv.end, iv.cause))
         });
         let prv_body = to_cause_prv(trace.rank_count(), attr.makespan(), intervals);
-        let p = write_out(format!("{}.cause.prv", attr.trace_name()), prv_body)?;
-        write_out(format!("{}.cause.pcf", attr.trace_name()), to_cause_pcf())?;
-        write_out(
-            format!("{}.cause.row", attr.trace_name()),
-            to_row(trace.rank_count()),
-        )?;
+        let p = write_out("cause.prv", prv_body)?;
+        write_out("cause.pcf", to_cause_pcf())?;
+        write_out("cause.row", to_row(trace.rank_count()))?;
         outln!("              paraver cause timeline -> {}", p.display());
     }
 
@@ -768,8 +737,9 @@ fn cmd_tune(
         })?;
         run_tune_baseline(&session, &trace, &platform, &opts).map_err(|e| e.to_string())?
     };
+    let json_path = out_path(out_dir, &report.app, "tune.json")?;
+    let csv_path = out_path(out_dir, &report.app, "tune.csv")?;
     fs::create_dir_all(out_dir).map_err(|e| format!("create {}: {e}", out_dir.display()))?;
-    let json_path = out_dir.join(format!("{}.tune.json", report.app));
     fs::write(&json_path, report.to_json())
         .map_err(|e| format!("write {}: {e}", json_path.display()))?;
     outln!(
@@ -780,7 +750,6 @@ fn cmd_tune(
         json_path.display()
     );
     if csv {
-        let csv_path = out_dir.join(format!("{}.tune.csv", report.app));
         fs::write(&csv_path, report.to_csv())
             .map_err(|e| format!("write {}: {e}", csv_path.display()))?;
         outln!("              csv -> {}", csv_path.display());
@@ -830,7 +799,7 @@ fn main() -> ExitCode {
     let mut flags_given = false;
     let mut port: Option<u16> = None;
     let mut cache_dir: Option<PathBuf> = None;
-    let mut perturb = PerturbFlags::default();
+    let mut perturb = PerturbSpec::default();
     let mut engine: Option<Engine> = None;
     let mut force_engine: Option<Engine> = None;
     let mut budget: Option<usize> = None;
@@ -889,7 +858,7 @@ fn main() -> ExitCode {
                 Some(level) => perturb.noise = Some(level),
                 None => return usage(),
             },
-            "--stragglers" => match it.next().map(PerturbFlags::parse_stragglers) {
+            "--stragglers" => match it.next().map(parse_stragglers) {
                 Some(Ok(stragglers)) => perturb.stragglers = Some(stragglers),
                 Some(Err(e)) => {
                     eprintln!("error: {e}");
@@ -905,7 +874,7 @@ fn main() -> ExitCode {
                 Ok(e) => force_engine = Some(e),
                 Err(code) => return code,
             },
-            "--faults" => match it.next().map(PerturbFlags::parse_faults) {
+            "--faults" => match it.next().map(parse_faults) {
                 Some(Ok(faults)) => perturb.faults = Some(faults),
                 Some(Err(e)) => {
                     eprintln!("error: {e}");

@@ -33,31 +33,40 @@ fn default_platform() -> Platform {
     b.build()
 }
 
+/// The clean run, and a seeded noisy, straggling, faulty run, reproduce
+/// their committed goldens.
 #[test]
 fn analyze_output_matches_committed_goldens() {
-    let dir = scratch_dir("golden");
-    let out = Command::new(env!("CARGO_BIN_EXE_ovlsim"))
-        .arg("analyze")
-        .arg(repo_path("examples/traces/nas-bt-mini.original.dim"))
-        .arg("--out")
-        .arg(&dir)
-        .arg("--csv")
-        .output()
-        .expect("ovlsim runs");
-    assert!(out.status.success(), "analyze failed: {out:?}");
-    for name in [
-        "nas-bt.original.analysis.json",
-        "nas-bt.original.analysis.csv",
-    ] {
-        let golden = std::fs::read(repo_path(&format!("examples/analysis/golden/{name}")))
-            .expect("golden is committed");
-        let actual = std::fs::read(dir.join(name)).expect("report written");
-        assert!(
-            golden == actual,
-            "{name} drifted from the committed golden (regenerate with \
-             `ovlsim analyze examples/traces/nas-bt-mini.original.dim \
-             --out examples/analysis/golden --csv` if the change is intended)"
-        );
+    let perturbed: Vec<&str> = "--seed 42 --noise 0.15 --stragglers 1.5:1 --faults 400:40"
+        .split(' ')
+        .collect();
+    for (goldens, flags) in [("golden", &[][..]), ("golden-noisy", &perturbed[..])] {
+        let dir = scratch_dir(goldens);
+        let out = Command::new(env!("CARGO_BIN_EXE_ovlsim"))
+            .arg("analyze")
+            .arg(repo_path("examples/traces/nas-bt-mini.original.dim"))
+            .arg("--out")
+            .arg(&dir)
+            .arg("--csv")
+            .args(flags)
+            .output()
+            .expect("ovlsim runs");
+        assert!(out.status.success(), "analyze failed: {out:?}");
+        for name in [
+            "nas-bt.original.analysis.json",
+            "nas-bt.original.analysis.csv",
+        ] {
+            let golden = std::fs::read(repo_path(&format!("examples/analysis/{goldens}/{name}")))
+                .expect("golden is committed");
+            let actual = std::fs::read(dir.join(name)).expect("report written");
+            assert!(
+                golden == actual,
+                "{goldens}/{name} drifted from the committed golden (regenerate with \
+                 `ovlsim analyze examples/traces/nas-bt-mini.original.dim \
+                 --out examples/analysis/{goldens} --csv {}` if the change is intended)",
+                flags.join(" ")
+            );
+        }
     }
 }
 

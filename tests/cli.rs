@@ -340,6 +340,99 @@ fn exit_codes_distinguish_usage_from_runtime_failures() {
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.starts_with("error: "), "{stderr}");
+
+    // Out-of-domain perturbation and platform values print exactly
+    // these lines.
+    let root = env!("CARGO_MANIFEST_DIR");
+    let mini = format!("{root}/examples/traces/nas-bt-mini.original.dim");
+    let noise = format!("{root}/examples/campaigns/noise.campaign");
+    let out_dir = scratch_dir("bad-values");
+    let out_dir = out_dir.to_str().unwrap();
+    for (args, line) in [
+        (
+            ["analyze", &mini, "--noise", "-1", "--out", out_dir].as_slice(),
+            "perturbation parameter noise level is out of domain: -1",
+        ),
+        (
+            &[
+                "campaign", "run", &noise, "--faults", "10:20", "--out", out_dir,
+            ],
+            "perturbation parameter fault window is out of domain: 20000000",
+        ),
+        (&["trace", "replay", &mini, "abc"], "bad bandwidth"),
+        (
+            &["trace", "replay", &mini, "-5"],
+            "bandwidth must be finite and positive, got -5",
+        ),
+    ] {
+        let out = ovlsim().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("error: {line}\n")
+        );
+    }
+}
+
+/// The committed NAS-BT mini trace under another `name` header.
+fn renamed_mini_trace(dir: &Path, name: &str) -> String {
+    let text = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/traces/nas-bt-mini.original.dim"
+    ))
+    .unwrap();
+    let path = dir.join("renamed.dim");
+    std::fs::write(
+        &path,
+        text.replacen("name nas-bt.original", &format!("name {name}"), 1),
+    )
+    .unwrap();
+    path.to_str().unwrap().to_string()
+}
+
+/// A trace name is data: the tune report must escape it to stay JSON.
+#[test]
+fn tune_report_escapes_the_trace_name() {
+    let dir = scratch_dir("tune-escape");
+    let trace = renamed_mini_trace(&dir, "q\"uote");
+    let out_dir = dir.join("out");
+    let out = ovlsim()
+        .args(["tune", &trace, "--out", out_dir.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "tune failed: {out:?}");
+    let text = std::fs::read_to_string(out_dir.join("q\"uote.tune.json")).unwrap();
+    let json = ovlsim::session::Json::parse(&text).expect("tune report is valid JSON");
+    let app = json.get("tune").and_then(|t| t.get("app"));
+    assert_eq!(app.and_then(|a| a.as_str()), Some("q\"uote"));
+}
+
+/// Output files are named after data (campaign, trace and app names); a
+/// name that could leave `--out` is refused with one `error:` line and
+/// exit 1, before any file is written.
+#[test]
+fn output_names_cannot_leave_the_out_directory() {
+    let dir = scratch_dir("escape-out");
+    let out_dir = dir.join("out");
+    let _ = std::fs::remove_dir_all(&out_dir);
+    let out = out_dir.to_str().unwrap();
+    let spec = dir.join("escape.campaign");
+    std::fs::write(&spec, "campaign ../x\napps sweep3d\nbandwidths list 1e8\n").unwrap();
+    let refused = |args: &[&str]| {
+        let run = ovlsim().args(args).output().unwrap();
+        assert_eq!(run.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(!out_dir.exists(), "{args:?} created {}", out_dir.display());
+    };
+    refused(&["campaign", "run", spec.to_str().unwrap(), "--out", out]);
+    for name in ["../escaped", "..", "a\\b"] {
+        let trace = renamed_mini_trace(&dir, name);
+        refused(&["analyze", &trace, "--out", out, "--csv", "--prv"]);
+        refused(&["tune", &trace, "--out", out, "--csv"]);
+    }
+    assert!(!dir.join("escaped.analysis.json").exists() && !dir.join("x.report.json").exists());
 }
 
 /// Every replay engine is selectable from `trace replay --engine`, and —
