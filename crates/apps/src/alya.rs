@@ -186,8 +186,8 @@ impl Application for Alya {
 #[derive(Debug, Clone)]
 pub struct AlyaBuilder {
     class: ProblemClass,
-    ranks: usize,
-    iterations: usize,
+    pub(crate) ranks: usize,
+    pub(crate) iterations: usize,
     assembly_instr: u64,
     solve_instr: u64,
     degree: usize,

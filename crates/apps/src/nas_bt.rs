@@ -169,8 +169,8 @@ impl Application for NasBt {
 #[derive(Debug, Clone)]
 pub struct NasBtBuilder {
     class: ProblemClass,
-    ranks: usize,
-    iterations: usize,
+    pub(crate) ranks: usize,
+    pub(crate) iterations: usize,
     sweep_instr: u64,
     face_bytes: u64,
     pack_fraction: f64,

@@ -127,8 +127,8 @@ impl Application for NasCg {
 #[derive(Debug, Clone)]
 pub struct NasCgBuilder {
     class: ProblemClass,
-    ranks: usize,
-    iterations: usize,
+    pub(crate) ranks: usize,
+    pub(crate) iterations: usize,
     matvec_instr: u64,
     vector_bytes: u64,
     accumulate_fraction: f64,

@@ -175,8 +175,8 @@ impl Application for Pop {
 #[derive(Debug, Clone)]
 pub struct PopBuilder {
     class: ProblemClass,
-    ranks: usize,
-    iterations: usize,
+    pub(crate) ranks: usize,
+    pub(crate) iterations: usize,
     baroclinic_instr: u64,
     baroclinic_halo_bytes: u64,
     barotropic_iters: usize,

@@ -28,13 +28,39 @@ pub struct AppOverrides {
     pub iterations: Option<usize>,
 }
 
+/// The most ranks a generated application may have.
+const MAX_RANKS: usize = 4096;
+
+/// The most rank-iterations (ranks × iterations) a generated application
+/// may trace. Tracing time and memory grow with this product.
+const MAX_RANK_ITERATIONS: usize = 1 << 20;
+
+/// Refuses sizes whose tracing would exhaust time or memory, before any
+/// model is built.
+fn check_size(ranks: usize, iterations: usize) -> Result<(), AppConfigError> {
+    if ranks > MAX_RANKS {
+        return Err(AppConfigError::BadParameter {
+            name: "ranks",
+            requirement: "must be at most 4096",
+        });
+    }
+    if ranks.saturating_mul(iterations) > MAX_RANK_ITERATIONS {
+        return Err(AppConfigError::BadParameter {
+            name: "ranks x iterations",
+            requirement: "must be at most 1048576",
+        });
+    }
+    Ok(())
+}
+
 /// Builds a registered application by name at the given problem class.
 ///
 /// # Errors
 ///
 /// Returns [`AppConfigError::BadParameter`] for an unregistered name
-/// (listing the valid ones is the caller's job via [`APP_NAMES`]), or
-/// whatever the model's builder reports for invalid overrides.
+/// (listing the valid ones is the caller's job via [`APP_NAMES`]), for
+/// more than 4096 ranks or more than 2^20 ranks × iterations, or whatever
+/// the model's builder reports for invalid overrides.
 pub fn build_app(
     name: &str,
     class: ProblemClass,
@@ -50,6 +76,7 @@ pub fn build_app(
             if let Some(it) = overrides.iterations {
                 b.iterations(it);
             }
+            check_size(b.ranks, b.iterations)?;
             Ok(Box::new(b.build()?) as Box<dyn Application>)
         }};
     }
@@ -128,6 +155,28 @@ mod tests {
         .err()
         .expect("non-square rank count must not build");
         assert!(matches!(err, AppConfigError::BadRankCount { ranks: 7, .. }));
+    }
+
+    #[test]
+    fn oversized_sources_are_refused_before_building() {
+        let build = |app, ranks, iterations| {
+            build_app(app, ProblemClass::S, AppOverrides { ranks, iterations })
+        };
+        // 64² ranks and 4096 × 256 rank-iterations sit exactly at the caps.
+        assert!(build("nas-bt", Some(4096), Some(256)).is_ok());
+        for (app, ranks, iterations, name) in [
+            ("nas-bt", Some(4097), None, "ranks"),
+            ("nas-bt", Some(4096), Some(257), "ranks x iterations"),
+            ("nas-bt", Some(4), Some(usize::MAX), "ranks x iterations"),
+            // The model's default 16 ranks count toward the product.
+            ("nas-cg", None, Some(65_537), "ranks x iterations"),
+        ] {
+            let err = build(app, ranks, iterations).err().expect("refused");
+            assert!(
+                matches!(err, AppConfigError::BadParameter { name: n, .. } if n == name),
+                "{app} {ranks:?} x {iterations:?}: {err}"
+            );
+        }
     }
 
     #[test]

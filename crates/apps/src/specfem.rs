@@ -140,8 +140,8 @@ impl Application for Specfem {
 #[derive(Debug, Clone)]
 pub struct SpecfemBuilder {
     class: ProblemClass,
-    ranks: usize,
-    iterations: usize,
+    pub(crate) ranks: usize,
+    pub(crate) iterations: usize,
     element_instr: u64,
     newmark_instr: u64,
     boundary_bytes: u64,

@@ -218,8 +218,8 @@ impl Application for Sweep3d {
 #[derive(Debug, Clone)]
 pub struct Sweep3dBuilder {
     class: ProblemClass,
-    ranks: usize,
-    iterations: usize,
+    pub(crate) ranks: usize,
+    pub(crate) iterations: usize,
     planes: usize,
     plane_instr: u64,
     plane_face_bytes: u64,

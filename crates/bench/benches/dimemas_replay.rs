@@ -1,7 +1,7 @@
 //! Replay-throughput benchmarks: how fast the Dimemas substrate
 //! reconstructs time behaviour (records/second), for original and
 //! overlapped traces — and how the production executor (compiled
-//! programs, calendar event store, quiescent-window fast-forwarding)
+//! programs, calendar event store, per-node transport pumps)
 //! compares to the pre-optimization reference engine kept in
 //! `ovlsim_dimemas::replay_naive`.
 

@@ -99,9 +99,10 @@ fn main() {
     });
     let index = TraceIndex::build(trace).expect("valid trace");
 
-    // The compiled path: lower once into the flat SoA program (coalesced
-    // bursts, pre-resolved request slots), then execute it per point. The
-    // result must stay bit-identical to the naive oracle.
+    // The compiled path: lower once into the flat SoA program
+    // (pre-converted burst durations, pre-resolved request slots), then
+    // execute it per point. The result must stay bit-identical to the
+    // naive oracle.
     let program = CompiledTrace::compile(trace, &index).expect("compiles");
     assert_eq!(
         sim.run_compiled(&program).expect("replays"),
@@ -117,8 +118,9 @@ fn main() {
     // applied at replay time, nothing is recompiled). Its throughput is
     // recorded for tracking, but it is NOT the hot-path gate: a noisy,
     // straggling schedule desynchronizes ranks, which legitimately
-    // shrinks the coalesced-jump windows — that cost belongs to the
-    // simulated machine, not to the perturbation code.
+    // changes the simulated schedule (more distinct event instants, other
+    // contention) — that cost belongs to the simulated machine, not to
+    // the perturbation code.
     let model = ovlsim_core::PerturbationModel::new(42)
         .with_noise(0.1)
         .expect("valid noise")
@@ -139,18 +141,18 @@ fn main() {
     });
 
     // Hot-path cost gate: an epsilon-magnitude model keeps the
-    // perturbation code paths live — per-sub-burst noise hash, hoisted
+    // perturbation code paths live — per-burst noise hash, hoisted
     // straggler/node prefactors, per-channel degradation factors — while
     // every draw evaluates to exactly 1.0, so the simulated schedule is
     // bit-identical to clean (asserted below) and the wall-clock delta is
     // pure perturbation machinery. Latency jitter is deliberately absent:
-    // even a 1 ps jitter bound breaks arrival-time ties, which shrinks
-    // the coalesced-jump windows — a (micro-)different schedule, not
-    // machinery cost; its per-message draw is covered by the perturbed
-    // throughput above. Clean and epsilon-perturbed runs are timed in
-    // interleaved pairs and the best-of ratio is gated, which catches a
-    // hash landing on the wrong path (per-event rehashing, a lost memo)
-    // without flaking on shared 1-CPU runner noise.
+    // even a 1 ps jitter bound breaks arrival-time ties — a
+    // (micro-)different schedule, not machinery cost; its per-message
+    // draw is covered by the perturbed throughput above. Clean and
+    // epsilon-perturbed runs are timed in interleaved pairs and the
+    // best-of ratio is gated, which catches a hash landing on the wrong
+    // path (per-event rehashing, a lost memo) without flaking on shared
+    // 1-CPU runner noise.
     let eps_model = ovlsim_core::PerturbationModel::new(42)
         .with_noise(1e-300)
         .expect("valid noise")
@@ -205,9 +207,9 @@ fn main() {
     );
 
     // Contention corpus: the compiled executor's per-node waiter queues
-    // and window fast-forwarding pay off where full-FIFO rescans hurt, so
-    // the corpus is a contention-heavy NAS-BT (196 ranks on capacity-1
-    // links piles the waiter queues deep). Bit-identity against the naive
+    // pay off where full-FIFO rescans hurt, so the corpus is a
+    // contention-heavy NAS-BT (196 ranks on capacity-1 links piles the
+    // waiter queues deep). Bit-identity against the naive
     // engine is asserted clean and perturbed before anything is timed,
     // and compiled and naive are timed in interleaved best-of-3 pairs so
     // shared-runner noise cannot flake the ratio.

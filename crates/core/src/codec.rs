@@ -34,6 +34,18 @@
 //! then the section payloads, back to back, no padding
 //! ```
 //!
+//! A trace set has two sections: a header (name, MIPS rate, rank count)
+//! and each rank's records. A compiled trace has three: a header (name,
+//! MIPS rate, rank count), the channel endpoints, and per rank the
+//! instruction columns (opcode, `a`, `b`, `payload`), the `WaitAll` slot
+//! arena and the slot count.
+//!
+//! The trace-set layout is the same since version 1, so trace sets decode
+//! at version 1 or 2. The compiled-trace layout is version 2's (a burst
+//! carries its duration in `payload`, and no side arena holds it), so a
+//! program cached by an earlier build fails with
+//! [`DecodeError::UnsupportedVersion`] and is rebuilt.
+//!
 //! Trailing bytes after the last section are an error
 //! ([`DecodeError::TrailingBytes`]): a truncated *or* grown file never
 //! decodes.
@@ -52,7 +64,7 @@ pub const MAGIC: [u8; 4] = *b"OVLB";
 /// Current format version. Bump on any incompatible layout change; old
 /// readers then fail with [`DecodeError::UnsupportedVersion`] instead of
 /// misparsing.
-pub const FORMAT_VERSION: u16 = 1;
+pub const FORMAT_VERSION: u16 = 2;
 
 /// Canonical file extension (without the dot) for encoded artifacts.
 pub const EXTENSION: &str = "ovlb";
@@ -81,6 +93,15 @@ impl ArtifactKind {
             _ => None,
         }
     }
+
+    /// The oldest format version whose layout of this kind is the current
+    /// one (see the module docs).
+    fn oldest_version(self) -> u16 {
+        match self {
+            ArtifactKind::TraceSet => 1,
+            ArtifactKind::CompiledTrace => 2,
+        }
+    }
 }
 
 impl fmt::Display for ArtifactKind {
@@ -100,8 +121,8 @@ pub enum DecodeError {
     /// The input does not start with the `OVLB` magic — not an artifact
     /// file at all (or one overwritten past recognition).
     BadMagic,
-    /// The file's format version is newer than (or unknown to) this
-    /// build.
+    /// The file's format version is newer than this build, or an older
+    /// layout of the artifact that this build no longer reads.
     UnsupportedVersion {
         /// Version found in the file.
         found: u16,
@@ -366,8 +387,6 @@ pub fn encode_compiled_trace(prog: &CompiledTrace) -> Vec<u8> {
     let mut header = Vec::new();
     put_str(&mut header, prog.name());
     put_u64(&mut header, prog.mips().get());
-    header.push(u8::from(prog.coalesced()));
-    put_u64(&mut header, prog.source_records() as u64);
     put_u32(&mut header, prog.rank_count() as u32);
 
     let mut channels = Vec::new();
@@ -392,10 +411,6 @@ pub fn encode_compiled_trace(prog: &CompiledTrace) -> Vec<u8> {
             put_u32(&mut programs, v);
         }
         for &v in rp.payload() {
-            put_u64(&mut programs, v);
-        }
-        put_u64(&mut programs, rp.burst_ps().len() as u64);
-        for &v in rp.burst_ps() {
             put_u64(&mut programs, v);
         }
         put_u64(&mut programs, rp.wait_slots().len() as u64);
@@ -541,7 +556,7 @@ fn split_sections(bytes: &[u8], expected: ArtifactKind) -> Result<Vec<Section<'_
         return Err(DecodeError::BadMagic);
     }
     let version = cur.u16()?;
-    if version != FORMAT_VERSION {
+    if !(expected.oldest_version()..=FORMAT_VERSION).contains(&version) {
         return Err(DecodeError::UnsupportedVersion {
             found: version,
             supported: FORMAT_VERSION,
@@ -659,7 +674,8 @@ fn take_record(cur: &mut Cursor<'_>) -> Result<Record, DecodeError> {
     })
 }
 
-/// Decodes a [`TraceSet`] from `.ovlb` bytes.
+/// Decodes a [`TraceSet`] from `.ovlb` bytes written at format version 1
+/// or 2 (the trace-set layout is the same in both).
 ///
 /// # Errors
 ///
@@ -696,10 +712,11 @@ pub fn decode_trace_set(bytes: &[u8]) -> Result<TraceSet, DecodeError> {
 
 /// Decodes a [`CompiledTrace`] from `.ovlb` bytes.
 ///
-/// Beyond the structural checks shared with [`decode_trace_set`], the
-/// result is re-validated (arena sizes, request-slot bounds, channel
-/// ids) so a decoded program can never drive a replay engine out of
-/// bounds.
+/// Only the current [`FORMAT_VERSION`] decodes (the program layout
+/// changed in version 2). Beyond the structural checks shared with
+/// [`decode_trace_set`], the result is re-validated (arena sizes,
+/// request-slot bounds, channel ids) so a decoded program can never drive
+/// a replay engine out of bounds.
 ///
 /// # Errors
 ///
@@ -713,14 +730,6 @@ pub fn decode_compiled_trace(bytes: &[u8]) -> Result<CompiledTrace, DecodeError>
     let mips_raw = header.u64()?;
     let mips = MipsRate::new(mips_raw)
         .map_err(|_| header.malformed(format!("invalid MIPS rate {mips_raw}")))?;
-    let coalesced = match header.u8()? {
-        0 => false,
-        1 => true,
-        other => return Err(header.malformed(format!("invalid coalesced flag {other}"))),
-    };
-    let source_records = header.u64()?;
-    let source_records = usize::try_from(source_records)
-        .map_err(|_| header.malformed(format!("invalid source record count {source_records}")))?;
     let rank_count = header.u32()? as usize;
     header.finish_section()?;
 
@@ -767,12 +776,6 @@ pub fn decode_compiled_trace(bytes: &[u8]) -> Result<CompiledTrace, DecodeError>
             payload.push(progs.u64()?);
         }
         let declared = progs.u64()?;
-        let nburst = progs.count(declared, 8)?;
-        let mut burst_ps = Vec::with_capacity(nburst);
-        for _ in 0..nburst {
-            burst_ps.push(progs.u64()?);
-        }
-        let declared = progs.u64()?;
         let nslots = progs.count(declared, 4)?;
         let mut wait_slots = Vec::with_capacity(nslots);
         for _ in 0..nslots {
@@ -780,7 +783,7 @@ pub fn decode_compiled_trace(bytes: &[u8]) -> Result<CompiledTrace, DecodeError>
         }
         let slot_count = progs.u32()?;
 
-        let rp = RankProgram::from_columns(ops, a, b, payload, burst_ps, wait_slots, slot_count);
+        let rp = RankProgram::from_columns(ops, a, b, payload, wait_slots, slot_count);
         if let Err(reason) = rp.check_consistency(channels.len()) {
             return Err(progs.malformed(reason));
         }
@@ -788,14 +791,7 @@ pub fn decode_compiled_trace(bytes: &[u8]) -> Result<CompiledTrace, DecodeError>
     }
     progs.finish_section()?;
 
-    Ok(CompiledTrace::from_parts(
-        name,
-        mips,
-        coalesced,
-        channels,
-        ranks,
-        source_records,
-    ))
+    Ok(CompiledTrace::from_parts(name, mips, channels, ranks))
 }
 
 #[cfg(test)]
@@ -870,6 +866,8 @@ mod tests {
         assert_eq!(back.fingerprint(), ts.fingerprint());
         // Canonical: re-encoding yields the same bytes.
         assert_eq!(encode_trace_set(&back), bytes);
+        // The layout is unchanged since version 1, which still decodes.
+        assert_eq!(decode_trace_set(&with_version(bytes, 1)), Ok(ts));
     }
 
     #[test]
@@ -908,15 +906,26 @@ mod tests {
             ],
         );
         let index = TraceIndex::build(&ts).unwrap();
-        for prog in [
-            CompiledTrace::compile(&ts, &index).unwrap(),
-            CompiledTrace::compile_observed(&ts, &index).unwrap(),
-        ] {
-            let bytes = encode_compiled_trace(&prog);
-            let back = decode_compiled_trace(&bytes).unwrap();
-            assert_eq!(back, prog);
-            assert_eq!(encode_compiled_trace(&back), bytes);
-        }
+        let prog = CompiledTrace::compile(&ts, &index).unwrap();
+        let bytes = encode_compiled_trace(&prog);
+        let back = decode_compiled_trace(&bytes).unwrap();
+        assert_eq!(back, prog);
+        assert_eq!(encode_compiled_trace(&back), bytes);
+        // Version 1 had another program layout: refused, never misparsed.
+        assert_eq!(
+            decode_compiled_trace(&with_version(bytes, 1)),
+            Err(DecodeError::UnsupportedVersion {
+                found: 1,
+                supported: FORMAT_VERSION,
+            })
+        );
+    }
+
+    /// Rewrites the header's format version; section checksums cover the
+    /// payloads only, so the result is otherwise intact.
+    fn with_version(mut bytes: Vec<u8>, version: u16) -> Vec<u8> {
+        bytes[4..6].copy_from_slice(&version.to_le_bytes());
+        bytes
     }
 
     #[test]
@@ -1056,13 +1065,12 @@ mod tests {
 
     #[test]
     fn inconsistent_program_is_rejected() {
-        // Forge a compiled trace whose Wait references a slot beyond the
-        // declared slot table: consistency validation must reject it.
+        // Forge a version-2 compiled trace whose Wait references a slot
+        // beyond the declared slot table: consistency validation must
+        // reject it.
         let mut header = Vec::new();
         put_str(&mut header, "forged");
         put_u64(&mut header, 1000);
-        header.push(1);
-        put_u64(&mut header, 1);
         put_u32(&mut header, 1);
         let mut channels = Vec::new();
         put_u32(&mut channels, 0);
@@ -1072,7 +1080,6 @@ mod tests {
         put_u32(&mut programs, 5); // a = slot 5
         put_u32(&mut programs, 0); // b
         put_u64(&mut programs, 0); // payload
-        put_u64(&mut programs, 0); // burst arena
         put_u64(&mut programs, 0); // wait-slot arena
         put_u32(&mut programs, 1); // slot_count = 1 < 5
         let forged = assemble(

@@ -10,13 +10,11 @@
 //!
 //! * records are lowered to dense parallel columns — a one-byte opcode
 //!   ([`RecordKind`]), two `u32` operands and one `u64` payload per
-//!   instruction — with no enum tags and no per-record allocation,
-//! * runs of adjacent [`Record::Burst`](crate::Record::Burst)s are
-//!   **coalesced** into a single instruction over a side arena of
-//!   pre-converted picosecond durations (the conversion through the
-//!   trace's [`MipsRate`] happens at compile time), so the replay engine
-//!   can retire a whole compute run in one event when nothing else is
-//!   scheduled before its end,
+//!   instruction — with no enum tags and no per-record allocation; every
+//!   record becomes exactly one instruction,
+//! * a [`Record::Burst`](crate::Record::Burst)'s duration is converted
+//!   through the trace's [`MipsRate`] at compile time and carried in
+//!   picoseconds in the payload column,
 //! * `ISend`/`IRecv`/`Wait*` request ids are **pre-resolved** into dense
 //!   per-rank slot indices (a compile-time free-list reuses slots exactly
 //!   as the runtime would), so the hot loop indexes a flat array instead
@@ -33,10 +31,9 @@
 //! caller already holds, checking nothing; the session caches that index
 //! and attribution reads it back.
 //!
-//! Coalescing merges timeline granularity that observers may need: the
-//! `_observed` variants keep every burst (and marker) separate so observed
-//! timelines are unchanged, at the cost of the coalescing speedup. Replay
-//! engines refuse to attach an observer to a coalesced program.
+//! Markers stay instructions, so one program serves observed and
+//! unobserved replays alike: an observer sees every burst and marker, and
+//! an unobserved run steps over markers.
 
 use crate::ids::{Rank, RequestId, Tag};
 use crate::index::{TraceIndex, NO_CHANNEL};
@@ -94,13 +91,13 @@ pub struct ChannelEndpoints {
 }
 
 /// The compiled instruction stream of one rank: parallel columns plus the
-/// side arenas the wide instructions index into.
+/// side arena `WaitAll` instructions index into.
 ///
 /// Column meaning by opcode (unused columns hold zero):
 ///
 /// | opcode       | `a`                    | `b`    | `payload`      |
 /// |--------------|------------------------|--------|----------------|
-/// | `Burst`      | sub-burst count        | —      | —              |
+/// | `Burst`      | —                      | —      | duration (ps)  |
 /// | `Send`/`Recv`| channel id             | —      | bytes          |
 /// | `ISend`      | channel id             | slot   | bytes          |
 /// | `IRecv`      | channel id             | slot   | —              |
@@ -109,17 +106,21 @@ pub struct ChannelEndpoints {
 /// | collectives  | —                      | —      | bytes          |
 /// | `Marker`     | event code             | —      | —              |
 ///
-/// `Burst` consumes `a` consecutive entries of [`RankProgram::burst_ps`];
+/// A burst's duration is already converted through the trace's
+/// [`MipsRate`] but is *clean*: no platform `cpu_ratio` and no
+/// [`PerturbationModel`](crate::PerturbationModel) effect is baked in.
+/// Both are applied at replay time, so one compiled program can be shared
+/// across every sweep point and every perturbation scenario.
+///
 /// `WaitAll` consumes `a` consecutive entries of
-/// [`RankProgram::wait_slots`]. Both arenas are laid out in program order,
-/// so an executor only needs one monotone cursor per arena.
+/// [`RankProgram::wait_slots`]. The arena is laid out in program order,
+/// so an executor only needs one monotone cursor into it.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RankProgram {
     ops: Vec<RecordKind>,
     a: Vec<u32>,
     b: Vec<u32>,
     payload: Vec<u64>,
-    burst_ps: Vec<u64>,
     wait_slots: Vec<u32>,
     slot_count: u32,
 }
@@ -143,17 +144,6 @@ impl RankProgram {
     /// The `u64` payload column, parallel to [`RankProgram::ops`].
     pub fn payload(&self) -> &[u64] {
         &self.payload
-    }
-
-    /// Per-burst durations in picoseconds (already converted through the
-    /// trace's [`MipsRate`]), in program order.
-    ///
-    /// These are *clean* durations: no platform `cpu_ratio` and no
-    /// [`PerturbationModel`](crate::PerturbationModel) effect is baked in.
-    /// Both are applied at replay time, so one compiled program can be
-    /// shared across every sweep point and every perturbation scenario.
-    pub fn burst_ps(&self) -> &[u64] {
-        &self.burst_ps
     }
 
     /// Concatenated `WaitAll` slot lists, in program order.
@@ -221,16 +211,13 @@ impl RankProgram {
 pub struct CompiledTrace {
     name: String,
     mips: MipsRate,
-    coalesced: bool,
     channels: Vec<ChannelEndpoints>,
     ranks: Vec<RankProgram>,
-    source_records: usize,
 }
 
 impl CompiledTrace {
-    /// Validates `trace` and compiles it with burst coalescing, in one
-    /// pass over the records. The program equals
-    /// [`CompiledTrace::compile`] with the trace's own
+    /// Validates `trace` and compiles it in one pass over the records. The
+    /// program equals [`CompiledTrace::compile`] with the trace's own
     /// [`TraceIndex`], without building that index.
     ///
     /// # Errors
@@ -239,32 +226,15 @@ impl CompiledTrace {
     /// [`validate_trace_set`](crate::validate_trace_set) lists them, if
     /// the trace set is structurally invalid.
     pub fn build(trace: &TraceSet) -> Result<Self, Vec<TraceIssue>> {
-        Self::build_with(trace, true)
-    }
-
-    /// [`CompiledTrace::build`] without coalescing, equal to
-    /// [`CompiledTrace::compile_observed`] with the trace's own index.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CompiledTrace::build`].
-    pub fn build_observed(trace: &TraceSet) -> Result<Self, Vec<TraceIssue>> {
-        Self::build_with(trace, false)
-    }
-
-    fn build_with(trace: &TraceSet, coalesce: bool) -> Result<Self, Vec<TraceIssue>> {
         let mut checks = Checks::new(trace);
-        let mut emitter = Emitter::new(trace.mips(), coalesce);
+        let mut emitter = Emitter::new(trace.mips());
         let Ok(()) = walk(trace, &mut checks, &mut emitter);
         Ok(emitter.finish(trace, checks.finish()?))
     }
 
-    /// Compiles `trace` with burst coalescing: adjacent bursts merge into
-    /// one instruction (markers, which have no timing effect, are dropped
-    /// and do not break a run). Replay results are bit-identical to the
-    /// uncompiled engines, but per-burst timeline granularity is gone, so
-    /// engines refuse to attach an observer to the result — use
-    /// [`CompiledTrace::compile_observed`] for timeline capture.
+    /// Compiles `trace`, one instruction per record. Replay results are
+    /// bit-identical to the naive engine, and an observed replay keeps
+    /// every burst and marker of the trace.
     ///
     /// `index` supplies the channels and nothing is validated; a caller
     /// without an index uses [`CompiledTrace::build`].
@@ -277,26 +247,11 @@ impl CompiledTrace {
     /// wait references an unposted request (impossible for a validated
     /// trace with its own index).
     pub fn compile(trace: &TraceSet, index: &TraceIndex) -> Result<Self, CompileError> {
-        Self::lower(trace, index, true)
-    }
-
-    /// Compiles `trace` without coalescing: every burst and marker stays a
-    /// separate instruction, so observed timelines are identical to the
-    /// uncompiled engines, record for record.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CompiledTrace::compile`].
-    pub fn compile_observed(trace: &TraceSet, index: &TraceIndex) -> Result<Self, CompileError> {
-        Self::lower(trace, index, false)
-    }
-
-    fn lower(trace: &TraceSet, index: &TraceIndex, coalesce: bool) -> Result<Self, CompileError> {
         if let Some(reason) = index.mismatch_reason(trace) {
             return Err(CompileError::IndexMismatch { reason });
         }
         let mut indexed = Indexed::new(index);
-        let mut emitter = Emitter::new(trace.mips(), coalesce);
+        let mut emitter = Emitter::new(trace.mips());
         walk(trace, &mut indexed, &mut emitter)?;
         Ok(emitter.finish(trace, indexed.channels))
     }
@@ -306,17 +261,10 @@ impl CompiledTrace {
         &self.name
     }
 
-    /// The MIPS rate of the source trace (burst durations in
-    /// [`RankProgram::burst_ps`] are already converted through it).
+    /// The MIPS rate of the source trace (`Burst` payloads are already
+    /// converted through it).
     pub fn mips(&self) -> MipsRate {
         self.mips
-    }
-
-    /// True if adjacent bursts were merged (and markers dropped): replay
-    /// results are unchanged, but per-record timeline granularity is gone,
-    /// so engines must refuse to attach an observer.
-    pub fn coalesced(&self) -> bool {
-        self.coalesced
     }
 
     /// The `(source, destination, tag)` identity of every interned
@@ -340,32 +288,20 @@ impl CompiledTrace {
     pub fn rank(&self, rank: usize) -> &RankProgram {
         &self.ranks[rank]
     }
-
-    /// Number of records in the source trace (before coalescing), for
-    /// throughput accounting.
-    pub fn source_records(&self) -> usize {
-        self.source_records
-    }
 }
 
 /// The [`Sink`] that lowers walked records into per-rank programs, shared
 /// by [`CompiledTrace::build`] and [`CompiledTrace::compile`].
 struct Emitter {
     mips: MipsRate,
-    coalesce: bool,
-    /// True while the last *emitted* instruction is a burst a new burst
-    /// may merge into (dropped markers don't break runs).
-    open_burst: bool,
     rank: RankProgram,
     ranks: Vec<RankProgram>,
 }
 
 impl Emitter {
-    fn new(mips: MipsRate, coalesce: bool) -> Self {
+    fn new(mips: MipsRate) -> Self {
         Emitter {
             mips,
-            coalesce,
-            open_burst: false,
             rank: RankProgram::default(),
             ranks: Vec::new(),
         }
@@ -375,10 +311,8 @@ impl Emitter {
         CompiledTrace {
             name: trace.name().to_string(),
             mips: self.mips,
-            coalesced: self.coalesce,
             channels,
             ranks: self.ranks,
-            source_records: trace.total_records(),
         }
     }
 }
@@ -386,28 +320,11 @@ impl Emitter {
 impl Sink for Emitter {
     fn burst(&mut self, instr: Instr) {
         let ps = self.mips.instr_to_time(instr).as_ps();
-        if self.coalesce && self.open_burst {
-            let last = self.rank.ops.len() - 1;
-            self.rank.a[last] += 1;
-        } else {
-            self.rank.push(RecordKind::Burst, 1, 0, 0);
-        }
-        self.rank.burst_ps.push(ps);
-        self.open_burst = true;
-    }
-
-    fn marker(&mut self, code: u32) {
-        // Coalesced: markers have no timing effect; drop them without
-        // closing the surrounding burst run.
-        if !self.coalesce {
-            self.rank.push(RecordKind::Marker, code, 0, 0);
-            self.open_burst = false;
-        }
+        self.rank.push(RecordKind::Burst, 0, 0, ps);
     }
 
     fn op(&mut self, kind: RecordKind, a: u32, b: u32, payload: u64) {
         self.rank.push(kind, a, b, payload);
-        self.open_burst = false;
     }
 
     fn wait_slot(&mut self, slot: u32) {
@@ -417,7 +334,6 @@ impl Sink for Emitter {
     fn end_rank(&mut self, slot_count: u32) {
         self.rank.slot_count = slot_count;
         self.ranks.push(std::mem::take(&mut self.rank));
-        self.open_burst = false;
     }
 }
 
@@ -502,7 +418,6 @@ impl RankProgram {
         a: Vec<u32>,
         b: Vec<u32>,
         payload: Vec<u64>,
-        burst_ps: Vec<u64>,
         wait_slots: Vec<u32>,
         slot_count: u32,
     ) -> Self {
@@ -511,7 +426,6 @@ impl RankProgram {
             a,
             b,
             payload,
-            burst_ps,
             wait_slots,
             slot_count,
         }
@@ -519,8 +433,8 @@ impl RankProgram {
 
     /// Checks the structural invariants lowering guarantees by
     /// construction, for programs that arrived from outside (decoded
-    /// from bytes): arena sizes match the instructions that consume
-    /// them, request slots stay below `slot_count`, and channel ids
+    /// from bytes): the `WaitAll` arena's size matches the instructions
+    /// that consume it, request slots stay below `slot_count`, and channel ids
     /// stay below `channel_count`. Violations would send an executor's
     /// cursors or tables out of bounds.
     pub(crate) fn check_consistency(&self, channel_count: usize) -> Result<(), String> {
@@ -528,13 +442,11 @@ impl RankProgram {
         if self.a.len() != len || self.b.len() != len || self.payload.len() != len {
             return Err("instruction columns have mismatched lengths".to_string());
         }
-        let mut bursts: u64 = 0;
         let mut waits: u64 = 0;
         for (i, &op) in self.ops.iter().enumerate() {
             let a = self.a[i];
             let b = self.b[i];
             match op {
-                RecordKind::Burst => bursts += u64::from(a),
                 RecordKind::WaitAll => waits += u64::from(a),
                 RecordKind::Wait if a >= self.slot_count => {
                     return Err(format!(
@@ -563,12 +475,6 @@ impl RankProgram {
                 _ => {}
             }
         }
-        if bursts != self.burst_ps.len() as u64 {
-            return Err(format!(
-                "burst instructions consume {bursts} duration(s) but the arena holds {}",
-                self.burst_ps.len()
-            ));
-        }
         if waits != self.wait_slots.len() as u64 {
             return Err(format!(
                 "waitall instructions consume {waits} slot(s) but the arena holds {}",
@@ -591,18 +497,14 @@ impl CompiledTrace {
     pub(crate) fn from_parts(
         name: String,
         mips: MipsRate,
-        coalesced: bool,
         channels: Vec<ChannelEndpoints>,
         ranks: Vec<RankProgram>,
-        source_records: usize,
     ) -> Self {
         CompiledTrace {
             name,
             mips,
-            coalesced,
             channels,
             ranks,
-            source_records,
         }
     }
 }
@@ -623,7 +525,9 @@ mod tests {
     }
 
     #[test]
-    fn coalesces_adjacent_bursts_across_markers() {
+    fn observed_compile_keeps_every_record() {
+        // Adjacent bursts and the markers between them each stay one
+        // instruction; a burst's payload is its duration in picoseconds.
         let ts = TraceSet::new(
             "t",
             mips(),
@@ -631,61 +535,27 @@ mod tests {
                 burst(1000),
                 Record::Marker { code: 7 },
                 burst(2000),
-                Record::Send {
-                    to: Rank::new(0),
-                    bytes: 8,
-                    tag: Tag::new(0),
-                },
                 burst(3000),
-                Record::Recv {
-                    from: Rank::new(0),
-                    bytes: 8,
-                    tag: Tag::new(0),
-                },
-            ])],
-        );
-        let index = TraceIndex::build(&ts).unwrap();
-        let prog = CompiledTrace::compile(&ts, &index).unwrap();
-        assert!(prog.coalesced());
-        let rp = prog.rank(0);
-        // Burst(x2), Send, Burst(x1), Recv — the marker is dropped and
-        // does not break the first run.
-        assert_eq!(
-            rp.ops(),
-            &[
-                RecordKind::Burst,
-                RecordKind::Send,
-                RecordKind::Burst,
-                RecordKind::Recv
-            ]
-        );
-        assert_eq!(rp.a()[0], 2);
-        assert_eq!(rp.a()[2], 1);
-        // 1000 instr at 1000 MIPS = 1 us = 1_000_000 ps.
-        assert_eq!(rp.burst_ps(), &[1_000_000, 2_000_000, 3_000_000]);
-        assert_eq!(prog.source_records(), 6);
-    }
-
-    #[test]
-    fn observed_compile_keeps_every_record() {
-        let ts = TraceSet::new(
-            "t",
-            mips(),
-            vec![RankTrace::from_records(vec![
-                burst(1000),
-                burst(2000),
                 Record::Marker { code: 9 },
             ])],
         );
         let index = TraceIndex::build(&ts).unwrap();
-        let prog = CompiledTrace::compile_observed(&ts, &index).unwrap();
-        assert!(!prog.coalesced());
+        let prog = CompiledTrace::compile(&ts, &index).unwrap();
         let rp = prog.rank(0);
         assert_eq!(
             rp.ops(),
-            &[RecordKind::Burst, RecordKind::Burst, RecordKind::Marker]
+            &[
+                RecordKind::Burst,
+                RecordKind::Marker,
+                RecordKind::Burst,
+                RecordKind::Burst,
+                RecordKind::Marker
+            ]
         );
-        assert_eq!(rp.a(), &[1, 1, 9]);
+        assert_eq!(rp.a(), &[0, 7, 0, 0, 9]);
+        // 1000 instr at 1000 MIPS = 1 us = 1_000_000 ps.
+        assert_eq!(rp.payload(), &[1_000_000, 0, 2_000_000, 3_000_000, 0]);
+        assert_eq!(CompiledTrace::build(&ts).unwrap(), prog);
     }
 
     #[test]
@@ -810,13 +680,11 @@ mod tests {
         ];
         for (expected, other) in cases {
             let index = TraceIndex::build(&other).unwrap();
-            for compile in [CompiledTrace::compile, CompiledTrace::compile_observed] {
-                match compile(&ts, &index) {
-                    Err(CompileError::IndexMismatch { reason }) => {
-                        assert!(reason.contains(expected), "got: {reason}");
-                    }
-                    other => panic!("expected IndexMismatch, got {other:?}"),
+            match CompiledTrace::compile(&ts, &index) {
+                Err(CompileError::IndexMismatch { reason }) => {
+                    assert!(reason.contains(expected), "got: {reason}");
                 }
+                other => panic!("expected IndexMismatch, got {other:?}"),
             }
         }
     }

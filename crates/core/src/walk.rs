@@ -68,9 +68,6 @@ pub(crate) trait Sink {
     /// A computation burst.
     fn burst(&mut self, _instr: Instr) {}
 
-    /// A marker.
-    fn marker(&mut self, _code: u32) {}
-
     /// Any other record, lowered to one instruction (the operand columns
     /// are those of [`RankProgram`](crate::RankProgram)).
     fn op(&mut self, _kind: RecordKind, _a: u32, _b: u32, _payload: u64) {}
@@ -148,7 +145,7 @@ pub(crate) fn walk<'t, R: Resolve<'t>, S: Sink>(
             let mut channel = NO_CHANNEL;
             match rec {
                 Record::Burst { instr } => sink.burst(*instr),
-                Record::Marker { code } => sink.marker(*code),
+                Record::Marker { code } => sink.op(RecordKind::Marker, *code, 0, 0),
                 Record::Send { to, bytes, tag } => {
                     channel = resolve.send(at, *to, *tag, *bytes);
                     sink.op(RecordKind::Send, channel, 0, *bytes);

@@ -158,19 +158,11 @@ proptest! {
         prop_assert_eq!(encode_trace_set(&back), bytes);
     }
 
-    /// Compiled programs round-trip bit-identically too, whether
-    /// coalesced or observed.
+    /// Compiled programs round-trip bit-identically too.
     #[test]
-    fn compiled_trace_round_trip_is_bit_identical(
-        ts in arb_valid_trace(),
-        observed in any::<bool>(),
-    ) {
+    fn compiled_trace_round_trip_is_bit_identical(ts in arb_valid_trace()) {
         let index = TraceIndex::build(&ts).expect("generated trace is valid");
-        let prog = if observed {
-            CompiledTrace::compile_observed(&ts, &index).unwrap()
-        } else {
-            CompiledTrace::compile(&ts, &index).unwrap()
-        };
+        let prog = CompiledTrace::compile(&ts, &index).unwrap();
         let bytes = encode_compiled_trace(&prog);
         let back = decode_compiled_trace(&bytes).expect("round trip decodes");
         prop_assert_eq!(&back, &prog);

@@ -125,7 +125,6 @@ struct RankView {
     a: Vec<u32>,
     b: Vec<u32>,
     payload: Vec<u64>,
-    burst_ps: Vec<u64>,
     wait_slots: Vec<u32>,
     slot_count: u32,
 }
@@ -144,17 +143,14 @@ impl RankView {
 struct ProgramView {
     name: String,
     mips: u64,
-    coalesced: bool,
     channels: Vec<(u32, u32, u64)>,
     ranks: Vec<RankView>,
-    source_records: usize,
 }
 
 fn program_view(p: &CompiledTrace) -> ProgramView {
     ProgramView {
         name: p.name().to_string(),
         mips: p.mips().get(),
-        coalesced: p.coalesced(),
         channels: p
             .channels()
             .iter()
@@ -168,13 +164,11 @@ fn program_view(p: &CompiledTrace) -> ProgramView {
                     a: rp.a().to_vec(),
                     b: rp.b().to_vec(),
                     payload: rp.payload().to_vec(),
-                    burst_ps: rp.burst_ps().to_vec(),
                     wait_slots: rp.wait_slots().to_vec(),
                     slot_count: rp.slot_count(),
                 }
             })
             .collect(),
-        source_records: p.source_records(),
     }
 }
 
@@ -396,11 +390,7 @@ impl SlotAllocator {
 
 /// Oracle, second pass: lowers a validated trace with its index. A wait
 /// on a request not in flight fails with its rank and record.
-fn oracle_lower(
-    ts: &TraceSet,
-    index: &IndexView,
-    coalesce: bool,
-) -> Result<ProgramView, (usize, usize)> {
+fn oracle_lower(ts: &TraceSet, index: &IndexView) -> Result<ProgramView, (usize, usize)> {
     let mut channels: Vec<(u32, u32, u64)> = index.peers.iter().map(|&(s, d)| (s, d, 0)).collect();
     let mut tag_known = vec![false; channels.len()];
     let mips = ts.mips();
@@ -409,7 +399,6 @@ fn oracle_lower(
         let chans = &index.columns[r];
         let mut p = RankView::default();
         let mut slots = SlotAllocator::default();
-        let mut open_burst = false;
         for (ri, rec) in rank_trace.iter().enumerate() {
             let mut note_channel = |ch: u32, tag: Tag| {
                 if !tag_known[ch as usize] {
@@ -420,23 +409,9 @@ fn oracle_lower(
             match rec {
                 Record::Burst { instr } => {
                     let ps = mips.instr_to_time(*instr).as_ps();
-                    if coalesce && open_burst {
-                        let last = p.ops.len() - 1;
-                        p.a[last] += 1;
-                    } else {
-                        p.push(RecordKind::Burst, 1, 0, 0);
-                    }
-                    p.burst_ps.push(ps);
-                    open_burst = true;
-                    continue;
+                    p.push(RecordKind::Burst, 0, 0, ps);
                 }
-                Record::Marker { code } => {
-                    if !coalesce {
-                        p.push(RecordKind::Marker, *code, 0, 0);
-                        open_burst = false;
-                    }
-                    continue;
-                }
+                Record::Marker { code } => p.push(RecordKind::Marker, *code, 0, 0),
                 Record::Send { bytes, tag, .. } => {
                     note_channel(chans[ri], *tag);
                     p.push(RecordKind::Send, chans[ri], 0, *bytes);
@@ -475,7 +450,6 @@ fn oracle_lower(
                 Record::AllToAll { bytes } => p.push(RecordKind::AllToAll, 0, 0, *bytes),
                 Record::AllGather { bytes } => p.push(RecordKind::AllGather, 0, 0, *bytes),
             }
-            open_burst = false;
         }
         p.slot_count = slots.next;
         ranks.push(p);
@@ -483,10 +457,8 @@ fn oracle_lower(
     Ok(ProgramView {
         name: ts.name().to_string(),
         mips: mips.get(),
-        coalesced: coalesce,
         channels,
         ranks,
-        source_records: ts.total_records(),
     })
 }
 
@@ -882,32 +854,15 @@ fn check_walker(ts: &TraceSet) -> Result<(), TestCaseError> {
     prop_assert_eq!(shown(&issues), shown(&expected));
     if !expected.is_empty() {
         prop_assert_eq!(TraceIndex::build(ts).err(), Some(expected.clone()));
-        prop_assert_eq!(CompiledTrace::build(ts).err(), Some(expected.clone()));
-        prop_assert_eq!(CompiledTrace::build_observed(ts).err(), Some(expected));
+        prop_assert_eq!(CompiledTrace::build(ts).err(), Some(expected));
         return Ok(());
     }
     let index = TraceIndex::build(ts).expect("the oracle finds no issue");
     prop_assert_eq!(index_view(&index), oracle_index);
-    let variants = [
-        (
-            CompiledTrace::build(ts),
-            CompiledTrace::compile(ts, &index),
-            true,
-        ),
-        (
-            CompiledTrace::build_observed(ts),
-            CompiledTrace::compile_observed(ts, &index),
-            false,
-        ),
-    ];
-    for (built, compiled, coalesce) in variants {
-        let built = built.expect("a valid trace builds");
-        prop_assert_eq!(Ok(&built), compiled.as_ref());
-        prop_assert_eq!(
-            Ok(program_view(&built)),
-            oracle_lower(ts, &oracle_index, coalesce)
-        );
-    }
+    let built = CompiledTrace::build(ts).expect("a valid trace builds");
+    let compiled = CompiledTrace::compile(ts, &index);
+    prop_assert_eq!(Ok(&built), compiled.as_ref());
+    prop_assert_eq!(Ok(program_view(&built)), oracle_lower(ts, &oracle_index));
     Ok(())
 }
 
@@ -916,7 +871,7 @@ proptest! {
 
     /// On valid traces the walker finds nothing, builds the oracle's
     /// index, and its one-pass program equals both the index-driven
-    /// compile and the oracle's lowering, coalesced or not.
+    /// compile and the oracle's lowering.
     #[test]
     fn walker_matches_oracle_on_valid_traces(ts in arb_valid_trace()) {
         prop_assert!(oracle_scan(&ts).0.is_empty(), "generator made an invalid trace");

@@ -5,8 +5,10 @@
 //! [`CompiledTrace::compile`] — one-byte opcodes, dense operand columns,
 //! pre-converted burst durations and pre-resolved request slots — instead
 //! of decoding [`ovlsim_core::Record`] enums and scanning request tables
-//! per event. The executor behind both entry points (and behind
-//! [`Simulator::run`], which compiles first) lives in `fastforward.rs`.
+//! per event. One program serves both entry points: an unobserved run
+//! steps over the markers an observer would see. The executor behind them
+//! (and behind [`Simulator::run`], which compiles first) lives in
+//! `fastforward.rs`.
 //! Results are bit-identical to the independent reference engine,
 //! [`crate::naive::replay_naive`]; the differential property tests in
 //! `tests/props.rs` enforce it.
@@ -33,24 +35,19 @@ impl Simulator {
         execute(self.platform(), prog, &mut NullObserver)
     }
 
-    /// [`Simulator::run_compiled`] with timeline observation. The program
-    /// must have been compiled with [`CompiledTrace::compile_observed`]:
-    /// a coalesced program has merged compute intervals and dropped
-    /// markers, so attaching an observer to one is refused rather than
-    /// silently reporting a coarser timeline.
+    /// [`Simulator::run_compiled`] with timeline observation. Every
+    /// program keeps one instruction per record, so the timeline holds
+    /// every burst and marker of the source trace, and the result equals
+    /// the unobserved run's.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::CoalescedObservation`] if `prog` was compiled
-    /// with coalescing, and [`SimError::Deadlock`] if replay stalls.
+    /// Returns [`SimError::Deadlock`] if replay stalls.
     pub fn run_compiled_observed(
         &self,
         prog: &CompiledTrace,
         observer: &mut dyn ReplayObserver,
     ) -> Result<ReplayResult, SimError> {
-        if prog.coalesced() {
-            return Err(SimError::CoalescedObservation);
-        }
         execute(self.platform(), prog, observer)
     }
 }
@@ -133,8 +130,8 @@ mod tests {
 
     #[test]
     fn compiled_jump_handles_lone_computer() {
-        // One rank computes a long run while the other is already done:
-        // the jump path fires and the makespan is exact.
+        // One rank computes a long run of bursts while the other is
+        // already done: the makespan is exact.
         let ts = trace(vec![
             (0..10)
                 .map(|i| Record::Burst {
@@ -151,8 +148,8 @@ mod tests {
 
     #[test]
     fn compiled_respects_cpu_ratio_rounding() {
-        // cpu_ratio scaling rounds per sub-burst; the coalesced run must
-        // accumulate identically.
+        // cpu_ratio scaling rounds per burst; the run must accumulate the
+        // rounded durations exactly as naive does.
         let p = Platform::builder()
             .latency(Time::from_us(1))
             .bandwidth_bytes_per_sec(1.0e9)
@@ -169,25 +166,6 @@ mod tests {
         let reference = crate::naive::replay_naive(&p, &ts).unwrap();
         let compiled = sim.run_compiled(&compile(&ts)).unwrap();
         assert_eq!(reference, compiled);
-    }
-
-    #[test]
-    fn observer_requires_uncoalesced_program() {
-        let ts = trace(vec![vec![Record::Burst {
-            instr: Instr::new(1000),
-        }]]);
-        let sim = Simulator::new(platform_1us_1gb());
-        let coalesced = compile(&ts);
-        assert!(matches!(
-            sim.run_compiled_observed(&coalesced, &mut NullObserver),
-            Err(SimError::CoalescedObservation)
-        ));
-        let index = TraceIndex::build(&ts).unwrap();
-        let observed = CompiledTrace::compile_observed(&ts, &index).unwrap();
-        let res = sim
-            .run_compiled_observed(&observed, &mut NullObserver)
-            .unwrap();
-        assert_eq!(res, sim.run(&ts).unwrap());
     }
 
     #[test]
@@ -237,11 +215,14 @@ mod tests {
         let sim = Simulator::new(platform_1us_1gb());
         let mut naive = Capture::default();
         crate::naive::replay_naive_observed(sim.platform(), &ts, &mut naive).unwrap();
-        let index = TraceIndex::build(&ts).unwrap();
-        let prog = CompiledTrace::compile_observed(&ts, &index).unwrap();
+        let prog = compile(&ts);
         let mut compiled = Capture::default();
-        sim.run_compiled_observed(&prog, &mut compiled).unwrap();
+        let observed = sim.run_compiled_observed(&prog, &mut compiled).unwrap();
         assert_eq!(naive, compiled);
+        // Observation changes nothing: the same program replays to the
+        // same result with or without an observer.
+        assert_eq!(observed, sim.run(&ts).unwrap());
+        assert_eq!(observed, sim.run_compiled(&prog).unwrap());
         let mut direct = Capture::default();
         sim.run_observed(&ts, &mut direct).unwrap();
         assert_eq!(direct, compiled);

@@ -21,13 +21,6 @@ pub enum SimError {
         /// For each blocked rank: a description of what it waits on.
         blocked: Vec<(Rank, String)>,
     },
-    /// An observer was attached to a burst-coalesced
-    /// [`CompiledTrace`](ovlsim_core::CompiledTrace): coalescing merges
-    /// compute intervals and drops markers, so the observed timeline would
-    /// be coarser than the trace. Compile with
-    /// [`CompiledTrace::compile_observed`](ovlsim_core::CompiledTrace::compile_observed)
-    /// for timeline capture.
-    CoalescedObservation,
 }
 
 impl fmt::Display for SimError {
@@ -53,11 +46,6 @@ impl fmt::Display for SimError {
                 }
                 Ok(())
             }
-            SimError::CoalescedObservation => write!(
-                f,
-                "cannot observe a burst-coalesced program; compile with \
-                 CompiledTrace::compile_observed for timeline capture"
-            ),
         }
     }
 }

@@ -7,29 +7,16 @@
 //! request slots — with the event semantics of the naive reference
 //! engine: every start decision, FIFO tie-break and statistic is
 //! bit-identical (the differential property tests in `tests/props.rs`
-//! enforce it). On top of that it fast-forwards through *quiescent
-//! windows*: spans of simulated time where the event queue proves that
-//! only one causal chain is active, so its events never need to touch the
-//! real event store at all.
+//! enforce it).
 //!
-//! # The quiescence proof obligation
+//! # Event order
 //!
 //! Replay correctness hinges on event *order*: transfers that become ready
 //! at the same instant contend for finite per-node links in global FIFO
 //! order, so an engine that reorders same-instant events can flip a tie
-//! and diverge. The executor therefore never reorders anything. Scheduled
-//! events enter a small *virtual buffer* instead of the real event store,
-//! and a buffered event at time `V` is executed directly from the buffer
-//! only when the real store **proves** the window `[now, V]` is
-//! quiescent: `peek_time() > V` strictly (an equal-time stored event was
-//! scheduled earlier and must fire first). Whenever the proof fails the
-//! whole buffer falls back per-event: it is flushed into the real store in
-//! original schedule order, re-creating exactly the state a plain
-//! time-ordered FIFO queue would hold. Retired windows are thus
-//! closed-form by construction — a chain of transfer sends/arrivals or a
-//! coalesced compute run plays out as straight-line arithmetic over the
-//! buffer — and ambiguous windows cost one flush and then proceed
-//! event-by-event.
+//! and diverge. Events therefore live in one calendar queue whose pop
+//! order is that of a binary heap keyed on `(time, schedule seq)`, and
+//! every burst is one resume event, exactly as in the naive engine.
 //!
 //! # Transport
 //!
@@ -53,10 +40,9 @@
 //! The executor is generic over its observer. The unobserved run
 //! monomorphizes against [`NullObserver`]: every timeline callback and all
 //! attribution-only transfer state (posted, ready, queued, started and
-//! outage times, kept in a side table) compile away. An observed run needs
-//! an uncoalesced program, so every compute window holds one sub-burst and
-//! the timeline keeps per-event detail; since the virtual buffer never
-//! reorders events, callbacks fire in the naive engine's order.
+//! outage times, kept in a side table) compile away. Both runs execute the
+//! same instructions and events, so callbacks fire in the naive engine's
+//! order and the timeline keeps every burst and marker.
 //!
 //! A stalled run is diagnosed here as well: [`SimError::Deadlock`] names
 //! what every blocked rank waits on, with the peer and tag of a blocking
@@ -83,7 +69,7 @@ pub(crate) fn execute<O: Observe + ?Sized>(
     prog: &CompiledTrace,
     obs: &mut O,
 ) -> Result<ReplayResult, SimError> {
-    FfState::new(platform, prog, obs, false).run()
+    FfState::new(platform, prog, obs).run()
 }
 
 /// Compile-time observation switch. [`NullObserver`] turns it off, so the
@@ -174,11 +160,6 @@ impl BucketQueue {
     }
 
     #[inline]
-    fn peek_time(&self) -> Option<Time> {
-        self.order.front().map(|&(t, _)| t)
-    }
-
-    #[inline]
     fn fresh_bucket(&mut self, ev: Event) -> u32 {
         let bi = match self.free.pop() {
             Some(bi) => bi,
@@ -261,88 +242,6 @@ impl BucketQueue {
             self.order.pop_front();
         }
         Some((t, ev))
-    }
-}
-
-/// Event queue with a virtual front-buffer over the calendar store.
-///
-/// `schedule` appends to a tiny ordered buffer instead of the real
-/// queue. `pop` executes straight from the buffer when the real queue
-/// proves the buffered event fires strictly first; otherwise the buffer
-/// is flushed in original schedule order (re-creating exactly the FIFO
-/// positions a plain queue would have assigned) and the real queue
-/// decides. Pop order is therefore identical to scheduling everything on
-/// the real queue directly — the buffer only removes queue traffic from
-/// quiescent windows, it never reorders.
-struct VQueue {
-    real: BucketQueue,
-    /// Pending virtual events in schedule order (`Vec::remove` keeps it
-    /// sorted by schedule seq; the buffer is tiny so shifting is cheap).
-    vbuf: Vec<(Time, Event)>,
-    /// Forces the per-event fallback unconditionally: every schedule goes
-    /// straight to the real queue, as if the quiescence proof failed at
-    /// every pop. Pop order — and therefore the whole replay — must be
-    /// unchanged; the differential tests run both ways to prove it.
-    bypass: bool,
-}
-
-/// Buffered events beyond this force a flush: the linear scans stay cheap
-/// and a long-lived backlog belongs on the real queue anyway.
-const VBUF_CAP: usize = 12;
-
-impl VQueue {
-    fn new(bypass: bool) -> Self {
-        VQueue {
-            real: BucketQueue::new(),
-            vbuf: Vec::with_capacity(VBUF_CAP),
-            bypass,
-        }
-    }
-
-    #[inline]
-    fn schedule(&mut self, at: Time, ev: Event) {
-        if self.bypass {
-            self.real.schedule(at, ev);
-            return;
-        }
-        if self.vbuf.len() == VBUF_CAP {
-            self.flush();
-        }
-        self.vbuf.push((at, ev));
-    }
-
-    /// Moves every buffered event onto the real queue, preserving
-    /// schedule order (bucket positions are assigned in push order, so
-    /// FIFO ties resolve exactly as if the buffer had never existed).
-    fn flush(&mut self) {
-        for (t, ev) in self.vbuf.drain(..) {
-            self.real.schedule(t, ev);
-        }
-    }
-
-    fn pop(&mut self) -> Option<(Time, Event)> {
-        if self.vbuf.is_empty() {
-            return self.real.pop();
-        }
-        // Earliest buffered event; first occurrence wins at equal times
-        // (the buffer is in schedule order, matching queue FIFO).
-        let mut mi = 0;
-        for i in 1..self.vbuf.len() {
-            if self.vbuf[i].0 < self.vbuf[mi].0 {
-                mi = i;
-            }
-        }
-        let vt = self.vbuf[mi].0;
-        match self.real.peek_time() {
-            // Quiescence proof failed: a queued event fires at or before
-            // the buffered one, and at equal times the queued event is
-            // older. Fall back per-event through the real queue.
-            Some(p) if p <= vt => {
-                self.flush();
-                self.real.pop()
-            }
-            _ => Some(self.vbuf.remove(mi)),
-        }
     }
 }
 
@@ -463,11 +362,9 @@ struct Proc {
     compute: Time,
     finished: Option<Time>,
     overhead_paid: bool,
-    /// Cursor into the rank's burst-duration arena (program order).
+    /// Bursts executed so far: the per-rank burst ordinal that keys noise
+    /// draws, as in the naive engine.
     burst_pos: usize,
-    /// Sub-bursts left in the burst run currently being executed; while
-    /// non-zero, resumes continue the run instead of decoding the stream.
-    bursts_left: u32,
     /// Cursor into the rank's `WaitAll` slot arena (program order).
     wait_pos: usize,
 }
@@ -480,7 +377,6 @@ struct Stream<'a> {
     a: &'a [u32],
     b: &'a [u32],
     payload: &'a [u64],
-    burst_ps: &'a [u64],
     wait_slots: &'a [u32],
 }
 
@@ -655,7 +551,7 @@ struct FfState<'a, O: Observe + ?Sized> {
     /// bursts (noise, stragglers or heterogeneous nodes).
     compute_perturbed: bool,
     /// True when the model draws per-burst OS noise (the only compute
-    /// effect that needs a hash per sub-burst).
+    /// effect that needs a hash per burst).
     noise_on: bool,
     /// Per-rank burst prefactor (cpu ratio x node speed x straggler),
     /// hoisted out of the event loop; empty on clean runs. The values are
@@ -681,7 +577,7 @@ struct FfState<'a, O: Observe + ?Sized> {
     flight_intra: Time,
     xmit_inter: XmitMemo,
     xmit_intra: XmitMemo,
-    queue: VQueue,
+    queue: BucketQueue,
     procs: Vec<Proc>,
     transfers: Vec<Transfer>,
     /// Attribution side table, parallel to `transfers`; empty unless
@@ -695,22 +591,11 @@ struct FfState<'a, O: Observe + ?Sized> {
     collectives: CollectiveTracker,
     p2p_messages: u64,
     p2p_bytes: u64,
-    /// Disables compute-run coalescing (one sub-burst per event), pairing
-    /// with the queue's `bypass` to force the full per-event fallback.
-    force_fallback: bool,
-    /// End of the last retired (coalesced) compute window — the window
-    /// proof implies these are monotone across the whole run, checked in
-    /// debug builds.
-    last_window_end: Time,
     obs: &'a mut O,
 }
 
 impl<'a, O: Observe + ?Sized> FfState<'a, O> {
-    /// `force` replaces every window with the per-event fallback: no
-    /// virtual buffer, no compute-run coalescing. The differential tests
-    /// use it to check that a forced run agrees with the normal run event
-    /// for event (observable as an identical `ReplayResult`).
-    fn new(platform: &'a Platform, prog: &'a CompiledTrace, obs: &'a mut O, force: bool) -> Self {
+    fn new(platform: &'a Platform, prog: &'a CompiledTrace, obs: &'a mut O) -> Self {
         let n = prog.rank_count();
         let model = platform.perturbation();
         let inv_cpu_ratio = 1.0 / platform.cpu_ratio();
@@ -767,7 +652,6 @@ impl<'a, O: Observe + ?Sized> FfState<'a, O> {
                         a: rp.a(),
                         b: rp.b(),
                         payload: rp.payload(),
-                        burst_ps: rp.burst_ps(),
                         wait_slots: rp.wait_slots(),
                     }
                 })
@@ -796,7 +680,7 @@ impl<'a, O: Observe + ?Sized> FfState<'a, O> {
             flight_intra: platform.intra_node_latency(),
             xmit_inter: XmitMemo::default(),
             xmit_intra: XmitMemo::default(),
-            queue: VQueue::new(force),
+            queue: BucketQueue::new(),
             procs: (0..n)
                 .map(|r| Proc {
                     cursor: 0,
@@ -809,7 +693,6 @@ impl<'a, O: Observe + ?Sized> FfState<'a, O> {
                     finished: None,
                     overhead_paid: false,
                     burst_pos: 0,
-                    bursts_left: 0,
                     wait_pos: 0,
                 })
                 .collect(),
@@ -824,8 +707,6 @@ impl<'a, O: Observe + ?Sized> FfState<'a, O> {
             collectives: CollectiveTracker::new(n),
             p2p_messages: 0,
             p2p_bytes: 0,
-            force_fallback: force,
-            last_window_end: Time::ZERO,
             obs,
         }
     }
@@ -837,13 +718,7 @@ impl<'a, O: Observe + ?Sized> FfState<'a, O> {
         while let Some((t, ev)) = self.queue.pop() {
             let idx = ev.idx();
             match ev.kind() {
-                EV_RESUME => {
-                    if self.procs[idx].bursts_left > 0 {
-                        self.burst_step(idx);
-                    } else {
-                        self.step(idx);
-                    }
-                }
+                EV_RESUME => self.step(idx),
                 EV_SENT => self.transfer_sent(idx, t),
                 EV_DONE => self.transfer_done(idx, t),
                 _ => self.launch_transfer(idx, t),
@@ -946,13 +821,12 @@ impl<'a, O: Observe + ?Sized> FfState<'a, O> {
         }
     }
 
-    /// Duration of the sub-burst at arena index `idx` of rank `r`. Clean
-    /// runs scale by `1 / cpu_ratio`; perturbed runs apply the full
-    /// per-burst factor keyed on the arena index, which equals the
-    /// uncompiled engines' per-rank burst ordinal (the arena holds one
-    /// entry per original burst record, in program order).
+    /// Duration of rank `r`'s burst number `idx` (its per-rank burst
+    /// ordinal), `ps` picoseconds long on the reference CPU. Clean runs
+    /// scale by `1 / cpu_ratio`; perturbed runs apply the full per-burst
+    /// factor keyed on the ordinal, as the naive engine does.
     #[inline]
-    fn sub_burst(&self, r: usize, idx: usize, ps: u64) -> Time {
+    fn burst_time(&self, r: usize, idx: usize, ps: u64) -> Time {
         let base = Time::from_ps(ps);
         if !self.compute_perturbed {
             // scale_f64(1.0) is the identity below 2^53 ps (the f64
@@ -1152,78 +1026,6 @@ impl<'a, O: Observe + ?Sized> FfState<'a, O> {
         self.transmit_started(now);
     }
 
-    /// Executes (part of) the burst run at the rank's burst cursor,
-    /// scheduling exactly one resume. Greedily absorbs the longest prefix
-    /// of remaining sub-bursts whose end the event queue proves
-    /// undisturbed (nothing else fires before it), and always consumes at
-    /// least one sub-burst — which is precisely the uncompiled engines'
-    /// one-event-per-burst behaviour, so the fallback is tie-exact.
-    fn burst_step(&mut self, r: usize) {
-        let now = self.procs[r].clock;
-        let left = self.procs[r].bursts_left as usize;
-        let pos = self.procs[r].burst_pos;
-        debug_assert!(left > 0);
-        let arena = &self.streams[r].burst_ps[pos..pos + left];
-        // The jump window is proven against both event stores: nothing may
-        // fire before the absorbed run's end. Virtual events are part of
-        // "the machine" exactly like stored events here.
-        let peek = match (
-            self.queue.real.peek_time(),
-            self.queue.vbuf.iter().map(|&(t, _)| t).min(),
-        ) {
-            (None, None) => None,
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            (Some(a), Some(b)) => Some(a.min(b)),
-        };
-        // First sub-burst is unconditional (matches the naive engines).
-        let mut total = self.sub_burst(r, pos, arena[0]);
-        let mut end = now + total;
-        let mut consumed = 1;
-        while consumed < left && !self.force_fallback {
-            // Absorbing the next sub-burst is unobservable iff no other
-            // event fires before its end. `t > now` guards zero-length
-            // runs: a pending same-instant event would interleave with the
-            // chain in the uncompiled engines, so the chain must yield.
-            // An event before the current end fails the proof whatever
-            // the next duration is, so that case skips computing it.
-            if peek.is_some_and(|t| t < end || t <= now) {
-                break;
-            }
-            let dur = self.sub_burst(r, pos + consumed, arena[consumed]);
-            let next_end = end + dur;
-            if peek.is_some_and(|t| t < next_end) {
-                break;
-            }
-            total += dur;
-            end = next_end;
-            consumed += 1;
-        }
-        if consumed > 1 {
-            // The window proof (`peek >= end` for every absorbed step)
-            // makes retired-window end times monotone across the run:
-            // every pending and future event sits at or past this end.
-            debug_assert!(
-                end >= self.last_window_end,
-                "retired window ends out of order: {end:?} after {:?}",
-                self.last_window_end
-            );
-            self.last_window_end = end;
-        }
-        let rank = Rank::new(r as u32);
-        self.obs.interval(rank, now, end, ProcState::Compute);
-        if end > now {
-            self.obs
-                .attributed(rank, now, end, WaitCause::Compute, None);
-        }
-        let p = &mut self.procs[r];
-        p.compute += total;
-        p.clock = end;
-        p.burst_pos += consumed;
-        p.bursts_left -= consumed as u32;
-        self.queue.schedule(end, Event::resume(r));
-    }
-
     /// Executes instructions of rank `r` until it blocks, yields, or
     /// finishes.
     fn step(&mut self, r: usize) {
@@ -1241,10 +1043,19 @@ impl<'a, O: Observe + ?Sized> FfState<'a, O> {
             let now = self.procs[r].clock;
             match stream.ops[cursor] {
                 RecordKind::Burst => {
+                    let dur = self.burst_time(r, self.procs[r].burst_pos, stream.payload[cursor]);
+                    let end = now + dur;
+                    self.obs.interval(rank, now, end, ProcState::Compute);
+                    if end > now {
+                        self.obs
+                            .attributed(rank, now, end, WaitCause::Compute, None);
+                    }
                     let p = &mut self.procs[r];
-                    p.bursts_left = stream.a[cursor];
+                    p.compute += dur;
+                    p.clock = end;
+                    p.burst_pos += 1;
                     p.cursor += 1;
-                    self.burst_step(r);
+                    self.queue.schedule(end, Event::resume(r));
                     return;
                 }
                 RecordKind::Marker => {
@@ -1899,33 +1710,25 @@ mod tests {
         )
     }
 
-    /// Replays `ts` three ways: the production run, the per-event
-    /// schedule of the same executor with every fast-forward window
-    /// forced off, and the independent naive engine.
-    fn replay_three_ways(
-        platform: &Platform,
-        ts: &TraceSet,
-    ) -> [Result<ReplayResult, SimError>; 3] {
+    /// Replays `ts` two ways: the compiled production run and the
+    /// independent naive engine.
+    fn replay_both_ways(platform: &Platform, ts: &TraceSet) -> [Result<ReplayResult, SimError>; 2] {
         let index = TraceIndex::build(ts).expect("valid");
         let prog = CompiledTrace::compile(ts, &index).expect("compiles");
         [
             Simulator::new(platform.clone()).run_compiled(&prog),
-            FfState::new(platform, &prog, &mut NullObserver, true).run(),
             crate::naive::replay_naive(platform, ts),
         ]
     }
 
-    /// The fast-forward run must match the per-event compiled schedule
-    /// and the naive engine bit for bit.
+    /// The compiled run must match the naive engine bit for bit.
     fn assert_ff_matches(platform: Platform, ts: &TraceSet) {
-        let [ff, forced, naive] = replay_three_ways(&platform, ts);
-        let ff = ff.expect("replays");
+        let [ff, naive] = replay_both_ways(&platform, ts);
         assert_eq!(
-            ff,
-            forced.expect("replays"),
-            "fast-forward windows diverged"
+            ff.expect("replays"),
+            naive.expect("replays"),
+            "diverged from naive"
         );
-        assert_eq!(ff, naive.expect("replays"), "diverged from naive");
     }
 
     fn send(to: u32, bytes: u64, tag: u64) -> Record {
@@ -2035,7 +1838,7 @@ mod tests {
         let prog = CompiledTrace::compile(&ts, &index).unwrap();
         let global = |p: &Platform| {
             matches!(
-                FfState::new(p, &prog, &mut NullObserver, false).net,
+                FfState::new(p, &prog, &mut NullObserver).net,
                 Net::Global(_)
             )
         };
@@ -2061,9 +1864,8 @@ mod tests {
     fn fastforward_reports_identical_deadlock() {
         // Each trace validates and compiles but stalls. The diagnosis —
         // stall time and every blocked rank's text — is pinned for every
-        // kind of blocker, and the forced per-event schedule agrees. Naive
-        // replay words its blockers without peer and tag, so it only
-        // confirms the stall time.
+        // kind of blocker. Naive replay words its blockers without peer
+        // and tag, so it only confirms the stall time.
         let big = 1 << 20; // above the default eager threshold
         let cases = [
             (
@@ -2118,9 +1920,8 @@ mod tests {
                 at: Time::from_us(3),
                 blocked: vec![(Rank::new(0), why0.into()), (Rank::new(1), why1.into())],
             };
-            let [ff, forced, naive] = replay_three_ways(&platform_1us_1gb(), &trace(ranks));
+            let [ff, naive] = replay_both_ways(&platform_1us_1gb(), &trace(ranks));
             assert_eq!(ff.expect_err("deadlocks"), expected, "{why0}");
-            assert_eq!(forced.expect_err("deadlocks"), expected, "{why0}");
             assert!(
                 matches!(naive, Err(SimError::Deadlock { at, .. }) if at == Time::from_us(3)),
                 "{why0}: {naive:?}"
@@ -2145,6 +1946,93 @@ mod tests {
         assert_ff_matches(platform_1us_1gb(), &trace(pairs));
     }
 
+    mod queue_props {
+        use super::*;
+        use proptest::prelude::*;
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        /// The calendar queue beside a binary heap keyed on
+        /// `(time, schedule seq)`, fed the same operations.
+        struct Paired {
+            queue: BucketQueue,
+            heap: BinaryHeap<Reverse<(Time, usize)>>,
+            seq: usize,
+        }
+
+        impl Paired {
+            fn schedule(&mut self, at: Time) {
+                self.queue.schedule(at, Event::resume(self.seq));
+                self.heap.push(Reverse((at, self.seq)));
+                self.seq += 1;
+            }
+
+            /// Pops both and compares; false once both are empty.
+            fn pop(&mut self) -> Result<bool, TestCaseError> {
+                let want = self.heap.pop().map(|Reverse((t, s))| (t, Event::resume(s)));
+                prop_assert_eq!(self.queue.pop(), want);
+                Ok(want.is_some())
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Any interleaving of `schedule` and `pop` pops what a binary
+            /// heap keyed on `(time, schedule seq)` pops: time ascending,
+            /// FIFO among equal times. Schedules land at the front and
+            /// back instants, past the back, before the front, strictly
+            /// between them, and on any pending instant, starting from a
+            /// ring that has wrapped.
+            #[test]
+            fn calendar_queue_pops_in_heap_order(
+                ops in proptest::collection::vec((0u8..8, any::<u64>()), 1..300),
+            ) {
+                let base = Time::from_us(1);
+                let mut p = Paired { queue: BucketQueue::new(), heap: BinaryHeap::new(), seq: 0 };
+                // Fill the ring to near capacity with distinct instants,
+                // pop most of them, then extend past the back so the ring
+                // wraps without growing.
+                let cap = p.queue.order.capacity();
+                for i in 0..cap - 10 {
+                    p.schedule(base + Time::from_ps(100 * i as u64));
+                }
+                for _ in 0..cap - 20 {
+                    p.pop()?;
+                }
+                for i in 1..=20 {
+                    p.schedule(base + Time::from_ps(100 * (cap + i) as u64));
+                }
+                prop_assert!(!p.queue.order.as_slices().1.is_empty(), "the ring wrapped");
+                for (kind, k) in ops {
+                    let order = &p.queue.order;
+                    let (front, back) = match (order.front(), order.back()) {
+                        (Some(f), Some(b)) => (f.0, b.0),
+                        _ => (base, base),
+                    };
+                    let d = Time::from_ps(1 + k % 1000);
+                    let at = match kind {
+                        0 => front,
+                        1 => back,
+                        2 => back + d,
+                        3 => front.saturating_sub(d),
+                        4 => match (back - front).as_ps() {
+                            0 | 1 => front,
+                            span => front + Time::from_ps(1 + k % (span - 1)),
+                        },
+                        5 if !order.is_empty() => order[k as usize % order.len()].0,
+                        _ => {
+                            p.pop()?;
+                            continue;
+                        }
+                    };
+                    p.schedule(at);
+                }
+                while p.pop()? {}
+            }
+        }
+    }
+
     mod window_props {
         use super::*;
         use ovlsim_core::PerturbationModel;
@@ -2154,7 +2042,7 @@ mod tests {
         /// receives from its predecessor, then waits on all its sends and
         /// synchronizes. Deadlock-free for any byte size (blocking sends
         /// never occur), and the lockstep structure maximizes same-instant
-        /// ties — the case the window proof must refuse to certify.
+        /// ties, where any reordering of events would show.
         fn ring(ranks: u32, iters: u32, bytes: u64, burst: u64) -> TraceSet {
             let recs = (0..ranks)
                 .map(|r| {
@@ -2207,9 +2095,8 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(32))]
 
-            /// Retired (coalesced) compute windows end in monotone order:
-            /// the `debug_assert` in `burst_step` checks every retirement,
-            /// and the result still matches the naive engine bit for bit.
+            /// Lockstep rings, clean and perturbed, on both transports:
+            /// the compiled run matches the naive engine bit for bit.
             #[test]
             fn retired_window_ends_are_monotone(
                 ranks in 2u32..6,
@@ -2222,33 +2109,8 @@ mod tests {
             ) {
                 let ts = ring(ranks, iters, bytes, burst);
                 let platform = platform_at(lat_us, buses, perturbed);
-                let index = TraceIndex::build(&ts).expect("valid");
-                let prog = CompiledTrace::compile(&ts, &index).expect("compiles");
-                let ff = Simulator::new(platform.clone()).run_compiled(&prog).expect("replays");
-                let naive = crate::naive::replay_naive(&platform, &ts).expect("replays");
-                prop_assert_eq!(ff, naive);
-            }
-
-            /// Forcing the per-event fallback everywhere (no virtual
-            /// buffer, no window coalescing) replays the identical event
-            /// sequence: the forced run, the normal run and the naive
-            /// engine agree on every observable.
-            #[test]
-            fn forced_fallback_agrees_event_for_event(
-                ranks in 2u32..6,
-                iters in 1u32..5,
-                bytes in 1u64..200_000,
-                burst in 1u64..50_000,
-                lat_us in 0u64..6,
-                buses in prop_oneof![Just(None), (1u32..4).prop_map(Some)],
-                perturbed in any::<bool>(),
-            ) {
-                let ts = ring(ranks, iters, bytes, burst);
-                let platform = platform_at(lat_us, buses, perturbed);
-                let [normal, forced, naive] = replay_three_ways(&platform, &ts);
-                let normal = normal.expect("replays");
-                prop_assert_eq!(&normal, &forced.expect("replays"), "forced fallback diverged");
-                prop_assert_eq!(&normal, &naive.expect("replays"), "diverged from naive");
+                let [ff, naive] = replay_both_ways(&platform, &ts);
+                prop_assert_eq!(ff.expect("replays"), naive.expect("replays"));
             }
         }
     }

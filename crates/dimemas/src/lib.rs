@@ -14,9 +14,10 @@
 //!   Every entry point lowers the trace into an
 //!   [`ovlsim_core::CompiledTrace`] (or takes one pre-lowered, via
 //!   [`Simulator::run_compiled`]) and runs the one production executor:
-//!   per-node transport pumps (a global FIFO pump when the platform has
-//!   finite buses or intra-node ports) and quiescent-window
-//!   fast-forwarding, bit-identical to the seed's naive reference engine,
+//!   a calendar event queue, one event per burst, and per-node transport
+//!   pumps (a global FIFO pump when the platform has finite buses or
+//!   intra-node ports), bit-identical to the seed's naive reference
+//!   engine,
 //! * [`ReplayObserver`] — timeline hooks consumed by the visualization
 //!   layer (`ovlsim-paraver`),
 //! * [`emit_trace_set`]/[`parse_trace_set`] — the `.dim`-style text

@@ -194,8 +194,9 @@ impl Simulator {
     }
 
     /// Replays a trace set, reporting timeline happenings to `observer`.
-    /// The trace is compiled with [`CompiledTrace::build_observed`], so
-    /// the timeline keeps every burst and marker.
+    /// The trace is compiled with [`CompiledTrace::build`] as in
+    /// [`Simulator::run`]; a program keeps one instruction per record, so
+    /// the timeline holds every burst and marker.
     ///
     /// # Errors
     ///
@@ -205,8 +206,8 @@ impl Simulator {
         trace: &TraceSet,
         observer: &mut dyn ReplayObserver,
     ) -> Result<ReplayResult, SimError> {
-        let prog = CompiledTrace::build_observed(trace)
-            .map_err(|issues| SimError::InvalidTrace { issues })?;
+        let prog =
+            CompiledTrace::build(trace).map_err(|issues| SimError::InvalidTrace { issues })?;
         self.run_compiled_observed(&prog, observer)
     }
 }

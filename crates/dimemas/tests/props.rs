@@ -291,10 +291,10 @@ fn split_instr(total: u64, parts: u64) -> Vec<Record> {
     out
 }
 
-/// A four-rank trace engineered to stress the compiled engine's burst
-/// coalescing: every round gives all ranks the **same total compute** but
-/// *different adjacent-burst splits* (so compiled runs coalesce where the
-/// uncompiled engines step burst-by-burst, while message-readiness ties at
+/// A four-rank trace engineered to stress per-burst rounding and event
+/// order: every round gives all ranks the **same total compute** but
+/// *different adjacent-burst splits* (so ranks take different numbers of
+/// burst events to the same instant, while message-readiness ties at
 /// identical instants still abound), then exchanges messages on a mix of
 /// neighbour (intra-node when packed) and stride-2 (inter-node) channels —
 /// blocking on even rounds, isend/irecv + wait/waitall with *reused*
@@ -498,7 +498,7 @@ fn assert_attribution_conserved(
     platform: &Platform,
 ) -> Result<(), TestCaseError> {
     let index = ovlsim_core::TraceIndex::build(trace).expect("valid");
-    let prog = ovlsim_core::CompiledTrace::compile_observed(trace, &index).expect("compiles");
+    let prog = ovlsim_core::CompiledTrace::compile(trace, &index).expect("compiles");
     let mut compiled_cap = AttrCapture::new(trace.rank_count());
     let compiled = Simulator::new(platform.clone())
         .run_compiled_observed(&prog, &mut compiled_cap)
@@ -616,7 +616,7 @@ proptest! {
         }
     }
 
-    /// The compiled engine (flat SoA program, coalesced burst runs,
+    /// The compiled engine (flat SoA program, one event per burst,
     /// pre-resolved request slots) is bit-identical to every other engine
     /// on traces full of adjacent-burst runs and same-instant ties, on
     /// flat platforms with finite buses/links and overheads.

@@ -3,7 +3,7 @@
 //! A replay's makespan says *how fast* an execution was; attribution says
 //! *where the time went* and *which communication actually matters*. An
 //! observed replay (`run_compiled_observed` on a program from
-//! `CompiledTrace::compile_observed`) emits cause-tagged intervals
+//! `CompiledTrace::compile`) emits cause-tagged intervals
 //! ([`WaitCause`]) that tile each rank's `[0, finish)` exactly; this
 //! module folds them into:
 //!
@@ -51,7 +51,7 @@ pub struct AttrInterval {
 /// A [`ReplayObserver`] that records attributed intervals per rank.
 ///
 /// Feed it to `run_observed` or `run_compiled_observed` (on a program
-/// from `CompiledTrace::compile_observed`); then fold the capture
+/// from `CompiledTrace::compile`); then fold the capture
 /// with [`Attribution::from_recorded`] or use the one-call
 /// [`Attribution::analyze`].
 #[derive(Debug, Clone, Default)]
@@ -248,7 +248,7 @@ impl Attribution {
         trace: &TraceSet,
         index: &TraceIndex,
     ) -> Result<(Attribution, AttributionRecorder), LabError> {
-        let prog = CompiledTrace::compile_observed(trace, index)?;
+        let prog = CompiledTrace::compile(trace, index)?;
         let mut recorder = AttributionRecorder::new(trace.rank_count());
         let result =
             Simulator::new(platform.clone()).run_compiled_observed(&prog, &mut recorder)?;

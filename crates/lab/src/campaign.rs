@@ -72,9 +72,8 @@ use crate::pipeline::{ArtifactPipeline, EngineInput};
 pub enum Engine {
     /// Flat SoA replay program
     /// ([`Simulator::run_compiled`](ovlsim_dimemas::Simulator::run_compiled)):
-    /// calendar event store, platform-selected transport pumps and
-    /// quiescent-window fast-forwarding — the production path, and the
-    /// default.
+    /// calendar event store, one event per burst and platform-selected
+    /// transport pumps — the production path, and the default.
     Compiled,
     /// The reference engine kept from the seed
     /// ([`ovlsim_dimemas::replay_naive`]).

@@ -160,6 +160,49 @@ fn corrupted_cache_entries_are_quarantined_and_rebuilt_identically() {
     fs::remove_dir_all(&cache).unwrap();
 }
 
+/// A program cached by a build that wrote `.ovlb` format version 1 has a
+/// layout this build no longer reads: the entry is quarantined, the
+/// program is rebuilt and re-persisted, and the report does not change.
+/// A version-1 trace entry still loads: the trace-set layout is the same.
+#[test]
+fn version_1_program_entries_are_quarantined_and_rebuilt() {
+    let cache = scratch("stale");
+    let (cold_json, _) = run_campaign(&cache);
+
+    let first_entry = |prefix: &str| {
+        let mut found: Vec<PathBuf> = fs::read_dir(&cache)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| {
+                let name = p.file_name().unwrap().to_str().unwrap();
+                name.starts_with(prefix) && name.ends_with(".ovlb")
+            })
+            .collect();
+        found.sort();
+        found.into_iter().next().expect("an entry exists")
+    };
+    let stale = first_entry("prog-");
+    for entry in [&stale, &first_entry("trace-")] {
+        let mut bytes = fs::read(entry).unwrap();
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        fs::write(entry, &bytes).unwrap();
+    }
+
+    let (json, session) = run_campaign(&cache);
+    assert_eq!(json, cold_json, "the rebuilt program replays identically");
+    assert_eq!(session.disk_stats().unwrap().quarantined, 1);
+    assert_eq!(session.stats().programs.builds, 1, "built once");
+    assert_eq!(session.stats().traces.builds, 0, "traces all load");
+    let rewritten = fs::read(&stale).unwrap();
+    assert_eq!(
+        rewritten[4..6],
+        ovlsim_core::codec::FORMAT_VERSION.to_le_bytes(),
+        "re-persisted at the current version"
+    );
+
+    fs::remove_dir_all(&cache).unwrap();
+}
+
 /// Tuner candidates go straight from plan to program: a tune run through
 /// a cached session builds and persists only the original trace (and
 /// indexes it for the attribution ranking), never a candidate, and

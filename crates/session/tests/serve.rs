@@ -94,6 +94,14 @@ fn concurrent_batched_sweeps_compile_once_and_shut_down_cleanly() {
     let (status, err_body) = request(port, "POST", "/sweep", "{\"original\":{}}");
     assert_eq!(status, 400);
     assert!(err_body.starts_with("{\"error\":\""), "error: {err_body}");
+    // A generated source too large to trace is refused before tracing.
+    let huge = r#"{"source":{"app":"nas-bt","ranks":100000000}}"#;
+    let (status, err_body) = request(port, "POST", "/replay", huge);
+    assert_eq!(status, 400);
+    assert!(
+        err_body.starts_with("{\"error\":\"") && err_body.contains("at most 4096"),
+        "error: {err_body}"
+    );
     let (status, _) = request(port, "POST", "/no-such-route", "{}");
     assert_eq!(status, 404);
 

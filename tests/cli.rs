@@ -341,13 +341,27 @@ fn exit_codes_distinguish_usage_from_runtime_failures() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.starts_with("error: "), "{stderr}");
 
-    // Out-of-domain perturbation and platform values print exactly
-    // these lines.
+    // Out-of-domain perturbation and platform values, and generated
+    // sources too large to trace, print exactly these lines.
     let root = env!("CARGO_MANIFEST_DIR");
     let mini = format!("{root}/examples/traces/nas-bt-mini.original.dim");
     let noise = format!("{root}/examples/campaigns/noise.campaign");
     let out_dir = scratch_dir("bad-values");
     let out_dir = out_dir.to_str().unwrap();
+    let big = scratch_dir("oversized");
+    std::fs::remove_dir_all(&big).unwrap();
+    std::fs::create_dir_all(&big).unwrap();
+    let spec = big.join("big.campaign");
+    let spec_text = "campaign big\napps nas-bt\nclasses S\nranks 100000000\nbandwidths list 1e9\n";
+    std::fs::write(&spec, spec_text).unwrap();
+    let spec = spec.to_str().unwrap();
+    let (prefix, spec_out) = (
+        format!("{}/x", big.display()),
+        format!("{}/out", big.display()),
+    );
+    let too_many_ranks = "parameter `ranks` invalid: must be at most 4096";
+    let gen_line = format!("unknown or invalid app `nas-bt`: {too_many_ranks}");
+    let spec_line = format!("{spec}: building application failed: {too_many_ranks}");
     for (args, line) in [
         (
             ["analyze", &mini, "--noise", "-1", "--out", out_dir].as_slice(),
@@ -364,6 +378,24 @@ fn exit_codes_distinguish_usage_from_runtime_failures() {
             &["trace", "replay", &mini, "-5"],
             "bandwidth must be finite and positive, got -5",
         ),
+        (
+            &[
+                "trace",
+                "gen",
+                "nas-bt",
+                &prefix,
+                "S",
+                "4",
+                "18446744073709551615",
+            ],
+            "unknown or invalid app `nas-bt`: parameter `ranks x iterations` invalid: \
+             must be at most 1048576",
+        ),
+        (
+            &["trace", "gen", "nas-bt", &prefix, "S", "100000000"],
+            &gen_line,
+        ),
+        (&["campaign", "run", spec, "--out", &spec_out], &spec_line),
     ] {
         let out = ovlsim().args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(1), "{args:?}");
@@ -372,6 +404,11 @@ fn exit_codes_distinguish_usage_from_runtime_failures() {
             format!("error: {line}\n")
         );
     }
+    let written: Vec<_> = std::fs::read_dir(&big)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(written, ["big.campaign"], "refusals write nothing");
 }
 
 /// The committed NAS-BT mini trace under another `name` header.
