@@ -7,13 +7,14 @@
 //! dense `u32` — the replay inner loop then does a single vector index.
 //!
 //! [`TraceIndex::build`] validates a [`TraceSet`] and interns its channels
-//! in one pass of the record walker (the same pass that
+//! in one whole-trace walk of the record walker (the walk that
 //! [`validate_trace_set`](crate::validate_trace_set) runs, keeping each
 //! record's channel id). A caller that needs only the replay program
 //! skips the index: [`CompiledTrace::build`](crate::CompiledTrace::build)
-//! validates and lowers in that same single pass. The index is for
-//! callers that keep it: attribution reads channels back from it, and a
-//! session caches it next to the program it was compiled with
+//! validates and lowers rank by rank and links the ranks, numbering
+//! channels exactly as the index does. The index is for callers that keep
+//! it: attribution reads channels back from it, and a session caches it
+//! next to the program it was compiled with
 //! ([`CompiledTrace::compile`](crate::CompiledTrace::compile)).
 
 use crate::record::TraceSet;
@@ -106,7 +107,7 @@ impl TraceIndex {
     /// Returns every [`TraceIssue`] found if the trace set is structurally
     /// invalid (the index of an invalid trace would be meaningless).
     pub fn build(ts: &TraceSet) -> Result<Self, Vec<TraceIssue>> {
-        let mut checks = Checks::new(ts);
+        let mut checks = Checks::new(ts.rank_count());
         let mut columns = Columns::default();
         let Ok(()) = walk(ts, &mut checks, &mut columns);
         let channel_peers = checks

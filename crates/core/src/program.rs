@@ -23,24 +23,30 @@
 //!   engine derives intra-/inter-node routing once per run without
 //!   touching a [`TraceIndex`].
 //!
-//! Lowering runs inside the record walker, so there are two ways in.
-//! [`CompiledTrace::build`] validates, interns channels and lowers in one
-//! pass over the records: the path for a caller that needs only the
-//! program (single replays, tuner candidates).
-//! [`CompiledTrace::compile`] lowers with the channels of an index the
-//! caller already holds, checking nothing; the session caches that index
-//! and attribution reads it back.
+//! Lowering runs inside the record walker, so there are three ways in.
+//! [`CompiledTrace::build`] validates, interns channels and lowers a whole
+//! trace: the path for a caller that needs only the program (single
+//! replays, sweeps). It is [`LoweredRank::lower`] over every rank, then
+//! [`CompiledTrace::link`]. A caller that changes a few ranks of a trace
+//! (the auto-tuner's candidates) keeps the other ranks' lowerings,
+//! re-lowers only the changed ones and links again: a rank's lowering
+//! depends only on its own records, the trace's rank count and its MIPS
+//! rate. [`CompiledTrace::compile`] lowers with
+//! the channels of an index the caller already holds, checking nothing;
+//! the session caches that index and attribution reads it back.
 //!
 //! Markers stay instructions, so one program serves observed and
 //! unobserved replays alike: an observer sees every burst and marker, and
 //! an unobserved run steps over markers.
 
+use std::borrow::Borrow;
+
 use crate::ids::{Rank, RequestId, Tag};
 use crate::index::{TraceIndex, NO_CHANNEL};
 use crate::instr::{Instr, MipsRate};
-use crate::record::{RecordKind, TraceSet};
-use crate::validate::{Checks, TraceIssue};
-use crate::walk::{walk, At, Resolve, Sink};
+use crate::record::{Record, RecordKind, TraceSet};
+use crate::validate::{join, Checks, Joined, TraceIssue};
+use crate::walk::{walk, walk_rank, At, Resolve, Sink, Slots};
 
 /// Why a trace could not be compiled.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -216,9 +222,11 @@ pub struct CompiledTrace {
 }
 
 impl CompiledTrace {
-    /// Validates `trace` and compiles it in one pass over the records. The
-    /// program equals [`CompiledTrace::compile`] with the trace's own
-    /// [`TraceIndex`], without building that index.
+    /// Validates `trace` and compiles it: every rank is lowered on its own
+    /// ([`LoweredRank::lower`]) and the ranks are linked
+    /// ([`CompiledTrace::link`]). The program equals
+    /// [`CompiledTrace::compile`] with the trace's own [`TraceIndex`],
+    /// without building that index.
     ///
     /// # Errors
     ///
@@ -226,10 +234,63 @@ impl CompiledTrace {
     /// [`validate_trace_set`](crate::validate_trace_set) lists them, if
     /// the trace set is structurally invalid.
     pub fn build(trace: &TraceSet) -> Result<Self, Vec<TraceIssue>> {
-        let mut checks = Checks::new(trace);
-        let mut emitter = Emitter::new(trace.mips());
-        let Ok(()) = walk(trace, &mut checks, &mut emitter);
-        Ok(emitter.finish(trace, checks.finish()?))
+        let rank_count = trace.rank_count();
+        let ranks: Vec<LoweredRank> = trace
+            .ranks()
+            .iter()
+            .enumerate()
+            .map(|(r, rank)| {
+                LoweredRank::lower(
+                    Rank::new(r as u32),
+                    rank_count,
+                    trace.mips(),
+                    rank.records(),
+                )
+            })
+            .collect();
+        let joined = join_lowered(trace.mips(), &ranks)?;
+        Ok(assemble(
+            trace.name(),
+            trace.mips(),
+            joined,
+            ranks.into_iter().map(|lowered| lowered.program),
+        ))
+    }
+
+    /// Links ranks lowered one by one, given in rank order, into the
+    /// program named `name`. The result equals [`CompiledTrace::build`] of
+    /// the trace whose ranks they are: channels are numbered in the same
+    /// first-appearance order (ranks in order, each rank's records in
+    /// order), and an invalid trace reports the same issues in the same
+    /// order.
+    ///
+    /// Each rank's program is copied with its channel operands renumbered;
+    /// the lowered ranks are left as they are, so they can be linked
+    /// again beside other ranks.
+    ///
+    /// # Errors
+    ///
+    /// Returns every [`TraceIssue`] of the linked trace, as
+    /// [`validate_trace_set`](crate::validate_trace_set) lists them: each
+    /// rank's own issues rank by rank, then the channel issues by
+    /// `(from, to, tag)`, then the collective ones.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ranks[r]` was not lowered as rank `r` of a trace of
+    /// `ranks.len()` ranks at `mips`.
+    pub fn link<R: Borrow<LoweredRank>>(
+        name: &str,
+        mips: MipsRate,
+        ranks: &[R],
+    ) -> Result<Self, Vec<TraceIssue>> {
+        let joined = join_lowered(mips, ranks)?;
+        Ok(assemble(
+            name,
+            mips,
+            joined,
+            ranks.iter().map(|lowered| lowered.borrow().program.clone()),
+        ))
     }
 
     /// Compiles `trace`, one instruction per record. Replay results are
@@ -290,8 +351,99 @@ impl CompiledTrace {
     }
 }
 
+/// Joins lowered ranks: the trace's channels and each rank's channel
+/// renumbering, or every issue.
+fn join_lowered<R: Borrow<LoweredRank>>(
+    mips: MipsRate,
+    ranks: &[R],
+) -> Result<Joined, Vec<TraceIssue>> {
+    let walks: Vec<&Checks> = ranks
+        .iter()
+        .enumerate()
+        .map(|(r, lowered)| {
+            let lowered = lowered.borrow();
+            assert!(
+                lowered.rank.index() == r && lowered.mips == mips,
+                "rank {r} was lowered as {} at {}",
+                lowered.rank,
+                lowered.mips
+            );
+            &lowered.checks
+        })
+        .collect();
+    join(&walks)
+}
+
+/// The program of joined ranks: each rank's program with its channels
+/// renumbered across the trace.
+fn assemble(
+    name: &str,
+    mips: MipsRate,
+    Joined { channels, ids }: Joined,
+    programs: impl Iterator<Item = RankProgram>,
+) -> CompiledTrace {
+    CompiledTrace {
+        name: name.to_string(),
+        mips,
+        channels,
+        ranks: programs
+            .zip(&ids)
+            .map(|(mut program, ids)| {
+                program.relabel(ids);
+                program
+            })
+            .collect(),
+    }
+}
+
+/// One rank of a trace lowered on its own, ready for
+/// [`CompiledTrace::link`].
+///
+/// It holds the rank's program, with channel operands numbered in the
+/// rank's own first-appearance order, and what linking needs to number
+/// them across the trace and to check the rank against the others: the
+/// rank's channels with a table from channel to that number, its send and
+/// receive sizes, its collective sequence, and its rank-local issues
+/// (ranks out of range; duplicate, unknown and leaked requests) in walk
+/// order.
+#[derive(Debug)]
+pub struct LoweredRank {
+    rank: Rank,
+    mips: MipsRate,
+    program: RankProgram,
+    checks: Checks,
+}
+
+impl LoweredRank {
+    /// Lowers `records` as rank `rank` of a trace of `rank_count` ranks
+    /// whose bursts run at `mips`. Nothing here fails: an issue is kept
+    /// and reported when the rank is linked.
+    pub fn lower(rank: Rank, rank_count: usize, mips: MipsRate, records: &[Record]) -> Self {
+        let (sends, recvs) = records.iter().fold((0, 0), |(s, r), rec| match rec {
+            Record::Send { .. } | Record::ISend { .. } => (s + 1, r),
+            Record::Recv { .. } | Record::IRecv { .. } => (s, r + 1),
+            _ => (s, r),
+        });
+        let mut checks = Checks::with_capacity(rank_count, sends, recvs);
+        let mut emitter = Emitter::new(mips);
+        let Ok(()) = walk_rank(
+            rank,
+            records,
+            &mut Slots::default(),
+            &mut checks,
+            &mut emitter,
+        );
+        LoweredRank {
+            rank,
+            mips,
+            program: emitter.ranks.pop().expect("the walk ends the rank"),
+            checks,
+        }
+    }
+}
+
 /// The [`Sink`] that lowers walked records into per-rank programs, shared
-/// by [`CompiledTrace::build`] and [`CompiledTrace::compile`].
+/// by [`LoweredRank::lower`] and [`CompiledTrace::compile`].
 struct Emitter {
     mips: MipsRate,
     rank: RankProgram,
@@ -318,6 +470,13 @@ impl Emitter {
 }
 
 impl Sink for Emitter {
+    fn begin_rank(&mut self, len: usize) {
+        self.rank.ops.reserve_exact(len);
+        self.rank.a.reserve_exact(len);
+        self.rank.b.reserve_exact(len);
+        self.rank.payload.reserve_exact(len);
+    }
+
     fn burst(&mut self, instr: Instr) {
         let ps = self.mips.instr_to_time(instr).as_ps();
         self.rank.push(RecordKind::Burst, 0, 0, ps);
@@ -378,7 +537,7 @@ impl<'i> Indexed<'i> {
     }
 }
 
-impl Resolve<'_> for Indexed<'_> {
+impl Resolve for Indexed<'_> {
     type Error = CompileError;
 
     fn begin_rank(&mut self, rank: usize) {
@@ -407,6 +566,18 @@ impl RankProgram {
         self.a.push(a);
         self.b.push(b);
         self.payload.push(payload);
+    }
+
+    /// Renumbers the channel operands: channel `c` becomes `ids[c]`.
+    fn relabel(&mut self, ids: &[u32]) {
+        for (op, a) in self.ops.iter().zip(&mut self.a) {
+            if matches!(
+                op,
+                RecordKind::Send | RecordKind::Recv | RecordKind::ISend | RecordKind::IRecv
+            ) {
+                *a = ids[*a as usize];
+            }
+        }
     }
 
     /// Reassembles a rank program from decoded columns (`core::codec`

@@ -6,14 +6,17 @@
 //! replay simulator runs, turning would-be deadlocks or panics into
 //! actionable reports.
 //!
-//! The checks run inside the record walker (`crate::walk`), in the same
-//! pass that interns channels for
-//! [`TraceIndex::build`](crate::TraceIndex::build) and lowers the replay
-//! program for [`CompiledTrace::build`](crate::CompiledTrace::build).
-//! All three report the same issues in the same order. The walker
-//! tracks requests in flight in one map per rank, from request id to the
-//! slot the program gives it, and streams every send and receive size
-//! into two flat FIFO streams, paired up by channel after the walk.
+//! The checks come in two halves. The rank-local ones (ranks in range,
+//! requests posted once, waited on and not leaked) run inside the record
+//! walker (`crate::walk`), which also interns channels and streams every
+//! send and receive size into two flat FIFO streams. The cross-rank ones
+//! (`cross_rank`: per-channel balance and sizes, collective agreement)
+//! run once every rank is walked. [`validate_trace_set`] and
+//! [`TraceIndex::build`](crate::TraceIndex::build) walk the whole trace
+//! with one `Checks`; [`CompiledTrace::link`](crate::CompiledTrace::link)
+//! joins ranks that were each walked with their own `Checks` and then runs
+//! the same cross-rank half. All of them report the same issues in the
+//! same order.
 
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -182,16 +185,19 @@ impl fmt::Display for TraceIssue {
 /// # }
 /// ```
 pub fn validate_trace_set(ts: &TraceSet) -> Vec<TraceIssue> {
-    let mut checks = Checks::new(ts);
+    let mut checks = Checks::new(ts.rank_count());
     let Ok(()) = walk(ts, &mut checks, &mut ());
     checks.finish().err().unwrap_or_default()
 }
 
-/// The validating [`Resolve`]r: runs every check of
+/// The validating [`Resolve`]r: runs the rank-local checks of
 /// [`validate_trace_set`] during the walk and interns channels densely in
-/// order of first appearance (ranks in order, records in order), which
-/// makes channel ids deterministic.
-pub(crate) struct Checks<'t> {
+/// order of first appearance within the walk (ranks in order, records in
+/// order), which makes channel ids deterministic. A whole-trace walk
+/// numbers channels across the trace; a one-rank walk numbers the rank's
+/// own.
+#[derive(Debug)]
+pub(crate) struct Checks {
     rank_count: usize,
     issues: Vec<TraceIssue>,
     /// `(from, to, tag)` → channel id, with the default (SipHash) hasher
@@ -203,19 +209,25 @@ pub(crate) struct Checks<'t> {
     /// streams the size check pairs up.
     sends: Vec<(u32, u64)>,
     recvs: Vec<(u32, u64)>,
-    /// Each rank's collective sequence (compared by value).
-    collectives: Vec<Vec<&'t Record>>,
+    /// Each walked rank's collective sequence (compared by value).
+    collectives: Vec<Vec<Record>>,
 }
 
-impl<'t> Checks<'t> {
-    pub(crate) fn new(ts: &TraceSet) -> Self {
+impl Checks {
+    pub(crate) fn new(rank_count: usize) -> Self {
+        Self::with_capacity(rank_count, 0, 0)
+    }
+
+    /// A `Checks` with room for a walk of `sends` sends and `recvs`
+    /// receives.
+    pub(crate) fn with_capacity(rank_count: usize, sends: usize, recvs: usize) -> Self {
         Checks {
-            rank_count: ts.rank_count(),
+            rank_count,
             issues: Vec::new(),
-            channel_ids: HashMap::new(),
-            channels: Vec::new(),
-            sends: Vec::new(),
-            recvs: Vec::new(),
+            channel_ids: HashMap::with_capacity(sends + recvs),
+            channels: Vec::with_capacity(sends + recvs),
+            sends: Vec::with_capacity(sends),
+            recvs: Vec::with_capacity(recvs),
             collectives: Vec::new(),
         }
     }
@@ -241,93 +253,201 @@ impl<'t> Checks<'t> {
             })
     }
 
-    /// Ends the walk: the interned channels, indexed by id, or every
-    /// issue found.
-    pub(crate) fn finish(mut self) -> Result<Vec<ChannelEndpoints>, Vec<TraceIssue>> {
-        // Channel balance and pairwise sizes: a channel is clean when its
-        // send and receive FIFOs are equal. Dirty channels are reported in
-        // (from, to, tag) order, independent of the interning order.
-        let sends = Fifos::group(&self.sends, self.channels.len());
-        let recvs = Fifos::group(&self.recvs, self.channels.len());
-        let mut dirty: Vec<usize> = (0..self.channels.len())
-            .filter(|&c| sends.of(c) != recvs.of(c))
-            .collect();
-        dirty.sort_by_key(|&c| {
-            let e = &self.channels[c];
-            (e.src, e.dst, e.tag)
-        });
-        for c in dirty {
-            let ChannelEndpoints {
-                src: from,
-                dst: to,
-                tag,
-            } = self.channels[c];
-            let (s, r) = (sends.of(c), recvs.of(c));
-            if s.len() != r.len() {
-                self.issues.push(TraceIssue::UnbalancedChannel {
-                    from,
-                    to,
-                    tag,
-                    sends: s.len(),
-                    recvs: r.len(),
-                });
-            }
-            for (position, (&send_bytes, &recv_bytes)) in s.iter().zip(r).enumerate() {
-                if send_bytes != recv_bytes {
-                    self.issues.push(TraceIssue::SizeMismatch {
-                        from,
-                        to,
-                        tag,
-                        position,
-                        send_bytes,
-                        recv_bytes,
-                    });
-                }
-            }
-        }
-
-        // Collective agreement: every rank must list rank 0's sequence.
-        // Records are compared structurally (identical records keep replay
-        // simple and deterministic); a rank whose count differs reports
-        // only that. The display strings are only rendered for the (rare)
-        // mismatch report.
-        if let Some((reference, rest)) = self.collectives.split_first() {
-            for (r, seq) in rest.iter().enumerate() {
-                let rank = Rank::new(r as u32 + 1);
-                let mut diverged = Vec::new();
-                if seq.len() != reference.len() {
-                    let (expected, count) = (reference.len(), seq.len());
-                    diverged.push((
-                        count.min(expected),
-                        format!("rank 0 has {expected} collectives, {rank} has {count}"),
-                    ));
-                } else {
-                    for (position, (a, b)) in reference.iter().zip(seq).enumerate() {
-                        if a != b {
-                            diverged
-                                .push((position, format!("rank 0 sees `{a}`, {rank} sees `{b}`")));
-                        }
-                    }
-                }
-                for (position, detail) in diverged {
-                    self.issues.push(TraceIssue::CollectiveMismatch {
-                        rank,
-                        position,
-                        detail,
-                    });
-                }
-            }
-        }
-
-        if self.issues.is_empty() {
-            Ok(self.channels)
-        } else {
-            Err(self.issues)
-        }
+    /// Ends a whole-trace walk: the interned channels, indexed by id, or
+    /// every issue found.
+    pub(crate) fn finish(self) -> Result<Vec<ChannelEndpoints>, Vec<TraceIssue>> {
+        cross_rank(
+            self.channels,
+            &self.sends,
+            &self.recvs,
+            self.collectives.iter().map(Vec::as_slice),
+            self.issues,
+        )
     }
 }
 
-impl<'t> Resolve<'t> for Checks<'t> {
+/// The channels of a trace joined from one-rank walks.
+pub(crate) struct Joined {
+    /// The trace's channels, indexed by trace-wide id.
+    pub(crate) channels: Vec<ChannelEndpoints>,
+    /// For each rank, the trace-wide id of each of its own channel ids.
+    pub(crate) ids: Vec<Vec<u32>>,
+}
+
+/// Joins one-rank walks, given in rank order, as if the whole trace had
+/// been walked with one `Checks`: returns the trace's channels and each
+/// rank's channel renumbering, or every issue a whole-trace walk would
+/// report, in its order.
+///
+/// Channels are numbered in first-appearance order, ranks in order and
+/// each rank's channels in its own order. Every channel a rank interned
+/// has that rank as an endpoint, so a channel whose other endpoint `o` is
+/// a lower rank can only have appeared first in rank `o`: it is looked up
+/// in rank `o`'s table. Every other channel is new. No trace-wide table is
+/// built.
+///
+/// # Panics
+///
+/// Panics if a walk was not of one rank of a trace of `ranks.len()` ranks.
+pub(crate) fn join(ranks: &[&Checks]) -> Result<Joined, Vec<TraceIssue>> {
+    let mut channels: Vec<ChannelEndpoints> = Vec::new();
+    let mut ids: Vec<Vec<u32>> = Vec::with_capacity(ranks.len());
+    for (r, checks) in ranks.iter().enumerate() {
+        assert!(
+            checks.rank_count == ranks.len() && checks.collectives.len() == 1,
+            "rank {r} was not walked alone as one of {} ranks",
+            ranks.len()
+        );
+        let own = checks
+            .channels
+            .iter()
+            .map(|&key| {
+                let other = if key.src.index() == r {
+                    key.dst.index()
+                } else {
+                    key.src.index()
+                };
+                let earlier = if other < r {
+                    ranks[other]
+                        .channel_ids
+                        .get(&(key.src.get(), key.dst.get(), key.tag.get()))
+                } else {
+                    None
+                };
+                match earlier {
+                    Some(&local) => ids[other][local as usize],
+                    None => {
+                        channels.push(key);
+                        u32::try_from(channels.len() - 1).expect("channel ids fit in u32")
+                    }
+                }
+            })
+            .collect();
+        ids.push(own);
+    }
+    let global = |stream: fn(&Checks) -> &[(u32, u64)]| -> Vec<(u32, u64)> {
+        ranks
+            .iter()
+            .zip(&ids)
+            .flat_map(|(checks, own)| {
+                stream(checks)
+                    .iter()
+                    .map(move |&(c, bytes)| (own[c as usize], bytes))
+            })
+            .collect()
+    };
+    let sends = global(|c| &c.sends);
+    let recvs = global(|c| &c.recvs);
+    let issues = ranks
+        .iter()
+        .flat_map(|checks| checks.issues.iter().cloned())
+        .collect();
+    let channels = cross_rank(
+        channels,
+        &sends,
+        &recvs,
+        ranks.iter().map(|checks| checks.collectives[0].as_slice()),
+        issues,
+    )?;
+    Ok(Joined { channels, ids })
+}
+
+/// The cross-rank checks, run once every rank is walked: each channel's
+/// send and receive counts and FIFO-paired sizes, then every rank's
+/// collective sequence against the first rank's. `channels` are indexed
+/// by the ids `sends` and `recvs` carry; `collectives` lists each rank's
+/// sequence in rank order; `issues` holds the rank-local issues already
+/// found, in walk order. Returns `channels` if no issue was found at all.
+fn cross_rank<'r>(
+    channels: Vec<ChannelEndpoints>,
+    sends: &[(u32, u64)],
+    recvs: &[(u32, u64)],
+    collectives: impl IntoIterator<Item = &'r [Record]>,
+    mut issues: Vec<TraceIssue>,
+) -> Result<Vec<ChannelEndpoints>, Vec<TraceIssue>> {
+    // Channel balance and pairwise sizes: a channel is clean when its send
+    // and receive FIFOs are equal. Dirty channels are reported in
+    // (from, to, tag) order, independent of the interning order.
+    let sends = Fifos::group(sends, channels.len());
+    let recvs = Fifos::group(recvs, channels.len());
+    let mut dirty: Vec<usize> = (0..channels.len())
+        .filter(|&c| sends.of(c) != recvs.of(c))
+        .collect();
+    dirty.sort_by_key(|&c| {
+        let e = &channels[c];
+        (e.src, e.dst, e.tag)
+    });
+    for c in dirty {
+        let ChannelEndpoints {
+            src: from,
+            dst: to,
+            tag,
+        } = channels[c];
+        let (s, r) = (sends.of(c), recvs.of(c));
+        if s.len() != r.len() {
+            issues.push(TraceIssue::UnbalancedChannel {
+                from,
+                to,
+                tag,
+                sends: s.len(),
+                recvs: r.len(),
+            });
+        }
+        for (position, (&send_bytes, &recv_bytes)) in s.iter().zip(r).enumerate() {
+            if send_bytes != recv_bytes {
+                issues.push(TraceIssue::SizeMismatch {
+                    from,
+                    to,
+                    tag,
+                    position,
+                    send_bytes,
+                    recv_bytes,
+                });
+            }
+        }
+    }
+
+    // Collective agreement: every rank must list rank 0's sequence.
+    // Records are compared structurally (identical records keep replay
+    // simple and deterministic); a rank whose count differs reports only
+    // that. The display strings are only rendered for the (rare) mismatch
+    // report.
+    let mut collectives = collectives.into_iter();
+    if let Some(reference) = collectives.next() {
+        for (r, seq) in collectives.enumerate() {
+            let rank = Rank::new(r as u32 + 1);
+            let mut diverged = Vec::new();
+            if seq.len() != reference.len() {
+                let (expected, count) = (reference.len(), seq.len());
+                diverged.push((
+                    count.min(expected),
+                    format!("rank 0 has {expected} collectives, {rank} has {count}"),
+                ));
+            } else {
+                for (position, (a, b)) in reference.iter().zip(seq).enumerate() {
+                    if a != b {
+                        diverged.push((position, format!("rank 0 sees `{a}`, {rank} sees `{b}`")));
+                    }
+                }
+            }
+            for (position, detail) in diverged {
+                issues.push(TraceIssue::CollectiveMismatch {
+                    rank,
+                    position,
+                    detail,
+                });
+            }
+        }
+    }
+
+    if issues.is_empty() {
+        Ok(channels)
+    } else {
+        Err(issues)
+    }
+}
+
+impl Resolve for Checks {
     type Error = Infallible;
 
     fn begin_rank(&mut self, _rank: usize) {
@@ -348,11 +468,14 @@ impl<'t> Resolve<'t> for Checks<'t> {
         channel
     }
 
-    fn collective(&mut self, at: At, rec: &'t Record, root: Option<Rank>) {
+    fn collective(&mut self, at: At, rec: &Record, root: Option<Rank>) {
         if let Some(root) = root {
             self.check_rank(at, root);
         }
-        self.collectives[at.rank.index()].push(rec);
+        self.collectives
+            .last_mut()
+            .expect("begin_rank opens the rank's sequence")
+            .push(rec.clone());
     }
 
     fn duplicate(&mut self, at: At, req: RequestId) {

@@ -1,9 +1,10 @@
-//! The record walker: the one pass over a [`TraceSet`] behind validation,
+//! The record walker: the pass over a [`TraceSet`] behind validation,
 //! channel indexing and replay-program lowering.
 //!
-//! [`walk`] visits every record once, rank by rank, and tracks each rank's
+//! [`walk_rank`] visits one rank's records in order and tracks the rank's
 //! requests in flight in one map from request id to the dense slot the
-//! replay program gives it. Two policies plug into it:
+//! replay program gives it; [`walk`] runs it over every rank in turn. Two
+//! policies plug into it:
 //!
 //! * a [`Resolve`]r says how a point-to-point record finds its channel and
 //!   what a request error means. `Checks` (in `validate`) validates as it
@@ -15,7 +16,13 @@
 //!   `index`) keeps each record's channel id
 //!   ([`TraceIndex::build`](crate::TraceIndex::build)), and `Emitter` (in
 //!   `program`) lowers records into a
-//!   [`CompiledTrace`](crate::CompiledTrace).
+//!   [`RankProgram`](crate::RankProgram).
+//!
+//! A whole-trace walk with one `Checks` numbers channels across the trace;
+//! a one-rank walk with its own `Checks` numbers them in that rank's
+//! first-appearance order, which is how
+//! [`LoweredRank::lower`](crate::LoweredRank::lower) lowers a rank on its
+//! own for [`CompiledTrace::link`](crate::CompiledTrace::link).
 
 use std::collections::HashMap;
 
@@ -32,7 +39,7 @@ pub(crate) struct At {
 }
 
 /// How the walker resolves what a record refers to.
-pub(crate) trait Resolve<'t> {
+pub(crate) trait Resolve {
     /// Why a walk stops early.
     type Error;
 
@@ -47,7 +54,7 @@ pub(crate) trait Resolve<'t> {
     fn recv(&mut self, at: At, from: Rank, tag: Tag, bytes: u64) -> u32;
 
     /// A collective record; `root` is set for bcast and reduce.
-    fn collective(&mut self, _at: At, _rec: &'t Record, _root: Option<Rank>) {}
+    fn collective(&mut self, _at: At, _rec: &Record, _root: Option<Rank>) {}
 
     /// `req` was posted while already in flight.
     fn duplicate(&mut self, _at: At, _req: RequestId) {}
@@ -87,9 +94,10 @@ pub(crate) trait Sink {
 impl Sink for () {}
 
 /// One rank's requests in flight: the slot each one holds, plus a free
-/// list so a slot is reused as soon as its wait retires it.
+/// list so a slot is reused as soon as its wait retires it. A whole-trace
+/// walk reuses one table for every rank.
 #[derive(Debug, Default)]
-struct Slots {
+pub(crate) struct Slots {
     /// Request id → slot. The default (SipHash) hasher stays: request ids
     /// come from untrusted traces (`.dim` files, inline serve bodies).
     live: HashMap<u32, u32>,
@@ -130,88 +138,110 @@ impl Slots {
 /// # Errors
 ///
 /// Stops at the first error `resolve` raises.
-pub(crate) fn walk<'t, R: Resolve<'t>, S: Sink>(
-    ts: &'t TraceSet,
+pub(crate) fn walk<R: Resolve, S: Sink>(
+    ts: &TraceSet,
     resolve: &mut R,
     sink: &mut S,
 ) -> Result<(), R::Error> {
     let mut slots = Slots::default();
     for (r, trace) in ts.ranks().iter().enumerate() {
-        let rank = Rank::new(r as u32);
-        resolve.begin_rank(r);
-        sink.begin_rank(trace.len());
-        for (record, rec) in trace.iter().enumerate() {
-            let at = At { rank, record };
-            let mut channel = NO_CHANNEL;
-            match rec {
-                Record::Burst { instr } => sink.burst(*instr),
-                Record::Marker { code } => sink.op(RecordKind::Marker, *code, 0, 0),
-                Record::Send { to, bytes, tag } => {
-                    channel = resolve.send(at, *to, *tag, *bytes);
-                    sink.op(RecordKind::Send, channel, 0, *bytes);
-                }
-                Record::ISend {
-                    to,
-                    bytes,
-                    tag,
-                    req,
-                } => {
-                    channel = resolve.send(at, *to, *tag, *bytes);
-                    let slot = post(&mut slots, resolve, at, *req);
-                    sink.op(RecordKind::ISend, channel, slot, *bytes);
-                }
-                Record::Recv { from, bytes, tag } => {
-                    channel = resolve.recv(at, *from, *tag, *bytes);
-                    sink.op(RecordKind::Recv, channel, 0, *bytes);
-                }
-                Record::IRecv {
-                    from,
-                    bytes,
-                    tag,
-                    req,
-                } => {
-                    channel = resolve.recv(at, *from, *tag, *bytes);
-                    let slot = post(&mut slots, resolve, at, *req);
-                    sink.op(RecordKind::IRecv, channel, slot, 0);
-                }
-                Record::Wait { req } => {
-                    let slot = retire(&mut slots, resolve, at, *req)?;
-                    sink.op(RecordKind::Wait, slot, 0, 0);
-                }
-                Record::WaitAll { reqs } => {
-                    for req in reqs {
-                        let slot = retire(&mut slots, resolve, at, *req)?;
-                        sink.wait_slot(slot);
-                    }
-                    sink.op(RecordKind::WaitAll, reqs.len() as u32, 0, 0);
-                }
-                Record::Barrier
-                | Record::AllReduce { .. }
-                | Record::Bcast { .. }
-                | Record::Reduce { .. }
-                | Record::AllToAll { .. }
-                | Record::AllGather { .. } => {
-                    let root = match rec {
-                        Record::Bcast { root, .. } | Record::Reduce { root, .. } => Some(*root),
-                        _ => None,
-                    };
-                    resolve.collective(at, rec, root);
-                    sink.op(rec.kind(), 0, 0, rec.bytes());
-                }
-            }
-            sink.channel(channel);
-        }
-        let (slot_count, leaked) = slots.finish();
-        for req in leaked {
-            resolve.leaked(rank, RequestId::new(req));
-        }
-        sink.end_rank(slot_count);
+        walk_rank(
+            Rank::new(r as u32),
+            trace.records(),
+            &mut slots,
+            resolve,
+            sink,
+        )?;
     }
     Ok(())
 }
 
+/// Walks the records of `rank` in order. `slots` must be empty; it is left
+/// empty.
+///
+/// # Errors
+///
+/// Stops at the first error `resolve` raises.
+pub(crate) fn walk_rank<R: Resolve, S: Sink>(
+    rank: Rank,
+    records: &[Record],
+    slots: &mut Slots,
+    resolve: &mut R,
+    sink: &mut S,
+) -> Result<(), R::Error> {
+    resolve.begin_rank(rank.index());
+    sink.begin_rank(records.len());
+    for (record, rec) in records.iter().enumerate() {
+        let at = At { rank, record };
+        let mut channel = NO_CHANNEL;
+        match rec {
+            Record::Burst { instr } => sink.burst(*instr),
+            Record::Marker { code } => sink.op(RecordKind::Marker, *code, 0, 0),
+            Record::Send { to, bytes, tag } => {
+                channel = resolve.send(at, *to, *tag, *bytes);
+                sink.op(RecordKind::Send, channel, 0, *bytes);
+            }
+            Record::ISend {
+                to,
+                bytes,
+                tag,
+                req,
+            } => {
+                channel = resolve.send(at, *to, *tag, *bytes);
+                let slot = post(slots, resolve, at, *req);
+                sink.op(RecordKind::ISend, channel, slot, *bytes);
+            }
+            Record::Recv { from, bytes, tag } => {
+                channel = resolve.recv(at, *from, *tag, *bytes);
+                sink.op(RecordKind::Recv, channel, 0, *bytes);
+            }
+            Record::IRecv {
+                from,
+                bytes,
+                tag,
+                req,
+            } => {
+                channel = resolve.recv(at, *from, *tag, *bytes);
+                let slot = post(slots, resolve, at, *req);
+                sink.op(RecordKind::IRecv, channel, slot, 0);
+            }
+            Record::Wait { req } => {
+                let slot = retire(slots, resolve, at, *req)?;
+                sink.op(RecordKind::Wait, slot, 0, 0);
+            }
+            Record::WaitAll { reqs } => {
+                for req in reqs {
+                    let slot = retire(slots, resolve, at, *req)?;
+                    sink.wait_slot(slot);
+                }
+                sink.op(RecordKind::WaitAll, reqs.len() as u32, 0, 0);
+            }
+            Record::Barrier
+            | Record::AllReduce { .. }
+            | Record::Bcast { .. }
+            | Record::Reduce { .. }
+            | Record::AllToAll { .. }
+            | Record::AllGather { .. } => {
+                let root = match rec {
+                    Record::Bcast { root, .. } | Record::Reduce { root, .. } => Some(*root),
+                    _ => None,
+                };
+                resolve.collective(at, rec, root);
+                sink.op(rec.kind(), 0, 0, rec.bytes());
+            }
+        }
+        sink.channel(channel);
+    }
+    let (slot_count, leaked) = slots.finish();
+    for req in leaked {
+        resolve.leaked(rank, RequestId::new(req));
+    }
+    sink.end_rank(slot_count);
+    Ok(())
+}
+
 /// Posts `req`, reporting a post of a request already in flight.
-fn post<'t, R: Resolve<'t>>(slots: &mut Slots, resolve: &mut R, at: At, req: RequestId) -> u32 {
+fn post<R: Resolve>(slots: &mut Slots, resolve: &mut R, at: At, req: RequestId) -> u32 {
     let (slot, fresh) = slots.post(req.get());
     if !fresh {
         resolve.duplicate(at, req);
@@ -221,7 +251,7 @@ fn post<'t, R: Resolve<'t>>(slots: &mut Slots, resolve: &mut R, at: At, req: Req
 
 /// Retires `req`, reporting a wait on a request that is not in flight.
 /// Such a wait gets slot 0: the walk's result is discarded either way.
-fn retire<'t, R: Resolve<'t>>(
+fn retire<R: Resolve>(
     slots: &mut Slots,
     resolve: &mut R,
     at: At,

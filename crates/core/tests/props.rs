@@ -95,8 +95,8 @@ proptest! {
 use std::collections::{BTreeSet, HashMap};
 
 use ovlsim_core::{
-    validate_trace_set, CompiledTrace, Rank, RankTrace, Record, RecordKind, RequestId, Tag,
-    TraceIndex, TraceIssue, TraceSet, NO_CHANNEL,
+    validate_trace_set, CompiledTrace, LoweredRank, Rank, RankTrace, Record, RecordKind, RequestId,
+    Tag, TraceIndex, TraceIssue, TraceSet, NO_CHANNEL,
 };
 
 /// A trace index as plain data: name, channel endpoints, and each
@@ -845,6 +845,22 @@ fn arb_small_trace() -> impl Strategy<Value = TraceSet> {
     )
 }
 
+/// Every rank of `ts` lowered on its own.
+fn lower_ranks(ts: &TraceSet) -> Vec<LoweredRank> {
+    ts.ranks()
+        .iter()
+        .enumerate()
+        .map(|(r, rank)| {
+            LoweredRank::lower(
+                Rank::new(r as u32),
+                ts.rank_count(),
+                ts.mips(),
+                rank.records(),
+            )
+        })
+        .collect()
+}
+
 /// Checks every walker entry point on `ts` against the oracle.
 fn check_walker(ts: &TraceSet) -> Result<(), TestCaseError> {
     let (expected, oracle_index) = oracle_scan(ts);
@@ -852,9 +868,11 @@ fn check_walker(ts: &TraceSet) -> Result<(), TestCaseError> {
     prop_assert_eq!(&issues, &expected);
     let shown = |v: &[TraceIssue]| v.iter().map(ToString::to_string).collect::<Vec<_>>();
     prop_assert_eq!(shown(&issues), shown(&expected));
+    let linked = CompiledTrace::link(ts.name(), ts.mips(), &lower_ranks(ts));
     if !expected.is_empty() {
         prop_assert_eq!(TraceIndex::build(ts).err(), Some(expected.clone()));
-        prop_assert_eq!(CompiledTrace::build(ts).err(), Some(expected));
+        prop_assert_eq!(CompiledTrace::build(ts).err(), Some(expected.clone()));
+        prop_assert_eq!(linked.err(), Some(expected));
         return Ok(());
     }
     let index = TraceIndex::build(ts).expect("the oracle finds no issue");
@@ -862,8 +880,29 @@ fn check_walker(ts: &TraceSet) -> Result<(), TestCaseError> {
     let built = CompiledTrace::build(ts).expect("a valid trace builds");
     let compiled = CompiledTrace::compile(ts, &index);
     prop_assert_eq!(Ok(&built), compiled.as_ref());
+    prop_assert_eq!(Ok(&built), linked.as_ref());
     prop_assert_eq!(Ok(program_view(&built)), oracle_lower(ts, &oracle_index));
     Ok(())
+}
+
+/// `records` with every burst twice as long and a marker before each
+/// point-to-point record: still valid if `records` was, but lowered to a
+/// different program with the same channels.
+fn stretched(records: &[Record]) -> Vec<Record> {
+    let mut out = Vec::with_capacity(records.len() * 2);
+    for rec in records {
+        match rec {
+            Record::Burst { instr } => out.push(Record::Burst {
+                instr: Instr::new(instr.get() * 2),
+            }),
+            rec if is_p2p(rec) => {
+                out.push(Record::Marker { code: 7 });
+                out.push(rec.clone());
+            }
+            rec => out.push(rec.clone()),
+        }
+    }
+    out
 }
 
 proptest! {
@@ -892,6 +931,55 @@ proptest! {
     #[test]
     fn walker_matches_oracle_on_garbage(ts in arb_small_trace()) {
         check_walker(&ts)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Relinking: one rank's lowering is replaced by the lowering of
+    /// another stream and the ranks are linked again, as the auto-tuner
+    /// does for a candidate. The result must equal `build` of the trace
+    /// with that rank's records replaced: the same program for a valid
+    /// trace, the same issues for an invalid one. The replacement is the
+    /// rank's own stream stretched (valid), the rank of a mutated copy, or
+    /// garbage.
+    #[test]
+    fn relinking_one_rank_equals_building_the_changed_trace(
+        ts in arb_valid_trace(),
+        muts in proptest::collection::vec(arb_mutation(), 1..4),
+        garbage in proptest::collection::vec(arb_small_record(), 0..12),
+        kind in 0u8..3,
+        pick in any::<usize>(),
+    ) {
+        let r = pick % ts.rank_count();
+        let records = match kind {
+            0 => stretched(ts.ranks()[r].records()),
+            1 => mutate(&ts, &muts).ranks()[r].records().to_vec(),
+            _ => garbage,
+        };
+        let mut ranks: Vec<Vec<Record>> =
+            ts.ranks().iter().map(|rank| rank.records().to_vec()).collect();
+        ranks[r] = records;
+        let changed = TraceSet::new(
+            ts.name(),
+            ts.mips(),
+            ranks.into_iter().map(RankTrace::from_records).collect(),
+        );
+
+        let mut lowered: Vec<std::sync::Arc<LoweredRank>> =
+            lower_ranks(&ts).into_iter().map(std::sync::Arc::new).collect();
+        lowered[r] = std::sync::Arc::new(LoweredRank::lower(
+            Rank::new(r as u32),
+            ts.rank_count(),
+            ts.mips(),
+            changed.ranks()[r].records(),
+        ));
+        let relinked = CompiledTrace::link(changed.name(), changed.mips(), &lowered);
+        prop_assert_eq!(relinked, CompiledTrace::build(&changed));
+        if kind == 0 {
+            prop_assert!(validate_trace_set(&changed).is_empty(), "stretching broke a valid trace");
+        }
     }
 }
 

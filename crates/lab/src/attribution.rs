@@ -249,9 +249,38 @@ impl Attribution {
         index: &TraceIndex,
     ) -> Result<(Attribution, AttributionRecorder), LabError> {
         let prog = CompiledTrace::compile(trace, index)?;
+        Self::analyze_compiled(platform, trace, index, &prog)
+    }
+
+    /// [`Attribution::analyze_with_recorder`] on the replay program the
+    /// caller already holds for `trace` (a session's stored program, a
+    /// campaign group's program): nothing is compiled. One program serves
+    /// observed and unobserved replays alike.
+    ///
+    /// # Errors
+    ///
+    /// Propagates replay errors ([`LabError::Sim`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prog` was not compiled from `trace`: its name, rank
+    /// count or channel count disagree with `trace` and `index`.
+    pub fn analyze_compiled(
+        platform: &Platform,
+        trace: &TraceSet,
+        index: &TraceIndex,
+        prog: &CompiledTrace,
+    ) -> Result<(Attribution, AttributionRecorder), LabError> {
+        assert!(
+            prog.name() == trace.name()
+                && prog.rank_count() == trace.rank_count()
+                && prog.channels().len() == index.channel_count(),
+            "program `{}` was not compiled from trace `{}`",
+            prog.name(),
+            trace.name()
+        );
         let mut recorder = AttributionRecorder::new(trace.rank_count());
-        let result =
-            Simulator::new(platform.clone()).run_compiled_observed(&prog, &mut recorder)?;
+        let result = Simulator::new(platform.clone()).run_compiled_observed(prog, &mut recorder)?;
         let attribution = Self::from_recorded(&recorder, &result, trace, index, platform);
         Ok((attribution, recorder))
     }

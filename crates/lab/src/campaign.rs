@@ -343,7 +343,8 @@ pub struct CampaignSpec {
     /// platform and reports the tuned makespan and winning per-channel
     /// plan next to the uniform-mode makespan.
     pub tune: bool,
-    /// Auto-tuner evaluation budget per point (`tune budget`).
+    /// Auto-tuner evaluation budget per point (`tune budget`, 1 to 4096;
+    /// the tuner refuses a larger one).
     pub tune_budget: usize,
     /// Auto-tuner search seed (`tune seed`).
     pub tune_seed: u64,
@@ -817,14 +818,16 @@ impl CampaignSpec {
                                     values.len() - 1
                                 )));
                             }
-                            tune_budget =
-                                Some(values[1].parse::<usize>().ok().filter(|&n| n >= 1).ok_or(
+                            let budget =
+                                values[1].parse::<usize>().ok().filter(|&n| n >= 1).ok_or(
                                     SpecError::MalformedNumber {
                                         line,
                                         key: key.to_string(),
                                         value: values[1].to_string(),
                                     },
-                                )?);
+                                )?;
+                            crate::tune::checked_budget(budget).map_err(|e| bad(e.to_string()))?;
+                            tune_budget = Some(budget);
                         }
                         "seed" => {
                             dup(tune_seed.is_some())?;
@@ -1431,7 +1434,13 @@ pub fn run_campaign_with(
         let attribution = if spec.attribution {
             let trace = group.orig.trace.as_ref().expect("attribution keeps traces");
             let index = group.orig.index.as_ref().expect("attribution keeps index");
-            let attr = crate::attribution::Attribution::analyze(&platform, trace, index)?;
+            let prog = group
+                .orig
+                .prog
+                .as_ref()
+                .expect("attribution keeps programs");
+            let (attr, _) =
+                crate::attribution::Attribution::analyze_compiled(&platform, trace, index, prog)?;
             let (mut wait, mut contended) = (Time::ZERO, Time::ZERO);
             for b in attr.ranks() {
                 wait += b.wait();
@@ -1975,6 +1984,8 @@ iterations 1
         for bad in [
             "tune\n",
             "tune budget 0\n",
+            "tune budget 4097\n",
+            "tune budget 100000000\n",
             "tune budget five\n",
             "tune budget\n",
             "tune seed -1\n",
@@ -1987,6 +1998,16 @@ iterations 1
                 "spec {bad:?} should be rejected"
             );
         }
+        // The budget cap: 4096 is the largest budget taken, and the
+        // refusal names the line and the limit.
+        let spec = CampaignSpec::parse(&format!("{MINI}tune budget 4096\n")).unwrap();
+        assert_eq!(spec.tune_budget, 4096);
+        let err = CampaignSpec::parse(&format!("{MINI}tune budget 4097\n")).unwrap_err();
+        assert!(
+            err.to_string()
+                .ends_with("tune budget 4097 is above the limit of 4096 evaluations"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -36,6 +36,13 @@ pub enum LabError {
         /// The offending environment value.
         value: String,
     },
+    /// A tune run was given more candidate evaluations than it accepts.
+    BudgetTooLarge {
+        /// The budget asked for.
+        budget: usize,
+        /// The largest budget accepted.
+        max: usize,
+    },
 }
 
 impl fmt::Display for LabError {
@@ -52,6 +59,10 @@ impl fmt::Display for LabError {
                 "invalid OVLSIM_THREADS value {value:?}: want a positive integer \
                  (unset the variable to use the machine's available parallelism)"
             ),
+            LabError::BudgetTooLarge { budget, max } => write!(
+                f,
+                "tune budget {budget} is above the limit of {max} evaluations"
+            ),
         }
     }
 }
@@ -65,7 +76,7 @@ impl Error for LabError {
             LabError::SearchFailed { .. } => None,
             LabError::Compile(e) => Some(e),
             LabError::App(e) => Some(e),
-            LabError::InvalidThreadConfig { .. } => None,
+            LabError::InvalidThreadConfig { .. } | LabError::BudgetTooLarge { .. } => None,
         }
     }
 }

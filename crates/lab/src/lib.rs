@@ -80,4 +80,4 @@ pub use sweep::{sweep_compiled_threaded, sweep_node_packing_threaded, sweep_trac
 pub use table::Table;
 #[doc(hidden)]
 pub use tune::run_tune_threaded;
-pub use tune::{run_tune, run_tune_baseline, TuneOptions, TuneReport, TuneStep};
+pub use tune::{run_tune, run_tune_baseline, LoweredPlan, TuneOptions, TuneReport, TuneStep};

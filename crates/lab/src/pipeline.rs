@@ -176,15 +176,16 @@ pub struct EngineInput {
     pub trace: Option<Arc<TraceSet>>,
     /// Channel index — kept only for attribution.
     pub index: Option<Arc<TraceIndex>>,
-    /// Flat replay program — built for the compiled engine.
+    /// Flat replay program — built for the compiled engine and for
+    /// attribution.
     pub prog: Option<Arc<CompiledTrace>>,
 }
 
 impl EngineInput {
     /// Builds the artifacts `engines` require for `ts` through `pipeline`.
-    /// `attribution` forces the record stream and index to be kept (the
-    /// attribution pass compiles its own observed program from them,
-    /// regardless of the row's engine).
+    /// `attribution` forces the record stream, the index and the program
+    /// to be kept: the attribution pass replays that program observed,
+    /// whatever the row's engine.
     ///
     /// # Errors
     ///
@@ -199,12 +200,8 @@ impl EngineInput {
         let needs_trace = attribution || engines.contains(&Engine::Naive);
         let (index, prog) = if attribution {
             let index = pipeline.index(&ts)?;
-            let prog = if needs_prog {
-                Some(pipeline.compiled(&ts, &index)?)
-            } else {
-                None
-            };
-            (Some(index), prog)
+            let prog = pipeline.compiled(&ts, &index)?;
+            (Some(index), Some(prog))
         } else if needs_prog {
             // Compiled-only: let the pipeline skip the index build when
             // it can serve a persisted program.

@@ -18,18 +18,26 @@
 //!
 //! Candidates never enter the artifact pipeline. The pipeline supplies
 //! the original trace, its index and the attribution ranking; each
-//! candidate plan is then lowered straight to its replay program
-//! ([`TraceBundle::planned_program`]: one pass over the synthesized
-//! records validates, interns channels and emits the program), replayed
+//! candidate plan is then lowered straight to its replay program, replayed
 //! and dropped. Nothing about a candidate is fingerprinted, cached or
 //! written to a cache directory. Within one run a plan equal to one
 //! already scored is not scored again.
+//!
+//! A candidate changes one channel of the incumbent plan, and so the
+//! records of that channel's two endpoints only. The search keeps the
+//! incumbent's ranks lowered one by one ([`LoweredPlan`], shared through
+//! `Arc`); a candidate re-synthesizes and re-lowers just the ranks the two
+//! plans disagree on ([`OverlapPlan::differing_ranks`]) and links them
+//! with the incumbent's others into the program that
+//! `CompiledTrace::build` of its whole trace would give. When a candidate
+//! is accepted its ranks become the incumbent's; the other candidates'
+//! ranks are dropped at the end of their round.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 use ovlsim_core::rng::{hash_counters, unit_f64};
-use ovlsim_core::{Platform, Record, Tag, Time, TraceIndex, TraceSet};
+use ovlsim_core::{CompiledTrace, LoweredRank, Platform, Record, Tag, Time, TraceIndex, TraceSet};
 use ovlsim_dimemas::{replay_naive, Simulator};
 use ovlsim_tracer::{OverlapPlan, TraceBundle, TUNING_SCALE};
 
@@ -41,6 +49,26 @@ use crate::pipeline::ArtifactPipeline;
 
 /// Default candidate-evaluation budget of a tune run.
 pub const DEFAULT_TUNE_BUDGET: usize = 64;
+
+/// The largest evaluation budget a tune run accepts. A search's time grows
+/// with its budget, and a campaign spec reaches the tuner through a
+/// server's `POST /campaign`, so a budget of 10^8 would hold a server
+/// thread indefinitely. Every committed spec and default uses 64 or less.
+const MAX_TUNE_BUDGET: usize = 4096;
+
+/// `budget` clamped to at least 1, or refused above
+/// [`MAX_TUNE_BUDGET`]. Every tune run checks its budget here before it
+/// scores anything; a campaign spec checks its `tune budget` here too, to
+/// name the line.
+pub(crate) fn checked_budget(budget: usize) -> Result<usize, LabError> {
+    if budget > MAX_TUNE_BUDGET {
+        return Err(LabError::BudgetTooLarge {
+            budget,
+            max: MAX_TUNE_BUDGET,
+        });
+    }
+    Ok(budget.max(1))
+}
 
 /// Candidates proposed (and scored concurrently) per search round. All
 /// proposals of a round mutate the round's incumbent best plan; acceptance
@@ -54,7 +82,7 @@ const CHUNK_CHOICES: [u32; 7] = [1, 2, 4, 8, 16, 32, 64];
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TuneOptions {
     /// Total candidate evaluations, including the uniform-linear baseline
-    /// (clamped to at least 1).
+    /// (clamped to at least 1; a budget above 4096 is refused).
     pub budget: usize,
     /// Search seed: all mutation choices derive from it by counter-based
     /// hashing.
@@ -187,22 +215,85 @@ impl TuneReport {
     }
 }
 
-/// Scores one candidate plan. The compiled engine replays the plan's
-/// program, lowered straight from the synthesized records; the naive
-/// engine replays the materialized trace.
+/// A plan with every rank of its trace lowered on its own: what the search
+/// keeps of its incumbent. The ranks are shared through `Arc`, so a plan
+/// derived from this one holds the ranks the two agree on without copying
+/// them.
+#[derive(Debug, Clone)]
+pub struct LoweredPlan {
+    plan: OverlapPlan,
+    ranks: Vec<Arc<LoweredRank>>,
+}
+
+impl LoweredPlan {
+    /// Synthesizes and lowers every rank of `plan` on `bundle`.
+    pub fn lower(bundle: &TraceBundle, plan: &OverlapPlan) -> Self {
+        LoweredPlan {
+            plan: plan.clone(),
+            ranks: (0..bundle.original().rank_count())
+                .map(|r| Arc::new(bundle.lower_planned_rank(plan, r)))
+                .collect(),
+        }
+    }
+
+    /// Lowers `plan` from this plan's ranks: the ranks the two plans
+    /// disagree on are synthesized and lowered again, every other rank is
+    /// shared. `bundle` must be the one this plan was lowered on.
+    pub fn derive(&self, bundle: &TraceBundle, plan: &OverlapPlan) -> Self {
+        let mut ranks = self.ranks.clone();
+        for r in self.plan.differing_ranks(plan, ranks.len()) {
+            ranks[r] = Arc::new(bundle.lower_planned_rank(plan, r));
+        }
+        LoweredPlan {
+            plan: plan.clone(),
+            ranks,
+        }
+    }
+
+    /// The plan these ranks are lowered for.
+    pub fn plan(&self) -> &OverlapPlan {
+        &self.plan
+    }
+
+    /// Links the ranks into the plan's replay program, equal to
+    /// `CompiledTrace::build` of
+    /// [`TraceBundle::overlapped_planned`]'s trace.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the synthesized trace's validation issues (a transform
+    /// bug).
+    pub fn program(&self, bundle: &TraceBundle) -> Result<CompiledTrace, LabError> {
+        Ok(bundle.link_planned(&self.plan, &self.ranks)?)
+    }
+}
+
+/// Scores one fresh candidate plan. The compiled engine lowers it from the
+/// incumbent's ranks (every rank when there is no incumbent yet), replays
+/// the linked program and hands back the lowered plan; the naive engine
+/// replays the materialized trace and lowers nothing.
 fn score_plan(
     bundle: &TraceBundle,
     platform: &Platform,
     engine: Engine,
+    incumbent: Option<&LoweredPlan>,
     plan: &OverlapPlan,
-) -> Result<Time, LabError> {
-    let result = match engine {
+) -> Result<(Time, Option<LoweredPlan>), LabError> {
+    match engine {
         Engine::Compiled => {
-            Simulator::new(platform.clone()).run_compiled(&bundle.planned_program(plan)?)
+            let lowered = match incumbent {
+                Some(base) => base.derive(bundle, plan),
+                None => LoweredPlan::lower(bundle, plan),
+            };
+            let result =
+                Simulator::new(platform.clone()).run_compiled(&lowered.program(bundle)?)?;
+            Ok((result.total_time(), Some(lowered)))
         }
-        Engine::Naive => replay_naive(platform, &bundle.overlapped_planned(plan)?),
-    };
-    Ok(result?.total_time())
+        Engine::Naive => {
+            let result = replay_naive(platform, &bundle.overlapped_planned(plan)?)?;
+            Ok((result.total_time(), None))
+        }
+    }
 }
 
 /// The bundle's tunable channels ranked by the attribution of the
@@ -321,7 +412,9 @@ fn propose(
 ///
 /// # Errors
 ///
-/// Propagates synthesis, validation, compilation and replay errors.
+/// Refuses a budget above 4096 evaluations ([`LabError::BudgetTooLarge`])
+/// before scoring anything; propagates synthesis, validation, compilation
+/// and replay errors.
 pub fn run_tune(
     pipeline: &dyn ArtifactPipeline,
     bundle: &TraceBundle,
@@ -342,7 +435,7 @@ pub fn run_tune(
 ///
 /// # Errors
 ///
-/// Propagates synthesis, validation, compilation and replay errors.
+/// Same as [`run_tune`].
 #[doc(hidden)]
 pub fn run_tune_threaded(
     pipeline: &dyn ArtifactPipeline,
@@ -351,14 +444,14 @@ pub fn run_tune_threaded(
     opts: &TuneOptions,
     threads: usize,
 ) -> Result<TuneReport, LabError> {
-    let budget = opts.budget.max(1);
+    let budget = checked_budget(opts.budget)?;
     let original = pipeline.variant(bundle, None)?;
     let index = pipeline.index(&original)?;
     let attribution = Attribution::analyze(platform, &original, &index)?;
     let ranked = ranked_tunable_channels(bundle, &original, &index, &attribution);
 
     let uniform = OverlapPlan::uniform_linear();
-    let linear = score_plan(bundle, platform, opts.engine, &uniform)?;
+    let (linear, mut incumbent) = score_plan(bundle, platform, opts.engine, None, &uniform)?;
     // Every plan scored so far, compared by value: a plan proposed again
     // reuses its score instead of being lowered and replayed twice.
     let mut scored: Vec<(OverlapPlan, Time)> = vec![(uniform.clone(), linear)];
@@ -385,10 +478,15 @@ pub fn run_tune_threaded(
             }
         }
         let scores = par::par_map_with(&fresh, threads, |plan| {
-            score_plan(bundle, platform, opts.engine, plan)
+            score_plan(bundle, platform, opts.engine, incumbent.as_ref(), plan)
         });
+        // This round's lowered candidates, dropped when the round ends
+        // unless one is accepted.
+        let mut lowered: Vec<LoweredPlan> = Vec::new();
         for (plan, score) in fresh.into_iter().zip(scores) {
-            scored.push((plan, score?));
+            let (makespan, ranks) = score?;
+            scored.push((plan, makespan));
+            lowered.extend(ranks);
         }
         for (plan, mutation) in proposals {
             let makespan = scored
@@ -399,6 +497,13 @@ pub fn run_tune_threaded(
             let accepted = makespan < best;
             if accepted {
                 best = makespan;
+                // A plan scored in an earlier round is never accepted
+                // (its makespan is not below the best since), so an
+                // accepted plan's ranks are this round's. Were they not,
+                // the incumbent would stay: it lowers from its own plan.
+                if let Some(i) = lowered.iter().position(|l| *l.plan() == plan) {
+                    incumbent = Some(lowered.swap_remove(i));
+                }
                 best_plan = plan;
             }
             steps.push(TuneStep {
@@ -433,20 +538,22 @@ pub fn run_tune_threaded(
 ///
 /// # Errors
 ///
-/// Propagates validation and replay errors.
+/// Refuses a budget above 4096 evaluations, as [`run_tune`] does;
+/// propagates validation and replay errors.
 pub fn run_tune_baseline(
     pipeline: &dyn ArtifactPipeline,
     trace: &Arc<TraceSet>,
     platform: &Platform,
     opts: &TuneOptions,
 ) -> Result<TuneReport, LabError> {
+    let budget = checked_budget(opts.budget)?;
     let index = pipeline.index(trace)?;
     let attribution = Attribution::analyze(platform, trace, &index)?;
     let makespan = attribution.makespan();
     Ok(TuneReport {
         app: trace.name().to_owned(),
         seed: opts.seed,
-        budget: opts.budget.max(1),
+        budget,
         engine: opts.engine,
         channels: 0,
         original: makespan,

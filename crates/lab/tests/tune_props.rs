@@ -1,7 +1,8 @@
 //! Property tests for the auto-tuner: trajectories are byte-identical
 //! across worker counts for any seed and budget, the winning plan replays
 //! bit-identically on the compiled and naive engines, and a candidate's
-//! one-pass program equals the program compiled from its materialized
+//! program, linked from ranks lowered one by one and carried along a
+//! chain of mutations, equals the program compiled from its materialized
 //! trace.
 
 use std::sync::Arc;
@@ -11,7 +12,8 @@ use ovlsim_apps::{ProblemClass, Synthetic};
 use ovlsim_core::{Bandwidth, CompiledTrace, Platform, TraceIndex};
 use ovlsim_dimemas::{replay_naive, Simulator};
 use ovlsim_lab::{
-    run_tune_threaded, ArtifactPipeline, DirectPipeline, Engine, EngineInput, TuneOptions,
+    run_tune_threaded, ArtifactPipeline, DirectPipeline, Engine, EngineInput, LoweredPlan,
+    TuneOptions,
 };
 use ovlsim_tracer::{
     ChannelTuning, OverlapPlan, PatternSource, TraceBundle, TracingSession, TUNING_SCALE,
@@ -45,21 +47,27 @@ fn platform() -> Platform {
         .with_bandwidth(Bandwidth::from_bytes_per_sec(1e8).expect("valid bandwidth"))
 }
 
-/// A candidate's one-pass program equals `compile` of its materialized
-/// trace with that trace's own index, and replays exactly as the naive
-/// engine replays the trace.
-fn check_candidate(bundle: &TraceBundle, plan: &OverlapPlan) -> Result<(), TestCaseError> {
-    let prog = bundle.planned_program(plan).expect("plan lowers");
+/// The program of `plan`'s materialized trace, compiled with its own
+/// index.
+fn materialized(bundle: &TraceBundle, plan: &OverlapPlan) -> CompiledTrace {
     let ts = bundle.overlapped_planned(plan).expect("plan synthesizes");
     let index = TraceIndex::build(&ts).expect("synthesized trace is valid");
-    prop_assert_eq!(
-        &prog,
-        &CompiledTrace::compile(&ts, &index).expect("compiles")
-    );
+    CompiledTrace::compile(&ts, &index).expect("compiles")
+}
+
+/// A candidate's program, linked from every rank lowered on its own,
+/// equals `compile` of its materialized trace with that trace's own
+/// index, and replays exactly as the naive engine replays the trace.
+fn check_candidate(bundle: &TraceBundle, plan: &OverlapPlan) -> Result<(), TestCaseError> {
+    let prog = LoweredPlan::lower(bundle, plan)
+        .program(bundle)
+        .expect("plan lowers");
+    prop_assert_eq!(&prog, &materialized(bundle, plan));
     let platform = platform();
     let compiled = Simulator::new(platform.clone())
         .run_compiled(&prog)
         .expect("compiled replays");
+    let ts = bundle.overlapped_planned(plan).expect("plan synthesizes");
     prop_assert_eq!(
         compiled,
         replay_naive(&platform, &ts).expect("naive replays")
@@ -141,8 +149,89 @@ fn planned_programs_match_on_every_tuning_axis() {
     }
 }
 
+/// One step of a mutation chain: `kind` 0 flips the pattern, 1 changes
+/// the minimum chunk size, 2 sets the default tuning, anything else sets
+/// the tuning of the chunkable channel `pick` selects; `accept` says
+/// whether the candidate becomes the incumbent.
+fn arb_chain() -> impl Strategy<Value = Vec<(u8, usize, ChannelTuning, bool)>> {
+    proptest::collection::vec((0u8..10, any::<usize>(), arb_tuning(), any::<bool>()), 1..8)
+}
+
+/// `plan` with one chain step applied.
+fn step(
+    bundle: &TraceBundle,
+    plan: &OverlapPlan,
+    &(kind, pick, tuning, _): &(u8, usize, ChannelTuning, bool),
+) -> OverlapPlan {
+    let mut next = plan.clone();
+    match kind {
+        0 => {
+            next.pattern = match plan.pattern {
+                PatternSource::Real => PatternSource::Linear,
+                PatternSource::Linear => PatternSource::Real,
+            }
+        }
+        1 => next.min_chunk_bytes = [1, 64, 256, 4096][pick % 4],
+        2 => next.default = tuning,
+        _ => {
+            let channels = bundle.chunkable_channels();
+            let (src, dst, tag) = channels[pick % channels.len()];
+            next.set(src, dst, tag, tuning);
+        }
+    }
+    next
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The tuner's candidate path along random mutation chains with random
+    /// acceptance: each candidate is lowered from the incumbent's ranks
+    /// (re-lowering only the ranks the plans disagree on, every rank after
+    /// a plan-wide change) and its linked program must equal the program
+    /// compiled from its materialized trace.
+    #[test]
+    fn incremental_candidates_equal_compiled_materialized_plans(
+        ring in arb_chain(),
+        sweep in arb_chain(),
+    ) {
+        for (bundle, chain) in bundles().iter().zip([ring, sweep]) {
+            let mut incumbent = LoweredPlan::lower(bundle, &OverlapPlan::uniform_linear());
+            for s in &chain {
+                let plan = step(bundle, incumbent.plan(), s);
+                let candidate = incumbent.derive(bundle, &plan);
+                prop_assert_eq!(
+                    &candidate.program(bundle).expect("candidate links"),
+                    &materialized(bundle, &plan)
+                );
+                if s.3 {
+                    incumbent = candidate;
+                }
+            }
+        }
+    }
+
+    /// Ranks outside the plan diff synthesize the same records under both
+    /// plans, for a random plan and a random chain away from it.
+    #[test]
+    fn ranks_outside_the_plan_diff_synthesize_identical_records(
+        base in arb_plan(),
+        chain in arb_chain(),
+    ) {
+        for bundle in bundles() {
+            let from = plan_for(&bundle, &base);
+            let to = chain.iter().fold(from.clone(), |p, s| step(&bundle, &p, s));
+            let rank_count = bundle.original().rank_count();
+            let differing = from.differing_ranks(&to, rank_count);
+            let (a, b) = (
+                bundle.overlapped_planned(&from).expect("synthesizes"),
+                bundle.overlapped_planned(&to).expect("synthesizes"),
+            );
+            for r in (0..rank_count).filter(|r| !differing.contains(r)) {
+                prop_assert_eq!(a.ranks()[r].records(), b.ranks()[r].records());
+            }
+        }
+    }
 
     /// Same seed + budget ⇒ byte-identical trajectory reports no matter
     /// how many workers score the proposals (the `OVLSIM_THREADS=1` vs
@@ -212,8 +301,9 @@ proptest! {
             "replay does not reproduce the searched makespan");
     }
 
-    /// Random plans on both bundles: the candidate path (plan straight to
-    /// program) agrees with the materialized path and the naive engine.
+    /// Random plans on both bundles: the candidate path (every rank lowered
+    /// on its own, then linked) agrees with the materialized path and the
+    /// naive engine.
     #[test]
     fn planned_program_equals_compiled_materialized_plan(
         ring in arb_plan(),

@@ -225,7 +225,9 @@ impl Session {
 
     /// Attributes wait time and extracts the critical path of one trace
     /// on one platform point, returning the folded attribution and the
-    /// raw recorder (whose intervals the Paraver exporter consumes).
+    /// raw recorder (whose intervals the Paraver exporter consumes). The
+    /// observed replay runs the store's program for the trace, so a trace
+    /// already replayed or analyzed compiles nothing.
     ///
     /// # Errors
     ///
@@ -237,8 +239,9 @@ impl Session {
         let trace = self.trace(&req.source)?;
         let platform = req.perturb.apply(req.platform.build()?)?;
         let index = ArtifactPipeline::index(self, &trace)?;
-        Ok(Attribution::analyze_with_recorder(
-            &platform, &trace, &index,
+        let prog = ArtifactPipeline::compiled(self, &trace, &index)?;
+        Ok(Attribution::analyze_compiled(
+            &platform, &trace, &index, &prog,
         )?)
     }
 
@@ -399,6 +402,7 @@ impl ArtifactPipeline for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::{PerturbSpec, PlatformSpec};
     use ovlsim_core::{Instr, MipsRate, RankTrace, Record};
 
     fn trace(instr: u64) -> Arc<TraceSet> {
@@ -434,6 +438,47 @@ mod tests {
             let (pinned, digest) = &memo[&(Arc::as_ptr(t) as usize)];
             assert!(Arc::ptr_eq(pinned, t));
             assert_eq!(*digest, t.fingerprint());
+        }
+    }
+
+    #[test]
+    fn analyzing_a_stored_source_builds_no_program() {
+        let session = Session::with_threads(1);
+        let source = TraceSource::Generated {
+            app: "sweep3d".into(),
+            class: ProblemClass::S,
+            ranks: Some(4),
+            iterations: Some(1),
+            mode: None,
+        };
+        let analyze = AnalyzeRequest {
+            source: source.clone(),
+            platform: PlatformSpec::default(),
+            perturb: PerturbSpec::default(),
+        };
+        session
+            .replay(&ReplayRequest {
+                source: source.clone(),
+                platform: PlatformSpec::default(),
+                perturb: PerturbSpec::default(),
+                engine: ovlsim_lab::Engine::Compiled,
+            })
+            .unwrap();
+        let stored = session.stats().programs;
+        assert_eq!(stored.builds, 1);
+        let (attribution, recorder) = session.analyze(&analyze).unwrap();
+        let after = session.stats().programs;
+        assert_eq!(after.builds, stored.builds, "analyze compiled a program");
+        assert_eq!(after.hits, stored.hits + 1);
+
+        // The same analysis as one that compiles its own program.
+        let trace = session.trace(&source).unwrap();
+        let index = build_index(&trace).unwrap();
+        let platform = PlatformSpec::default().build().unwrap();
+        let fresh = Attribution::analyze_with_recorder(&platform, &trace, &index).unwrap();
+        assert_eq!(attribution, fresh.0);
+        for r in 0..trace.rank_count() {
+            assert_eq!(recorder.intervals(r), fresh.1.intervals(r));
         }
     }
 }

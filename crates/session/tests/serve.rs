@@ -102,6 +102,21 @@ fn concurrent_batched_sweeps_compile_once_and_shut_down_cleanly() {
         err_body.starts_with("{\"error\":\"") && err_body.contains("at most 4096"),
         "error: {err_body}"
     );
+    // So is a campaign whose tuner budget is too large to search.
+    let spec =
+        "campaign t\\napps sweep3d\\nbandwidths list 1e8\\ntune on\\ntune budget 100000000\\n";
+    let (status, err_body) = request(
+        port,
+        "POST",
+        "/campaign",
+        &format!("{{\"spec\":\"{spec}\"}}"),
+    );
+    assert_eq!(status, 400);
+    assert!(
+        err_body.starts_with("{\"error\":\"")
+            && err_body.contains("tune budget 100000000 is above the limit of 4096 evaluations"),
+        "error: {err_body}"
+    );
     let (status, _) = request(port, "POST", "/no-such-route", "{}");
     assert_eq!(status, 404);
 

@@ -128,6 +128,37 @@ impl OverlapPlan {
         self.channels.insert((src, dst, tag.get()), tuning);
     }
 
+    /// The ranks, below `rank_count` and ascending, whose synthesized
+    /// records can differ between this plan and `other`: every rank if the
+    /// pattern, the minimum chunk size or the default tuning differ;
+    /// otherwise both endpoints of every overridden channel whose
+    /// effective tuning differs. A message is transformed by the
+    /// plan-wide fields and its own channel's tuning alone, and only the
+    /// channel's two endpoints hold its records, so every other rank
+    /// synthesizes the same records under both plans.
+    pub fn differing_ranks(&self, other: &OverlapPlan, rank_count: usize) -> Vec<usize> {
+        if self.pattern != other.pattern
+            || self.min_chunk_bytes != other.min_chunk_bytes
+            || self.default != other.default
+        {
+            return (0..rank_count).collect();
+        }
+        let mut ranks: Vec<usize> = self
+            .channels
+            .keys()
+            .chain(other.channels.keys())
+            .filter(|&&(src, dst, tag)| {
+                self.tuning_for(src, dst, Tag::new(tag))
+                    != other.tuning_for(src, dst, Tag::new(tag))
+            })
+            .flat_map(|&(src, dst, _)| [src as usize, dst as usize])
+            .filter(|&r| r < rank_count)
+            .collect();
+        ranks.sort_unstable();
+        ranks.dedup();
+        ranks
+    }
+
     /// The chunking policy a tuning resolves to under this plan.
     pub(crate) fn policy_for(&self, tuning: ChannelTuning) -> ChunkingPolicy {
         ChunkingPolicy::fixed_count(tuning.chunks.max(1) as usize)
@@ -248,6 +279,39 @@ mod tests {
         );
         assert_eq!(plan.render(), "linear/256 *=16c4e4l 0>1#5=8c2e4l 2>3#7=off");
         assert_eq!(plan.render(), plan.clone().render());
+    }
+
+    #[test]
+    fn differing_ranks_name_plan_wide_changes_and_changed_channels() {
+        let base = OverlapPlan::uniform_linear();
+        assert!(base.differing_ranks(&base.clone(), 4).is_empty());
+
+        // One override: its two endpoints, whichever plan holds it, and
+        // nothing once it equals the default again.
+        let mut one = base.clone();
+        one.set(3, 1, Tag::new(9), ChannelTuning::off());
+        assert_eq!(base.differing_ranks(&one, 4), vec![1, 3]);
+        assert_eq!(one.differing_ranks(&base, 4), vec![1, 3]);
+        let mut same = base.clone();
+        same.set(3, 1, Tag::new(9), base.default);
+        assert!(base.differing_ranks(&same, 4).is_empty());
+
+        // Equal overrides on both sides drop out; endpoints beyond the
+        // rank count are not ranks.
+        let mut two = one.clone();
+        two.set(0, 7, Tag::new(2), ChannelTuning::full(4));
+        assert_eq!(one.differing_ranks(&two, 4), vec![0]);
+
+        // A plan-wide change names every rank.
+        for change in [
+            |p: &mut OverlapPlan| p.pattern = PatternSource::Real,
+            |p: &mut OverlapPlan| p.min_chunk_bytes = 64,
+            |p: &mut OverlapPlan| p.default.late = 1,
+        ] {
+            let mut wide = one.clone();
+            change(&mut wide);
+            assert_eq!(one.differing_ranks(&wide, 4), vec![0, 1, 2, 3]);
+        }
     }
 
     #[test]

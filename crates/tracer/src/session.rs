@@ -5,11 +5,21 @@
 //! various Dimemas traces – one non-overlapped (original) and several
 //! overlapped (potential), each of them addressing different overlapping
 //! mechanism".
+//!
+//! A per-channel [`OverlapPlan`] is synthesized rank by rank: each rank's
+//! records depend only on the tunings of the channels it sends or
+//! receives on. So a plan's trace can also be lowered rank by rank
+//! ([`TraceBundle::lower_planned_rank`]) and linked
+//! ([`TraceBundle::link_planned`]), and a plan that differs from another
+//! in a few channels re-lowers only the ranks
+//! [`OverlapPlan::differing_ranks`] names.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use ovlsim_core::{
-    validate_trace_set, CompiledTrace, MipsRate, Rank, RankTrace, Record, Tag, TraceSet,
+    validate_trace_set, CompiledTrace, LoweredRank, MipsRate, Rank, RankTrace, Record, Tag,
+    TraceSet,
 };
 
 use crate::app::Application;
@@ -113,26 +123,67 @@ impl TraceBundle {
         validated(self.synthesize_planned(plan))
     }
 
-    /// The replay program of [`TraceBundle::overlapped_planned`]'s trace,
-    /// lowered straight from the synthesized ranks: validation, channel
-    /// interning and lowering share one pass
-    /// ([`CompiledTrace::build`]), and the trace is dropped afterwards.
-    /// The program equals `CompiledTrace::compile` of the planned trace
-    /// with its own index. This is the auto-tuner's candidate path.
+    /// Rank `rank` of [`TraceBundle::overlapped_planned`]'s trace, lowered
+    /// on its own for [`TraceBundle::link_planned`]. Nothing is validated
+    /// here: the issues of a transform bug surface when the ranks are
+    /// linked.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rank` is not a rank of the bundle.
+    pub fn lower_planned_rank(&self, plan: &OverlapPlan, rank: usize) -> LoweredRank {
+        LoweredRank::lower(
+            Rank::new(rank as u32),
+            self.original.rank_count(),
+            self.mips,
+            &self.planned_records(plan, rank),
+        )
+    }
+
+    /// Links ranks of `plan`'s trace lowered by
+    /// [`TraceBundle::lower_planned_rank`], given in rank order, into the
+    /// trace's replay program. The program equals
+    /// [`CompiledTrace::build`] of [`TraceBundle::overlapped_planned`]'s
+    /// trace, and so `CompiledTrace::compile` of that trace with its own
+    /// index. Each rank may have been lowered under another plan that
+    /// agrees with `plan` on it ([`OverlapPlan::differing_ranks`]). This is
+    /// the auto-tuner's candidate path.
     ///
     /// # Errors
     ///
     /// Same as [`TraceBundle::overlapped_planned`], with the same issues.
-    pub fn planned_program(&self, plan: &OverlapPlan) -> Result<CompiledTrace, TraceError> {
-        let ts = self.synthesize_planned(plan);
-        CompiledTrace::build(&ts).map_err(|issues| TraceError::InvalidTrace {
-            variant: ts.name().to_string(),
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ranks` are not this bundle's ranks in rank order.
+    pub fn link_planned<R: Borrow<LoweredRank>>(
+        &self,
+        plan: &OverlapPlan,
+        ranks: &[R],
+    ) -> Result<CompiledTrace, TraceError> {
+        let name = self.planned_name(plan);
+        CompiledTrace::link(&name, self.mips, ranks).map_err(|issues| TraceError::InvalidTrace {
+            variant: name,
             issues,
         })
     }
 
     /// The unvalidated trace of a per-channel plan.
     fn synthesize_planned(&self, plan: &OverlapPlan) -> TraceSet {
+        let ranks = (0..self.original.rank_count())
+            .map(|r| RankTrace::from_records(self.planned_records(plan, r)))
+            .collect();
+        TraceSet::new(self.planned_name(plan), self.mips, ranks)
+    }
+
+    /// The name of a per-channel plan's trace.
+    fn planned_name(&self, plan: &OverlapPlan) -> String {
+        format!("{}.{}", self.name, plan.label())
+    }
+
+    /// The records of rank `r` under a per-channel plan: each of its
+    /// chunkable messages is transformed with the tuning of its channel.
+    fn planned_records(&self, plan: &OverlapPlan, r: usize) -> Vec<Record> {
         let tuning_of = |src: u32, dst: u32, tag: Tag, bytes: u64| -> Option<MsgTuning> {
             let t = plan.tuning_for(src, dst, tag);
             if !t.enabled {
@@ -145,42 +196,33 @@ impl TraceBundle {
                 late: t.late.min(TUNING_SCALE),
             })
         };
-        let ranks: Vec<RankTrace> = self
-            .original
-            .ranks()
+        let meta = &self.metas[r];
+        let send_tuning: Vec<Option<MsgTuning>> = meta
+            .sends
             .iter()
-            .enumerate()
-            .map(|(r, trace)| {
-                let meta = &self.metas[r];
-                let send_tuning: Vec<Option<MsgTuning>> = meta
-                    .sends
-                    .iter()
-                    .zip(&self.send_chunkable[r])
-                    .map(|(s, &chunkable)| {
-                        chunkable
-                            .then(|| tuning_of(r as u32, s.to.get(), s.tag, s.bytes))
-                            .flatten()
-                    })
-                    .collect();
-                let recv_tuning: Vec<Option<MsgTuning>> = meta
-                    .recvs
-                    .iter()
-                    .zip(&self.recv_chunkable[r])
-                    .map(|(m, &chunkable)| {
-                        chunkable
-                            .then(|| tuning_of(m.from.get(), r as u32, m.tag, m.bytes))
-                            .flatten()
-                    })
-                    .collect();
-                RankTrace::from_records(overlap_rank_tuned(
-                    trace.records(),
-                    meta,
-                    &send_tuning,
-                    &recv_tuning,
-                ))
+            .zip(&self.send_chunkable[r])
+            .map(|(s, &chunkable)| {
+                chunkable
+                    .then(|| tuning_of(r as u32, s.to.get(), s.tag, s.bytes))
+                    .flatten()
             })
             .collect();
-        TraceSet::new(format!("{}.{}", self.name, plan.label()), self.mips, ranks)
+        let recv_tuning: Vec<Option<MsgTuning>> = meta
+            .recvs
+            .iter()
+            .zip(&self.recv_chunkable[r])
+            .map(|(m, &chunkable)| {
+                chunkable
+                    .then(|| tuning_of(m.from.get(), r as u32, m.tag, m.bytes))
+                    .flatten()
+            })
+            .collect();
+        overlap_rank_tuned(
+            self.original.ranks()[r].records(),
+            meta,
+            &send_tuning,
+            &recv_tuning,
+        )
     }
 
     /// The chunkable channels of this bundle as sorted, deduplicated

@@ -355,6 +355,13 @@ fn exit_codes_distinguish_usage_from_runtime_failures() {
     let spec_text = "campaign big\napps nas-bt\nclasses S\nranks 100000000\nbandwidths list 1e9\n";
     std::fs::write(&spec, spec_text).unwrap();
     let spec = spec.to_str().unwrap();
+    let tune_spec = big.join("tune.campaign");
+    std::fs::write(
+        &tune_spec,
+        "campaign tune\napps sweep3d\nbandwidths list 1e8\ntune on\ntune budget 100000000\n",
+    )
+    .unwrap();
+    let tune_spec = tune_spec.to_str().unwrap();
     let (prefix, spec_out) = (
         format!("{}/x", big.display()),
         format!("{}/out", big.display()),
@@ -362,6 +369,8 @@ fn exit_codes_distinguish_usage_from_runtime_failures() {
     let too_many_ranks = "parameter `ranks` invalid: must be at most 4096";
     let gen_line = format!("unknown or invalid app `nas-bt`: {too_many_ranks}");
     let spec_line = format!("{spec}: building application failed: {too_many_ranks}");
+    let too_large_budget = "tune budget 100000000 is above the limit of 4096 evaluations";
+    let tune_spec_line = format!("{tune_spec}: line 5: `tune`: {too_large_budget}");
     for (args, line) in [
         (
             ["analyze", &mini, "--noise", "-1", "--out", out_dir].as_slice(),
@@ -396,6 +405,23 @@ fn exit_codes_distinguish_usage_from_runtime_failures() {
             &gen_line,
         ),
         (&["campaign", "run", spec, "--out", &spec_out], &spec_line),
+        (
+            &[
+                "tune",
+                "sweep3d",
+                "1e8",
+                "5",
+                "--budget",
+                "100000000",
+                "--out",
+                &spec_out,
+            ],
+            too_large_budget,
+        ),
+        (
+            &["campaign", "run", tune_spec, "--out", &spec_out],
+            &tune_spec_line,
+        ),
     ] {
         let out = ovlsim().args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(1), "{args:?}");
@@ -404,11 +430,16 @@ fn exit_codes_distinguish_usage_from_runtime_failures() {
             format!("error: {line}\n")
         );
     }
-    let written: Vec<_> = std::fs::read_dir(&big)
+    let mut written: Vec<_> = std::fs::read_dir(&big)
         .unwrap()
         .map(|e| e.unwrap().file_name())
         .collect();
-    assert_eq!(written, ["big.campaign"], "refusals write nothing");
+    written.sort();
+    assert_eq!(
+        written,
+        ["big.campaign", "tune.campaign"],
+        "refusals write nothing"
+    );
 }
 
 /// The committed NAS-BT mini trace under another `name` header.
