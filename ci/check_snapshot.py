@@ -18,9 +18,9 @@ Three layers of checking:
    the naive reference engine; CI gates at >= 6x. Why 6: on two 2-CPU
    containers the corpus read compiled/naive 7.5-10.9x (median 9.6, seven
    runs) and 8.4-10.8x (median 9.4, six runs), while an event-by-event
-   executor with full-FIFO rescans (no per-node pumps, what the deleted
+   executor with full-FIFO rescans (no node-local pumps, what the deleted
    prepared engine ran at) read 1.7-2.0x and 1.2-1.7x naive. A collapse
-   of the per-node pumps therefore lands far below 6 and fails. The
+   of the node-local pumps therefore lands far below 6 and fails. The
    quiescent-window fast-forwarding the executor once ran on top of them
    played no part in the ratio: counted on this corpus, it retired no
    burst and served no event pop, and with it deleted the ratio read
@@ -43,14 +43,20 @@ Three layers of checking:
 
 When a third path is given, a compact markdown table of every speedup
 field (baseline vs. this run) is written there, so the uploaded CI
-artifact carries the perf trajectory alongside the raw JSON.
+artifact carries the perf trajectory alongside the raw JSON. The same
+file then lists the numbers every committed ``BENCH_pr*.json`` at the
+repository root rests its claim on: one row per workload and metric,
+parent vs. change. Those rows are rendered only, never gated.
 
 Exit status: 0 ok, 1 check failed, 2 usage error.
 """
 
 import json
 import math
+import re
+import statistics
 import sys
+from pathlib import Path
 
 MIN_SPEEDUP_FIELDS = 4
 # A speedup may shrink to a third of its recorded baseline before we call
@@ -170,9 +176,82 @@ def write_trajectory(path, fields, base_fields, snap_name, base_name):
         *rows,
         "",
     ]
+    history = pr_history(Path(__file__).resolve().parent.parent)
+    lines += history_table(history)
     with open(path, "w") as f:
         f.write("\n".join(lines))
-    print(f"ok: wrote {len(rows)}-row trajectory table to {path}")
+    print(
+        f"ok: wrote {len(rows)}-row trajectory table and {len(history)} committed "
+        f"perf-claim rows to {path}"
+    )
+
+
+def pr_history(root):
+    """Rows `(pr, workload, metric, parent, change)` of every committed
+    `BENCH_pr<N>.json` under `root`, in PR order: per workload, the
+    medians of its end-to-end metrics over the alternating perfbench
+    pairs, then the medians of its per-layer metrics over the traced
+    passes of each side."""
+    rows = []
+    found = []
+    for path in root.glob("BENCH_pr*.json"):
+        m = re.fullmatch(r"BENCH_pr(\d+)\.json", path.name)
+        if m:
+            found.append((int(m.group(1)), path))
+    for pr, path in sorted(found):
+        for workload, data in json.loads(path.read_text())["workloads"].items():
+            pairs = data.get("pairs", [])
+            runs = {side: [pair.get(side, {}) for pair in pairs] for side in ("parent", "change")}
+            rows += median_rows(pr, workload, runs, len(pairs))
+            traced = data.get("traced", {})
+            runs = {side: traced.get(side, []) for side in ("parent", "change")}
+            rows += median_rows(pr, workload, runs, len(runs["parent"]))
+    return rows
+
+
+def median_rows(pr, workload, runs, count):
+    """One row per metric the parent's runs carry: each side's median, or
+    None where a side has no value for it."""
+    rows = []
+    for metric in sorted({k for run in runs["parent"] for k in run}):
+        sides = []
+        for side in ("parent", "change"):
+            values = [run[metric] for run in runs[side] if metric in run]
+            sides.append(statistics.median(values) if values else None)
+        rows.append((pr, workload, f"{metric} (median of {count})", *sides))
+    return rows
+
+
+def history_table(rows):
+    """The markdown lines of `pr_history`'s rows."""
+
+    def fmt(value):
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return f"{value:.4g}"
+        return "—"
+
+    lines = [
+        "## Committed perf claims",
+        "",
+        "Each `BENCH_pr<N>.json` holds the parent and change values a perf",
+        "change was measured at, on the host its file names.",
+        "",
+    ]
+    if not rows:
+        return lines + ["No `BENCH_pr*.json` is committed.", ""]
+    lines += [
+        "| PR | workload | metric | parent | change | ratio |",
+        "|---:|---|---|---:|---:|---:|",
+    ]
+    for pr, workload, metric, parent, change in rows:
+        numeric = all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in (parent, change)
+        )
+        ratio = f"{change / parent:.3f}" if numeric and parent else "—"
+        lines.append(
+            f"| {pr} | {workload} | `{metric}` | {fmt(parent)} | {fmt(change)} | {ratio} |"
+        )
+    return lines + [""]
 
 
 def main(argv):

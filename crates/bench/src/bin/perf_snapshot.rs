@@ -206,7 +206,7 @@ fn main() {
         },
     );
 
-    // Contention corpus: the compiled executor's per-node waiter queues
+    // Contention corpus: the compiled executor's per-pair waiter queues
     // pay off where full-FIFO rescans hurt, so the corpus is a
     // contention-heavy NAS-BT (196 ranks on capacity-1 links piles the
     // waiter queues deep). Bit-identity against the naive

@@ -23,13 +23,24 @@
 //! The platform selects the transport; both make identical start
 //! decisions:
 //!
-//! * **Per-node pumps** (no finite bus pool, uncontended intra-node
-//!   domain). The waiting FIFO is sharded into per-node queues tagged with
-//!   global FIFO seqs, so a released link pair rescans only the waiters it
-//!   could possibly admit (merged back in global FIFO order), and rescans
-//!   that provably admit nothing are skipped outright. The outcome is
-//!   unchanged because after every scan each waiter is blocked on at least
-//!   one busy resource, and none of its resources were freed.
+//! * **Per-pair pumps** (no finite bus pool, uncontended intra-node
+//!   domain). A waiter (a transfer ready to move but short of a free
+//!   link) parks in the FIFO of its ordered node pair, tagged with its
+//!   place in the global FIFO. When a transfer releases its link pair
+//!   `(nf, nt)`, the pump looks only at the head of each pair queue with
+//!   sender `nf` or receiver `nt`, in global FIFO order, and starts every
+//!   head whose pair is open. This reproduces the full FIFO rescan of
+//!   [`Network`] start for start and in the same order:
+//!   - after every scan each waiter is blocked on a busy link, so a
+//!     release can only admit waiters that need one of the two freed
+//!     links;
+//!   - every waiter of a pair needs the same two links, and a scan only
+//!     takes links, never frees them: once a pair's head is blocked, its
+//!     whole queue stays blocked for the rest of the scan;
+//!   - the pump stops once both freed sides are saturated again.
+//!
+//!   For the same reason a transfer whose pair is open on arrival starts
+//!   at once: no waiter of that pair can exist.
 //! * **Global pump** (a finite bus pool or finite intra-node ports). A
 //!   release can admit a waiter anywhere in the machine, so transfers
 //!   queue in the global FIFOs of [`Network`] and every release rescans
@@ -265,8 +276,6 @@ struct Transfer {
     bytes: u64,
     rendezvous: bool,
     intra: bool,
-    /// Parked in the per-node waiter queues.
-    waiting: bool,
     sender_kind: SenderKind,
     /// Matched receive post, or `NONE_U32` while unmatched.
     recv: u32,
@@ -274,9 +283,15 @@ struct Transfer {
     chan: u32,
     /// Flight-latency jitter drawn at creation time (zero on clean runs).
     jitter: Time,
-    arrived: Option<Time>,
+    /// The last byte reached the receiver (the instant is attribution
+    /// state).
+    arrived: bool,
     /// Next unmatched send on the same channel (intrusive FIFO).
     next: u32,
+    /// While parked: the next waiter of the same node pair (intrusive
+    /// FIFO, see [`NodeNet`]) and this waiter's place in the global FIFO.
+    wait_next: u32,
+    wait_seq: u32,
 }
 
 /// A transfer's attribution timestamps, parallel to the transfer table
@@ -293,6 +308,8 @@ struct TransferAttr {
     started: Option<Time>,
     /// End of the link outage that held the transfer back, if any.
     outage: Option<Time>,
+    /// When the last byte reached the receiver.
+    arrived: Option<Time>,
 }
 
 /// Sentinel for the intrusive channel lists and optional u32 indices.
@@ -405,37 +422,49 @@ impl XmitMemo {
     }
 }
 
-/// A parked transfer in a per-node waiter queue. `seq` is the global
-/// enqueue order (its position in the global FIFO), `other` the node on
-/// the opposite side of the pair so eligibility checks never touch the
-/// `Transfer` record.
+/// The waiter FIFO of one ordered node pair, threaded through
+/// `Transfer::wait_next`, and its links in the two nodes' pair lists.
 #[derive(Debug, Clone, Copy)]
-struct WaitEnt {
-    seq: u32,
-    tid: u32,
-    other: u32,
+struct PairQueue {
+    from: u32,
+    to: u32,
+    /// First and last waiter, `NONE_U32` while empty.
+    head: u32,
+    tail: u32,
+    /// Next pair with the same sender node.
+    next_out: u32,
+    /// Next pair with the same receiver node.
+    next_in: u32,
+}
+
+/// One node's link occupancy, its parked waiters per side, and the first
+/// pair of each of its two pair lists (`NONE_U32` while empty).
+#[derive(Debug, Clone, Copy)]
+struct NodeLinks {
+    out_used: u32,
+    in_used: u32,
+    out_waiting: u32,
+    in_waiting: u32,
+    out_pairs: u32,
+    in_pairs: u32,
 }
 
 /// Per-node transport for platforms without finite pools: no bus pool
 /// (`buses = None`) and an uncontended intra-node domain. Start/occupy/
-/// release/statistics semantics are copied from [`Network`] exactly. The
-/// global waiting FIFO is sharded into per-node queues (a waiter is parked
-/// under both its sender and receiver node, tagged with its global FIFO
-/// seq) so a released link pair rescans only the waiters it could possibly
-/// admit — every other waiter's resources are untouched by the release,
-/// and after each scan every waiter is blocked on at least one busy
-/// resource, so the restricted scan provably reproduces the full scan's
-/// decisions in the same order.
+/// release/statistics semantics are copied from [`Network`] exactly.
+/// Waiters queue per ordered node pair, and a release pumps only the
+/// heads of the queues that touch the freed links (the module docs give
+/// the argument that this makes the full FIFO rescan's decisions in the
+/// same order). The pair table grows with the pairs that park a waiter;
+/// a waiter itself allocates nothing.
 struct NodeNet {
     out_limit: u32,
     in_limit: u32,
     busy: u32,
-    out_used: Vec<u32>,
-    in_used: Vec<u32>,
-    /// Waiters parked per sender node / receiver node, global-FIFO order.
-    /// Entries are tombstoned in place when a start removes the twin.
-    out_q: Vec<VecDeque<WaitEnt>>,
-    in_q: Vec<VecDeque<WaitEnt>>,
+    nodes: Vec<NodeLinks>,
+    pairs: Vec<PairQueue>,
+    /// The running pump's candidates, `(head's wait seq, pair)`; reused.
+    heads: Vec<(u32, u32)>,
     enq_seq: u32,
     waiting_len: usize,
     bus_util: TimeWeighted,
@@ -448,14 +477,21 @@ impl NodeNet {
     fn new(platform: &Platform, ranks: usize) -> Self {
         let rpn = platform.ranks_per_node() as usize;
         let nodes = ranks.div_ceil(rpn).max(1);
+        let idle = NodeLinks {
+            out_used: 0,
+            in_used: 0,
+            out_waiting: 0,
+            in_waiting: 0,
+            out_pairs: NONE_U32,
+            in_pairs: NONE_U32,
+        };
         NodeNet {
             out_limit: platform.output_links(),
             in_limit: platform.input_links(),
             busy: 0,
-            out_used: vec![0; nodes],
-            in_used: vec![0; nodes],
-            out_q: vec![VecDeque::new(); nodes],
-            in_q: vec![VecDeque::new(); nodes],
+            nodes: vec![idle; nodes],
+            pairs: Vec::new(),
+            heads: Vec::new(),
             enq_seq: 0,
             waiting_len: 0,
             bus_util: TimeWeighted::new(),
@@ -483,20 +519,20 @@ impl NodeNet {
 
     #[inline]
     fn pair_open(&self, nf: usize, nt: usize) -> bool {
-        self.out_used[nf] < self.out_limit && self.in_used[nt] < self.in_limit
+        self.nodes[nf].out_used < self.out_limit && self.nodes[nt].in_used < self.in_limit
     }
 
     /// Whether any waiter is parked on either side of the `(nf, nt)` pair.
     #[inline]
     fn has_waiters(&self, nf: usize, nt: usize) -> bool {
-        !self.out_q[nf].is_empty() || !self.in_q[nt].is_empty()
+        self.nodes[nf].out_waiting > 0 || self.nodes[nt].in_waiting > 0
     }
 
     #[inline]
     fn occupy(&mut self, nf: usize, nt: usize, now: Time) {
         self.busy += 1;
-        self.out_used[nf] += 1;
-        self.in_used[nt] += 1;
+        self.nodes[nf].out_used += 1;
+        self.nodes[nt].in_used += 1;
         self.bus_util.record(now, self.busy as f64);
     }
 
@@ -504,34 +540,143 @@ impl NodeNet {
     fn release(&mut self, nf: usize, nt: usize, now: Time) {
         debug_assert!(self.busy > 0);
         self.busy -= 1;
-        self.out_used[nf] -= 1;
-        self.in_used[nt] -= 1;
+        self.nodes[nf].out_used -= 1;
+        self.nodes[nt].in_used -= 1;
         self.bus_util.record(now, self.busy as f64);
     }
 
-    /// Parks a waiter under both its nodes at the tail of the global FIFO.
-    fn park(&mut self, tid: TransferId, nf: usize, nt: usize, now: Time) {
-        let seq = self.enq_seq;
+    /// Enters the ready inter-node transfer `tid`: occupies its link pair
+    /// and returns true if the pair is open, else parks it and returns
+    /// false. An open pair has no waiter, so the full scan would admit
+    /// exactly this transfer, and the transient push/pop cancels out of
+    /// the persisted queue-length statistic.
+    fn launch(&mut self, transfers: &mut [Transfer], tid: TransferId, now: Time) -> bool {
+        let (nf, nt) = (transfers[tid].nf as usize, transfers[tid].nt as usize);
+        if self.pair_open(nf, nt) {
+            self.occupy(nf, nt, now);
+            self.note_waiting(now);
+            return true;
+        }
+        self.park(transfers, tid, nf, nt, now);
+        false
+    }
+
+    /// Parks `tid` at the tail of its pair's FIFO and of the global FIFO,
+    /// adding the pair to both nodes' lists when it first parks a waiter.
+    fn park(
+        &mut self,
+        transfers: &mut [Transfer],
+        tid: TransferId,
+        nf: usize,
+        nt: usize,
+        now: Time,
+    ) {
+        let mut p = self.nodes[nf].out_pairs;
+        while p != NONE_U32 && self.pairs[p as usize].to != nt as u32 {
+            p = self.pairs[p as usize].next_out;
+        }
+        if p == NONE_U32 {
+            p = self.pairs.len() as u32;
+            self.pairs.push(PairQueue {
+                from: nf as u32,
+                to: nt as u32,
+                head: NONE_U32,
+                tail: NONE_U32,
+                next_out: self.nodes[nf].out_pairs,
+                next_in: self.nodes[nt].in_pairs,
+            });
+            self.nodes[nf].out_pairs = p;
+            self.nodes[nt].in_pairs = p;
+        }
+        transfers[tid].wait_next = NONE_U32;
+        transfers[tid].wait_seq = self.enq_seq;
         self.enq_seq += 1;
-        let tid = tid as u32;
-        self.out_q[nf].push_back(WaitEnt {
-            seq,
-            tid,
-            other: nt as u32,
-        });
-        self.in_q[nt].push_back(WaitEnt {
-            seq,
-            tid,
-            other: nf as u32,
-        });
+        let q = &mut self.pairs[p as usize];
+        match q.tail {
+            NONE_U32 => q.head = tid as u32,
+            tail => transfers[tail as usize].wait_next = tid as u32,
+        }
+        q.tail = tid as u32;
+        self.nodes[nf].out_waiting += 1;
+        self.nodes[nt].in_waiting += 1;
         self.waiting_len += 1;
         self.note_waiting(now);
+    }
+
+    /// Starts, in global FIFO order, every waiter that the release of the
+    /// `(nf, nt)` link pair admits, and lists them in `started` (cleared
+    /// first). The candidates are the heads of the non-empty queues with
+    /// sender `nf` or receiver `nt`. The lowest seq goes first: an open
+    /// pair starts its head and offers its next waiter, a closed pair
+    /// drops out of the scan. A side with no waiters is not walked, and
+    /// the scan ends once both freed sides are saturated again.
+    fn pump(
+        &mut self,
+        transfers: &[Transfer],
+        nf: usize,
+        nt: usize,
+        now: Time,
+        started: &mut Vec<TransferId>,
+    ) {
+        started.clear();
+        let mut heads = std::mem::take(&mut self.heads);
+        heads.clear();
+        if self.nodes[nf].out_waiting > 0 {
+            let mut p = self.nodes[nf].out_pairs;
+            while p != NONE_U32 {
+                let q = &self.pairs[p as usize];
+                if q.head != NONE_U32 {
+                    heads.push((transfers[q.head as usize].wait_seq, p));
+                }
+                p = q.next_out;
+            }
+        }
+        if self.nodes[nt].in_waiting > 0 {
+            let mut p = self.nodes[nt].in_pairs;
+            while p != NONE_U32 {
+                let q = &self.pairs[p as usize];
+                // `(nf, nt)` is on both lists; the sender walk offered it.
+                if q.head != NONE_U32 && q.from as usize != nf {
+                    heads.push((transfers[q.head as usize].wait_seq, p));
+                }
+                p = q.next_in;
+            }
+        }
+        while let Some((i, &(_, p))) = heads.iter().enumerate().min_by_key(|(_, h)| h.0) {
+            let q = self.pairs[p as usize];
+            let (from, to) = (q.from as usize, q.to as usize);
+            if !self.pair_open(from, to) {
+                heads.swap_remove(i);
+                continue;
+            }
+            let next = transfers[q.head as usize].wait_next;
+            self.pairs[p as usize].head = next;
+            if next == NONE_U32 {
+                self.pairs[p as usize].tail = NONE_U32;
+                heads.swap_remove(i);
+            } else {
+                heads[i].0 = transfers[next as usize].wait_seq;
+            }
+            self.nodes[from].out_waiting -= 1;
+            self.nodes[to].in_waiting -= 1;
+            self.waiting_len -= 1;
+            self.occupy(from, to, now);
+            started.push(q.head as usize);
+            if self.nodes[nf].out_used >= self.out_limit && self.nodes[nt].in_used >= self.in_limit
+            {
+                break;
+            }
+        }
+        self.heads = heads;
+        if !started.is_empty() {
+            self.note_waiting(now);
+        }
     }
 }
 
 /// The platform-selected transport (see the module docs).
 enum Net {
-    /// No finite pool: per-node waiter queues.
+    /// No finite pool: per-node-pair waiter queues.
     Nodes(NodeNet),
     /// A finite bus pool or finite intra-node ports: global FIFO rescans.
     Global(Network),
@@ -891,120 +1036,6 @@ impl<'a, O: Observe + ?Sized> FfState<'a, O> {
         }
     }
 
-    /// Rescans the waiters a just-released `(nf, nt)` pair could admit —
-    /// identical order and start decisions to the full FIFO scan
-    /// (`Network::start_eligible_into`). Only waiters parked under `nf`'s
-    /// sender side or `nt`'s receiver side are candidates: every other
-    /// waiter was blocked on at least one busy resource after the
-    /// previous scan and none of its resources were freed, so the full
-    /// scan would skip it. Candidates are visited in global FIFO (seq)
-    /// order by merging the two node queues; blocked heads are passed over
-    /// exactly like the full scan, and the merge stops early once the
-    /// freed pair is saturated again (every remaining candidate needs one
-    /// of the two saturated links).
-    fn pump_pair(&mut self, nf: usize, nt: usize, now: Time) {
-        let Net::Nodes(net) = &mut self.net else {
-            unreachable!("pair pumps run on the per-node transport")
-        };
-        let transfers = &mut self.transfers;
-        let started = &mut self.started;
-        started.clear();
-        let mut oi = 0usize;
-        let mut ii = 0usize;
-        loop {
-            let out_open = net.out_used[nf] < net.out_limit;
-            let in_open = net.in_used[nt] < net.in_limit;
-            // Skip dead entries (tombstoned twins of started waiters) at
-            // the current scan positions.
-            let oc = if out_open {
-                loop {
-                    match net.out_q[nf].get(oi) {
-                        Some(e) if !transfers[e.tid as usize].waiting => {
-                            if oi == 0 {
-                                net.out_q[nf].pop_front();
-                            } else {
-                                oi += 1;
-                            }
-                        }
-                        other => break other.copied(),
-                    }
-                }
-            } else {
-                None
-            };
-            let ic = if in_open {
-                loop {
-                    match net.in_q[nt].get(ii) {
-                        Some(e) if !transfers[e.tid as usize].waiting => {
-                            if ii == 0 {
-                                net.in_q[nt].pop_front();
-                            } else {
-                                ii += 1;
-                            }
-                        }
-                        other => break other.copied(),
-                    }
-                }
-            } else {
-                None
-            };
-            // Next candidate in global FIFO order; a full-pair waiter
-            // (both endpoints on the released pair) appears in both
-            // queues with the same seq and is visited once.
-            let (ent, from_out, both) = match (oc, ic) {
-                (None, None) => break,
-                (Some(o), None) => (o, true, false),
-                (None, Some(i)) => (i, false, false),
-                (Some(o), Some(i)) => {
-                    if o.seq < i.seq {
-                        (o, true, false)
-                    } else if i.seq < o.seq {
-                        (i, false, false)
-                    } else {
-                        (o, true, true)
-                    }
-                }
-            };
-            let (cnf, cnt) = if from_out {
-                (nf, ent.other as usize)
-            } else {
-                (ent.other as usize, nt)
-            };
-            let tid = ent.tid as usize;
-            if net.pair_open(cnf, cnt) {
-                transfers[tid].waiting = false;
-                net.waiting_len -= 1;
-                net.occupy(cnf, cnt, now);
-                started.push(tid);
-            }
-            // Advance past the candidate whether it started (its entries
-            // are now tombstones) or stays blocked (pass-blocked-head).
-            let dead = !transfers[tid].waiting;
-            if from_out {
-                if oi == 0 && dead {
-                    net.out_q[nf].pop_front();
-                } else {
-                    oi += 1;
-                }
-                if both {
-                    if ii == 0 && dead {
-                        net.in_q[nt].pop_front();
-                    } else {
-                        ii += 1;
-                    }
-                }
-            } else if ii == 0 && dead {
-                net.in_q[nt].pop_front();
-            } else {
-                ii += 1;
-            }
-        }
-        if !started.is_empty() {
-            net.note_waiting(now);
-            self.transmit_started(now);
-        }
-    }
-
     /// Rescans the global FIFO of the freed domain (`intra`: the
     /// node-port domain, else the bus/link fabric) and starts every
     /// transfer whose resources are free, in FIFO order.
@@ -1294,7 +1325,7 @@ impl<'a, O: Observe + ?Sized> FfState<'a, O> {
                 at: a.ready,
             })
         } else {
-            match t.arrived {
+            match a.arrived {
                 Some(at) if at <= start => None,
                 _ => Some(DepEdge {
                     rank: t.from,
@@ -1396,14 +1427,15 @@ impl<'a, O: Observe + ?Sized> FfState<'a, O> {
             bytes,
             rendezvous,
             intra,
-            waiting: false,
             sender_kind,
             recv: NONE_U32,
             enqueued: false,
             chan,
             jitter,
-            arrived: None,
+            arrived: false,
             next: NONE_U32,
+            wait_next: NONE_U32,
+            wait_seq: 0,
         });
         if O::ON {
             self.attr.push(TransferAttr {
@@ -1412,6 +1444,7 @@ impl<'a, O: Observe + ?Sized> FfState<'a, O> {
                 queued: None,
                 started: None,
                 outage: None,
+                arrived: None,
             });
         }
         self.p2p_messages += 1;
@@ -1470,30 +1503,20 @@ impl<'a, O: Observe + ?Sized> FfState<'a, O> {
     /// Enters a ready transfer into its transport domain (the tail of
     /// `start_transfer`, split out so link-outage retries re-enter here).
     fn launch_transfer(&mut self, tid: TransferId, now: Time) {
-        let t = &self.transfers[tid];
-        let (intra, nf, nt) = (t.intra, t.nf as usize, t.nt as usize);
+        let intra = self.transfers[tid].intra;
         match &mut self.net {
             // Uncontended intra-node domain: start immediately.
             Net::Nodes(_) if intra => {}
             Net::Global(net) if intra && !net.intra_limited() => {}
             Net::Nodes(net) => {
-                if !net.pair_open(nf, nt) {
-                    // Busy pair: the rescan would admit nothing (the new
-                    // transfer is the only change since the last scan
-                    // left every waiter blocked) — park it under both
-                    // nodes.
-                    net.park(tid, nf, nt, now);
-                    self.transfers[tid].waiting = true;
-                    self.note_queued(tid, now);
+                // A busy pair parks the transfer: the rescan would admit
+                // nothing, as the new transfer is the only change since
+                // the last scan left every waiter blocked.
+                let open = net.launch(&mut self.transfers, tid, now);
+                self.note_queued(tid, now);
+                if !open {
                     return;
                 }
-                // Free pair: the full scan would admit exactly this
-                // transfer (every parked waiter stays blocked — nothing
-                // was freed) and the transient push/pop cancels out of
-                // the persisted queue-length statistic.
-                net.occupy(nf, nt, now);
-                net.note_waiting(now);
-                self.note_queued(tid, now);
             }
             Net::Global(net) => {
                 if intra {
@@ -1555,7 +1578,7 @@ impl<'a, O: Observe + ?Sized> FfState<'a, O> {
             }
             self.transfers[tid].recv = pid as u32;
             self.recv_posts[pid].transfer = head;
-            if self.transfers[tid].arrived.is_some() {
+            if self.transfers[tid].arrived {
                 self.recv_posts[pid].done = Some(now + self.recv_overhead);
             } else if !self.transfers[tid].enqueued {
                 self.start_transfer(tid, now);
@@ -1616,10 +1639,11 @@ impl<'a, O: Observe + ?Sized> FfState<'a, O> {
         let flight = self.flight_time(intra, rendezvous) + jitter;
         self.queue.schedule(at + flight, Event::done(tid));
         // Only the freed domain can admit a waiter.
-        match &self.net {
+        match &mut self.net {
             Net::Nodes(net) => {
                 if !intra && net.has_waiters(nf, nt) {
-                    self.pump_pair(nf, nt, at);
+                    net.pump(&self.transfers, nf, nt, at, &mut self.started);
+                    self.transmit_started(at);
                 }
             }
             Net::Global(net) => {
@@ -1631,8 +1655,9 @@ impl<'a, O: Observe + ?Sized> FfState<'a, O> {
     }
 
     fn transfer_done(&mut self, tid: TransferId, at: Time) {
-        self.transfers[tid].arrived = Some(at);
+        self.transfers[tid].arrived = true;
         if O::ON {
+            self.attr[tid].arrived = Some(at);
             let t = &self.transfers[tid];
             let started = self.attr[tid].started.expect("done transfers started");
             let tag = self.prog.channels()[t.chan as usize].tag;
@@ -1821,7 +1846,7 @@ mod tests {
     fn fastforward_delegates_finite_bus_platforms() {
         // The platform picks the transport: a finite bus pool or finite
         // intra-node ports delegate queueing to the global FIFO pump,
-        // anything else gets the per-node pumps. A ring of eager sends
+        // anything else gets the per-pair pumps. A ring of eager sends
         // over one bus contends on every hop.
         let ts = trace(
             (0..4)
@@ -1946,6 +1971,13 @@ mod tests {
         assert_ff_matches(platform_1us_1gb(), &trace(pairs));
     }
 
+    #[test]
+    fn transfer_records_fit_a_cache_line() {
+        // The transfer table holds one record per message chunk; the
+        // waiter links must not grow it past 64 bytes.
+        assert!(std::mem::size_of::<Transfer>() <= 64);
+    }
+
     mod queue_props {
         use super::*;
         use proptest::prelude::*;
@@ -2033,6 +2065,92 @@ mod tests {
         }
     }
 
+    mod pump_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A ready inter-node transfer from node `nf` to node `nt`, at one
+        /// rank per node; only its route matters to the transport.
+        fn waiter(nf: u32, nt: u32) -> Transfer {
+            Transfer {
+                from: Rank::new(nf),
+                to: Rank::new(nt),
+                nf,
+                nt,
+                bytes: 0,
+                rendezvous: false,
+                intra: false,
+                sender_kind: SenderKind::Fire,
+                recv: NONE_U32,
+                enqueued: true,
+                chan: 0,
+                jitter: Time::ZERO,
+                arrived: false,
+                next: NONE_U32,
+                wait_next: NONE_U32,
+                wait_seq: 0,
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The per-pair transport beside the full FIFO rescan the naive
+            /// engine runs (`Network::start_eligible_into`), fed the same
+            /// launches and releases: every step starts the same transfers
+            /// in the same order, and the waiting statistics agree.
+            #[test]
+            fn pair_pump_starts_what_the_full_fifo_rescan_starts(
+                nodes in 2u32..9,
+                in_links in 1u32..4,
+                out_links in 1u32..4,
+                ops in proptest::collection::vec((0u8..3, any::<u32>(), any::<u32>()), 1..400),
+            ) {
+                let platform = Platform::builder()
+                    .input_links(in_links)
+                    .output_links(out_links)
+                    .build();
+                let mut net = NodeNet::new(&platform, nodes as usize);
+                let mut fifo = Network::new(&platform, nodes as usize);
+                let mut transfers: Vec<Transfer> = Vec::new();
+                let mut moving: Vec<TransferId> = Vec::new();
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                for (step, (op, a, b)) in ops.into_iter().enumerate() {
+                    // A third of the steps share their instant with the next.
+                    let now = Time::from_ns(step as u64 * 2 / 3);
+                    got.clear();
+                    if op > 0 || moving.is_empty() {
+                        let nf = a % nodes;
+                        let nt = (nf + 1 + b % (nodes - 1)) % nodes;
+                        let tid = transfers.len();
+                        transfers.push(waiter(nf, nt));
+                        if net.launch(&mut transfers, tid, now) {
+                            got.push(tid);
+                        }
+                        fifo.enqueue(tid, now);
+                    } else {
+                        let t = &transfers[moving.swap_remove(a as usize % moving.len())];
+                        let (nf, nt) = (t.nf as usize, t.nt as usize);
+                        net.release(nf, nt, now);
+                        fifo.release(t.from, t.to, now);
+                        if net.has_waiters(nf, nt) {
+                            net.pump(&transfers, nf, nt, now, &mut got);
+                        }
+                    }
+                    fifo.start_eligible_into(
+                        now,
+                        |id| (transfers[id].from, transfers[id].to),
+                        &mut want,
+                    );
+                    prop_assert_eq!(&got, &want, "step {}", step);
+                    prop_assert_eq!(net.waiting_len, fifo.waiting_len());
+                    prop_assert_eq!(net.peak_waiting(), fifo.peak_waiting());
+                    moving.extend_from_slice(&got);
+                }
+            }
+        }
+    }
+
     mod window_props {
         use super::*;
         use ovlsim_core::PerturbationModel;
@@ -2073,7 +2191,7 @@ mod tests {
             TraceSet::new("ring", mips(), recs)
         }
 
-        /// `buses` is `None` for the per-node pumps; a finite pool
+        /// `buses` is `None` for the per-pair pumps; a finite pool
         /// switches to the global pump.
         fn platform_at(lat_us: u64, buses: Option<u32>, perturbed: bool) -> Platform {
             let mut b = Platform::builder();

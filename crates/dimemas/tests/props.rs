@@ -386,6 +386,105 @@ fn arb_bursty_trace() -> impl Strategy<Value = TraceSet> {
         })
 }
 
+/// A many-rank fan-out trace: each round every rank bursts, isends to
+/// random peers on fresh tags, posts the matching irecvs in reverse order
+/// and waits on all its requests; a barrier closes the trace. With few
+/// links per node, chunks for several destinations park at once, so the
+/// order in which a freed link admits waiters shows in the result.
+fn arb_fanout_trace() -> impl Strategy<Value = TraceSet> {
+    (3usize..10)
+        .prop_flat_map(|ranks| {
+            // Per round and rank: a burst and the sends, as (peer offset,
+            // bytes); the offset keeps every peer distinct from the sender.
+            let rank_round = (
+                1u64..200_000,
+                proptest::collection::vec((1..ranks, 1u64..150_000), 0..6),
+            );
+            (
+                Just(ranks),
+                proptest::collection::vec(
+                    proptest::collection::vec(rank_round, ranks..ranks + 1),
+                    1..4,
+                ),
+                1u64..5_000,
+            )
+        })
+        .prop_map(|(ranks, rounds, mips)| {
+            let mut recs: Vec<Vec<Record>> = vec![Vec::new(); ranks];
+            let mut tag = 0u64;
+            for round in rounds {
+                let mut incoming: Vec<Vec<(Rank, u64, Tag)>> = vec![Vec::new(); ranks];
+                let mut reqs = vec![0u32; ranks];
+                for (r, (burst, sends)) in round.into_iter().enumerate() {
+                    recs[r].push(Record::Burst {
+                        instr: Instr::new(burst),
+                    });
+                    for (offset, bytes) in sends {
+                        let to = (r + offset) % ranks;
+                        tag += 1;
+                        recs[r].push(Record::ISend {
+                            to: Rank::new(to as u32),
+                            bytes,
+                            tag: Tag::new(tag),
+                            req: RequestId::new(reqs[r]),
+                        });
+                        reqs[r] += 1;
+                        incoming[to].push((Rank::new(r as u32), bytes, Tag::new(tag)));
+                    }
+                }
+                for (r, msgs) in incoming.into_iter().enumerate() {
+                    for (from, bytes, tag) in msgs.into_iter().rev() {
+                        recs[r].push(Record::IRecv {
+                            from,
+                            bytes,
+                            tag,
+                            req: RequestId::new(reqs[r]),
+                        });
+                        reqs[r] += 1;
+                    }
+                    if reqs[r] > 0 {
+                        recs[r].push(Record::WaitAll {
+                            reqs: (0..reqs[r]).map(RequestId::new).collect(),
+                        });
+                    }
+                }
+            }
+            for r in &mut recs {
+                r.push(Record::Barrier);
+            }
+            TraceSet::new(
+                "prop-fanout",
+                MipsRate::new(mips).unwrap(),
+                recs.into_iter().map(RankTrace::from_records).collect(),
+            )
+        })
+}
+
+/// Platforms for the fan-out traces: few input and output links drawn
+/// apart, one to three ranks per node, any eager threshold.
+fn arb_fanout_platform() -> impl Strategy<Value = Platform> {
+    (
+        1u32..4,          // input links
+        1u32..4,          // output links
+        1u32..4,          // ranks per node
+        0u64..200_000,    // eager threshold
+        0u64..21,         // latency us
+        1.0e7f64..1.0e10, // bandwidth
+    )
+        .prop_map(|(input, output, rpn, eager, lat, bw)| {
+            let mut b = Platform::builder();
+            b.latency(Time::from_us(lat))
+                .bandwidth_bytes_per_sec(bw)
+                .expect("positive")
+                .input_links(input)
+                .output_links(output)
+                .ranks_per_node(rpn)
+                .expect("positive packing")
+                .eager_threshold(eager);
+            b.build()
+        })
+}
+
 /// One recorded attribution callback: `(start, end, cause, edge)`.
 type AttrEntry = (Time, Time, WaitCause, Option<DepEdge>);
 
@@ -655,6 +754,17 @@ proptest! {
     fn compiled_replay_matches_on_nonblocking_traces(
         trace in arb_nonblocking_trace(),
         platform in arb_platform(),
+    ) {
+        assert_engines_agree(&trace, &platform)?;
+    }
+
+    /// Many ranks fanning out to several peers at once over few links:
+    /// waiters for several destinations park together, and the order in
+    /// which a freed link admits them must match the naive engine's FIFO.
+    #[test]
+    fn compiled_replay_matches_on_fanout_traces(
+        trace in arb_fanout_trace(),
+        platform in arb_fanout_platform(),
     ) {
         assert_engines_agree(&trace, &platform)?;
     }

@@ -158,7 +158,7 @@ fn handle_connection(
         Err(ReadError::Io) => return,
     };
     let is_shutdown = req.method == "POST" && req.path == "/shutdown";
-    let (status, reason, body) = route(&req, session, version);
+    let (status, reason, body) = guarded(|| route(&req, session, version));
     let _ = write_response(&mut stream, status, reason, &body);
     drop(stream);
     if is_shutdown && status == 200 {
@@ -186,6 +186,25 @@ fn drain_excess(stream: &mut TcpStream) {
 
 fn error_body(msg: &str) -> String {
     format!("{{\"error\":\"{}\"}}", escape(msg))
+}
+
+/// Runs `answer`, turning a panic into a typed 500 so the peer gets a JSON
+/// error and the server keeps serving. The session stays usable: the
+/// store's locks recover from poisoning, and a build that panicked leaves
+/// its slot empty for the next requester.
+fn guarded(answer: impl FnOnce() -> (u16, &'static str, String)) -> (u16, &'static str, String) {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(answer)).unwrap_or_else(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("unknown panic");
+        (
+            500,
+            "Internal Server Error",
+            error_body(&format!("internal error: {msg}")),
+        )
+    })
 }
 
 fn route(req: &Request, session: &Session, version: &str) -> (u16, &'static str, String) {
@@ -522,6 +541,18 @@ mod tests {
             assert_eq!(status, 400, "{name}");
             assert!(body.contains("compiled or naive"), "{body}");
         }
+    }
+
+    #[test]
+    fn a_panicking_answer_is_a_typed_500() {
+        let (status, reason, body) = guarded(|| panic!("boom at {}", 7));
+        assert_eq!((status, reason), (500, "Internal Server Error"));
+        assert_eq!(body, r#"{"error":"internal error: boom at 7"}"#);
+        let (status, _, body) = guarded(|| std::panic::panic_any(3u8));
+        assert_eq!(status, 500);
+        assert_eq!(body, r#"{"error":"internal error: unknown panic"}"#);
+        let fine = guarded(|| (200, "OK", "{}".to_string()));
+        assert_eq!(fine, (200, "OK", "{}".to_string()));
     }
 
     #[test]

@@ -151,3 +151,30 @@ fn replay_responses_are_deterministic_across_requests() {
     assert_eq!(status, 200);
     running.join().expect("server thread").expect("clean run");
 }
+
+#[test]
+fn a_request_that_panics_gets_a_json_error_and_the_server_keeps_serving() {
+    let session = Arc::new(Session::with_threads(1));
+    let server = Server::bind(0, session, "v").expect("bind");
+    let port = server.port().expect("port");
+    let running = std::thread::spawn(move || server.run());
+
+    // Two bursts of 2^64 - 1 instructions at 1 MIPS overflow simulated
+    // time during the replay.
+    let dim = "# ovlsim trace v1\\nname huge\\nmips 1\\nranks 2\\nrank 0\\n\
+               burst 18446744073709551615\\nburst 18446744073709551615\\nend\\n\
+               rank 1\\nend\\n";
+    let body = format!(r#"{{"source":{{"dim":"{dim}"}},"bandwidth":1e9}}"#);
+    let (status, answer) = request(port, "POST", "/replay", &body);
+    assert!(status >= 400, "status {status}: {answer}");
+    assert!(
+        answer.starts_with("{\"error\":\"") && answer.contains("overflow"),
+        "error: {answer}"
+    );
+    let (status, answer) = request(port, "GET", "/status", "");
+    assert_eq!(status, 200, "{answer}");
+
+    let (status, _) = request(port, "POST", "/shutdown", "");
+    assert_eq!(status, 200);
+    running.join().expect("server thread").expect("clean run");
+}
