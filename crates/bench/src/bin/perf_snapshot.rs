@@ -405,27 +405,12 @@ fn main() {
         "hot-path overhead is {hotpath_overhead}: expected a finite, positive ratio"
     );
     assert!(
-        hotpath_overhead < 1.10,
-        "perturbation hot path costs {:.1}% over clean compiled replay (budget: <10%)",
-        (hotpath_overhead - 1.0) * 100.0
-    );
-    assert!(
         session_cached_overhead.is_finite() && session_cached_overhead > 0.0,
         "session cache overhead is {session_cached_overhead}: expected a finite, positive ratio"
     );
     assert!(
-        session_cached_overhead < 1.05,
-        "session-cached replay costs {:.1}% over direct run_compiled (budget: <5%)",
-        (session_cached_overhead - 1.0) * 100.0
-    );
-    assert!(
         disk_cache_payoff.is_finite() && disk_cache_payoff > 0.0,
         "disk cache payoff is {disk_cache_payoff}: expected a finite, positive ratio"
-    );
-    assert!(
-        disk_cache_payoff > 1.0,
-        "decoding a cached program ({decode_prog_s:.6}s) costs more than rebuilding it \
-         ({rebuild_prog_s:.6}s): the persistent cache is a pessimization"
     );
 
     let mut json = String::new();
@@ -574,4 +559,23 @@ fn main() {
     std::fs::write(&path, &json).expect("write snapshot");
     print!("{json}");
     eprintln!("wrote {path}");
+
+    // The budget gates run after the write, so a run that fails one still
+    // leaves every number it measured (the CI floor's included); the run
+    // fails all the same.
+    assert!(
+        hotpath_overhead < 1.10,
+        "perturbation hot path costs {:.1}% over clean compiled replay (budget: <10%)",
+        (hotpath_overhead - 1.0) * 100.0
+    );
+    assert!(
+        session_cached_overhead < 1.05,
+        "session-cached replay costs {:.1}% over direct run_compiled (budget: <5%)",
+        (session_cached_overhead - 1.0) * 100.0
+    );
+    assert!(
+        disk_cache_payoff > 1.0,
+        "decoding a cached program ({decode_prog_s:.6}s) costs more than rebuilding it \
+         ({rebuild_prog_s:.6}s): the persistent cache is a pessimization"
+    );
 }

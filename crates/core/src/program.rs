@@ -27,11 +27,14 @@
 //! [`CompiledTrace::build`] validates, interns channels and lowers a whole
 //! trace: the path for a caller that needs only the program (single
 //! replays, sweeps). It is [`LoweredRank::lower`] over every rank, then
-//! [`CompiledTrace::link`]. A caller that changes a few ranks of a trace
-//! (the auto-tuner's candidates) keeps the other ranks' lowerings,
-//! re-lowers only the changed ones and links again: a rank's lowering
-//! depends only on its own records, the trace's rank count and its MIPS
-//! rate. [`CompiledTrace::compile`] lowers with
+//! [`CompiledTrace::link_owned`]. A caller that synthesizes a trace rank
+//! by rank (a campaign's overlapped variants) lowers each rank as it is
+//! made and links the lowered ranks the same way, so the trace never
+//! exists whole. A caller that changes a few ranks of a trace (the
+//! auto-tuner's candidates) keeps the other ranks' lowerings, re-lowers
+//! only the changed ones and links again with [`CompiledTrace::link`]: a
+//! rank's lowering depends only on its own records, the trace's rank
+//! count and its MIPS rate. [`CompiledTrace::compile`] lowers with
 //! the channels of an index the caller already holds, checking nothing;
 //! the session caches that index and attribution reads it back.
 //!
@@ -248,13 +251,7 @@ impl CompiledTrace {
                 )
             })
             .collect();
-        let joined = join_lowered(trace.mips(), &ranks)?;
-        Ok(assemble(
-            trace.name(),
-            trace.mips(),
-            joined,
-            ranks.into_iter().map(|lowered| lowered.program),
-        ))
+        Self::link_owned(trace.name(), trace.mips(), ranks)
     }
 
     /// Links ranks lowered one by one, given in rank order, into the
@@ -290,6 +287,30 @@ impl CompiledTrace {
             mips,
             joined,
             ranks.iter().map(|lowered| lowered.borrow().program.clone()),
+        ))
+    }
+
+    /// [`CompiledTrace::link`] of ranks the caller gives up: each rank's
+    /// program is moved into the result instead of copied.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`CompiledTrace::link`].
+    ///
+    /// # Panics
+    ///
+    /// Same as [`CompiledTrace::link`].
+    pub fn link_owned(
+        name: &str,
+        mips: MipsRate,
+        ranks: Vec<LoweredRank>,
+    ) -> Result<Self, Vec<TraceIssue>> {
+        let joined = join_lowered(mips, &ranks)?;
+        Ok(assemble(
+            name,
+            mips,
+            joined,
+            ranks.into_iter().map(|lowered| lowered.program),
         ))
     }
 

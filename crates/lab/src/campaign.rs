@@ -4,8 +4,10 @@
 //! A *campaign* is a grid of scenarios over the paper's workflow — trace
 //! an application once, replay it across many simulated platform points —
 //! written in a small line-oriented spec format (see
-//! [`CampaignSpec::parse`]). The runner expands the grid, traces and
-//! compiles each `app × class × mode` combination **once**, fans the
+//! [`CampaignSpec::parse`]). The runner expands the grid, traces each
+//! `app × class` pair and compiles each of its modes **once** (an
+//! overlapped variant the compiled engine replays is lowered straight
+//! from the traced bundle, never materialized as a trace), fans the
 //! platform points out through the same deterministic thread pool the
 //! sweeps use, and renders the results as byte-stable JSON and CSV
 //! reports. Committing a report as a *golden* turns any behavioral drift
@@ -56,9 +58,9 @@ use std::sync::Arc;
 
 use ovlsim_apps::registry::AppOverrides;
 use ovlsim_apps::ProblemClass;
-use ovlsim_core::{Bandwidth, PerturbationModel, Platform, Time, TraceSet};
+use ovlsim_core::{Bandwidth, CompiledTrace, PerturbationModel, Platform, Time, TraceSet};
 use ovlsim_dimemas::SimError;
-use ovlsim_tracer::{Mechanisms, OverlapMode, PatternSource};
+use ovlsim_tracer::{Mechanisms, OverlapMode, PatternSource, TraceBundle};
 
 use crate::error::LabError;
 use crate::par;
@@ -1301,6 +1303,46 @@ pub fn diff_reports(expected: &str, actual: &str) -> Vec<ReportDiff> {
     diffs
 }
 
+/// Where one app×class pair's artifacts come from: the pipeline's
+/// storage first, else the bundle, traced on first use. A warm persistent
+/// cache serves every variant and program, and the app is never traced.
+struct PairSource<'a> {
+    pipeline: &'a dyn ArtifactPipeline,
+    app: &'a str,
+    class: ProblemClass,
+    overrides: AppOverrides,
+    bundle: Option<Arc<TraceBundle>>,
+}
+
+impl PairSource<'_> {
+    /// The traced bundle.
+    fn bundle(&mut self) -> Result<&TraceBundle, LabError> {
+        if self.bundle.is_none() {
+            let traced = self.pipeline.bundle(self.app, self.class, self.overrides)?;
+            self.bundle = Some(traced);
+        }
+        Ok(self.bundle.as_deref().expect("traced above"))
+    }
+
+    /// The original (`None`) or overlapped trace.
+    fn variant(&mut self, mode: Option<OverlapMode>) -> Result<Arc<TraceSet>, LabError> {
+        let pipeline = self.pipeline;
+        match pipeline.load_variant(self.app, self.class, self.overrides, mode) {
+            Some(trace) => Ok(trace),
+            None => pipeline.variant(self.bundle()?, mode),
+        }
+    }
+
+    /// The overlapped variant's program.
+    fn program(&mut self, mode: OverlapMode) -> Result<Arc<CompiledTrace>, LabError> {
+        let pipeline = self.pipeline;
+        match pipeline.load_variant_program(self.app, self.class, self.overrides, mode) {
+            Some(prog) => Ok(prog),
+            None => pipeline.variant_program(self.bundle()?, mode),
+        }
+    }
+}
+
 /// A traced `app × class × mode` combination: the once-per-group work
 /// every platform point of the group shares.
 struct Group {
@@ -1328,8 +1370,10 @@ impl Group {
 ///
 /// Both phases fan out over up to `threads` workers. First one task per
 /// app×class pair of the spec builds that pair's groups: the traced
-/// bundle, and each mode's original and overlapped variant with the
-/// artifacts the engines need. Then one task per grid point replays.
+/// bundle, each mode's original with the artifacts its engines (and
+/// attribution) need, and each mode's overlapped variant as a program
+/// lowered straight from the bundle for the compiled engine and as a
+/// trace for the naive one. Then one task per grid point replays.
 /// Results come back in spec and grid order, so the report is
 /// byte-identical at every worker count.
 ///
@@ -1356,52 +1400,60 @@ pub fn run_campaign_with(
         None => spec.engines.clone(),
     };
     // Once-per-group work, on the worker pool: each app×class pair is one
-    // task that traces the app once, then synthesizes (and index/compiles
-    // as the engine list requires) each mode variant once. Results merge
-    // back in spec order. A caching pipeline collapses repeated artifacts
-    // across groups (the original trace is shared by every mode).
+    // task that traces the app once, then builds each mode's original and
+    // overlapped artifacts once. Results merge back in spec order. A
+    // caching pipeline collapses repeated artifacts across groups (the
+    // original trace is shared by every mode).
     let pairs: Vec<(&String, ProblemClass)> = spec
         .apps
         .iter()
         .flat_map(|app| spec.classes.iter().map(move |&class| (app, class)))
         .collect();
     let built = par::par_map_with(&pairs, threads, |&(app_name, class)| {
-        // The bundle (a full tracing run) is materialized only if some
-        // variant cannot be served from the pipeline's storage: a warm
-        // persistent cache answers every `load_variant` and never traces
-        // the app at all (unless tuning needs the transform metadata
-        // regardless).
-        let mut bundle: Option<Arc<ovlsim_tracer::TraceBundle>> = None;
-        if spec.tune {
-            bundle = Some(pipeline.bundle(app_name, class, overrides)?);
-        }
-        let mut variant_of = |mode: Option<OverlapMode>| -> Result<Arc<TraceSet>, LabError> {
-            if let Some(trace) = pipeline.load_variant(app_name, class, overrides, mode) {
-                return Ok(trace);
-            }
-            let bundle = match &bundle {
-                Some(b) => b,
-                None => bundle.insert(pipeline.bundle(app_name, class, overrides)?),
-            };
-            pipeline.variant(bundle, mode)
+        let mut source = PairSource {
+            pipeline,
+            app: app_name,
+            class,
+            overrides,
+            bundle: None,
         };
+        // Tuning re-synthesizes candidates from the bundle's transform
+        // metadata, so it traces the app whatever the storage holds.
+        if spec.tune {
+            source.bundle()?;
+        }
         let mut mode_groups = Vec::with_capacity(spec.modes.len());
         for &mode in &spec.modes {
-            let ovl = variant_of(Some(mode))?;
-            let orig = variant_of(None)?;
+            // An overlapped variant gets only what its engines replay:
+            // the program, lowered straight from the bundle, for the
+            // compiled engine, and the trace for the naive one. Attribution
+            // reads the original only, so no variant is ever indexed.
+            let ovl = EngineInput {
+                trace: if exec_engines.contains(&Engine::Naive) {
+                    Some(source.variant(Some(mode))?)
+                } else {
+                    None
+                },
+                index: None,
+                prog: if exec_engines.contains(&Engine::Compiled) {
+                    Some(source.program(mode)?)
+                } else {
+                    None
+                },
+            };
+            let orig = source.variant(None)?;
             mode_groups.push(Group {
                 orig: EngineInput::build(pipeline, orig, &exec_engines, spec.attribution)?,
-                ovl: EngineInput::build(pipeline, ovl, &exec_engines, false)?,
+                ovl,
             });
         }
-        Ok::<_, LabError>((mode_groups, bundle))
+        Ok::<_, LabError>((mode_groups, source.bundle))
     });
     let mut groups: HashMap<(String, ProblemClass, String), Group> = HashMap::new();
     // Auto-tuning re-synthesizes candidate variants from the bundle's
     // transform metadata, so `tune on` keeps each app×class bundle alive
     // for the per-point work.
-    let mut bundles: HashMap<(String, ProblemClass), Arc<ovlsim_tracer::TraceBundle>> =
-        HashMap::new();
+    let mut bundles: HashMap<(String, ProblemClass), Arc<TraceBundle>> = HashMap::new();
     // In spec order, so a failure returns the first failing pair's error
     // at every worker count.
     for (&(app_name, class), result) in pairs.iter().zip(built) {

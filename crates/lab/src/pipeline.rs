@@ -16,10 +16,17 @@
 //!
 //! What goes through the pipeline is what is worth keeping: traced
 //! bundles, the trace variants a campaign replays, their indexes and
-//! programs. The auto-tuner's candidates are not. Each one is a throwaway
-//! plan that is lowered straight to its program, replayed once and dropped
-//! (see [`crate::tune`]), so it is never fingerprinted, indexed, stored
-//! or written to disk.
+//! programs. An overlapped variant the compiled engine replays is asked
+//! for as a program ([`ArtifactPipeline::variant_program`]): it is
+//! synthesized, lowered and linked rank by rank from the bundle, checked
+//! once, at link, and never exists as a trace, a fingerprint or an index;
+//! a caching implementation keys it by the bundle's descriptor and the
+//! mode ([`ArtifactPipeline::load_variant_program`]). Its trace is built
+//! only for the naive engine. The auto-tuner's candidates do not go
+//! through the pipeline at all. Each one is a throwaway plan that is
+//! lowered straight to its program, replayed once and dropped (see
+//! [`crate::tune`]), so it is never fingerprinted, indexed, stored or
+//! written to disk.
 
 use std::sync::Arc;
 
@@ -87,6 +94,39 @@ pub trait ArtifactPipeline: Sync {
         _overrides: AppOverrides,
         _mode: Option<OverlapMode>,
     ) -> Option<Arc<TraceSet>> {
+        None
+    }
+
+    /// The replay program of `bundle`'s overlapped variant for `mode`,
+    /// built without the variant's trace. The default lowers it straight
+    /// from the bundle ([`TraceBundle::overlapped_program`]) and keeps
+    /// nothing; the program equals the one
+    /// [`ArtifactPipeline::compiled_standalone`] builds from
+    /// [`ArtifactPipeline::variant`]'s trace.
+    ///
+    /// # Errors
+    ///
+    /// Propagates overlap synthesis errors.
+    fn variant_program(
+        &self,
+        bundle: &TraceBundle,
+        mode: OverlapMode,
+    ) -> Result<Arc<CompiledTrace>, LabError> {
+        Ok(Arc::new(bundle.overlapped_program(mode)?))
+    }
+
+    /// The program of the `mode` variant of `app × class × overrides` if
+    /// this pipeline can serve it without tracing the app: the
+    /// [`ArtifactPipeline::load_variant`] hook for programs. The default
+    /// answers `None`, and callers fall back to
+    /// [`ArtifactPipeline::bundle`] + [`ArtifactPipeline::variant_program`].
+    fn load_variant_program(
+        &self,
+        _app: &str,
+        _class: ProblemClass,
+        _overrides: AppOverrides,
+        _mode: OverlapMode,
+    ) -> Option<Arc<CompiledTrace>> {
         None
     }
 

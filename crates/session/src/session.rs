@@ -117,6 +117,34 @@ impl Session {
         digest
     }
 
+    /// The descriptor digest of a bundle this session traced, or `None`
+    /// for a bundle it did not.
+    fn bundle_digest(&self, bundle: &TraceBundle) -> Option<Digest> {
+        lock(&self.bundle_keys)
+            .get(&(bundle as *const TraceBundle as usize))
+            .map(|(_, digest)| *digest)
+    }
+
+    /// The program stored under `key`: from memory, else from the disk
+    /// cache, else built by `build` and written through.
+    fn program_at(
+        &self,
+        key: Digest,
+        build: impl FnOnce() -> Result<CompiledTrace, LabError>,
+    ) -> Result<Arc<CompiledTrace>, LabError> {
+        self.store.program_with(
+            key,
+            || self.disk.as_ref().and_then(|d| d.load_program(key)),
+            || {
+                let prog = build()?;
+                if let Some(disk) = &self.disk {
+                    disk.store_program(key, &prog);
+                }
+                Ok(prog)
+            },
+        )
+    }
+
     /// A snapshot of the artifact store's hit/build counters.
     pub fn stats(&self) -> CacheStats {
         self.store.stats()
@@ -298,6 +326,16 @@ fn variant_key(bundle_digest: Digest, mode: Option<OverlapMode>) -> Digest {
     h.finish()
 }
 
+/// The cache key of the replay program of one overlapped variant of a
+/// bundle, lowered straight from the bundle. Like [`variant_key`], it
+/// needs only the bundle's descriptor digest.
+fn variant_program_key(bundle_digest: Digest, mode: OverlapMode) -> Digest {
+    derived_key(
+        "artifact:variant-program",
+        variant_key(bundle_digest, Some(mode)),
+    )
+}
+
 impl ArtifactPipeline for Session {
     fn bundle(
         &self,
@@ -323,13 +361,14 @@ impl ArtifactPipeline for Session {
         mode: Option<OverlapMode>,
     ) -> Result<Arc<TraceSet>, LabError> {
         // A bundle this session built is identified by its descriptor
-        // digest; a foreign bundle falls back to hashing its records,
-        // after the lookup's guard is gone.
-        let known = lock(&self.bundle_keys)
-            .get(&(bundle as *const TraceBundle as usize))
-            .map(|(_, digest)| *digest);
-        let bundle_digest = known.unwrap_or_else(|| bundle.original().fingerprint());
-        let key = variant_key(bundle_digest, mode);
+        // digest. A foreign bundle's original is keyed by its records; its
+        // overlapped variants also depend on the message metadata and the
+        // chunking policy, which no key covers, so they are not kept.
+        let key = match (self.bundle_digest(bundle), mode) {
+            (Some(digest), _) => variant_key(digest, mode),
+            (None, None) => variant_key(bundle.original().fingerprint(), None),
+            (None, Some(_)) => return DirectPipeline.variant(bundle, mode),
+        };
         self.store.trace_with(
             key,
             || self.disk.as_ref().and_then(|d| d.load_trace(key)),
@@ -358,6 +397,32 @@ impl ArtifactPipeline for Session {
             .load_trace(key, || self.disk.as_ref().and_then(|d| d.load_trace(key)))
     }
 
+    fn variant_program(
+        &self,
+        bundle: &TraceBundle,
+        mode: OverlapMode,
+    ) -> Result<Arc<CompiledTrace>, LabError> {
+        // Keyed like `variant`: a foreign bundle's program is not kept.
+        let Some(digest) = self.bundle_digest(bundle) else {
+            return DirectPipeline.variant_program(bundle, mode);
+        };
+        self.program_at(variant_program_key(digest, mode), || {
+            Ok(bundle.overlapped_program(mode)?)
+        })
+    }
+
+    fn load_variant_program(
+        &self,
+        app: &str,
+        class: ProblemClass,
+        overrides: AppOverrides,
+        mode: OverlapMode,
+    ) -> Option<Arc<CompiledTrace>> {
+        let key = variant_program_key(bundle_key(app, class, overrides), mode);
+        self.store
+            .load_program(key, || self.disk.as_ref().and_then(|d| d.load_program(key)))
+    }
+
     fn index(&self, trace: &Arc<TraceSet>) -> Result<Arc<TraceIndex>, LabError> {
         self.store
             .index(derived_key("artifact:index", self.trace_key(trace)), || {
@@ -371,17 +436,7 @@ impl ArtifactPipeline for Session {
         index: &Arc<TraceIndex>,
     ) -> Result<Arc<CompiledTrace>, LabError> {
         let key = derived_key("artifact:compiled", self.trace_key(trace));
-        self.store.program_with(
-            key,
-            || self.disk.as_ref().and_then(|d| d.load_program(key)),
-            || {
-                let prog = CompiledTrace::compile(trace, index)?;
-                if let Some(disk) = &self.disk {
-                    disk.store_program(key, &prog);
-                }
-                Ok(prog)
-            },
-        )
+        self.program_at(key, || Ok(CompiledTrace::compile(trace, index)?))
     }
 
     fn compiled_standalone(&self, trace: &Arc<TraceSet>) -> Result<Arc<CompiledTrace>, LabError> {

@@ -26,10 +26,14 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 fn run_campaign(cache: &PathBuf) -> (String, Session) {
+    run_spec(cache, SPEC)
+}
+
+fn run_spec(cache: &PathBuf, spec: &str) -> (String, Session) {
     let session = Session::with_threads(1)
         .with_cache_dir(cache)
         .expect("cache dir opens");
-    let spec = CampaignSpec::parse(SPEC).expect("spec parses");
+    let spec = CampaignSpec::parse(spec).expect("spec parses");
     let report = session.run_campaign(&spec).expect("campaign runs");
     (report.to_json(), session)
 }
@@ -59,6 +63,79 @@ fn warm_restart_rebuilds_nothing_and_is_byte_identical() {
     let warm_disk = warm.disk_stats().unwrap();
     assert!(warm_disk.loads > 0, "warm run must load from disk");
     assert_eq!(warm_disk.stores, 0, "warm run had nothing to persist");
+
+    fs::remove_dir_all(&cache).unwrap();
+}
+
+/// A compiled-only campaign persists each overlapped variant as the
+/// program it replays, never as a trace. A warm restart loads every
+/// program from its `prog-*` entry and builds nothing on any shelf, so the
+/// app is never traced; a torn overlapped program is quarantined and
+/// rebuilt from a fresh trace of the app, and the report does not change.
+#[test]
+fn overlapped_variants_persist_as_programs() {
+    const TWO_MODES: &str = "campaign programs\napps sweep3d\nclasses S\nmodes linear real\n\
+                             engines compiled\nbandwidths list 1e8 1e9\nranks 4\niterations 1\n";
+    let cache = scratch("programs");
+    let (cold_json, _) = run_spec(&cache, TWO_MODES);
+    let entries = |prefix: &str| {
+        let mut found: Vec<PathBuf> = fs::read_dir(&cache)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| {
+                let name = p.file_name().unwrap().to_str().unwrap();
+                name.starts_with(prefix) && name.ends_with(".ovlb")
+            })
+            .collect();
+        found.sort();
+        found
+    };
+    assert_eq!(entries("trace-").len(), 1, "only the original is a trace");
+    let program_name = |path: &PathBuf| {
+        let prog = ovlsim_core::codec::decode_compiled_trace(&fs::read(path).unwrap()).unwrap();
+        prog.name().to_string()
+    };
+    let mut names: Vec<String> = entries("prog-").iter().map(program_name).collect();
+    names.sort();
+    assert_eq!(
+        names,
+        ["sweep3d.original", "sweep3d.ovl-linear", "sweep3d.ovl-real"]
+    );
+
+    let (warm_json, warm) = run_spec(&cache, TWO_MODES);
+    assert_eq!(warm_json, cold_json, "warm report must be byte-identical");
+    let stats = warm.stats();
+    for (shelf, counters) in [
+        ("bundles", stats.bundles),
+        ("traces", stats.traces),
+        ("indexes", stats.indexes),
+        ("programs", stats.programs),
+    ] {
+        assert_eq!(counters.builds, 0, "warm run built on the {shelf} shelf");
+    }
+    assert_eq!(stats.programs.loads, 3, "every program loads from disk");
+    assert_eq!(stats.traces.loads, 1, "the original trace loads from disk");
+    let disk = warm.disk_stats().unwrap();
+    assert_eq!((disk.loads, disk.stores, disk.quarantined), (4, 0, 0));
+    drop(warm);
+
+    let torn = entries("prog-")
+        .into_iter()
+        .find(|p| program_name(p) == "sweep3d.ovl-linear")
+        .expect("the linear variant's program is persisted");
+    FaultPlan::new(0x7EA2).tear_file(&torn).unwrap();
+    let (rebuilt_json, rebuilt) = run_spec(&cache, TWO_MODES);
+    assert_eq!(
+        rebuilt_json, cold_json,
+        "recovery must reproduce the report"
+    );
+    let disk = rebuilt.disk_stats().unwrap();
+    assert_eq!((disk.quarantined, disk.stores), (1, 1));
+    let stats = rebuilt.stats();
+    assert_eq!(stats.programs.builds, 1, "only the torn program is rebuilt");
+    assert_eq!(stats.bundles.builds, 1, "rebuilding it traces the app");
+    assert_eq!(stats.traces.builds, 0, "no trace is rebuilt");
+    assert_eq!(program_name(&torn), "sweep3d.ovl-linear", "re-persisted");
 
     fs::remove_dir_all(&cache).unwrap();
 }

@@ -6,11 +6,16 @@
 //! overlapped (potential), each of them addressing different overlapping
 //! mechanism".
 //!
-//! A per-channel [`OverlapPlan`] is synthesized rank by rank: each rank's
-//! records depend only on the tunings of the channels it sends or
-//! receives on. So a plan's trace can also be lowered rank by rank
+//! Overlapped variants are synthesized rank by rank: each rank's records
+//! depend only on its own original records and message metadata, and,
+//! under a per-channel [`OverlapPlan`], on the tunings of the channels it
+//! sends or receives on. So a variant's replay program can be built
+//! without its trace: each rank is synthesized, lowered on its own and
+//! dropped, and the lowered ranks are linked. A uniform mode's program
+//! comes whole ([`TraceBundle::overlapped_program`], the campaign
+//! runner's path). A plan's ranks are lowered one by one
 //! ([`TraceBundle::lower_planned_rank`]) and linked
-//! ([`TraceBundle::link_planned`]), and a plan that differs from another
+//! ([`TraceBundle::link_planned`]), so a plan that differs from another
 //! in a few channels re-lowers only the ranks
 //! [`OverlapPlan::differing_ranks`] names.
 
@@ -86,27 +91,57 @@ impl TraceBundle {
         mode: OverlapMode,
         policy: &ChunkingPolicy,
     ) -> Result<TraceSet, TraceError> {
-        let ranks: Vec<RankTrace> = self
-            .original
-            .ranks()
-            .iter()
-            .enumerate()
-            .map(|(r, trace)| {
-                RankTrace::from_records(overlap_rank(
-                    trace.records(),
-                    &self.metas[r],
-                    &self.send_chunkable[r],
-                    &self.recv_chunkable[r],
-                    policy,
-                    mode,
-                ))
+        let ranks = (0..self.original.rank_count())
+            .map(|r| RankTrace::from_records(self.mode_records(mode, policy, r)))
+            .collect();
+        validated(TraceSet::new(self.mode_name(mode), self.mips, ranks))
+    }
+
+    /// The replay program of [`TraceBundle::overlapped`]'s trace, without
+    /// that trace: each rank is synthesized, lowered on its own and
+    /// dropped, and the lowered ranks are linked, so the trace is checked
+    /// once, at link. The program equals [`CompiledTrace::build`] of the
+    /// trace, name and channels included.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`TraceBundle::overlapped`], with the same issues.
+    pub fn overlapped_program(&self, mode: OverlapMode) -> Result<CompiledTrace, TraceError> {
+        let rank_count = self.original.rank_count();
+        let ranks = (0..rank_count)
+            .map(|r| {
+                LoweredRank::lower(
+                    Rank::new(r as u32),
+                    rank_count,
+                    self.mips,
+                    &self.mode_records(mode, &self.policy, r),
+                )
             })
             .collect();
-        validated(TraceSet::new(
-            format!("{}.{}", self.name, mode.label()),
-            self.mips,
-            ranks,
-        ))
+        let name = self.mode_name(mode);
+        CompiledTrace::link_owned(&name, self.mips, ranks).map_err(|issues| {
+            TraceError::InvalidTrace {
+                variant: name,
+                issues,
+            }
+        })
+    }
+
+    /// The name of a uniform mode's trace.
+    fn mode_name(&self, mode: OverlapMode) -> String {
+        format!("{}.{}", self.name, mode.label())
+    }
+
+    /// The records of rank `r` under a uniform mode and `policy`.
+    fn mode_records(&self, mode: OverlapMode, policy: &ChunkingPolicy, r: usize) -> Vec<Record> {
+        overlap_rank(
+            self.original.ranks()[r].records(),
+            &self.metas[r],
+            &self.send_chunkable[r],
+            &self.recv_chunkable[r],
+            policy,
+            mode,
+        )
     }
 
     /// Synthesizes the overlapped trace for a per-channel [`OverlapPlan`]:
@@ -584,6 +619,22 @@ mod tests {
         for (orig, ovl) in bundle.original().ranks().iter().zip(partial.ranks()) {
             assert_eq!(orig.total_instr(), ovl.total_instr());
         }
+    }
+
+    #[test]
+    fn a_broken_mode_program_fails_as_its_trace_does() {
+        let app = Ring {
+            ranks: 4,
+            iterations: 2,
+        };
+        let mut bundle = TracingSession::new(&app).run().unwrap();
+        // Rank 1 keeps its receives whole while rank 0 chunks its sends:
+        // the channel's byte counts no longer pair up.
+        bundle.recv_chunkable[1].fill(false);
+        let mode = OverlapMode::linear();
+        let expected = bundle.overlapped(mode).unwrap_err();
+        assert!(matches!(expected, TraceError::InvalidTrace { .. }));
+        assert_eq!(bundle.overlapped_program(mode).unwrap_err(), expected);
     }
 
     #[test]
