@@ -14,9 +14,13 @@ Checks, in order:
    report **byte-identical** to the committed golden: the server path
    reuses the exact CLI report serialization, so goldens gate it too.
 3. A second identical ``POST /campaign`` is byte-identical to the first
-   and performs zero additional trace-cache builds (every artifact is
-   served from the session's content-addressed store).
-4. ``POST /shutdown`` answers ``{"ok":true}`` and the listener actually
+   and builds nothing on any shelf (bundles, traces, indexes, programs):
+   every artifact is served from the session's content-addressed store.
+4. ``POST /sweep`` of the spec's first app, class and mode (the original
+   against the overlapped variant) answers 200 with one point per
+   bandwidth and builds nothing on any shelf: it replays the programs the
+   campaign left, the overlapped one under its generator descriptor.
+5. ``POST /shutdown`` answers ``{"ok":true}`` and the listener actually
    goes away.
 
 With ``--expect-warm`` (a server restarted over a populated
@@ -32,6 +36,7 @@ import sys
 import time
 
 STARTUP_DEADLINE_S = 30.0
+SHELVES = ("bundles", "traces", "indexes", "programs")
 
 
 def fail(msg):
@@ -48,6 +53,33 @@ def request(port, method, path, body=None):
         return resp.status, resp.read()
     finally:
         conn.close()
+
+
+def builds(port):
+    """The build counter of every artifact shelf, from ``GET /status``."""
+    _, body = request(port, "GET", "/status")
+    cache = json.loads(body)["cache"]
+    return {shelf: cache[shelf]["builds"] for shelf in SHELVES}
+
+
+def first_sweep(spec):
+    """A ``/sweep`` body for the spec's first app, class and mode, with the
+    spec's rank and iteration overrides."""
+    keys = {}
+    for line in spec.splitlines():
+        words = line.split("#", 1)[0].split()
+        if words:
+            keys[words[0]] = words[1:]
+    source = {"app": keys["apps"][0], "class": keys["classes"][0]}
+    for key in ("ranks", "iterations"):
+        if key in keys:
+            source[key] = int(keys[key][0])
+    return {
+        "original": dict(source, mode="original"),
+        "overlapped": dict(source, mode=keys["modes"][0]),
+        "bandwidths": [1e8, 1e9],
+        "latency_us": 5,
+    }
 
 
 def wait_for_status(port):
@@ -92,7 +124,7 @@ def main():
             f"({len(first)} vs {len(golden)} bytes)"
         )
     _, mid = request(port, "GET", "/status")
-    builds_before = json.loads(mid)["cache"]["traces"]["builds"]
+    builds_before = builds(port)
     if expect_warm:
         rebuilt = {
             shelf: counters["builds"]
@@ -108,12 +140,25 @@ def main():
     status, second = request(port, "POST", "/campaign", campaign_body)
     if status != 200 or second != first:
         fail("repeated campaign diverged from the first response")
-    _, after = request(port, "GET", "/status")
-    builds_after = json.loads(after)["cache"]["traces"]["builds"]
+    builds_after = builds(port)
     if builds_after != builds_before:
         fail(
-            f"repeat campaign rebuilt traces ({builds_before} -> {builds_after}); "
+            f"repeat campaign rebuilt artifacts ({builds_before} -> {builds_after}); "
             "the content-addressed cache should have served every artifact"
+        )
+
+    sweep = first_sweep(spec)
+    status, body = request(port, "POST", "/sweep", json.dumps(sweep))
+    if status != 200:
+        fail(f"/sweep answered {status}: {body[:400]!r}")
+    points = json.loads(body).get("points")
+    if not isinstance(points, list) or len(points) != len(sweep["bandwidths"]):
+        fail(f"/sweep answered no point per bandwidth: {body[:400]!r}")
+    builds_swept = builds(port)
+    if builds_swept != builds_after:
+        fail(
+            f"sweep of the campaign's first group built artifacts ({builds_after} -> "
+            f"{builds_swept}); it should replay the programs the campaign left"
         )
 
     status, body = request(port, "POST", "/shutdown")
@@ -128,7 +173,7 @@ def main():
             warm = ", zero warm rebuilds" if expect_warm else ""
             print(
                 "serve_smoke: ok (status, golden-byte campaign, "
-                f"cache reuse{warm}, shutdown)"
+                f"cache reuse{warm}, sweep of a campaign group, shutdown)"
             )
             return
     fail("listener still accepting connections after /shutdown")

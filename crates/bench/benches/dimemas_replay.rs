@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ovlsim_apps::{calibration::reference_platform, NasBt, Sweep3d};
-use ovlsim_core::{CompiledTrace, TraceIndex};
+use ovlsim_core::CompiledTrace;
 use ovlsim_dimemas::{replay_naive, Simulator};
 use ovlsim_tracer::TracingSession;
 use std::hint::black_box;
@@ -44,11 +44,10 @@ fn bench_replay(c: &mut Criterion) {
         },
     );
 
-    // The compiled sweep hot path: validate + index + compile once, then
+    // The compiled sweep hot path: validate and compile once, then
     // execute the flat SoA program per point. This is what sweeps and the
     // iso-bisection pay after the trace-compilation layer.
-    let index = TraceIndex::build(&overlapped).expect("valid trace");
-    let program = CompiledTrace::compile(&overlapped, &index).expect("compiles");
+    let program = CompiledTrace::build(&overlapped).expect("valid trace");
     group.throughput(Throughput::Elements(overlapped.total_records() as u64));
     group.bench_with_input(
         BenchmarkId::new("nas_bt_overlapped_compiled", overlapped.total_records()),

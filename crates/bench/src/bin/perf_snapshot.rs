@@ -7,7 +7,7 @@
 //! directory with:
 //!
 //! * replay throughput (records/s) on a large synthetic trace for the
-//!   naive reference engine, the validating entry point (index, compile,
+//!   naive reference engine, the validating entry point (compile, then
 //!   replay) and the compiled (flat SoA program, sweep) path, plus their
 //!   speedups over naive,
 //! * perturbed replay throughput (seeded noise + straggler + link
@@ -40,7 +40,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use ovlsim_apps::{calibration::reference_platform, NasBt};
-use ovlsim_core::{CompiledTrace, TraceIndex, TraceSet};
+use ovlsim_core::{CompiledTrace, TraceSet};
 use ovlsim_dimemas::{replay_naive, Simulator};
 use ovlsim_lab::{log_bandwidths, sweep_traces_threaded};
 use ovlsim_tracer::{ChunkingPolicy, TracingSession};
@@ -97,13 +97,12 @@ fn main() {
     let run_s = time_call(|| {
         std::hint::black_box(sim.run(trace).expect("replays"));
     });
-    let index = TraceIndex::build(trace).expect("valid trace");
 
     // The compiled path: lower once into the flat SoA program
     // (pre-converted burst durations, pre-resolved request slots), then
     // execute it per point. The result must stay bit-identical to the
     // naive oracle.
-    let program = CompiledTrace::compile(trace, &index).expect("compiles");
+    let program = CompiledTrace::build(trace).expect("valid trace");
     assert_eq!(
         sim.run_compiled(&program).expect("replays"),
         replay_naive(&platform, trace).expect("replays"),
@@ -224,8 +223,7 @@ fn main() {
         .expect("traces");
     let cont_trace: &TraceSet = &cont_bundle.overlapped_linear();
     let cont_records = cont_trace.total_records() as f64;
-    let cont_index = TraceIndex::build(cont_trace).expect("valid trace");
-    let cont_program = CompiledTrace::compile(cont_trace, &cont_index).expect("compiles");
+    let cont_program = CompiledTrace::build(cont_trace).expect("valid trace");
     let cont_perturbed = Simulator::new(perturbed.clone());
     for (sim, platform, what) in [
         (&sim, &platform, "clean"),
@@ -255,30 +253,38 @@ fn main() {
     );
 
     // Session-layer cache overhead: replaying through a warmed
-    // `ovlsim_session::Session` (content-keyed lookups for trace, index
-    // and compiled program, then `run_compiled`) must cost within 5% of
-    // calling `run_compiled` directly on the same program. Clean and
-    // session-routed runs are timed in interleaved best-of-3 pairs, same
-    // as the perturbation hot-path gate, so shared-runner noise cannot
-    // flake the ratio.
+    // `ovlsim_session::Session` (the overlapped variant's program looked
+    // up by its generator descriptor, then `run_compiled`) must cost
+    // within 5% of calling `run_compiled` directly on the same program.
+    // Clean and session-routed runs are timed in interleaved best-of-3
+    // pairs, same as the perturbation hot-path gate, so shared-runner
+    // noise cannot flake the ratio.
     let session = ovlsim_session::Session::with_threads(1);
+    let (app, class, mode) = (
+        "nas-bt",
+        ovlsim_apps::ProblemClass::A,
+        ovlsim_tracer::OverlapMode::linear(),
+    );
+    let overrides = ovlsim_apps::registry::AppOverrides {
+        ranks: Some(16),
+        iterations: Some(4),
+    };
     let session_req = ovlsim_session::ReplayRequest {
         source: ovlsim_session::TraceSource::Generated {
-            app: "nas-bt".to_string(),
-            class: ovlsim_apps::ProblemClass::A,
-            ranks: Some(16),
-            iterations: Some(4),
-            mode: Some(ovlsim_tracer::OverlapMode::linear()),
+            app: app.to_string(),
+            class,
+            ranks: overrides.ranks,
+            iterations: overrides.iterations,
+            mode: Some(mode),
         },
         platform: ovlsim_session::PlatformSpec::default(),
         perturb: ovlsim_session::PerturbSpec::default(),
         engine: ovlsim_lab::Engine::Compiled,
     };
     let warm = session.replay(&session_req).expect("session replays");
-    let strace = session.trace(&session_req.source).expect("cached trace");
-    let sindex = ovlsim_lab::ArtifactPipeline::index(&session, &strace).expect("cached index");
     let sprog =
-        ovlsim_lab::ArtifactPipeline::compiled(&session, &strace, &sindex).expect("cached program");
+        ovlsim_lab::ArtifactPipeline::load_variant_program(&session, app, class, overrides, mode)
+            .expect("cached program");
     assert_eq!(
         session.stats().compiles(),
         1,
@@ -306,10 +312,10 @@ fn main() {
     }
 
     // Persistent-cache payoff gate: decoding a cached `.ovlb` artifact
-    // must be cheaper than rebuilding it from the trace (index build +
-    // compile for programs). If decode ever costs more than the work it
-    // replaces, the disk cache is a pessimization and the snapshot fails
-    // rather than commit it as a baseline. Both decodes are asserted
+    // must be cheaper than rebuilding it from the trace (one validating
+    // lowering pass for programs). If decode ever costs more than the
+    // work it replaces, the disk cache is a pessimization and the snapshot
+    // fails rather than commit it as a baseline. Both decodes are asserted
     // bit-identical to the live artifacts first — a fast-but-wrong codec
     // must never pass the gate.
     let trace_blob = ovlsim_core::codec::encode_trace_set(trace);
@@ -333,8 +339,7 @@ fn main() {
         );
     });
     let rebuild_prog_s = time_call(|| {
-        let index = TraceIndex::build(trace).expect("valid trace");
-        std::hint::black_box(CompiledTrace::compile(trace, &index).expect("compiles"));
+        std::hint::black_box(CompiledTrace::build(trace).expect("valid trace"));
     });
     let disk_cache_payoff = rebuild_prog_s / decode_prog_s;
 

@@ -797,7 +797,6 @@ pub fn decode_compiled_trace(bytes: &[u8]) -> Result<CompiledTrace, DecodeError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::TraceIndex;
 
     fn sample_trace() -> TraceSet {
         TraceSet::new(
@@ -905,8 +904,7 @@ mod tests {
                 ]),
             ],
         );
-        let index = TraceIndex::build(&ts).unwrap();
-        let prog = CompiledTrace::compile(&ts, &index).unwrap();
+        let prog = CompiledTrace::build(&ts).unwrap();
         let bytes = encode_compiled_trace(&prog);
         let back = decode_compiled_trace(&bytes).unwrap();
         assert_eq!(back, prog);

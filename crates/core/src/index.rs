@@ -6,20 +6,18 @@
 //! the channel of every record can be resolved **once** and stored as a
 //! dense `u32` — the replay inner loop then does a single vector index.
 //!
-//! [`TraceIndex::build`] validates a [`TraceSet`] and interns its channels
-//! in one whole-trace walk of the record walker (the walk that
-//! [`validate_trace_set`](crate::validate_trace_set) runs, keeping each
-//! record's channel id). A caller that needs only the replay program
-//! skips the index: [`CompiledTrace::build`](crate::CompiledTrace::build)
-//! validates and lowers rank by rank and links the ranks, numbering
-//! channels exactly as the index does. The index is for callers that keep
-//! it: attribution reads channels back from it, and a session caches it
-//! next to the program it was compiled with
-//! ([`CompiledTrace::compile`](crate::CompiledTrace::compile)).
+//! That resolution is part of lowering: a
+//! [`CompiledTrace`](crate::CompiledTrace) numbers its channels and
+//! carries each one's endpoints, and every record lowers to one
+//! instruction whose channel operand is that number. A [`TraceIndex`] is
+//! a projection of a program ([`TraceIndex::of`]), not a walk of its own:
+//! the channel endpoints and, per record, the channel id. It is for
+//! callers that read channels back by record: attribution, and a session
+//! that keeps a trace's index beside its program.
 
+use crate::program::CompiledTrace;
 use crate::record::TraceSet;
-use crate::validate::{Checks, TraceIssue};
-use crate::walk::{walk, Sink};
+use crate::validate::TraceIssue;
 
 /// Sentinel in [`TraceIndex::rank_channels`] for records that are not
 /// point-to-point operations (bursts, waits, collectives, markers).
@@ -100,30 +98,35 @@ pub struct TraceIndex {
 }
 
 impl TraceIndex {
-    /// Validates `ts` and interns its channels.
+    /// Validates `ts` and interns its channels: the projection
+    /// ([`TraceIndex::of`]) of [`CompiledTrace::build`]'s program.
     ///
     /// # Errors
     ///
     /// Returns every [`TraceIssue`] found if the trace set is structurally
     /// invalid (the index of an invalid trace would be meaningless).
     pub fn build(ts: &TraceSet) -> Result<Self, Vec<TraceIssue>> {
-        let mut checks = Checks::new(ts.rank_count());
-        let mut columns = Columns::default();
-        let Ok(()) = walk(ts, &mut checks, &mut columns);
-        let channel_peers = checks
-            .finish()?
-            .iter()
-            .map(|c| (c.src.get(), c.dst.get()))
-            .collect();
-        Ok(TraceIndex {
-            trace_name: ts.name().to_string(),
-            channel_peers,
-            record_channels: columns.ranks,
-        })
+        CompiledTrace::build(ts).map(|prog| Self::of(&prog))
     }
 
-    /// Name of the trace set this index was built from (a cheap guard —
-    /// replay entry points compare it before trusting the index).
+    /// The index of the trace `prog` was lowered from: the program's
+    /// channel endpoints, and each instruction's channel operand as its
+    /// record's channel (every record lowers to one instruction).
+    pub fn of(prog: &CompiledTrace) -> Self {
+        TraceIndex {
+            trace_name: prog.name().to_string(),
+            channel_peers: prog
+                .channels()
+                .iter()
+                .map(|c| (c.src.get(), c.dst.get()))
+                .collect(),
+            record_channels: (0..prog.rank_count())
+                .map(|r| prog.rank(r).channel_column())
+                .collect(),
+        }
+    }
+
+    /// Name of the trace set this index was built from.
     pub fn trace_name(&self) -> &str {
         &self.trace_name
     }
@@ -148,8 +151,7 @@ impl TraceIndex {
     }
 
     /// The raw channel-id array of one rank, parallel to its records;
-    /// non-point-to-point records hold [`NO_CHANNEL`]. This is the form
-    /// the replay hot loop consumes.
+    /// non-point-to-point records hold [`NO_CHANNEL`].
     ///
     /// # Panics
     ///
@@ -168,61 +170,6 @@ impl TraceIndex {
             NO_CHANNEL => None,
             id => Some(ChannelId::new(id)),
         }
-    }
-
-    /// Best-effort check that this index was built from `trace`: compares
-    /// the trace name, the rank count and every rank's record count,
-    /// returning a description of the first disagreement (`None` = all
-    /// three agree). Trace compilation relies on it — an index from a
-    /// different trace that happens to agree on all three is not caught,
-    /// so always build the index from the trace you compile.
-    pub fn mismatch_reason(&self, trace: &TraceSet) -> Option<String> {
-        if self.trace_name() != trace.name() {
-            return Some(format!(
-                "name mismatch: index `{}`, trace `{}`",
-                self.trace_name(),
-                trace.name()
-            ));
-        }
-        if self.rank_count() != trace.rank_count() {
-            return Some(format!(
-                "rank count mismatch: index has {}, trace has {}",
-                self.rank_count(),
-                trace.rank_count()
-            ));
-        }
-        for (r, rank) in trace.ranks().iter().enumerate() {
-            if self.rank_channels(r).len() != rank.len() {
-                return Some(format!(
-                    "rank {r} record count mismatch: index has {}, trace has {}",
-                    self.rank_channels(r).len(),
-                    rank.len()
-                ));
-            }
-        }
-        None
-    }
-}
-
-/// The [`Sink`] behind [`TraceIndex::build`]: keeps each record's channel
-/// id, one column per rank.
-#[derive(Default)]
-struct Columns {
-    rank: Vec<u32>,
-    ranks: Vec<Vec<u32>>,
-}
-
-impl Sink for Columns {
-    fn begin_rank(&mut self, len: usize) {
-        self.rank.reserve_exact(len);
-    }
-
-    fn channel(&mut self, channel: u32) {
-        self.rank.push(channel);
-    }
-
-    fn end_rank(&mut self, _slot_count: u32) {
-        self.ranks.push(std::mem::take(&mut self.rank));
     }
 }
 

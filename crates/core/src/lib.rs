@@ -65,7 +65,7 @@ pub use perturb::PerturbationModel;
 pub use platform::{
     CollectiveModel, CollectiveOp, NodeTopology, Platform, PlatformBuilder, StageModel,
 };
-pub use program::{ChannelEndpoints, CompileError, CompiledTrace, LoweredRank, RankProgram};
+pub use program::{ChannelEndpoints, CompiledTrace, LoweredRank, RankProgram};
 pub use record::{RankTrace, Record, RecordKind, TraceSet};
 pub use time::{Bandwidth, Time};
 pub use units::{format_bandwidth, format_bytes, format_time};

@@ -21,12 +21,12 @@
 //!   of scanning an association table,
 //! * per-channel `(source, destination, tag)` endpoints ride along, so an
 //!   engine derives intra-/inter-node routing once per run without
-//!   touching a [`TraceIndex`].
+//!   touching a [`TraceIndex`](crate::TraceIndex).
 //!
-//! Lowering runs inside the record walker, so there are three ways in.
+//! Lowering runs inside the record walker, one rank at a time, and is the
+//! only way a trace is checked and its channels numbered.
 //! [`CompiledTrace::build`] validates, interns channels and lowers a whole
-//! trace: the path for a caller that needs only the program (single
-//! replays, sweeps). It is [`LoweredRank::lower`] over every rank, then
+//! trace: it is [`LoweredRank::lower`] over every rank, then
 //! [`CompiledTrace::link_owned`]. A caller that synthesizes a trace rank
 //! by rank (a campaign's overlapped variants) lowers each rank as it is
 //! made and links the lowered ranks the same way, so the trace never
@@ -34,9 +34,9 @@
 //! auto-tuner's candidates) keeps the other ranks' lowerings, re-lowers
 //! only the changed ones and links again with [`CompiledTrace::link`]: a
 //! rank's lowering depends only on its own records, the trace's rank
-//! count and its MIPS rate. [`CompiledTrace::compile`] lowers with
-//! the channels of an index the caller already holds, checking nothing;
-//! the session caches that index and attribution reads it back.
+//! count and its MIPS rate. A trace's [`TraceIndex`](crate::TraceIndex)
+//! is read off its program
+//! ([`TraceIndex::of`](crate::TraceIndex::of)).
 //!
 //! Markers stay instructions, so one program serves observed and
 //! unobserved replays alike: an observer sees every burst and marker, and
@@ -44,49 +44,12 @@
 
 use std::borrow::Borrow;
 
-use crate::ids::{Rank, RequestId, Tag};
-use crate::index::{TraceIndex, NO_CHANNEL};
+use crate::ids::{Rank, Tag};
+use crate::index::NO_CHANNEL;
 use crate::instr::{Instr, MipsRate};
 use crate::record::{Record, RecordKind, TraceSet};
 use crate::validate::{join, Checks, Joined, TraceIssue};
-use crate::walk::{walk, walk_rank, At, Resolve, Sink, Slots};
-
-/// Why a trace could not be compiled.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum CompileError {
-    /// The [`TraceIndex`] disagrees with the trace (detected best-effort
-    /// via trace name and rank/record counts, see
-    /// [`TraceIndex::mismatch_reason`]).
-    IndexMismatch {
-        /// What disagreed between the index and the trace.
-        reason: String,
-    },
-    /// A wait referenced a request with no matching outstanding post —
-    /// the trace was not validated (or the index belongs to another
-    /// trace that passed the best-effort checks).
-    InvalidWait {
-        /// Rank whose stream contains the wait.
-        rank: Rank,
-        /// Index of the offending record.
-        record: usize,
-    },
-}
-
-impl std::fmt::Display for CompileError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CompileError::IndexMismatch { reason } => {
-                write!(f, "trace index built from a different trace: {reason}")
-            }
-            CompileError::InvalidWait { rank, record } => {
-                write!(f, "record {record} of {rank} waits on an unposted request")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CompileError {}
+use crate::walk::{walk_rank, Sink};
 
 /// The `(source, destination, tag)` identity of one interned channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,9 +153,9 @@ impl RankProgram {
 /// # Example
 ///
 /// ```
-/// use ovlsim_core::{CompiledTrace, MipsRate, Rank, RankTrace, Record, Tag, TraceIndex, TraceSet};
+/// use ovlsim_core::{CompiledTrace, MipsRate, Rank, RankTrace, Record, Tag, TraceSet};
 ///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// # fn main() -> Result<(), ovlsim_core::CoreError> {
 /// let ts = TraceSet::new(
 ///     "pair",
 ///     MipsRate::new(1000)?,
@@ -209,8 +172,7 @@ impl RankProgram {
 ///         }]),
 ///     ],
 /// );
-/// let index = TraceIndex::build(&ts).expect("valid trace");
-/// let prog = CompiledTrace::compile(&ts, &index)?;
+/// let prog = CompiledTrace::build(&ts).expect("valid trace");
 /// assert_eq!(prog.rank_count(), 2);
 /// assert_eq!(prog.channels().len(), 1);
 /// # Ok(())
@@ -225,11 +187,11 @@ pub struct CompiledTrace {
 }
 
 impl CompiledTrace {
-    /// Validates `trace` and compiles it: every rank is lowered on its own
-    /// ([`LoweredRank::lower`]) and the ranks are linked
-    /// ([`CompiledTrace::link`]). The program equals
-    /// [`CompiledTrace::compile`] with the trace's own [`TraceIndex`],
-    /// without building that index.
+    /// Validates `trace` and compiles it, one instruction per record:
+    /// every rank is lowered on its own ([`LoweredRank::lower`]) and the
+    /// ranks are linked ([`CompiledTrace::link`]). Replay results are
+    /// bit-identical to the naive engine, and an observed replay keeps
+    /// every burst and marker of the trace.
     ///
     /// # Errors
     ///
@@ -312,30 +274,6 @@ impl CompiledTrace {
             joined,
             ranks.into_iter().map(|lowered| lowered.program),
         ))
-    }
-
-    /// Compiles `trace`, one instruction per record. Replay results are
-    /// bit-identical to the naive engine, and an observed replay keeps
-    /// every burst and marker of the trace.
-    ///
-    /// `index` supplies the channels and nothing is validated; a caller
-    /// without an index uses [`CompiledTrace::build`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::IndexMismatch`] if `index` does not match
-    /// `trace` (best-effort detection: trace name plus rank/record counts)
-    /// and [`CompileError::InvalidWait`] if a
-    /// wait references an unposted request (impossible for a validated
-    /// trace with its own index).
-    pub fn compile(trace: &TraceSet, index: &TraceIndex) -> Result<Self, CompileError> {
-        if let Some(reason) = index.mismatch_reason(trace) {
-            return Err(CompileError::IndexMismatch { reason });
-        }
-        let mut indexed = Indexed::new(index);
-        let mut emitter = Emitter::new(trace.mips());
-        walk(trace, &mut indexed, &mut emitter)?;
-        Ok(emitter.finish(trace, indexed.channels))
     }
 
     /// Name of the trace this program was compiled from.
@@ -440,57 +378,32 @@ impl LoweredRank {
     /// whose bursts run at `mips`. Nothing here fails: an issue is kept
     /// and reported when the rank is linked.
     pub fn lower(rank: Rank, rank_count: usize, mips: MipsRate, records: &[Record]) -> Self {
-        let (sends, recvs) = records.iter().fold((0, 0), |(s, r), rec| match rec {
-            Record::Send { .. } | Record::ISend { .. } => (s + 1, r),
-            Record::Recv { .. } | Record::IRecv { .. } => (s, r + 1),
-            _ => (s, r),
-        });
-        let mut checks = Checks::with_capacity(rank_count, sends, recvs);
-        let mut emitter = Emitter::new(mips);
-        let Ok(()) = walk_rank(
-            rank,
-            records,
-            &mut Slots::default(),
-            &mut checks,
-            &mut emitter,
-        );
+        let mut emitter = Emitter {
+            mips,
+            rank: RankProgram::default(),
+        };
+        let checks = walk_rank(rank, rank_count, records, &mut emitter);
         LoweredRank {
             rank,
             mips,
-            program: emitter.ranks.pop().expect("the walk ends the rank"),
+            program: emitter.rank,
             checks,
         }
     }
 }
 
-/// The [`Sink`] that lowers walked records into per-rank programs, shared
-/// by [`LoweredRank::lower`] and [`CompiledTrace::compile`].
+/// The [`Sink`] behind [`LoweredRank::lower`]: lowers one rank's walked
+/// records into its program.
 struct Emitter {
     mips: MipsRate,
     rank: RankProgram,
-    ranks: Vec<RankProgram>,
-}
-
-impl Emitter {
-    fn new(mips: MipsRate) -> Self {
-        Emitter {
-            mips,
-            rank: RankProgram::default(),
-            ranks: Vec::new(),
-        }
-    }
-
-    fn finish(self, trace: &TraceSet, channels: Vec<ChannelEndpoints>) -> CompiledTrace {
-        CompiledTrace {
-            name: trace.name().to_string(),
-            mips: self.mips,
-            channels,
-            ranks: self.ranks,
-        }
-    }
 }
 
 impl Sink for Emitter {
+    // The columns are reserved here, after `walk_rank` has allocated the
+    // rank's check tables: reserving them before those tables, in
+    // `LoweredRank::lower`, measured serve's inline replays about 1.5x
+    // slower at p99 on a 2-CPU host. The cause is not pinned down.
     fn begin_rank(&mut self, len: usize) {
         self.rank.ops.reserve_exact(len);
         self.rank.a.reserve_exact(len);
@@ -513,71 +426,6 @@ impl Sink for Emitter {
 
     fn end_rank(&mut self, slot_count: u32) {
         self.rank.slot_count = slot_count;
-        self.ranks.push(std::mem::take(&mut self.rank));
-    }
-}
-
-/// The [`Resolve`]r behind [`CompiledTrace::compile`]: channels come from
-/// a prebuilt [`TraceIndex`], nothing is checked, and a wait on a request
-/// that is not in flight stops the walk.
-struct Indexed<'i> {
-    index: &'i TraceIndex,
-    column: &'i [u32],
-    /// Endpoints from the index; each tag is filled in from the first
-    /// record on its channel (every interned channel has one).
-    channels: Vec<ChannelEndpoints>,
-    tag_known: Vec<bool>,
-}
-
-impl<'i> Indexed<'i> {
-    fn new(index: &'i TraceIndex) -> Self {
-        Indexed {
-            index,
-            column: &[],
-            channels: index
-                .channel_peers()
-                .iter()
-                .map(|&(src, dst)| ChannelEndpoints {
-                    src: Rank::new(src),
-                    dst: Rank::new(dst),
-                    tag: Tag::new(0),
-                })
-                .collect(),
-            tag_known: vec![false; index.channel_count()],
-        }
-    }
-
-    fn channel(&mut self, at: At, tag: Tag) -> u32 {
-        let ch = self.column[at.record];
-        debug_assert_ne!(ch, NO_CHANNEL, "p2p records are interned");
-        if !self.tag_known[ch as usize] {
-            self.channels[ch as usize].tag = tag;
-            self.tag_known[ch as usize] = true;
-        }
-        ch
-    }
-}
-
-impl Resolve for Indexed<'_> {
-    type Error = CompileError;
-
-    fn begin_rank(&mut self, rank: usize) {
-        self.column = self.index.rank_channels(rank);
-    }
-
-    fn send(&mut self, at: At, _to: Rank, tag: Tag, _bytes: u64) -> u32 {
-        self.channel(at, tag)
-    }
-
-    fn recv(&mut self, at: At, _from: Rank, tag: Tag, _bytes: u64) -> u32 {
-        self.channel(at, tag)
-    }
-
-    fn unknown(&mut self, at: At, _req: RequestId) -> Result<(), CompileError> {
-        Err(CompileError::InvalidWait {
-            rank: at.rank,
-            record: at.record,
-        })
     }
 }
 
@@ -592,13 +440,20 @@ impl RankProgram {
     /// Renumbers the channel operands: channel `c` becomes `ids[c]`.
     fn relabel(&mut self, ids: &[u32]) {
         for (op, a) in self.ops.iter().zip(&mut self.a) {
-            if matches!(
-                op,
-                RecordKind::Send | RecordKind::Recv | RecordKind::ISend | RecordKind::IRecv
-            ) {
+            if has_channel(*op) {
                 *a = ids[*a as usize];
             }
         }
+    }
+
+    /// Each instruction's channel, [`NO_CHANNEL`] for one that is not
+    /// point-to-point.
+    pub(crate) fn channel_column(&self) -> Vec<u32> {
+        self.ops
+            .iter()
+            .zip(&self.a)
+            .map(|(op, &a)| if has_channel(*op) { a } else { NO_CHANNEL })
+            .collect()
     }
 
     /// Reassembles a rank program from decoded columns (`core::codec`
@@ -683,6 +538,14 @@ impl RankProgram {
     }
 }
 
+/// True for the opcodes whose `a` operand is a channel id.
+fn has_channel(op: RecordKind) -> bool {
+    matches!(
+        op,
+        RecordKind::Send | RecordKind::Recv | RecordKind::ISend | RecordKind::IRecv
+    )
+}
+
 impl CompiledTrace {
     /// Reassembles a compiled trace from decoded parts (`core::codec`
     /// only).
@@ -704,7 +567,9 @@ impl CompiledTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{RankTrace, Record};
+    use crate::ids::RequestId;
+    use crate::index::TraceIndex;
+    use crate::record::RankTrace;
 
     fn mips() -> MipsRate {
         MipsRate::new(1000).unwrap()
@@ -731,8 +596,7 @@ mod tests {
                 Record::Marker { code: 9 },
             ])],
         );
-        let index = TraceIndex::build(&ts).unwrap();
-        let prog = CompiledTrace::compile(&ts, &index).unwrap();
+        let prog = CompiledTrace::build(&ts).unwrap();
         let rp = prog.rank(0);
         assert_eq!(
             rp.ops(),
@@ -747,7 +611,7 @@ mod tests {
         assert_eq!(rp.a(), &[0, 7, 0, 0, 9]);
         // 1000 instr at 1000 MIPS = 1 us = 1_000_000 ps.
         assert_eq!(rp.payload(), &[1_000_000, 0, 2_000_000, 3_000_000, 0]);
-        assert_eq!(CompiledTrace::build(&ts).unwrap(), prog);
+        assert_eq!(TraceIndex::of(&prog).rank_channels(0), &[NO_CHANNEL; 5]);
     }
 
     #[test]
@@ -803,8 +667,7 @@ mod tests {
                 ]),
             ],
         );
-        let index = TraceIndex::build(&ts).unwrap();
-        let prog = CompiledTrace::compile(&ts, &index).unwrap();
+        let prog = CompiledTrace::build(&ts).unwrap();
         let rp = prog.rank(0);
         assert_eq!(rp.slot_count(), 2);
         // First IRecv takes slot 0; the wait frees it; the next post
@@ -837,8 +700,7 @@ mod tests {
                 }]),
             ],
         );
-        let index = TraceIndex::build(&ts).unwrap();
-        let prog = CompiledTrace::compile(&ts, &index).unwrap();
+        let prog = CompiledTrace::build(&ts).unwrap();
         assert_eq!(
             prog.channels(),
             &[ChannelEndpoints {
@@ -847,37 +709,5 @@ mod tests {
                 tag: Tag::new(42),
             }]
         );
-    }
-
-    #[test]
-    fn mismatched_index_is_rejected() {
-        let burst = || {
-            RankTrace::from_records(vec![Record::Burst {
-                instr: Instr::new(10),
-            }])
-        };
-        let ts = TraceSet::new("a", mips(), vec![burst()]);
-        // Each index disagrees with `ts` in one respect: the trace name,
-        // the rank count, or one rank's record count.
-        let cases = [
-            ("name mismatch", TraceSet::new("b", mips(), vec![burst()])),
-            (
-                "rank count mismatch",
-                TraceSet::new("a", mips(), vec![burst(), burst()]),
-            ),
-            (
-                "rank 0 record count mismatch",
-                TraceSet::new("a", mips(), vec![RankTrace::new()]),
-            ),
-        ];
-        for (expected, other) in cases {
-            let index = TraceIndex::build(&other).unwrap();
-            match CompiledTrace::compile(&ts, &index) {
-                Err(CompileError::IndexMismatch { reason }) => {
-                    assert!(reason.contains(expected), "got: {reason}");
-                }
-                other => panic!("expected IndexMismatch, got {other:?}"),
-            }
-        }
     }
 }

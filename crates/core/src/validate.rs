@@ -8,24 +8,22 @@
 //!
 //! The checks come in two halves. The rank-local ones (ranks in range,
 //! requests posted once, waited on and not leaked) run inside the record
-//! walker (`crate::walk`), which also interns channels and streams every
-//! send and receive size into two flat FIFO streams. The cross-rank ones
-//! (`cross_rank`: per-channel balance and sizes, collective agreement)
-//! run once every rank is walked. [`validate_trace_set`] and
-//! [`TraceIndex::build`](crate::TraceIndex::build) walk the whole trace
-//! with one `Checks`; [`CompiledTrace::link`](crate::CompiledTrace::link)
-//! joins ranks that were each walked with their own `Checks` and then runs
-//! the same cross-rank half. All of them report the same issues in the
-//! same order.
+//! walker (`crate::walk`), one rank at a time: each rank's `Checks` also
+//! interns the rank's channels and streams its send and receive sizes.
+//! `join` then numbers the channels across the trace and runs the
+//! cross-rank ones (`cross_rank`: per-channel balance and sizes,
+//! collective agreement). [`validate_trace_set`] walks with a sink that
+//! keeps nothing; [`CompiledTrace::link`](crate::CompiledTrace::link)
+//! joins ranks that were lowered as they were walked. Both report the
+//! same issues in the same order.
 
 use std::collections::HashMap;
-use std::convert::Infallible;
 use std::fmt;
 
 use crate::ids::{Rank, RequestId, Tag};
 use crate::program::ChannelEndpoints;
 use crate::record::{Record, TraceSet};
-use crate::walk::{walk, At, Resolve};
+use crate::walk::{walk_rank, At};
 
 /// One structural problem found in a trace set.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,9 +167,10 @@ impl fmt::Display for TraceIssue {
 ///    FIFO-paired sizes match,
 /// 4. every rank observes the same global sequence of collectives.
 ///
-/// Issues come in that order of discovery: the per-record ones in walk
-/// order (each rank's leaked requests after its records), then the
-/// channel ones sorted by `(from, to, tag)`, then the collective ones.
+/// Issues come in that order of discovery: the per-record ones rank by
+/// rank in record order (each rank's leaked requests after its records),
+/// then the channel ones sorted by `(from, to, tag)`, then the collective
+/// ones.
 ///
 /// # Example
 ///
@@ -185,17 +184,28 @@ impl fmt::Display for TraceIssue {
 /// # }
 /// ```
 pub fn validate_trace_set(ts: &TraceSet) -> Vec<TraceIssue> {
-    let mut checks = Checks::new(ts.rank_count());
-    let Ok(()) = walk(ts, &mut checks, &mut ());
-    checks.finish().err().unwrap_or_default()
+    let walks: Vec<Checks> = ts
+        .ranks()
+        .iter()
+        .enumerate()
+        .map(|(r, rank)| {
+            walk_rank(
+                Rank::new(r as u32),
+                ts.rank_count(),
+                rank.records(),
+                &mut (),
+            )
+        })
+        .collect();
+    join(&walks.iter().collect::<Vec<_>>())
+        .err()
+        .unwrap_or_default()
 }
 
-/// The validating [`Resolve`]r: runs the rank-local checks of
-/// [`validate_trace_set`] during the walk and interns channels densely in
-/// order of first appearance within the walk (ranks in order, records in
-/// order), which makes channel ids deterministic. A whole-trace walk
-/// numbers channels across the trace; a one-rank walk numbers the rank's
-/// own.
+/// One rank's walk as validation sees it: the rank-local issues of
+/// [`validate_trace_set`] in record order, and the rank's channels,
+/// interned densely in order of first appearance, which makes channel ids
+/// deterministic.
 #[derive(Debug)]
 pub(crate) struct Checks {
     rank_count: usize,
@@ -209,17 +219,13 @@ pub(crate) struct Checks {
     /// streams the size check pairs up.
     sends: Vec<(u32, u64)>,
     recvs: Vec<(u32, u64)>,
-    /// Each walked rank's collective sequence (compared by value).
-    collectives: Vec<Vec<Record>>,
+    /// The rank's collective sequence (compared by value).
+    collectives: Vec<Record>,
 }
 
 impl Checks {
-    pub(crate) fn new(rank_count: usize) -> Self {
-        Self::with_capacity(rank_count, 0, 0)
-    }
-
-    /// A `Checks` with room for a walk of `sends` sends and `recvs`
-    /// receives.
+    /// A `Checks` for a rank of a trace of `rank_count` ranks, with room
+    /// for `sends` sends and `recvs` receives.
     pub(crate) fn with_capacity(rank_count: usize, sends: usize, recvs: usize) -> Self {
         Checks {
             rank_count,
@@ -253,16 +259,52 @@ impl Checks {
             })
     }
 
-    /// Ends a whole-trace walk: the interned channels, indexed by id, or
-    /// every issue found.
-    pub(crate) fn finish(self) -> Result<Vec<ChannelEndpoints>, Vec<TraceIssue>> {
-        cross_rank(
-            self.channels,
-            &self.sends,
-            &self.recvs,
-            self.collectives.iter().map(Vec::as_slice),
-            self.issues,
-        )
+    /// The channel of a send (blocking or not) from `at.rank` to `to`.
+    pub(crate) fn send(&mut self, at: At, to: Rank, tag: Tag, bytes: u64) -> u32 {
+        self.check_rank(at, to);
+        let channel = self.intern(at.rank, to, tag);
+        self.sends.push((channel, bytes));
+        channel
+    }
+
+    /// The channel of a receive (blocking or not) by `at.rank` from
+    /// `from`.
+    pub(crate) fn recv(&mut self, at: At, from: Rank, tag: Tag, bytes: u64) -> u32 {
+        self.check_rank(at, from);
+        let channel = self.intern(from, at.rank, tag);
+        self.recvs.push((channel, bytes));
+        channel
+    }
+
+    /// A collective record; `root` is set for bcast and reduce.
+    pub(crate) fn collective(&mut self, at: At, rec: &Record, root: Option<Rank>) {
+        if let Some(root) = root {
+            self.check_rank(at, root);
+        }
+        self.collectives.push(rec.clone());
+    }
+
+    /// `req` was posted while already in flight.
+    pub(crate) fn duplicate(&mut self, at: At, req: RequestId) {
+        self.issues.push(TraceIssue::DuplicateRequest {
+            rank: at.rank,
+            record: at.record,
+            req,
+        });
+    }
+
+    /// A wait on `req`, which is not in flight.
+    pub(crate) fn unknown(&mut self, at: At, req: RequestId) {
+        self.issues.push(TraceIssue::UnknownRequest {
+            rank: at.rank,
+            record: at.record,
+            req,
+        });
+    }
+
+    /// `req` was still in flight when its rank's stream ended.
+    pub(crate) fn leaked(&mut self, rank: Rank, req: RequestId) {
+        self.issues.push(TraceIssue::LeakedRequest { rank, req });
     }
 }
 
@@ -274,28 +316,27 @@ pub(crate) struct Joined {
     pub(crate) ids: Vec<Vec<u32>>,
 }
 
-/// Joins one-rank walks, given in rank order, as if the whole trace had
-/// been walked with one `Checks`: returns the trace's channels and each
-/// rank's channel renumbering, or every issue a whole-trace walk would
-/// report, in its order.
+/// Joins the walks of a trace's ranks, given in rank order: returns the
+/// trace's channels and each rank's channel renumbering, or every issue
+/// of the trace, in [`validate_trace_set`]'s order.
 ///
-/// Channels are numbered in first-appearance order, ranks in order and
-/// each rank's channels in its own order. Every channel a rank interned
-/// has that rank as an endpoint, so a channel whose other endpoint `o` is
-/// a lower rank can only have appeared first in rank `o`: it is looked up
-/// in rank `o`'s table. Every other channel is new. No trace-wide table is
-/// built.
+/// Channels are numbered in first-appearance order across the trace,
+/// ranks in order and each rank's channels in its own order. Every
+/// channel a rank interned has that rank as an endpoint, so a channel
+/// whose other endpoint `o` is a lower rank can only have appeared first
+/// in rank `o`: it is looked up in rank `o`'s table. Every other channel
+/// is new. No trace-wide table is built.
 ///
 /// # Panics
 ///
-/// Panics if a walk was not of one rank of a trace of `ranks.len()` ranks.
+/// Panics if a walk was not of a rank of a trace of `ranks.len()` ranks.
 pub(crate) fn join(ranks: &[&Checks]) -> Result<Joined, Vec<TraceIssue>> {
     let mut channels: Vec<ChannelEndpoints> = Vec::new();
     let mut ids: Vec<Vec<u32>> = Vec::with_capacity(ranks.len());
     for (r, checks) in ranks.iter().enumerate() {
         assert!(
-            checks.rank_count == ranks.len() && checks.collectives.len() == 1,
-            "rank {r} was not walked alone as one of {} ranks",
+            checks.rank_count == ranks.len(),
+            "rank {r} was not walked as one of {} ranks",
             ranks.len()
         );
         let own = checks
@@ -346,7 +387,7 @@ pub(crate) fn join(ranks: &[&Checks]) -> Result<Joined, Vec<TraceIssue>> {
         channels,
         &sends,
         &recvs,
-        ranks.iter().map(|checks| checks.collectives[0].as_slice()),
+        ranks.iter().map(|checks| checks.collectives.as_slice()),
         issues,
     )?;
     Ok(Joined { channels, ids })
@@ -444,59 +485,6 @@ fn cross_rank<'r>(
         Ok(channels)
     } else {
         Err(issues)
-    }
-}
-
-impl Resolve for Checks {
-    type Error = Infallible;
-
-    fn begin_rank(&mut self, _rank: usize) {
-        self.collectives.push(Vec::new());
-    }
-
-    fn send(&mut self, at: At, to: Rank, tag: Tag, bytes: u64) -> u32 {
-        self.check_rank(at, to);
-        let channel = self.intern(at.rank, to, tag);
-        self.sends.push((channel, bytes));
-        channel
-    }
-
-    fn recv(&mut self, at: At, from: Rank, tag: Tag, bytes: u64) -> u32 {
-        self.check_rank(at, from);
-        let channel = self.intern(from, at.rank, tag);
-        self.recvs.push((channel, bytes));
-        channel
-    }
-
-    fn collective(&mut self, at: At, rec: &Record, root: Option<Rank>) {
-        if let Some(root) = root {
-            self.check_rank(at, root);
-        }
-        self.collectives
-            .last_mut()
-            .expect("begin_rank opens the rank's sequence")
-            .push(rec.clone());
-    }
-
-    fn duplicate(&mut self, at: At, req: RequestId) {
-        self.issues.push(TraceIssue::DuplicateRequest {
-            rank: at.rank,
-            record: at.record,
-            req,
-        });
-    }
-
-    fn unknown(&mut self, at: At, req: RequestId) -> Result<(), Infallible> {
-        self.issues.push(TraceIssue::UnknownRequest {
-            rank: at.rank,
-            record: at.record,
-            req,
-        });
-        Ok(())
-    }
-
-    fn leaked(&mut self, rank: Rank, req: RequestId) {
-        self.issues.push(TraceIssue::LeakedRequest { rank, req });
     }
 }
 

@@ -158,15 +158,16 @@ proptest! {
         prop_assert_eq!(encode_trace_set(&back), bytes);
     }
 
-    /// Compiled programs round-trip bit-identically too.
+    /// Compiled programs round-trip bit-identically too, and a decoded
+    /// program projects to the trace's index.
     #[test]
     fn compiled_trace_round_trip_is_bit_identical(ts in arb_valid_trace()) {
-        let index = TraceIndex::build(&ts).expect("generated trace is valid");
-        let prog = CompiledTrace::compile(&ts, &index).unwrap();
+        let prog = CompiledTrace::build(&ts).expect("generated trace is valid");
         let bytes = encode_compiled_trace(&prog);
         let back = decode_compiled_trace(&bytes).expect("round trip decodes");
         prop_assert_eq!(&back, &prog);
         prop_assert_eq!(encode_compiled_trace(&back), bytes);
+        prop_assert_eq!(TraceIndex::of(&back), TraceIndex::build(&ts).unwrap());
     }
 
     /// Any single flipped bit anywhere in an encoded trace set is
@@ -194,8 +195,7 @@ proptest! {
         pos in any::<u64>(),
         bit in 0u8..8,
     ) {
-        let index = TraceIndex::build(&ts).unwrap();
-        let prog = CompiledTrace::compile(&ts, &index).unwrap();
+        let prog = CompiledTrace::build(&ts).unwrap();
         let mut bytes = encode_compiled_trace(&prog);
         let pos = (pos % bytes.len() as u64) as usize;
         bytes[pos] ^= 1 << bit;

@@ -2,7 +2,7 @@
 //!
 //! [`Simulator::run_compiled`] is the cheapest replay path: it executes
 //! the flat struct-of-arrays program produced by
-//! [`CompiledTrace::compile`] — one-byte opcodes, dense operand columns,
+//! [`CompiledTrace::build`] — one-byte opcodes, dense operand columns,
 //! pre-converted burst durations and pre-resolved request slots — instead
 //! of decoding [`ovlsim_core::Record`] enums and scanning request tables
 //! per event. One program serves both entry points: an unobserved run
@@ -23,10 +23,9 @@ use crate::replay::{ReplayResult, Simulator};
 impl Simulator {
     /// Replays a compiled trace program, the cheapest per-sweep-point
     /// entry. The result is bit-identical to [`Simulator::run`] on the
-    /// source trace, which validates, indexes and compiles on every call;
-    /// here that work is paid once. Compile once with
-    /// [`CompiledTrace::compile`] and share `&CompiledTrace` across
-    /// parallel sweep points.
+    /// source trace, which validates and compiles on every call; here that
+    /// work is paid once. Compile once with [`CompiledTrace::build`] and
+    /// share `&CompiledTrace` across parallel sweep points.
     ///
     /// # Errors
     ///
@@ -57,8 +56,7 @@ mod tests {
     use super::*;
     use crate::observer::ProcState;
     use ovlsim_core::{
-        Instr, MipsRate, Platform, Rank, RankTrace, Record, RequestId, Tag, Time, TraceIndex,
-        TraceSet,
+        Instr, MipsRate, Platform, Rank, RankTrace, Record, RequestId, Tag, Time, TraceSet,
     };
 
     fn mips() -> MipsRate {
@@ -82,8 +80,7 @@ mod tests {
     }
 
     fn compile(ts: &TraceSet) -> CompiledTrace {
-        let index = TraceIndex::build(ts).expect("valid");
-        CompiledTrace::compile(ts, &index).expect("compiles")
+        CompiledTrace::build(ts).expect("valid")
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! [`Simulator::run_compiled`] and [`Simulator::run_compiled_observed`]
 //! both run here. The executor walks the flat struct-of-arrays instruction
-//! streams produced by [`CompiledTrace::compile`] — one-byte opcodes,
+//! streams produced by [`CompiledTrace::build`] — one-byte opcodes,
 //! dense operand columns, pre-converted burst durations and pre-resolved
 //! request slots — with the event semantics of the naive reference
 //! engine: every start decision, FIFO tie-break and statistic is
@@ -1713,7 +1713,7 @@ fn collective_of(op: RecordKind) -> CollectiveOp {
 mod tests {
     use super::*;
     use crate::replay::Simulator;
-    use ovlsim_core::{Instr, MipsRate, RankTrace, Record, RequestId, Tag, TraceIndex, TraceSet};
+    use ovlsim_core::{Instr, MipsRate, RankTrace, Record, RequestId, Tag, TraceSet};
 
     fn mips() -> MipsRate {
         MipsRate::new(1000).unwrap()
@@ -1738,8 +1738,7 @@ mod tests {
     /// Replays `ts` two ways: the compiled production run and the
     /// independent naive engine.
     fn replay_both_ways(platform: &Platform, ts: &TraceSet) -> [Result<ReplayResult, SimError>; 2] {
-        let index = TraceIndex::build(ts).expect("valid");
-        let prog = CompiledTrace::compile(ts, &index).expect("compiles");
+        let prog = CompiledTrace::build(ts).expect("valid");
         [
             Simulator::new(platform.clone()).run_compiled(&prog),
             crate::naive::replay_naive(platform, ts),
@@ -1859,8 +1858,7 @@ mod tests {
                 })
                 .collect(),
         );
-        let index = TraceIndex::build(&ts).unwrap();
-        let prog = CompiledTrace::compile(&ts, &index).unwrap();
+        let prog = CompiledTrace::build(&ts).unwrap();
         let global = |p: &Platform| {
             matches!(
                 FfState::new(p, &prog, &mut NullObserver).net,

@@ -216,9 +216,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::observer::{ProcState, WaitCause};
-    use ovlsim_core::{
-        CompileError, Instr, MipsRate, Rank, RankTrace, Record, RequestId, Tag, TraceIndex,
-    };
+    use ovlsim_core::{Instr, MipsRate, Rank, RankTrace, Record, RequestId, Tag};
 
     fn mips() -> MipsRate {
         MipsRate::new(1000).unwrap()
@@ -1102,8 +1100,7 @@ mod tests {
                 },
             ],
         ]);
-        let index = TraceIndex::build(&ts).expect("valid");
-        let prog = CompiledTrace::compile(&ts, &index).expect("compiles");
+        let prog = CompiledTrace::build(&ts).expect("valid");
         for bw in [1.0e6, 1.0e8, 1.0e10] {
             let p = Platform::builder()
                 .latency(Time::from_us(1))
@@ -1120,49 +1117,6 @@ mod tests {
             let naive = crate::naive::replay_naive(&p, &ts).unwrap();
             assert_eq!(compiled, naive, "diverged from naive at {bw} B/s");
         }
-    }
-
-    /// Replays `ts` with a prepared index built from `other`, the way a
-    /// sweep replays with an index it built earlier, and asserts that the
-    /// stale index is refused with a reason containing `expected` before
-    /// anything is simulated.
-    fn assert_prepared_index_rejected(ts: &TraceSet, other: &TraceSet, expected: &str) {
-        let index = TraceIndex::build(other).expect("valid");
-        let replay = CompiledTrace::compile(ts, &index)
-            .map(|prog| Simulator::new(platform_1us_1gb()).run_compiled(&prog));
-        match replay {
-            Err(CompileError::IndexMismatch { reason }) => {
-                assert!(reason.contains(expected), "got: {reason}");
-            }
-            other => panic!("expected IndexMismatch, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn run_prepared_rejects_name_mismatch() {
-        let ts = trace(vec![vec![]]);
-        let other = TraceSet::new("other", mips(), vec![RankTrace::new()]);
-        assert_prepared_index_rejected(&ts, &other, "name mismatch");
-    }
-
-    #[test]
-    fn run_prepared_rejects_rank_count_mismatch() {
-        // Same name ("test" via the helper), different rank counts.
-        let ts = trace(vec![vec![Record::Burst {
-            instr: Instr::new(10),
-        }]]);
-        let other = trace(vec![vec![], vec![]]);
-        assert_prepared_index_rejected(&ts, &other, "rank count mismatch");
-    }
-
-    #[test]
-    fn run_prepared_rejects_record_count_mismatch() {
-        // Same name, same rank count, different records per rank.
-        let ts = trace(vec![vec![Record::Burst {
-            instr: Instr::new(10),
-        }]]);
-        let other = trace(vec![vec![]]);
-        assert_prepared_index_rejected(&ts, &other, "rank 0 record count mismatch");
     }
 
     #[test]

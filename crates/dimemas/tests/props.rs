@@ -596,8 +596,7 @@ fn assert_attribution_conserved(
     trace: &TraceSet,
     platform: &Platform,
 ) -> Result<(), TestCaseError> {
-    let index = ovlsim_core::TraceIndex::build(trace).expect("valid");
-    let prog = ovlsim_core::CompiledTrace::compile(trace, &index).expect("compiles");
+    let prog = ovlsim_core::CompiledTrace::build(trace).expect("valid");
     let mut compiled_cap = AttrCapture::new(trace.rank_count());
     let compiled = Simulator::new(platform.clone())
         .run_compiled_observed(&prog, &mut compiled_cap)
@@ -619,8 +618,7 @@ fn assert_attribution_conserved(
 /// Replays through the naive engine, the validating entry point and a
 /// compiled program, and asserts bit-identical results.
 fn assert_engines_agree(trace: &TraceSet, platform: &Platform) -> Result<(), TestCaseError> {
-    let index = ovlsim_core::TraceIndex::build(trace).expect("valid");
-    let prog = ovlsim_core::CompiledTrace::compile(trace, &index).expect("compiles");
+    let prog = ovlsim_core::CompiledTrace::build(trace).expect("valid");
     let sim = Simulator::new(platform.clone());
     let naive = ovlsim_dimemas::replay_naive(platform, trace).expect("replays");
     let validated = sim.run(trace).expect("replays");
@@ -706,8 +704,7 @@ proptest! {
         first in arb_platform(),
         second in arb_hier_platform(),
     ) {
-        let index = ovlsim_core::TraceIndex::build(&trace).expect("valid");
-        let prog = ovlsim_core::CompiledTrace::compile(&trace, &index).expect("compiles");
+        let prog = ovlsim_core::CompiledTrace::build(&trace).expect("valid");
         for platform in [first, second] {
             let sim = Simulator::new(platform);
             let validated = sim.run(&trace).expect("replays");

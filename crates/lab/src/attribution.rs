@@ -3,7 +3,7 @@
 //! A replay's makespan says *how fast* an execution was; attribution says
 //! *where the time went* and *which communication actually matters*. An
 //! observed replay (`run_compiled_observed` on a program from
-//! `CompiledTrace::compile`) emits cause-tagged intervals
+//! `CompiledTrace::build`) emits cause-tagged intervals
 //! ([`WaitCause`]) that tile each rank's `[0, finish)` exactly; this
 //! module folds them into:
 //!
@@ -34,6 +34,7 @@ use ovlsim_dimemas::{DepEdge, ReplayObserver, ReplayResult, Simulator, WaitCause
 use crate::bounds::OverlapBounds;
 use crate::campaign::json_escape;
 use crate::error::LabError;
+use crate::sweep::compile_trace;
 
 /// One cause-tagged interval of one rank, as recorded from the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,7 +52,7 @@ pub struct AttrInterval {
 /// A [`ReplayObserver`] that records attributed intervals per rank.
 ///
 /// Feed it to `run_observed` or `run_compiled_observed` (on a program
-/// from `CompiledTrace::compile`); then fold the capture
+/// from `CompiledTrace::build`); then fold the capture
 /// with [`Attribution::from_recorded`] or use the one-call
 /// [`Attribution::analyze`].
 #[derive(Debug, Clone, Default)]
@@ -223,12 +224,11 @@ pub struct Attribution {
 
 impl Attribution {
     /// Replays `trace` on `platform` with attribution capture (compiling
-    /// an observed program from `trace` and `index`) and folds the result.
+    /// `trace`, whose channels `index` names) and folds the result.
     ///
     /// # Errors
     ///
-    /// Propagates compile errors ([`LabError::Compile`]) and replay errors
-    /// ([`LabError::Sim`]).
+    /// Propagates validation and replay errors ([`LabError::Sim`]).
     pub fn analyze(
         platform: &Platform,
         trace: &TraceSet,
@@ -248,7 +248,7 @@ impl Attribution {
         trace: &TraceSet,
         index: &TraceIndex,
     ) -> Result<(Attribution, AttributionRecorder), LabError> {
-        let prog = CompiledTrace::compile(trace, index)?;
+        let prog = compile_trace(trace)?;
         Self::analyze_compiled(platform, trace, index, &prog)
     }
 

@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use ovlsim_apps::AppConfigError;
-use ovlsim_core::{CompileError, CoreError};
+use ovlsim_core::CoreError;
 use ovlsim_dimemas::SimError;
 use ovlsim_tracer::TraceError;
 
@@ -23,8 +23,6 @@ pub enum LabError {
         /// What was being searched for.
         what: String,
     },
-    /// Compiling a trace into a replay program failed.
-    Compile(CompileError),
     /// Building an application model from a campaign spec failed (bad
     /// rank count for the topology, zero iterations, …).
     App(AppConfigError),
@@ -52,7 +50,6 @@ impl fmt::Display for LabError {
             LabError::Sim(e) => write!(f, "replay failed: {e}"),
             LabError::Core(e) => write!(f, "invalid configuration: {e}"),
             LabError::SearchFailed { what } => write!(f, "search failed: {what}"),
-            LabError::Compile(e) => write!(f, "trace compilation failed: {e}"),
             LabError::App(e) => write!(f, "building application failed: {e}"),
             LabError::InvalidThreadConfig { value } => write!(
                 f,
@@ -74,7 +71,6 @@ impl Error for LabError {
             LabError::Sim(e) => Some(e),
             LabError::Core(e) => Some(e),
             LabError::SearchFailed { .. } => None,
-            LabError::Compile(e) => Some(e),
             LabError::App(e) => Some(e),
             LabError::InvalidThreadConfig { .. } | LabError::BudgetTooLarge { .. } => None,
         }
@@ -84,12 +80,6 @@ impl Error for LabError {
 impl From<AppConfigError> for LabError {
     fn from(e: AppConfigError) -> Self {
         LabError::App(e)
-    }
-}
-
-impl From<CompileError> for LabError {
-    fn from(e: CompileError) -> Self {
-        LabError::Compile(e)
     }
 }
 

@@ -60,8 +60,8 @@ impl RelaxationResult {
 /// (the lower bound must satisfy `0 < lo < reference`, both finite — a
 /// zero lower bound would let the bisection converge onto a zero iso
 /// bandwidth and poison every derived ratio) or if even the reference
-/// bandwidth misses the target, and propagates validation, compilation
-/// ([`LabError::Compile`]) and replay errors.
+/// bandwidth misses the target, and propagates validation
+/// ([`LabError::Sim`]) and replay errors.
 pub fn min_bandwidth_for(
     trace: &TraceSet,
     base: &Platform,
@@ -74,9 +74,8 @@ pub fn min_bandwidth_for(
             what: format!("degenerate search range [{lo}, {reference}]: need 0 < lo < reference"),
         });
     }
-    // The bisection probes the same trace dozens of times: validate,
-    // channel-index and compile once, then execute the flat program per
-    // probe.
+    // The bisection probes the same trace dozens of times: validate and
+    // compile once, then execute the flat program per probe.
     let prog = compile_trace(trace)?;
     let time_at = |bps: f64| -> Result<Time, LabError> {
         let bw = Bandwidth::from_bytes_per_sec(bps)?;

@@ -2,11 +2,11 @@
 //! compiled programs.
 //!
 //! Every experiment in this crate consumes the same three artifact kinds —
-//! a synthesized [`TraceSet`], its channel [`TraceIndex`], and the flat
-//! [`CompiledTrace`] replay program — but *who builds them* is a policy
-//! decision. The CLI used to inline that plumbing at every call site;
-//! the session layer (crate `ovlsim-session`) wants to intercept it with a
-//! content-addressed cache so a thousand sweep points compile once.
+//! a synthesized [`TraceSet`], its flat [`CompiledTrace`] replay program,
+//! and the program's channel [`TraceIndex`] — but *who builds them* is a
+//! policy decision. The CLI used to inline that plumbing at every call
+//! site; the session layer (crate `ovlsim-session`) wants to intercept it
+//! with a content-addressed cache so a thousand sweep points compile once.
 //!
 //! [`ArtifactPipeline`] is that seam. [`DirectPipeline`] is the identity
 //! policy: build everything on demand, cache nothing — byte-identical to
@@ -14,17 +14,20 @@
 //! crate (the session layer implements the trait over its artifact store);
 //! campaign and sweep code only ever sees the trait.
 //!
-//! What goes through the pipeline is what is worth keeping: traced
-//! bundles, the trace variants a campaign replays, their indexes and
-//! programs. An overlapped variant the compiled engine replays is asked
-//! for as a program ([`ArtifactPipeline::variant_program`]): it is
-//! synthesized, lowered and linked rank by rank from the bundle, checked
-//! once, at link, and never exists as a trace, a fingerprint or an index;
-//! a caching implementation keys it by the bundle's descriptor and the
-//! mode ([`ArtifactPipeline::load_variant_program`]). Its trace is built
-//! only for the naive engine. The auto-tuner's candidates do not go
-//! through the pipeline at all. Each one is a throwaway plan that is
-//! lowered straight to its program, replayed once and dropped (see
+//! A trace is checked and lowered once, into its program
+//! ([`compile_trace`]); its index is a projection of that program
+//! ([`TraceIndex::of`]), not a second walk. What goes through the
+//! pipeline is what is worth keeping: traced bundles, the trace variants
+//! a campaign replays, their programs and indexes. An overlapped variant
+//! the compiled engine replays is asked for as a program
+//! ([`ArtifactPipeline::variant_program`]): it is synthesized, lowered and
+//! linked rank by rank from the bundle, checked once, at link, and never
+//! exists as a trace, a fingerprint or an index; a caching implementation
+//! keys it by the bundle's descriptor and the mode
+//! ([`ArtifactPipeline::load_variant_program`]). Its trace is built only
+//! for the naive engine. The auto-tuner's candidates do not go through
+//! the pipeline at all. Each one is a throwaway plan that is lowered
+//! straight to its program, replayed once and dropped (see
 //! [`crate::tune`]), so it is never fingerprinted, indexed, stored or
 //! written to disk.
 
@@ -38,15 +41,7 @@ use ovlsim_tracer::{OverlapMode, TraceBundle, TracingSession};
 
 use crate::campaign::Engine;
 use crate::error::LabError;
-
-/// Builds a [`TraceIndex`], mapping validation issues to [`LabError`].
-///
-/// # Errors
-///
-/// Returns [`LabError::Sim`] wrapping the trace's validation issues.
-pub fn build_index(trace: &TraceSet) -> Result<TraceIndex, LabError> {
-    TraceIndex::build(trace).map_err(|issues| LabError::Sim(SimError::InvalidTrace { issues }))
-}
+use crate::sweep::compile_trace;
 
 /// A producer of simulation artifacts.
 ///
@@ -130,20 +125,21 @@ pub trait ArtifactPipeline: Sync {
         None
     }
 
-    /// The channel index of `trace` (validates the trace as a side
-    /// effect).
+    /// The channel index of `trace`: the projection ([`TraceIndex::of`])
+    /// of its program, so the trace is validated as a side effect.
     ///
     /// # Errors
     ///
     /// Returns [`LabError::Sim`] if the trace fails validation.
     fn index(&self, trace: &Arc<TraceSet>) -> Result<Arc<TraceIndex>, LabError>;
 
-    /// The flat replay program of `trace`. `index` must belong to the
-    /// same trace (callers obtain it from [`ArtifactPipeline::index`]).
+    /// The flat replay program of `trace`. `index` is the trace's own
+    /// (callers obtain it from [`ArtifactPipeline::index`]); the program
+    /// does not depend on it.
     ///
     /// # Errors
     ///
-    /// Propagates compilation errors.
+    /// Returns [`LabError::Sim`] if the trace fails validation.
     fn compiled(
         &self,
         trace: &Arc<TraceSet>,
@@ -151,15 +147,14 @@ pub trait ArtifactPipeline: Sync {
     ) -> Result<Arc<CompiledTrace>, LabError>;
 
     /// The flat replay program of `trace` when the caller needs *only*
-    /// the program: the default builds the index (validating the trace)
-    /// and compiles through it. This is the load hook for persistent
-    /// caches — an implementation backed by durable storage overrides it
-    /// to serve an integrity-checked stored program directly, skipping
-    /// both validation and compilation on a warm start.
+    /// the program: the default asks for the index, then the program. An
+    /// implementation overrides it to build no index; one backed by
+    /// durable storage serves an integrity-checked stored program
+    /// directly, skipping validation and compilation on a warm start.
     ///
     /// # Errors
     ///
-    /// Propagates validation and compilation errors.
+    /// Returns [`LabError::Sim`] if the trace fails validation.
     fn compiled_standalone(&self, trace: &Arc<TraceSet>) -> Result<Arc<CompiledTrace>, LabError> {
         let index = self.index(trace)?;
         self.compiled(trace, &index)
@@ -194,15 +189,19 @@ impl ArtifactPipeline for DirectPipeline {
     }
 
     fn index(&self, trace: &Arc<TraceSet>) -> Result<Arc<TraceIndex>, LabError> {
-        build_index(trace).map(Arc::new)
+        Ok(Arc::new(TraceIndex::of(&compile_trace(trace)?)))
     }
 
     fn compiled(
         &self,
         trace: &Arc<TraceSet>,
-        index: &Arc<TraceIndex>,
+        _index: &Arc<TraceIndex>,
     ) -> Result<Arc<CompiledTrace>, LabError> {
-        Ok(Arc::new(CompiledTrace::compile(trace, index)?))
+        self.compiled_standalone(trace)
+    }
+
+    fn compiled_standalone(&self, trace: &Arc<TraceSet>) -> Result<Arc<CompiledTrace>, LabError> {
+        compile_trace(trace).map(Arc::new)
     }
 }
 
@@ -229,7 +228,7 @@ impl EngineInput {
     ///
     /// # Errors
     ///
-    /// Propagates validation and compilation errors.
+    /// Returns [`LabError::Sim`] if the trace fails validation.
     pub fn build(
         pipeline: &dyn ArtifactPipeline,
         ts: Arc<TraceSet>,
@@ -243,8 +242,8 @@ impl EngineInput {
             let prog = pipeline.compiled(&ts, &index)?;
             (Some(index), Some(prog))
         } else if needs_prog {
-            // Compiled-only: let the pipeline skip the index build when
-            // it can serve a persisted program.
+            // Compiled-only: no index, unless the pipeline needs one to
+            // build the program.
             (None, Some(pipeline.compiled_standalone(&ts)?))
         } else {
             (None, None)

@@ -17,11 +17,11 @@
 //! tested against each other).
 //!
 //! Candidates never enter the artifact pipeline. The pipeline supplies
-//! the original trace, its index and the attribution ranking; each
-//! candidate plan is then lowered straight to its replay program, replayed
-//! and dropped. Nothing about a candidate is fingerprinted, cached or
-//! written to a cache directory. Within one run a plan equal to one
-//! already scored is not scored again.
+//! the original trace, its index and program, whose observed replay ranks
+//! the channels; each candidate plan is then lowered straight to its
+//! replay program, replayed and dropped. Nothing about a candidate is
+//! fingerprinted, cached or written to a cache directory. Within one run
+//! a plan equal to one already scored is not scored again.
 //!
 //! A candidate changes one channel of the incumbent plan, and so the
 //! records of that channel's two endpoints only. The search keeps the
@@ -37,7 +37,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use ovlsim_core::rng::{hash_counters, unit_f64};
-use ovlsim_core::{CompiledTrace, LoweredRank, Platform, Record, Tag, Time, TraceIndex, TraceSet};
+use ovlsim_core::{CompiledTrace, LoweredRank, Platform, Tag, Time, TraceSet};
 use ovlsim_dimemas::{replay_naive, Simulator};
 use ovlsim_tracer::{OverlapPlan, TraceBundle, TUNING_SCALE};
 
@@ -302,33 +302,18 @@ fn score_plan(
 /// Channels the attribution never charged rank last in key order.
 fn ranked_tunable_channels(
     bundle: &TraceBundle,
-    original: &TraceSet,
-    index: &TraceIndex,
+    prog: &CompiledTrace,
     attribution: &Attribution,
 ) -> Vec<(u32, u32, Tag)> {
-    // Recover each dense channel's application tag from the send records.
-    let mut tags: Vec<Option<Tag>> = vec![None; index.channel_peers().len()];
-    for (r, rank) in original.ranks().iter().enumerate() {
-        for (i, rec) in rank.records().iter().enumerate() {
-            let tag = match rec {
-                Record::Send { tag, .. } | Record::ISend { tag, .. } => *tag,
-                _ => continue,
-            };
-            if let Some(chan) = index.channel_of(r, i) {
-                tags[chan.index()].get_or_insert(tag);
-            }
-        }
-    }
     let mut weight: std::collections::HashMap<(u32, u32, u64), (Time, Time)> =
         std::collections::HashMap::new();
     for b in attribution.channels() {
-        if let Some(tag) = tags[b.chan as usize] {
-            let entry = weight
-                .entry((b.src.get(), b.dst.get(), tag.get()))
-                .or_insert((Time::ZERO, Time::ZERO));
-            entry.0 += b.gain_potential;
-            entry.1 += b.total_wait();
-        }
+        let tag = prog.channels()[b.chan as usize].tag;
+        let entry = weight
+            .entry((b.src.get(), b.dst.get(), tag.get()))
+            .or_insert((Time::ZERO, Time::ZERO));
+        entry.0 += b.gain_potential;
+        entry.1 += b.total_wait();
     }
     let mut ranked: Vec<((u32, u32, Tag), Time, Time)> = bundle
         .chunkable_channels()
@@ -407,8 +392,9 @@ fn propose(
 /// four mutations of the incumbent, score them concurrently, and accept
 /// each strict improvement in slot order.
 ///
-/// `pipeline` supplies only the original trace and its index, for the
-/// attribution ranking; candidates bypass it (see the module docs).
+/// `pipeline` supplies only the original trace, its index and program,
+/// for the attribution ranking; candidates bypass it (see the module
+/// docs).
 ///
 /// # Errors
 ///
@@ -447,8 +433,9 @@ pub fn run_tune_threaded(
     let budget = checked_budget(opts.budget)?;
     let original = pipeline.variant(bundle, None)?;
     let index = pipeline.index(&original)?;
-    let attribution = Attribution::analyze(platform, &original, &index)?;
-    let ranked = ranked_tunable_channels(bundle, &original, &index, &attribution);
+    let prog = pipeline.compiled(&original, &index)?;
+    let (attribution, _) = Attribution::analyze_compiled(platform, &original, &index, &prog)?;
+    let ranked = ranked_tunable_channels(bundle, &prog, &attribution);
 
     let uniform = OverlapPlan::uniform_linear();
     let (linear, mut incumbent) = score_plan(bundle, platform, opts.engine, None, &uniform)?;
@@ -548,7 +535,8 @@ pub fn run_tune_baseline(
 ) -> Result<TuneReport, LabError> {
     let budget = checked_budget(opts.budget)?;
     let index = pipeline.index(trace)?;
-    let attribution = Attribution::analyze(platform, trace, &index)?;
+    let prog = pipeline.compiled(trace, &index)?;
+    let (attribution, _) = Attribution::analyze_compiled(platform, trace, &index, &prog)?;
     let makespan = attribution.makespan();
     Ok(TuneReport {
         app: trace.name().to_owned(),

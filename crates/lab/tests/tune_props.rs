@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use ovlsim_apps::registry::AppOverrides;
 use ovlsim_apps::{ProblemClass, Synthetic};
-use ovlsim_core::{Bandwidth, CompiledTrace, Platform, TraceIndex};
+use ovlsim_core::{Bandwidth, CompiledTrace, Platform};
 use ovlsim_dimemas::{replay_naive, Simulator};
 use ovlsim_lab::{
     run_tune_threaded, ArtifactPipeline, DirectPipeline, Engine, EngineInput, LoweredPlan,
@@ -47,17 +47,15 @@ fn platform() -> Platform {
         .with_bandwidth(Bandwidth::from_bytes_per_sec(1e8).expect("valid bandwidth"))
 }
 
-/// The program of `plan`'s materialized trace, compiled with its own
-/// index.
+/// The program of `plan`'s materialized trace.
 fn materialized(bundle: &TraceBundle, plan: &OverlapPlan) -> CompiledTrace {
     let ts = bundle.overlapped_planned(plan).expect("plan synthesizes");
-    let index = TraceIndex::build(&ts).expect("synthesized trace is valid");
-    CompiledTrace::compile(&ts, &index).expect("compiles")
+    CompiledTrace::build(&ts).expect("synthesized trace is valid")
 }
 
 /// A candidate's program, linked from every rank lowered on its own,
-/// equals `compile` of its materialized trace with that trace's own
-/// index, and replays exactly as the naive engine replays the trace.
+/// equals `build` of its materialized trace, and replays exactly as the
+/// naive engine replays the trace.
 fn check_candidate(bundle: &TraceBundle, plan: &OverlapPlan) -> Result<(), TestCaseError> {
     let prog = LoweredPlan::lower(bundle, plan)
         .program(bundle)

@@ -175,7 +175,7 @@ impl DiskCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ovlsim_core::{MipsRate, RankTrace, Record, TraceIndex};
+    use ovlsim_core::{MipsRate, RankTrace, Record};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ovlsim-disk-{tag}-{}", std::process::id()));
@@ -207,8 +207,7 @@ mod tests {
         cache.store_trace(key, &trace);
         assert_eq!(cache.load_trace(key).unwrap(), trace);
 
-        let index = TraceIndex::build(&trace).unwrap();
-        let prog = CompiledTrace::compile(&trace, &index).unwrap();
+        let prog = CompiledTrace::build(&trace).unwrap();
         cache.store_program(key, &prog);
         assert_eq!(cache.load_program(key).unwrap(), prog);
 

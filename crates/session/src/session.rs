@@ -10,8 +10,11 @@ use ovlsim_apps::ProblemClass;
 use ovlsim_core::{CompiledTrace, Digest, StableHasher, TraceIndex, TraceSet};
 use ovlsim_dimemas::parse_trace_set;
 use ovlsim_lab::attribution::{Attribution, AttributionRecorder};
-use ovlsim_lab::pipeline::{build_index, ArtifactPipeline, DirectPipeline, EngineInput};
-use ovlsim_lab::{configured_threads, run_campaign_with, CampaignReport, CampaignSpec, LabError};
+use ovlsim_lab::pipeline::{ArtifactPipeline, DirectPipeline, EngineInput};
+use ovlsim_lab::{
+    compile_trace, configured_threads, run_campaign_with, CampaignReport, CampaignSpec, Engine,
+    LabError,
+};
 use ovlsim_tracer::{OverlapMode, TraceBundle};
 
 use crate::disk::{DiskCache, DiskStats};
@@ -29,7 +32,7 @@ use crate::store::{ArtifactStore, CacheStats};
 ///
 /// `Session` implements [`ArtifactPipeline`], so the campaign runner and
 /// every other lab entry point transparently share its cache: equal
-/// traces index and compile exactly once per session, no matter how many
+/// traces compile exactly once per session, no matter how many
 /// requests — or how many concurrent server connections — ask for them.
 pub struct Session {
     store: ArtifactStore,
@@ -145,6 +148,51 @@ impl Session {
         )
     }
 
+    /// The program of `trace`, the one artifact its check and lowering
+    /// leave: under the trace's `artifact:compiled` key, from memory, else
+    /// from the disk cache, else lowered and written through. The trace's
+    /// index is projected from it.
+    fn program(&self, trace: &Arc<TraceSet>) -> Result<Arc<CompiledTrace>, LabError> {
+        let key = derived_key("artifact:compiled", self.trace_key(trace));
+        self.program_at(key, || compile_trace(trace))
+    }
+
+    /// `source` resolved as far as it goes before a request reads its
+    /// platform. A generated overlapped source that the compiled engine
+    /// replays (`compiled`) is its program, lowered straight from the
+    /// bundle as a campaign lowers it, and shared with a campaign of the
+    /// same session: its trace is never built. Any other source is its
+    /// trace.
+    fn resolve(&self, source: &TraceSource, compiled: bool) -> Result<Resolved, SessionError> {
+        match source {
+            TraceSource::Generated {
+                app,
+                class,
+                mode: Some(mode),
+                ..
+            } if compiled => {
+                let overrides = source.overrides();
+                let prog = match self.load_variant_program(app, *class, overrides, *mode) {
+                    Some(prog) => prog,
+                    None => {
+                        let bundle = ArtifactPipeline::bundle(self, app, *class, overrides)?;
+                        self.variant_program(&bundle, *mode)?
+                    }
+                };
+                Ok(Resolved::Program(prog))
+            }
+            _ => Ok(Resolved::Trace(self.trace(source)?)),
+        }
+    }
+
+    /// The program of a resolved source.
+    fn resolved_program(&self, resolved: Resolved) -> Result<Arc<CompiledTrace>, LabError> {
+        match resolved {
+            Resolved::Program(prog) => Ok(prog),
+            Resolved::Trace(trace) => self.program(&trace),
+        }
+    }
+
     /// A snapshot of the artifact store's hit/build counters.
     pub fn stats(&self) -> CacheStats {
         self.store.stats()
@@ -209,14 +257,27 @@ impl Session {
     ///
     /// Propagates source, platform and replay errors.
     pub fn replay(&self, req: &ReplayRequest) -> Result<ReplayResponse, SessionError> {
-        let trace = self.trace(&req.source)?;
+        let resolved = self.resolve(&req.source, req.engine == Engine::Compiled)?;
         let platform = req.perturb.apply(req.platform.build()?)?;
-        let input = EngineInput::build(self, Arc::clone(&trace), &[req.engine], false)?;
+        let (name, input) = match resolved {
+            Resolved::Program(prog) => (
+                prog.name().to_string(),
+                EngineInput {
+                    trace: None,
+                    index: None,
+                    prog: Some(prog),
+                },
+            ),
+            Resolved::Trace(trace) => (
+                trace.name().to_string(),
+                EngineInput::build(self, trace, &[req.engine], false)?,
+            ),
+        };
         let result = input
             .replay(req.engine, &platform)
             .map_err(LabError::from)?;
         Ok(ReplayResponse {
-            trace: trace.name().to_string(),
+            trace: name,
             total: result.total_time(),
             comm_fraction: result.comm_fraction(),
             rank_finish: result.rank_finish().to_vec(),
@@ -226,21 +287,21 @@ impl Session {
     /// Replays an original/overlapped pair over a bandwidth range,
     /// fanning points across the session's worker pool. Both programs
     /// come from the cache: repeated sweeps over the same traces compile
-    /// exactly once.
+    /// exactly once, and no index is built.
     ///
     /// # Errors
     ///
-    /// Propagates source, validation, compilation and replay errors.
+    /// Propagates source, validation and replay errors.
     pub fn sweep(&self, req: &SweepRequest) -> Result<SweepResponse, SessionError> {
-        let orig = self.trace(&req.original)?;
-        let ovl = self.trace(&req.overlapped)?;
+        let orig = self.resolve(&req.original, true)?;
+        let ovl = self.resolve(&req.overlapped, true)?;
         let base = crate::request::PlatformSpec {
             bandwidth: None,
             latency_us: req.latency_us,
         }
         .build()?;
-        let orig_prog = self.compiled(&orig, &ArtifactPipeline::index(self, &orig)?)?;
-        let ovl_prog = self.compiled(&ovl, &ArtifactPipeline::index(self, &ovl)?)?;
+        let orig_prog = self.resolved_program(orig)?;
+        let ovl_prog = self.resolved_program(ovl)?;
         let points = ovlsim_lab::sweep_compiled_threaded(
             &orig_prog,
             &ovl_prog,
@@ -254,8 +315,9 @@ impl Session {
     /// Attributes wait time and extracts the critical path of one trace
     /// on one platform point, returning the folded attribution and the
     /// raw recorder (whose intervals the Paraver exporter consumes). The
-    /// observed replay runs the store's program for the trace, so a trace
-    /// already replayed or analyzed compiles nothing.
+    /// observed replay runs the store's program for the trace, and the
+    /// index is projected from it, so a trace already replayed or
+    /// analyzed compiles nothing.
     ///
     /// # Errors
     ///
@@ -292,6 +354,14 @@ impl Session {
     pub fn run_campaign(&self, spec: &CampaignSpec) -> Result<CampaignReport, SessionError> {
         Ok(run_campaign_with(self, spec, self.threads)?)
     }
+}
+
+/// A request's source, resolved by [`Session::resolve`].
+enum Resolved {
+    /// A generated overlapped variant's program.
+    Program(Arc<CompiledTrace>),
+    /// Any other source's trace.
+    Trace(Arc<TraceSet>),
 }
 
 fn bundle_key(app: &str, class: ProblemClass, overrides: AppOverrides) -> Digest {
@@ -426,31 +496,20 @@ impl ArtifactPipeline for Session {
     fn index(&self, trace: &Arc<TraceSet>) -> Result<Arc<TraceIndex>, LabError> {
         self.store
             .index(derived_key("artifact:index", self.trace_key(trace)), || {
-                build_index(trace)
+                Ok(TraceIndex::of(&*self.program(trace)?))
             })
     }
 
     fn compiled(
         &self,
         trace: &Arc<TraceSet>,
-        index: &Arc<TraceIndex>,
+        _index: &Arc<TraceIndex>,
     ) -> Result<Arc<CompiledTrace>, LabError> {
-        let key = derived_key("artifact:compiled", self.trace_key(trace));
-        self.program_at(key, || Ok(CompiledTrace::compile(trace, index)?))
+        self.program(trace)
     }
 
     fn compiled_standalone(&self, trace: &Arc<TraceSet>) -> Result<Arc<CompiledTrace>, LabError> {
-        let key = derived_key("artifact:compiled", self.trace_key(trace));
-        if let Some(prog) = self
-            .store
-            .load_program(key, || self.disk.as_ref().and_then(|d| d.load_program(key)))
-        {
-            return Ok(prog);
-        }
-        // Cold path: validate + compile through the caches (which also
-        // writes the program through to disk).
-        let index = self.index(trace)?;
-        self.compiled(trace, &index)
+        self.program(trace)
     }
 }
 
@@ -524,11 +583,12 @@ mod tests {
         let (attribution, recorder) = session.analyze(&analyze).unwrap();
         let after = session.stats().programs;
         assert_eq!(after.builds, stored.builds, "analyze compiled a program");
-        assert_eq!(after.hits, stored.hits + 1);
+        // One hit projects the index, one replays the program.
+        assert_eq!(after.hits, stored.hits + 2);
 
         // The same analysis as one that compiles its own program.
         let trace = session.trace(&source).unwrap();
-        let index = build_index(&trace).unwrap();
+        let index = TraceIndex::build(&trace).unwrap();
         let platform = PlatformSpec::default().build().unwrap();
         let fresh = Attribution::analyze_with_recorder(&platform, &trace, &index).unwrap();
         assert_eq!(attribution, fresh.0);

@@ -391,11 +391,7 @@ mod tests {
             .program_with::<Infallible>(
                 key(4),
                 || None,
-                || {
-                    let t = tiny_trace("d");
-                    let i = TraceIndex::build(&t).unwrap();
-                    Ok(CompiledTrace::compile(&t, &i).unwrap())
-                },
+                || Ok(CompiledTrace::build(&tiny_trace("d")).unwrap()),
             )
             .unwrap();
         let json = store.stats().to_json();

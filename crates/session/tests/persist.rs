@@ -9,10 +9,10 @@ use std::path::PathBuf;
 
 use ovlsim_apps::registry::AppOverrides;
 use ovlsim_apps::ProblemClass;
-use ovlsim_core::Bandwidth;
-use ovlsim_lab::{run_tune, ArtifactPipeline, CampaignSpec, DirectPipeline, TuneOptions};
+use ovlsim_core::{Bandwidth, TraceIndex};
+use ovlsim_lab::{run_tune, ArtifactPipeline, CampaignSpec, DirectPipeline, Engine, TuneOptions};
 use ovlsim_session::faultinject::FaultPlan;
-use ovlsim_session::{Session, TraceSource};
+use ovlsim_session::{PerturbSpec, PlatformSpec, ReplayRequest, Session, TraceSource};
 
 const SPEC: &str = "campaign persist\napps sweep3d\nclasses S\nmodes linear\n\
                     engines compiled\nbandwidths log 1e8 1e9 3\n";
@@ -303,19 +303,73 @@ fn tuning_leaves_no_candidate_artifacts() {
     };
     let report = run_tune(&session, &bundle(&session), &platform, &opts).expect("tunes");
 
+    // The original's program serves both its index and its attribution;
+    // no candidate is compiled through the session.
     let stats = session.stats();
-    assert_eq!(stats.programs.builds, 0, "a candidate was compiled");
+    assert_eq!(stats.programs.builds, 1, "a candidate was compiled");
     assert_eq!(stats.traces.builds, 1, "only the original trace is built");
     assert_eq!(
         stats.indexes.builds, 1,
         "only the original trace is indexed"
     );
     let disk = session.disk_stats().expect("disk cache attached");
-    assert_eq!(disk.stores, 1, "only the original trace is persisted");
+    assert_eq!(
+        disk.stores, 2,
+        "only the original trace and its program are persisted"
+    );
 
     let direct = run_tune(&DirectPipeline, &bundle(&DirectPipeline), &platform, &opts)
         .expect("tunes without a cache");
     assert_eq!(report, direct);
+    fs::remove_dir_all(&cache).unwrap();
+}
+
+/// A warm session's index of a stored trace is projected from the
+/// program it decodes from the cache: nothing is lowered, and the index is
+/// the trace's own.
+#[test]
+fn a_warm_index_is_projected_from_the_stored_program() {
+    let cache = scratch("warm-index");
+    let source = TraceSource::Text {
+        dim: fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../examples/traces/nas-bt-mini.original.dim"
+        ))
+        .expect("the committed mini trace"),
+    };
+    let open = || {
+        Session::with_threads(1)
+            .with_cache_dir(&cache)
+            .expect("cache dir opens")
+    };
+    open()
+        .replay(&ReplayRequest {
+            source: source.clone(),
+            platform: PlatformSpec::default(),
+            perturb: PerturbSpec::default(),
+            engine: Engine::Compiled,
+        })
+        .expect("replays");
+
+    let warm = open();
+    let trace = warm.trace(&source).expect("loads");
+    let index = ArtifactPipeline::index(&warm, &trace).expect("projects");
+    assert_eq!(*index, TraceIndex::build(&trace).expect("valid"));
+    let stats = warm.stats();
+    assert_eq!(
+        (stats.traces.loads, stats.programs.loads),
+        (1, 1),
+        "the trace and its program load from disk"
+    );
+    assert_eq!(
+        (
+            stats.traces.builds,
+            stats.programs.builds,
+            stats.indexes.builds
+        ),
+        (0, 0, 1),
+        "only the index is built"
+    );
     fs::remove_dir_all(&cache).unwrap();
 }
 

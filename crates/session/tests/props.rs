@@ -4,8 +4,11 @@
 //! engines.
 
 use ovlsim_apps::ProblemClass;
-use ovlsim_lab::Engine;
-use ovlsim_session::{PerturbSpec, PlatformSpec, ReplayRequest, Session, TraceSource};
+use ovlsim_core::TraceIndex;
+use ovlsim_lab::{ArtifactPipeline, Engine};
+use ovlsim_session::{
+    AnalyzeRequest, CacheStats, PerturbSpec, PlatformSpec, ReplayRequest, Session, TraceSource,
+};
 use ovlsim_tracer::OverlapMode;
 use proptest::prelude::*;
 
@@ -157,11 +160,21 @@ fn cache_hit_replay_is_bit_identical_to_cache_miss() {
         let before = warmed.stats();
         let hit = warmed.replay(&req).unwrap();
         let after = warmed.stats();
-        assert!(
-            after.traces.hits > before.traces.hits,
-            "second {engine:?} replay did not hit the trace cache"
+        // The compiled engine replays the variant's program, lowered
+        // straight from the bundle; the naive engine replays its trace.
+        let served = |stats: &CacheStats| match engine {
+            Engine::Compiled => stats.programs,
+            Engine::Naive => stats.traces,
+        };
+        assert_eq!(
+            served(&after).hits,
+            served(&before).hits + 1,
+            "second {engine:?} replay did not hit the cache"
         );
-        assert_eq!(after.traces.builds, before.traces.builds);
+        let builds = |stats: &CacheStats| {
+            [stats.bundles, stats.traces, stats.indexes, stats.programs].map(|s| s.builds)
+        };
+        assert_eq!(builds(&after), builds(&before));
         assert_eq!(
             miss, hit,
             "{engine:?} cache-hit replay diverged from cache-miss"
@@ -194,7 +207,45 @@ fn engines_agree_through_the_session() {
         totals.push((resp.total, resp.rank_finish.clone()));
     }
     assert_eq!(totals[0], totals[1]);
-    // One trace, one index, one compiled program across both.
+    // One trace and one compiled program across both; a replay builds no
+    // index.
     assert_eq!(session.stats().compiles(), 1);
-    assert_eq!(session.stats().indexes.builds, 1);
+    assert_eq!(session.stats().indexes.builds, 0);
+}
+
+/// A compiled replay of an inline trace lowers it once and builds no
+/// index; an analyze that follows projects the index from the stored
+/// program and lowers nothing. The projected index is the trace's own.
+#[test]
+fn a_replay_builds_no_index_and_an_analyze_no_program() {
+    let session = Session::with_threads(1);
+    let dim = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/traces/nas-bt-mini.original.dim"
+    ))
+    .expect("the committed mini trace");
+    let source = TraceSource::Text { dim };
+    session
+        .replay(&ReplayRequest {
+            source: source.clone(),
+            platform: PlatformSpec::default(),
+            perturb: PerturbSpec::default(),
+            engine: Engine::Compiled,
+        })
+        .expect("replays");
+    let built = |stats: CacheStats| (stats.programs.builds, stats.indexes.builds);
+    assert_eq!(built(session.stats()), (1, 0));
+    session
+        .analyze(&AnalyzeRequest {
+            source: source.clone(),
+            platform: PlatformSpec::default(),
+            perturb: PerturbSpec::default(),
+        })
+        .expect("analyzes");
+    assert_eq!(built(session.stats()), (1, 1));
+
+    let trace = session.trace(&source).expect("stored");
+    let index = ArtifactPipeline::index(&session, &trace).expect("stored");
+    assert_eq!(*index, TraceIndex::build(&trace).expect("valid"));
+    assert_eq!(built(session.stats()), (1, 1));
 }

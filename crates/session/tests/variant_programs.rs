@@ -1,14 +1,18 @@
 //! Overlapped-variant programs lowered straight from a bundle, rank by
-//! rank, against the programs compiled from the materialized variants,
-//! and the session's keys for variants of bundles it did not trace.
+//! rank, against the programs compiled from the materialized variants;
+//! the session's keys for variants of bundles it did not trace; and a
+//! request for a generated overlapped source served by a campaign's
+//! program.
 
 use std::sync::Arc;
 
 use ovlsim_apps::registry::{build_app, AppOverrides, APP_NAMES};
 use ovlsim_apps::ProblemClass;
-use ovlsim_core::{CompiledTrace, TraceIndex};
-use ovlsim_lab::{parse_mode, ArtifactPipeline, DirectPipeline};
-use ovlsim_session::Session;
+use ovlsim_core::CompiledTrace;
+use ovlsim_lab::{log_bandwidths, parse_mode, sweep_traces, ArtifactPipeline, DirectPipeline};
+use ovlsim_session::{
+    CacheStats, CampaignRequest, PlatformSpec, Session, SweepRequest, TraceSource,
+};
 use ovlsim_tracer::{ChunkingPolicy, OverlapMode, TraceBundle, TracingSession};
 
 const MODES: [&str; 4] = ["linear", "real", "linear-earlysend", "linear-latewait"];
@@ -30,14 +34,12 @@ fn traced(app: &str, class: ProblemClass, policy: Option<&ChunkingPolicy>) -> Tr
     .expect("traces")
 }
 
-/// The program of `bundle`'s `mode` variant, materialized, indexed and
-/// compiled.
+/// The program of `bundle`'s `mode` variant, materialized and compiled.
 fn materialized(bundle: &TraceBundle, mode: OverlapMode) -> CompiledTrace {
     let trace = bundle
         .overlapped_with(mode, bundle.policy())
         .expect("the variant validates");
-    let index = TraceIndex::build(&trace).expect("the variant indexes");
-    CompiledTrace::compile(&trace, &index).expect("the variant compiles")
+    CompiledTrace::build(&trace).expect("the variant compiles")
 }
 
 /// Every paper app at S and A under `policy` (`None`: the default, traced
@@ -133,4 +135,64 @@ fn foreign_bundles_with_equal_originals_get_their_own_variants() {
     // The original depends on the records alone, so it is kept once.
     let originals = [&a, &b].map(|bundle| session.variant(bundle, None).unwrap());
     assert!(Arc::ptr_eq(&originals[0], &originals[1]));
+}
+
+/// A sweep of a generated original and its `linear` source, after a
+/// compiled campaign of the same app, class and overrides, replays the
+/// programs the campaign left: it builds nothing on any shelf (the
+/// overlapped variant is neither materialized nor lowered again), and its
+/// points equal a sweep of the materialized traces.
+#[test]
+fn a_sweep_after_a_campaign_replays_the_campaign_programs() {
+    let session = Session::with_threads(1);
+    session
+        .campaign(&CampaignRequest {
+            spec: "campaign shared\napps sweep3d\nclasses S\nranks 4\niterations 1\n\
+                   modes linear\nengines compiled\nbandwidths list 1e8\n"
+                .to_string(),
+        })
+        .expect("the campaign runs");
+    let source = |mode| TraceSource::Generated {
+        app: "sweep3d".to_string(),
+        class: ProblemClass::S,
+        ranks: Some(4),
+        iterations: Some(1),
+        mode,
+    };
+    let req = SweepRequest {
+        original: source(None),
+        overlapped: source(Some(OverlapMode::linear())),
+        bandwidths: log_bandwidths(1e7, 1e10, 4),
+        latency_us: Some(5),
+    };
+    let builds = |stats: CacheStats| {
+        [stats.bundles, stats.traces, stats.indexes, stats.programs].map(|shelf| shelf.builds)
+    };
+    let before = builds(session.stats());
+    let swept = session.sweep(&req).expect("sweeps");
+    assert_eq!(
+        builds(session.stats()),
+        before,
+        "the sweep built an artifact"
+    );
+
+    let overrides = AppOverrides {
+        ranks: Some(4),
+        iterations: Some(1),
+    };
+    let bundle = DirectPipeline
+        .bundle("sweep3d", ProblemClass::S, overrides)
+        .expect("traces");
+    let base = PlatformSpec {
+        bandwidth: None,
+        latency_us: Some(5),
+    }
+    .build()
+    .expect("a valid platform");
+    let overlapped = bundle
+        .overlapped(OverlapMode::linear())
+        .expect("synthesizes");
+    let expected =
+        sweep_traces(bundle.original(), &overlapped, &base, &req.bandwidths).expect("sweeps");
+    assert_eq!(swept.points, expected);
 }

@@ -179,8 +179,7 @@ impl TraceBundle {
     /// [`TraceBundle::lower_planned_rank`], given in rank order, into the
     /// trace's replay program. The program equals
     /// [`CompiledTrace::build`] of [`TraceBundle::overlapped_planned`]'s
-    /// trace, and so `CompiledTrace::compile` of that trace with its own
-    /// index. Each rank may have been lowered under another plan that
+    /// trace. Each rank may have been lowered under another plan that
     /// agrees with `plan` on it ([`OverlapPlan::differing_ranks`]). This is
     /// the auto-tuner's candidate path.
     ///

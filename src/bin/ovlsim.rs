@@ -627,8 +627,9 @@ fn cmd_analyze(
         }
         other => other.to_string(),
     })?;
-    let (attr, recorder) =
-        Attribution::analyze_with_recorder(&platform, &trace, &index).map_err(|e| e.to_string())?;
+    let prog = ArtifactPipeline::compiled(&session, &trace, &index).map_err(|e| e.to_string())?;
+    let (attr, recorder) = Attribution::analyze_compiled(&platform, &trace, &index, &prog)
+        .map_err(|e| e.to_string())?;
 
     let write_out = |suffix: &str, content: String| -> Result<PathBuf, String> {
         let p = out_path(out_dir, attr.trace_name(), suffix)?;

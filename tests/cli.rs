@@ -159,6 +159,121 @@ fn trace_validate_rejects_broken_trace() {
     assert!(!out.status.success(), "broken trace must fail validation");
 }
 
+/// A trace with an issue of each `TraceIssue` kind: a wait on an unknown
+/// request, a re-posted request, a collective root out of range (on both
+/// ranks), a leaked request, a size mismatch, an unbalanced channel and a
+/// collective mismatch.
+const EVERY_ISSUE_KIND: &str = "\
+name all-kinds
+mips 1000
+ranks 2
+rank 0
+wait req9
+irecv r1 8 t1 req1
+irecv r1 8 t1 req1
+wait req1
+isend r1 8 t2 req2
+bcast r7 8
+barrier
+end
+rank 1
+send r0 8 t1
+send r0 8 t1
+recv r0 16 t2
+send r0 4 t3
+bcast r7 8
+allreduce 8
+end
+";
+
+/// The issues of [`EVERY_ISSUE_KIND`], in the order validation reports
+/// them: per-record issues rank by rank, then channels, then collectives.
+const EVERY_ISSUE: [&str; 8] = [
+    "record 0 of r0 waits on unknown req9",
+    "record 2 of r0 re-posts in-flight req1",
+    "record 5 of r0 references out-of-range rank r7",
+    "r0 never waits on posted req2",
+    "record 4 of r1 references out-of-range rank r7",
+    "channel r0->r1 t2 pair 0: send 8 B vs recv 16 B",
+    "channel r1->r0 t3 has 1 sends but 0 recvs",
+    "collective sequence mismatch at position 1 (r1): rank 0 sees `barrier`, r1 sees `allreduce 8`",
+];
+
+/// Runs `ovlsim` on [`EVERY_ISSUE_KIND`] written to a file, with `args`
+/// before and `tail` after its path; returns the path, the exit code,
+/// stdout and stderr.
+fn run_on_every_issue_kind(
+    test: &str,
+    args: &[&str],
+    tail: &[&str],
+) -> (String, Option<i32>, String, String) {
+    let path = scratch_dir(test).join("all-kinds.dim");
+    std::fs::write(&path, EVERY_ISSUE_KIND).unwrap();
+    let path = path.to_str().unwrap().to_string();
+    let out = ovlsim().args(args).arg(&path).args(tail).output().unwrap();
+    (
+        path,
+        out.status.code(),
+        String::from_utf8(out.stdout).unwrap(),
+        String::from_utf8(out.stderr).unwrap(),
+    )
+}
+
+#[test]
+fn trace_validate_lists_every_issue_kind() {
+    let (path, code, stdout, stderr) =
+        run_on_every_issue_kind("every-issue-validate", &["trace", "validate"], &[]);
+    assert_eq!(code, Some(1));
+    assert_eq!(stdout, "");
+    let listing: String = EVERY_ISSUE
+        .iter()
+        .map(|issue| format!("{path}: {issue}\n"))
+        .collect();
+    assert_eq!(stderr, format!("{listing}error: 8 issues\n"));
+}
+
+#[test]
+fn trace_replay_reports_every_issue_kind_on_each_engine() {
+    let expected = format!(
+        "error: trace failed validation with 8 issues; {}\n",
+        EVERY_ISSUE[..3].join("; ")
+    );
+    let engines: [&[&str]; 3] = [
+        &[],
+        &["1e8", "5", "--engine", "compiled"],
+        &["1e8", "5", "--engine", "naive"],
+    ];
+    for tail in engines {
+        let (_, code, stdout, stderr) =
+            run_on_every_issue_kind("every-issue-replay", &["trace", "replay"], tail);
+        assert_eq!(code, Some(1), "{tail:?}");
+        assert_eq!(stdout, "", "{tail:?}");
+        assert_eq!(stderr, expected, "{tail:?}");
+    }
+}
+
+#[test]
+fn analyze_lists_every_issue_kind() {
+    let dir = scratch_dir("every-issue-analyze");
+    let out = dir.join("out");
+    let (path, code, stdout, stderr) = run_on_every_issue_kind(
+        "every-issue-analyze",
+        &["analyze"],
+        &["--out", out.to_str().unwrap()],
+    );
+    assert_eq!(code, Some(1));
+    assert_eq!(stdout, "");
+    let listing: String = EVERY_ISSUE
+        .iter()
+        .map(|issue| format!("{path}: {issue}\n"))
+        .collect();
+    assert_eq!(
+        stderr,
+        format!("{listing}error: {path}: 8 validation issues\n")
+    );
+    assert!(!out.exists(), "analyze wrote a report for a broken trace");
+}
+
 #[test]
 fn trace_unknown_app_is_reported() {
     let out = ovlsim()
