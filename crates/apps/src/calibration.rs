@@ -6,8 +6,9 @@
 //! SPECFEM 65%, Sweep3D 160%. The application defaults in this crate are
 //! calibrated so that, on the [`reference_platform`] at each app's
 //! intermediate bandwidth, the linear-mode speedup lands in the same band.
-//! The `exp_ideal_speedup` binary (experiment E3) prints paper-vs-measured
-//! for every app.
+//! The `ovl-linear` rows of `examples/campaigns/mechanisms.campaign` print
+//! the measured speedups at 250 MB/s, and `tests/paper_claims.rs` asserts
+//! each band.
 
 use ovlsim_core::{Bandwidth, Platform, Time};
 

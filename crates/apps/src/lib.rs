@@ -62,7 +62,8 @@ pub use synthetic::{Synthetic, SyntheticBuilder, Topology};
 use ovlsim_tracer::Application;
 
 /// Constructs every paper application with its default (calibrated)
-/// parameters, for use by the experiment suite.
+/// parameters: the size a campaign builds at class A, on which
+/// `tests/paper_claims.rs` asserts the paper's findings.
 pub fn paper_apps() -> Vec<Box<dyn Application>> {
     vec![
         Box::new(NasBt::builder().build().expect("default NAS-BT is valid")),

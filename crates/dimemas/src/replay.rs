@@ -216,7 +216,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::observer::{ProcState, WaitCause};
-    use ovlsim_core::{Instr, MipsRate, Rank, RankTrace, Record, RequestId, Tag};
+    use ovlsim_core::{Bandwidth, Instr, MipsRate, Rank, RankTrace, Record, RequestId, Tag};
 
     fn mips() -> MipsRate {
         MipsRate::new(1000).unwrap()
@@ -939,9 +939,10 @@ mod tests {
         // Pairs (0,1) and (2,3) exchange under a single shared bus. With
         // one rank per node every message crosses the bus and serializes;
         // with two ranks per node both messages are intra-node, bypass the
-        // bus/NIC fabric entirely, and the run finishes faster. The
-        // production executor and naive replay stay bit-identical on both
-        // topologies.
+        // bus/NIC fabric entirely, and the run finishes faster; with all
+        // four on one node no bus is ever busy. More intra-node bandwidth
+        // never slows a fixed packing. The production executor and naive
+        // replay stay bit-identical on every topology.
         let ts = trace(vec![
             vec![Record::Send {
                 to: Rank::new(1),
@@ -964,7 +965,7 @@ mod tests {
                 tag: Tag::new(0),
             }],
         ]);
-        let platform_with_rpn = |rpn: u32| {
+        let platform_with = |rpn: u32, intra_bps: f64| {
             Platform::builder()
                 .latency(Time::from_us(1))
                 .bandwidth_bytes_per_sec(1.0e9)
@@ -972,24 +973,35 @@ mod tests {
                 .buses(Some(1))
                 .ranks_per_node(rpn)
                 .expect("positive packing")
+                .intra_node_bandwidth(Bandwidth::from_bytes_per_sec(intra_bps).unwrap())
                 .build()
         };
-        let mut totals = Vec::new();
-        for rpn in [1u32, 2] {
-            let p = platform_with_rpn(rpn);
-            let run = Simulator::new(p.clone()).run(&ts).unwrap();
-            let naive = crate::naive::replay_naive(&p, &ts).unwrap();
-            assert_eq!(run, naive, "naive diverged at rpn={rpn}");
-            totals.push(run.total_time());
+        // Ranks per node major, intra-node bandwidth (1, then 10 GB/s)
+        // minor.
+        let mut runs = Vec::new();
+        for rpn in [1u32, 2, 4] {
+            for intra_bps in [1.0e9, 1.0e10] {
+                let p = platform_with(rpn, intra_bps);
+                let run = Simulator::new(p.clone()).run(&ts).unwrap();
+                let naive = crate::naive::replay_naive(&p, &ts).unwrap();
+                assert_eq!(run, naive, "naive diverged at rpn={rpn}, intra={intra_bps}");
+                runs.push(run);
+            }
         }
         // rpn=1: the two 100 us transmissions serialize on the one bus.
         // rpn=2: both messages use the 10 GB/s intra path concurrently.
         assert!(
-            totals[1] < totals[0],
+            runs[3].total_time() < runs[1].total_time(),
             "2 ranks/node ({}) should beat 1 rank/node ({}) under a constrained bus",
-            totals[1],
-            totals[0],
+            runs[3].total_time(),
+            runs[1].total_time(),
         );
+        // rpn=4: every rank on one node, so no transfer touches a bus.
+        assert_eq!(runs[4].mean_busy_buses(), 0.0);
+        assert_eq!(runs[5].mean_busy_buses(), 0.0);
+        for pair in runs.chunks(2) {
+            assert!(pair[1].total_time() <= pair[0].total_time());
+        }
     }
 
     #[test]

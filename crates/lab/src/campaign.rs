@@ -17,7 +17,8 @@
 //! # Spec format
 //!
 //! One `key value...` statement per line; `#` starts a comment; blank
-//! lines are ignored; keys may appear at most once.
+//! lines are ignored; keys may appear at most once. A grid axis holds at
+//! most 4,096 points and a grid expands to at most 65,536.
 //!
 //! ```text
 //! campaign paper            # required: report name
@@ -211,6 +212,18 @@ pub enum SpecError {
         /// What the key wanted.
         reason: String,
     },
+    /// A grid holds more points than a campaign runs: an axis above
+    /// 4,096, or an expanded grid above 65,536.
+    TooManyPoints {
+        /// 1-based spec line and key of the axis; `None` when the
+        /// expanded grid is over its limit.
+        axis: Option<(usize, String)>,
+        /// The points asked for (an expanded total saturates at
+        /// `usize::MAX`).
+        points: usize,
+        /// The limit.
+        max: usize,
+    },
 }
 
 impl fmt::Display for SpecError {
@@ -263,6 +276,22 @@ impl fmt::Display for SpecError {
             SpecError::InvalidPerturbation { line, key, reason } => {
                 write!(f, "line {line}: `{key}`: {reason}")
             }
+            SpecError::TooManyPoints {
+                axis: Some((line, key)),
+                points,
+                max,
+            } => write!(
+                f,
+                "line {line}: `{key}` asks for {points} points, above the limit of {max} per axis"
+            ),
+            SpecError::TooManyPoints {
+                axis: None,
+                points,
+                max,
+            } => write!(
+                f,
+                "the grid expands to {points} points, above the limit of {max}"
+            ),
         }
     }
 }
@@ -296,6 +325,18 @@ pub fn parse_mode(s: &str) -> Option<OverlapMode> {
 fn parse_class(s: &str) -> Option<ProblemClass> {
     s.parse().ok()
 }
+
+/// The most points one grid axis (`bandwidths`, `ranks-per-node`, `noise
+/// level`) may list. A `bandwidths log` axis is allocated whole while the
+/// spec is parsed, and every axis is checked pairwise for repeats, so an
+/// unchecked count would cost memory and quadratic time before anything
+/// runs. The committed specs list at most 5 points on an axis.
+const MAX_AXIS_POINTS: usize = 4096;
+
+/// The most points a grid may expand to. A spec reaches the runner through
+/// a server's `POST /campaign` too, and every point is two replays; the
+/// committed specs expand to at most 288.
+const MAX_GRID_POINTS: usize = 65_536;
 
 /// A parsed, validated campaign description.
 ///
@@ -471,6 +512,17 @@ impl CampaignSpec {
                     }
                 })
             };
+            let axis_points = |points: usize| -> Result<(), SpecError> {
+                if points > MAX_AXIS_POINTS {
+                    Err(SpecError::TooManyPoints {
+                        axis: Some((line, key.to_string())),
+                        points,
+                        max: MAX_AXIS_POINTS,
+                    })
+                } else {
+                    Ok(())
+                }
+            };
             match key {
                 "campaign" => {
                     dup(name.is_some())?;
@@ -574,6 +626,7 @@ impl CampaignSpec {
                                     ),
                                 });
                             }
+                            axis_points(points)?;
                             // Quantize the interpolated grid to integer
                             // bytes/s: ln/exp are not IEEE-specified, so
                             // raw results can differ by an ulp across
@@ -597,6 +650,7 @@ impl CampaignSpec {
                                     reason: "`list` needs at least one value".to_string(),
                                 });
                             }
+                            axis_points(values.len() - 1)?;
                             let mut list = Vec::new();
                             for v in &values[1..] {
                                 let bw = positive_bandwidth(v)?;
@@ -617,6 +671,7 @@ impl CampaignSpec {
                 "ranks-per-node" => {
                     dup(ranks_per_node.is_some())?;
                     nonempty()?;
+                    axis_points(values.len())?;
                     let mut list = Vec::new();
                     for v in &values {
                         let rpn: u32 = v.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
@@ -704,6 +759,7 @@ impl CampaignSpec {
                             if values.len() < 2 {
                                 return Err(bad("`level` needs at least one value".to_string()));
                             }
+                            axis_points(values.len() - 1)?;
                             let mut list = Vec::new();
                             for v in &values[1..] {
                                 let l = number(v)?;
@@ -866,7 +922,7 @@ impl CampaignSpec {
         if !saw_statement {
             return Err(SpecError::Empty);
         }
-        Ok(CampaignSpec {
+        let spec = CampaignSpec {
             name: name.ok_or(SpecError::MissingKey { key: "campaign" })?,
             apps: apps.ok_or(SpecError::MissingKey { key: "apps" })?,
             classes: classes.unwrap_or_else(|| vec![ProblemClass::A]),
@@ -889,7 +945,20 @@ impl CampaignSpec {
             tune_budget: tune_budget.unwrap_or(crate::tune::DEFAULT_TUNE_BUDGET),
             tune_seed: tune_seed.unwrap_or(0),
             force_engine: None,
-        })
+        };
+        // Checked: a product of axis lengths must not wrap below the limit.
+        let total = spec
+            .axis_lens()
+            .into_iter()
+            .try_fold(1usize, usize::checked_mul);
+        match total {
+            Some(points) if points <= MAX_GRID_POINTS => Ok(spec),
+            _ => Err(SpecError::TooManyPoints {
+                axis: None,
+                points: total.unwrap_or(usize::MAX),
+                max: MAX_GRID_POINTS,
+            }),
+        }
     }
 
     /// True when the spec perturbs anything: a positive noise level,
@@ -955,13 +1024,20 @@ impl CampaignSpec {
     /// Number of grid points ([`CampaignSpec::expand`] without the
     /// allocation).
     pub fn point_count(&self) -> usize {
-        self.apps.len()
-            * self.classes.len()
-            * self.modes.len()
-            * self.engines.len()
-            * self.ranks_per_node.len()
-            * self.noise_levels.len()
-            * self.bandwidths.len()
+        self.axis_lens().into_iter().product()
+    }
+
+    /// The length of each grid axis, in [`CampaignSpec::expand`] order.
+    fn axis_lens(&self) -> [usize; 7] {
+        [
+            self.apps.len(),
+            self.classes.len(),
+            self.modes.len(),
+            self.engines.len(),
+            self.ranks_per_node.len(),
+            self.noise_levels.len(),
+            self.bandwidths.len(),
+        ]
     }
 }
 
@@ -1614,6 +1690,39 @@ iterations 1
         assert_eq!(points[3].ranks_per_node, 1);
         assert_eq!(points[4].ranks_per_node, 2);
         assert!((points[0].bandwidth.bytes_per_sec() - 1.0e6).abs() < 1.0);
+
+        // An axis holds at most 4096 points and a grid at most 65536;
+        // both are refused before the axis is allocated.
+        let at_cap = "campaign g\napps pop alya sweep3d nas-bt\n\
+                      modes linear real linear-earlysend linear-latewait\n\
+                      bandwidths log 1e6 1e9 4096\n";
+        assert_eq!(CampaignSpec::parse(at_cap).unwrap().point_count(), 65_536);
+        let packings: Vec<String> = (1..=4097).map(|n: u32| n.to_string()).collect();
+        let packings = format!(
+            "campaign g\napps pop\nranks-per-node {}\nbandwidths list 1e8\n",
+            packings.join(" ")
+        );
+        for (bad, axis, points) in [
+            (
+                "campaign g\napps pop\nbandwidths log 1e7 1e10 10000000000\n",
+                Some((3, "bandwidths".to_string())),
+                10_000_000_000,
+            ),
+            (
+                "campaign g\napps pop\nbandwidths log 1e6 1e9 4097\n",
+                Some((3, "bandwidths".to_string())),
+                4097,
+            ),
+            (&packings, Some((3, "ranks-per-node".to_string())), 4097),
+            (&format!("{at_cap}ranks-per-node 1 2\n"), None, 131_072),
+        ] {
+            let max = if axis.is_some() { 4096 } else { 65_536 };
+            assert_eq!(
+                CampaignSpec::parse(bad).unwrap_err(),
+                SpecError::TooManyPoints { axis, points, max },
+                "spec {bad:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Deterministic fan-out of independent experiment work across threads.
 //!
-//! Every sweep point and every app×platform combination in the experiment
-//! suite replays immutable traces on its own `Simulator`, so they can run
-//! on any thread in any order — only the *collection order* of results
-//! matters for determinism. [`par_map`] preserves it: results come back
-//! indexed by input position, so the output is byte-identical to the
-//! sequential path no matter how the OS schedules the workers.
+//! Every sweep point and every campaign grid point replays immutable
+//! programs on its own `Simulator`, so they can run on any thread in any
+//! order — only the *collection order* of results matters for
+//! determinism. [`par_map_with`] preserves it: results come back indexed
+//! by input position, so the output is byte-identical to the sequential
+//! path no matter how the OS schedules the workers.
 //!
 //! A campaign run uses the pool twice: once over its app×class pairs,
 //! each of which traces, synthesizes and compiles its own groups, and
@@ -24,12 +24,12 @@ use std::cell::Cell;
 use crate::error::LabError;
 
 thread_local! {
-    /// Set inside worker threads: nested `par_map` calls run inline
+    /// Set inside worker threads: nested `par_map_with` calls run inline
     /// instead of spawning threads-of-threads.
     static IN_PARALLEL: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Worker count for the next top-level `par_map`: `OVLSIM_THREADS` if
+/// Worker count for the next top-level fan-out: `OVLSIM_THREADS` if
 /// set to a positive integer, else the machine's available parallelism.
 ///
 /// # Errors
@@ -66,25 +66,10 @@ fn parse_threads(v: &str) -> Result<usize, LabError> {
     }
 }
 
-/// Maps `f` over `items`, returning results in input order. Runs on up to
-/// [`configured_threads`] scoped threads when this is a top-level call;
-/// otherwise sequentially. Panics in `f` propagate to the caller.
-///
-/// # Errors
-///
-/// Returns [`LabError::InvalidThreadConfig`] on a malformed
-/// `OVLSIM_THREADS` (see [`configured_threads`]).
-pub(crate) fn par_map<T, R, F>(items: &[T], f: F) -> Result<Vec<R>, LabError>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    Ok(par_map_with(items, configured_threads()?, f))
-}
-
-/// [`par_map`] with an explicit worker cap (used by tests and scaling
-/// measurements to pin the thread count).
+/// Maps `f` over `items` on up to `threads` scoped threads, returning
+/// results in input order. Runs sequentially when `threads` is 1 or when
+/// called from inside another fan-out. Panics in `f` propagate to the
+/// caller.
 pub(crate) fn par_map_with<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,

@@ -1,9 +1,7 @@
-//! Bandwidth sweeps (the x-axis of every figure in the paper) and the
-//! hierarchical-platform sweep over node packing × intra-node bandwidth.
+//! Bandwidth sweeps (the x-axis of every figure in the paper).
 
 use ovlsim_core::{Bandwidth, CompiledTrace, Platform, Time, TraceSet};
 use ovlsim_dimemas::{SimError, Simulator};
-use ovlsim_tracer::{OverlapMode, TraceBundle};
 
 use crate::error::LabError;
 use crate::par;
@@ -57,25 +55,15 @@ pub struct SweepPoint {
     pub comm_fraction: f64,
 }
 
-/// `original / overlapped` makespan ratio, treating a zero overlapped
-/// makespan (degenerate empty trace) as parity.
-fn speedup_of(original: Time, overlapped: Time) -> f64 {
-    if overlapped.is_zero() {
-        return 1.0;
-    }
-    original.as_secs_f64() / overlapped.as_secs_f64()
-}
-
 impl SweepPoint {
     /// Speedup of the overlapped over the original execution
-    /// (`original / overlapped`; > 1 means overlap wins).
+    /// (`original / overlapped`; > 1 means overlap wins), treating a zero
+    /// overlapped makespan (degenerate empty trace) as parity.
     pub fn speedup(&self) -> f64 {
-        speedup_of(self.original, self.overlapped)
-    }
-
-    /// Speedup expressed as the paper does ("30%" = 0.30).
-    pub fn speedup_percent(&self) -> f64 {
-        (self.speedup() - 1.0) * 100.0
+        if self.overlapped.is_zero() {
+            return 1.0;
+        }
+        self.original.as_secs_f64() / self.overlapped.as_secs_f64()
     }
 }
 
@@ -166,124 +154,6 @@ pub fn sweep_compiled_threaded(
         .collect()
 }
 
-/// One measurement of original vs overlapped on a hierarchical platform
-/// point: a `ranks_per_node` packing combined with an intra-node
-/// bandwidth.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodePackingPoint {
-    /// Ranks packed onto each node at this point.
-    pub ranks_per_node: u32,
-    /// Intra-node (shared-memory) bandwidth at this point.
-    pub intra_bandwidth: Bandwidth,
-    /// Makespan of the original (non-overlapped) execution.
-    pub original: Time,
-    /// Makespan of the overlapped execution.
-    pub overlapped: Time,
-    /// Time-weighted mean busy buses of the original execution — how much
-    /// packing relieved the inter-node fabric.
-    pub mean_busy_buses: f64,
-}
-
-impl NodePackingPoint {
-    /// Speedup of the overlapped over the original execution.
-    pub fn speedup(&self) -> f64 {
-        speedup_of(self.original, self.overlapped)
-    }
-}
-
-/// Replays two traces over the hierarchical-platform grid
-/// `ranks_per_node × intra-node bandwidth` (the multicore-node scenario
-/// space the paper's Dimemas setup supports).
-///
-/// Each grid point keeps `base`'s inter-node fabric and varies only where
-/// ranks live and how fast their shared-memory path is: packing more ranks
-/// per node converts traffic from the bus/NIC domain into the intra-node
-/// domain. The traces are validated and **compiled** once
-/// ([`compile_trace`]); every point executes the shared program via
-/// [`Simulator::run_compiled`] (the program depends only on the trace,
-/// never on where ranks live — routing is re-derived per run), and the
-/// points fan out across threads with byte-identical, grid-ordered
-/// results (`ranks_per_node` major, intra-bandwidth minor).
-///
-/// # Errors
-///
-/// Propagates validation, compilation and replay errors, and rejects a
-/// malformed `OVLSIM_THREADS` ([`LabError::InvalidThreadConfig`]).
-pub fn sweep_node_packing(
-    original: &TraceSet,
-    overlapped: &TraceSet,
-    base: &Platform,
-    ranks_per_node: &[u32],
-    intra_bandwidths: &[Bandwidth],
-) -> Result<Vec<NodePackingPoint>, LabError> {
-    sweep_node_packing_threaded(
-        original,
-        overlapped,
-        base,
-        ranks_per_node,
-        intra_bandwidths,
-        par::configured_threads()?,
-    )
-}
-
-/// [`sweep_node_packing`] with an explicit worker cap (exposed for the
-/// sequential-equivalence tests).
-#[doc(hidden)]
-pub fn sweep_node_packing_threaded(
-    original: &TraceSet,
-    overlapped: &TraceSet,
-    base: &Platform,
-    ranks_per_node: &[u32],
-    intra_bandwidths: &[Bandwidth],
-    threads: usize,
-) -> Result<Vec<NodePackingPoint>, LabError> {
-    // Compile once: the program depends only on the trace, never on where
-    // ranks live, so every packing point shares it.
-    let orig_prog = compile_trace(original)?;
-    let ovl_prog = compile_trace(overlapped)?;
-    let grid: Vec<(u32, Bandwidth)> = ranks_per_node
-        .iter()
-        .flat_map(|&rpn| intra_bandwidths.iter().map(move |&bw| (rpn, bw)))
-        .collect();
-    let point_at = |&(rpn, intra_bw): &(u32, Bandwidth)| -> Result<NodePackingPoint, LabError> {
-        let platform = base
-            .with_ranks_per_node(rpn)
-            .with_intra_node_bandwidth(intra_bw);
-        let sim = Simulator::new(platform);
-        let orig = sim.run_compiled(&orig_prog)?;
-        let ovl = sim.run_compiled(&ovl_prog)?;
-        Ok(NodePackingPoint {
-            ranks_per_node: rpn,
-            intra_bandwidth: intra_bw,
-            original: orig.total_time(),
-            overlapped: ovl.total_time(),
-            mean_busy_buses: orig.mean_busy_buses(),
-        })
-    };
-    if threads <= 1 {
-        return grid.iter().map(point_at).collect();
-    }
-    par::par_map_with(&grid, threads, point_at)
-        .into_iter()
-        .collect()
-}
-
-/// Traces nothing — synthesizes the overlapped variant for `mode` from the
-/// bundle and sweeps it against the original.
-///
-/// # Errors
-///
-/// Propagates synthesis and replay errors.
-pub fn sweep_bundle(
-    bundle: &TraceBundle,
-    base: &Platform,
-    mode: OverlapMode,
-    bandwidths: &[Bandwidth],
-) -> Result<Vec<SweepPoint>, LabError> {
-    let overlapped = bundle.overlapped(mode)?;
-    sweep_traces(bundle.original(), &overlapped, base, bandwidths)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,8 +198,8 @@ mod tests {
         let bundle = TracingSession::new(&app).run().unwrap();
         let base = ovlsim_apps::calibration::reference_platform();
         let bws = log_bandwidths(1.0e7, 1.0e10, 5);
-        let points =
-            sweep_bundle(&bundle, &base, ovlsim_tracer::OverlapMode::linear(), &bws).unwrap();
+        let overlapped = bundle.overlapped_linear();
+        let points = sweep_traces(bundle.original(), &overlapped, &base, &bws).unwrap();
         for w in points.windows(2) {
             assert!(
                 w[1].comm_fraction <= w[0].comm_fraction + 1e-9,
@@ -340,84 +210,6 @@ mod tests {
         // Speedup sane.
         for p in &points {
             assert!(p.speedup() > 0.5 && p.speedup() < 10.0);
-        }
-    }
-
-    #[test]
-    fn node_packing_sweep_covers_grid_and_relieves_the_bus() {
-        // A bus-constrained platform: packing ranks onto nodes moves
-        // traffic into the intra-node domain, so makespan never worsens
-        // and mean busy buses never rise as ranks_per_node grows.
-        let app = Synthetic::builder()
-            .ranks(4)
-            .compute_instr(200_000)
-            .message_bytes(131_072)
-            .iterations(2)
-            .build()
-            .unwrap();
-        let bundle = TracingSession::new(&app).run().unwrap();
-        let overlapped = bundle.overlapped_linear();
-        let base = ovlsim_apps::calibration::reference_platform();
-        let rpns = [1u32, 2, 4];
-        let intra_bws: Vec<Bandwidth> = [1.0e9, 1.0e10]
-            .iter()
-            .map(|&b| Bandwidth::from_bytes_per_sec(b).unwrap())
-            .collect();
-        let points =
-            sweep_node_packing(bundle.original(), &overlapped, &base, &rpns, &intra_bws).unwrap();
-        assert_eq!(points.len(), rpns.len() * intra_bws.len());
-        // Grid order: ranks_per_node major, intra bandwidth minor.
-        assert_eq!(points[0].ranks_per_node, 1);
-        assert_eq!(points[1].ranks_per_node, 1);
-        assert_eq!(points[2].ranks_per_node, 2);
-        assert_eq!(points[5].ranks_per_node, 4);
-        // With everything on one node (rpn=4) no transfer touches a bus.
-        assert_eq!(points[5].mean_busy_buses, 0.0);
-        // More intra-node bandwidth at fixed packing never slows things.
-        for pair in points.chunks(intra_bws.len()) {
-            assert!(pair[1].original <= pair[0].original);
-            assert!(pair[1].overlapped <= pair[0].overlapped);
-            assert!(pair[0].speedup() > 0.0);
-        }
-    }
-
-    #[test]
-    fn parallel_node_packing_sweep_is_byte_identical_to_sequential() {
-        let app = Synthetic::builder()
-            .ranks(4)
-            .compute_instr(100_000)
-            .message_bytes(65_536)
-            .iterations(2)
-            .build()
-            .unwrap();
-        let bundle = TracingSession::new(&app).run().unwrap();
-        let overlapped = bundle.overlapped_linear();
-        let base = ovlsim_apps::calibration::reference_platform();
-        let rpns = [1u32, 2, 4];
-        let intra_bws: Vec<Bandwidth> = [5.0e9, 2.0e10]
-            .iter()
-            .map(|&b| Bandwidth::from_bytes_per_sec(b).unwrap())
-            .collect();
-        let seq = sweep_node_packing_threaded(
-            bundle.original(),
-            &overlapped,
-            &base,
-            &rpns,
-            &intra_bws,
-            1,
-        )
-        .unwrap();
-        for threads in [2, 4] {
-            let par = sweep_node_packing_threaded(
-                bundle.original(),
-                &overlapped,
-                &base,
-                &rpns,
-                &intra_bws,
-                threads,
-            )
-            .unwrap();
-            assert_eq!(seq, par, "node-packing sweep diverged at {threads} threads");
         }
     }
 

@@ -124,8 +124,8 @@ impl ProductionProfile {
 
     /// Cumulative readiness: for each of `points` evenly spaced byte
     /// prefixes, the fraction of the interval `[start, end]` by which that
-    /// prefix is fully produced. Used to plot production CDFs (experiment
-    /// E7).
+    /// prefix is fully produced: a production CDF
+    /// (`examples/pattern_study.rs` prints its quartiles).
     pub fn readiness_cdf(&self, start: Instr, end: Instr, points: usize) -> Vec<f64> {
         assert!(points >= 1, "need at least one point");
         let span = end.get().saturating_sub(start.get()).max(1);

@@ -55,6 +55,7 @@ impl Json {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -114,9 +115,17 @@ impl Json {
 
 pub use ovlsim_lab::campaign::json_escape as escape;
 
+/// The deepest array/object nesting a document may have. The parser
+/// recurses once per level, so an unchecked depth lets a 20 KB body of
+/// `[` overflow a server thread's stack, which no `catch_unwind` can
+/// catch. Request bodies nest a few levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -165,11 +174,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing a level past
+    /// [`MAX_DEPTH`] at its opening byte.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -357,6 +381,24 @@ mod tests {
         }
         let err = Json::parse("[1, }").unwrap_err();
         assert!(err.to_string().contains("byte 4"));
+    }
+
+    #[test]
+    fn nesting_is_limited_to_128_levels() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let at_limit = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        // The first level past the limit is refused at its opening byte.
+        for deep in [nest(MAX_DEPTH + 1), "[".repeat(20_000)] {
+            assert_eq!(
+                Json::parse(&deep).unwrap_err(),
+                JsonError {
+                    message: "nested deeper than 128 levels".to_string(),
+                    offset: MAX_DEPTH,
+                }
+            );
+        }
     }
 
     #[test]

@@ -117,6 +117,28 @@ fn concurrent_batched_sweeps_compile_once_and_shut_down_cleanly() {
             && err_body.contains("tune budget 100000000 is above the limit of 4096 evaluations"),
         "error: {err_body}"
     );
+    // So is a campaign grid too large to allocate.
+    let spec = "campaign g\\napps sweep3d\\nbandwidths log 1e7 1e10 10000000000\\n";
+    let (status, err_body) = request(
+        port,
+        "POST",
+        "/campaign",
+        &format!("{{\"spec\":\"{spec}\"}}"),
+    );
+    assert_eq!(status, 400);
+    assert!(
+        err_body.starts_with("{\"error\":\"")
+            && err_body.contains("asks for 10000000000 points, above the limit of 4096 per axis"),
+        "error: {err_body}"
+    );
+    // A body nested too deep to parse on a thread's stack is a 400 too,
+    // and the server keeps serving the requests below.
+    let (status, err_body) = request(port, "POST", "/replay", &"[".repeat(20_000));
+    assert_eq!(status, 400);
+    assert!(
+        err_body.contains("nested deeper than 128 levels at byte 128"),
+        "error: {err_body}"
+    );
     let (status, _) = request(port, "POST", "/no-such-route", "{}");
     assert_eq!(status, 404);
 

@@ -97,7 +97,17 @@ fn engine_fastforward_is_rejected_on_its_spec_line() {
 
 #[test]
 fn golden_reports_match_their_specs_shape() {
-    for name in ["paper", "stress"] {
+    let mut names: Vec<String> = std::fs::read_dir(repo_path("examples/campaigns"))
+        .expect("campaign corpus directory")
+        .filter_map(|entry| {
+            let file = entry.expect("directory entry").file_name();
+            let file = file.to_str().expect("utf-8 file name");
+            file.strip_suffix(".campaign").map(str::to_string)
+        })
+        .collect();
+    names.sort();
+    assert!(names.len() >= 5, "the committed corpus: {names:?}");
+    for name in names {
         let spec = read_spec(&format!("examples/campaigns/{name}.campaign"));
         let golden = std::fs::read_to_string(repo_path(&format!(
             "examples/campaigns/golden/{name}.report.json"

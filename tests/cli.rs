@@ -477,6 +477,13 @@ fn exit_codes_distinguish_usage_from_runtime_failures() {
     )
     .unwrap();
     let tune_spec = tune_spec.to_str().unwrap();
+    let grid_spec = big.join("grid.campaign");
+    std::fs::write(
+        &grid_spec,
+        "campaign grid\napps nas-bt\nbandwidths log 1e7 1e10 10000000000\n",
+    )
+    .unwrap();
+    let grid_spec = grid_spec.to_str().unwrap();
     let (prefix, spec_out) = (
         format!("{}/x", big.display()),
         format!("{}/out", big.display()),
@@ -486,6 +493,10 @@ fn exit_codes_distinguish_usage_from_runtime_failures() {
     let spec_line = format!("{spec}: building application failed: {too_many_ranks}");
     let too_large_budget = "tune budget 100000000 is above the limit of 4096 evaluations";
     let tune_spec_line = format!("{tune_spec}: line 5: `tune`: {too_large_budget}");
+    let grid_spec_line = format!(
+        "{grid_spec}: line 3: `bandwidths` asks for 10000000000 points, \
+         above the limit of 4096 per axis"
+    );
     for (args, line) in [
         (
             ["analyze", &mini, "--noise", "-1", "--out", out_dir].as_slice(),
@@ -537,6 +548,11 @@ fn exit_codes_distinguish_usage_from_runtime_failures() {
             &["campaign", "run", tune_spec, "--out", &spec_out],
             &tune_spec_line,
         ),
+        (&["campaign", "list", grid_spec], &grid_spec_line),
+        (
+            &["campaign", "run", grid_spec, "--out", &spec_out],
+            &grid_spec_line,
+        ),
     ] {
         let out = ovlsim().args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(1), "{args:?}");
@@ -552,7 +568,7 @@ fn exit_codes_distinguish_usage_from_runtime_failures() {
     written.sort();
     assert_eq!(
         written,
-        ["big.campaign", "tune.campaign"],
+        ["big.campaign", "grid.campaign", "tune.campaign"],
         "refusals write nothing"
     );
 }

@@ -1,9 +1,10 @@
 //! Quantitative reproduction tests: the paper's three findings, asserted
 //! as golden bands on the calibrated default applications.
 //!
-//! These run the same configurations as the `exp_*` binaries but assert
-//! bands instead of printing tables; the binaries print the exact
-//! measured values.
+//! The committed campaign specs print the measured values for the same
+//! applications: `examples/campaigns/mechanisms.campaign` at the realistic
+//! bandwidth, `paper.campaign` across the bandwidth sweep. These tests
+//! assert bands instead.
 
 use ovlsim::prelude::*;
 use ovlsim_apps::calibration::{reference_platform, target_for};
@@ -133,8 +134,9 @@ fn mechanisms_compose() {
     }
 }
 
-/// The overlap benefit vanishes at both bandwidth extremes (E4's curve
-/// shape): at very high bandwidth there is nothing to hide.
+/// The overlap benefit vanishes at both bandwidth extremes (the curve of
+/// `paper.campaign`'s `linear` rows): at very high bandwidth there is
+/// nothing to hide.
 #[test]
 fn speedup_vanishes_at_high_bandwidth() {
     let base = reference_platform();
